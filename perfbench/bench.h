@@ -5,7 +5,7 @@
 // serve::SchedulerService, the plan oracles, and the traced replay of the
 // planning path from public calls) and the serving side (the TCP stack, the
 // closed-loop load, and the traced replay of one infer request). main.cc
-// strings them into the three workloads.
+// strings them into the two workloads.
 #ifndef SERENITY_PERFBENCH_BENCH_H_
 #define SERENITY_PERFBENCH_BENCH_H_
 
@@ -93,18 +93,27 @@ struct WorkloadGraph {
 // The paper's nine cells (plan_zoo, serve_infer).
 std::vector<WorkloadGraph> ZooGraphs();
 
-// plan_synth's graphs are one draw from a fixed generator seed; --seed
-// orders them, as it orders the nine cells. Planning time depends on the
-// wiring far more than on the size, so a fresh draw per --seed moved
-// plan_s_total by 20-40% between seeds (IQR over median), past any usable
-// regression bound.
-inline constexpr std::uint64_t kSynthPopulationSeed = 2020;
+// Every timing is scaled to a reference speed. On a host shared with other
+// tenants, the speed of every core swings by up to 1.6x, for seconds to
+// minutes at a time, so the median of a run tracks the host more than the
+// program. The benchmark runs a fixed loop of its own next to each measured
+// interval (random reads from a 4 MiB table) and multiplies the interval
+// by kReferenceLoopSeconds over the loop's time around it. A scaled time
+// is the time the interval would take on a host that runs the loop in
+// kReferenceLoopSeconds.
+inline constexpr double kReferenceLoopSeconds = 0.001;
 
-// Two stacked hourglass nets per cell count 1..8 (MakeRandomCellNetwork,
-// 6-12 intermediates per cell, with cut nodes and concat blocks) and four
-// Watts-Strogatz RandWire cells (MakeRandWireCell, 24-32 nodes, K=4,
-// P=0.75).
-std::vector<WorkloadGraph> SynthGraphs();
+// CPU seconds the reference loop takes on the calling thread now: the
+// median of three runs, the first of which also warms the caches. CPU
+// time, not wall time, so the benchmark's own threads preempting the loop
+// do not count as a slow host.
+double ReferenceLoopSeconds();
+
+// The factor that scales an interval to reference speed, from the loop's
+// times just before and just after it.
+inline double SpeedScale(double loop_before, double loop_after) {
+  return 2 * kReferenceLoopSeconds / (loop_before + loop_after);
+}
 
 // Peak resident set of this process so far, from getrusage.
 double PeakRssMb();
@@ -118,14 +127,16 @@ using PlanPtr = std::shared_ptr<const serve::CachedPlan>;
 
 struct ColdPlans {
   std::vector<PlanPtr> plans;  // the first round's plan, per graph
-  // Seconds of each SchedulerService::Schedule call, per graph.
+  // Seconds of each SchedulerService::Schedule call at reference speed,
+  // per graph.
   std::vector<std::vector<double>> seconds;
 };
 
 // Plans every graph cold, each call on a fresh SchedulerService with the
 // serving defaults, round after round in a seeded order until
-// `budget_seconds` have passed (at least `min_rounds` rounds). Every round
-// must serve the first round's schedule again.
+// `budget_seconds` have passed (at least `min_rounds` rounds). A call that
+// fails or serves a plan short of kExact is a failure and gives no sample.
+// Every round must serve the first round's schedule again.
 ColdPlans PlanCold(const std::vector<WorkloadGraph>& graphs,
                    std::uint64_t seed, double budget_seconds, int min_rounds,
                    Outcome* outcome);
@@ -133,8 +144,10 @@ ColdPlans PlanCold(const std::vector<WorkloadGraph>& graphs,
 // The plan oracles: the schedule is a topological order of the scheduled
 // graph, alloc::ValidatePlanForGraph is clean, the quality is kExact, and
 // the peak equals that of an unseeded core::ScheduleDp on the scheduled
-// graph. Null plans are skipped (their failure is already counted).
-void CheckPlans(const std::vector<PlanPtr>& plans, Outcome* outcome);
+// graph. A graph left with no plan at all is a wrong output too: its
+// plan time would otherwise drop out of plan_s_total and read as a gain.
+void CheckPlans(const std::vector<WorkloadGraph>& graphs,
+                const std::vector<PlanPtr>& plans, Outcome* outcome);
 
 // The sums trace.coverage and trace.overhead are made of, in ms.
 struct TraceHealth {
@@ -185,8 +198,8 @@ struct ServedCell {
 
 // Plans each graph through the plan verb on one control connection, which
 // is closed afterwards (a lingering connection would pin a server worker).
-// Appends each call's seconds to `seconds` (one vector per graph) and
-// returns the cached plans, null where planning failed.
+// Appends each call's seconds, at reference speed, to `seconds` (one vector
+// per graph) and returns the cached plans, null where planning failed.
 std::vector<PlanPtr> PlanOverWire(ServingStack& stack,
                                   const std::vector<WorkloadGraph>& graphs,
                                   std::vector<std::vector<double>>* seconds,
@@ -208,15 +221,17 @@ void ComputeReferenceSinks(std::vector<ServedCell>* cells);
 // on each.
 void WarmStack(ServingStack& stack, const std::vector<ServedCell>& cells);
 
+// The completed requests of a load phase, all at reference speed.
 struct LoadResult {
-  std::vector<double> latency_ms;  // completed requests
-  double busy_seconds = 0;  // the time the completed requests took to serve
+  std::vector<double> latency_ms;
+  double seconds = 0;  // the time the phase served them in
 };
 
 // The deployment of freshly planned graphs: one InferenceSession per cell
 // (kAuto kernels) in this thread, cycling through the cells as
 // RunClosedLoop does, each Run timed and its sinks compared bit for bit
-// with the reference, for `seconds`.
+// with the reference, for `seconds`. The phase's time is the summed Run
+// time, so the oracle's own checks stay out of the throughput.
 LoadResult RunInProcess(const std::vector<ServedCell>& cells,
                         std::uint64_t seed, double seconds, Outcome* outcome);
 

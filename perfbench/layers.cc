@@ -3,8 +3,11 @@
 // and the serving layers (TCP stack, closed-loop load, traced replay of one
 // infer request).
 #include <sys/resource.h>
+#include <time.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -20,8 +23,6 @@
 #include "core/pipeline.h"
 #include "core/soft_budget.h"
 #include "graph/canonical_hash.h"
-#include "models/random_cell.h"
-#include "models/randwire.h"
 #include "models/zoo.h"
 #include "rewrite/rewriter.h"
 #include "runtime/executor.h"
@@ -154,33 +155,59 @@ std::vector<WorkloadGraph> ZooGraphs() {
   return graphs;
 }
 
-std::vector<WorkloadGraph> SynthGraphs() {
-  util::Rng rng(kSynthPopulationSeed);
-  std::vector<WorkloadGraph> graphs;
-  // Two nets per cell count, so the draw spans the whole size range.
-  for (int cells = 1; cells <= 8; ++cells) {
-    for (int copy = 0; copy < 2; ++copy) {
-      models::RandomCellParams p;
-      p.num_cells = cells;
-      p.num_intermediates = rng.NextInt(6, 12);
-      p.spatial = 8;
-      p.seed = rng.NextU64();
-      p.name = "synth_hourglass";
-      graphs.push_back(WithBaseline("hourglass x" + std::to_string(cells),
-                                    models::MakeRandomCellNetwork(p)));
+namespace {
+
+double ThreadCpuSeconds() {
+  timespec now{};
+  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now);
+  return static_cast<double>(now.tv_sec) +
+         static_cast<double>(now.tv_nsec) * 1e-9;
+}
+
+// Keeps the reference loop's results alive.
+std::atomic<std::uint64_t> reference_sink{0};
+
+std::uint64_t XorShift(std::uint64_t x) {
+  x ^= x << 13;
+  x ^= x >> 7;
+  x ^= x << 17;
+  return x;
+}
+
+// The reference loop's 4 MiB table: past a core's L2, inside the shared
+// L3, where other tenants' traffic on a shared host slows a core down. Read
+// only, so every thread can share it without trading cache lines.
+constexpr int kReferenceTableBits = 19;
+
+const std::vector<std::uint64_t>& ReferenceTable() {
+  static const std::vector<std::uint64_t> table = [] {
+    std::vector<std::uint64_t> t(std::size_t{1} << kReferenceTableBits);
+    std::uint64_t x = 0x2545f4914f6cdd1dull;
+    for (std::uint64_t& v : t) v = x = XorShift(x);
+    return t;
+  }();
+  return table;
+}
+
+}  // namespace
+
+double ReferenceLoopSeconds() {
+  constexpr int kSteps = 270000;
+  const std::vector<std::uint64_t>& table = ReferenceTable();
+  std::array<double, 3> runs{};
+  for (double& run : runs) {
+    const double start = ThreadCpuSeconds();
+    std::uint64_t x = 0x9e3779b97f4a7c15ull;
+    std::uint64_t acc = 0;
+    for (int i = 0; i < kSteps; ++i) {
+      x = XorShift(x);
+      acc += table[(x * 0xff51afd7ed558ccdull) >> (64 - kReferenceTableBits)];
     }
+    reference_sink.fetch_add(acc, std::memory_order_relaxed);
+    run = ThreadCpuSeconds() - start;
   }
-  for (int i = 0; i < 4; ++i) {
-    models::RandWireParams p;
-    p.num_nodes = rng.NextInt(24, 32);
-    p.channels = 32;
-    p.spatial = 8;
-    p.seed = rng.NextU64();
-    p.name = "synth_randwire";
-    graphs.push_back(WithBaseline("randwire n" + std::to_string(p.num_nodes),
-                                  models::MakeRandWireCell(p)));
-  }
-  return graphs;
+  std::sort(runs.begin(), runs.end());
+  return runs[1];
 }
 
 double PeakRssMb() {
@@ -351,6 +378,7 @@ ColdPlans PlanCold(const std::vector<WorkloadGraph>& graphs,
   cold.plans.resize(graphs.size());
   cold.seconds.resize(graphs.size());
   RoundRobin order(graphs.size(), seed);
+  double loop = ReferenceLoopSeconds();
   const Clock::time_point start = Clock::now();
   for (int round = 0;
        round < min_rounds || SecondsSince(start) < budget_seconds; ++round) {
@@ -360,8 +388,17 @@ ColdPlans PlanCold(const std::vector<WorkloadGraph>& graphs,
       double seconds = 0;
       const serve::ServeResult served =
           ScheduleCold(graphs[g].graph, &seconds);
+      const double next = ReferenceLoopSeconds();
+      seconds *= SpeedScale(loop, next);
+      loop = next;
       if (!served.status.ok() || served.plan == nullptr) {
         outcome->Fail(graphs[g].label + ": " + served.status.ToString());
+        continue;
+      }
+      if (served.plan->quality != core::PlanQuality::kExact) {
+        outcome->Fail(graphs[g].label + ": served a " +
+                      std::string(core::ToString(served.plan->quality)) +
+                      " plan");
         continue;
       }
       cold.seconds[g].push_back(seconds);
@@ -375,9 +412,14 @@ ColdPlans PlanCold(const std::vector<WorkloadGraph>& graphs,
   return cold;
 }
 
-void CheckPlans(const std::vector<PlanPtr>& plans, Outcome* outcome) {
-  for (const PlanPtr& plan : plans) {
-    if (plan == nullptr) continue;
+void CheckPlans(const std::vector<WorkloadGraph>& graphs,
+                const std::vector<PlanPtr>& plans, Outcome* outcome) {
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    const PlanPtr& plan = plans[i];
+    if (plan == nullptr) {
+      outcome->Wrong(graphs[i].label + ": no plan was served");
+      continue;
+    }
     const graph::Graph& graph = plan->result.scheduled_graph;
     const std::string& name = graph.name();
     const sched::Schedule& schedule = plan->plan.schedule;
@@ -677,6 +719,50 @@ serve::InferenceSession SessionOn(const ServedCell& cell,
   return std::move(session).value();
 }
 
+// Scales one thread's stream of request latencies to reference speed. The
+// reference loop runs after every kSegmentSeconds of the phase, and each
+// latency is scaled by the loops at both ends of its segment.
+class ScaledSegments {
+ public:
+  // With `wall_time`, the phase's time is this thread's wall time (the
+  // closed loop); without, it is the summed latencies (in-process runs).
+  ScaledSegments(LoadResult* out, bool wall_time)
+      : out_(out),
+        wall_time_(wall_time),
+        loop_(ReferenceLoopSeconds()),
+        start_(Clock::now()) {}
+
+  void Add(double ms) {
+    pending_.push_back(ms);
+    if (SecondsSince(start_) >= kSegmentSeconds) Close();
+  }
+
+  // Ends the open segment; call it once more when the phase ends.
+  void Close() {
+    const double wall = SecondsSince(start_);
+    const double next = ReferenceLoopSeconds();
+    const double scale = SpeedScale(loop_, next);
+    double busy_ms = 0;
+    for (const double ms : pending_) {
+      out_->latency_ms.push_back(ms * scale);
+      busy_ms += ms;
+    }
+    out_->seconds += (wall_time_ ? wall : busy_ms / 1e3) * scale;
+    pending_.clear();
+    loop_ = next;
+    start_ = Clock::now();
+  }
+
+ private:
+  static constexpr double kSegmentSeconds = 0.25;
+
+  LoadResult* out_;
+  bool wall_time_;
+  double loop_;
+  Clock::time_point start_;
+  std::vector<double> pending_;
+};
+
 }  // namespace
 
 ServingStack::ServingStack() : server(service, pool, StackOptions()) {
@@ -704,12 +790,16 @@ std::vector<PlanPtr> PlanOverWire(ServingStack& stack,
   serve::TcpClient control = stack.Connect();
   std::vector<PlanPtr> plans(graphs.size());
   seconds->resize(graphs.size());
+  double loop = ReferenceLoopSeconds();
   for (std::size_t i = 0; i < graphs.size(); ++i) {
     const std::string text = serialize::ToText(graphs[i].graph);
     ++outcome->attempted;
     const Clock::time_point start = Clock::now();
     const util::StatusOr<serve::RemotePlan> remote = control.Plan(text);
-    const double elapsed = SecondsSince(start);
+    double elapsed = SecondsSince(start);
+    const double next = ReferenceLoopSeconds();
+    elapsed *= SpeedScale(loop, next);
+    loop = next;
     if (!remote.ok()) {
       outcome->Fail(graphs[i].label + ": " + remote.status().ToString());
       continue;
@@ -784,18 +874,18 @@ LoadResult RunClosedLoop(ServingStack& stack,
   LoadResult result;
   if (cells.empty()) return result;
   const std::size_t n = stack.clients.size();
-  std::vector<std::vector<double>> latency(n);
+  std::vector<LoadResult> per_client(n);
   std::vector<Outcome> outcomes(n);
-  const Clock::time_point start = Clock::now();
   const Clock::time_point end =
-      start + std::chrono::duration_cast<Clock::duration>(
-                  std::chrono::duration<double>(seconds));
+      Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                         std::chrono::duration<double>(seconds));
   std::vector<std::thread> threads;
   for (std::size_t c = 0; c < n; ++c) {
-    latency[c].reserve(std::size_t{1} << 16);
+    per_client[c].latency_ms.reserve(std::size_t{1} << 16);
     threads.emplace_back([&, c] {
       RoundRobin order(cells.size(), seed * 0x9e3779b97f4a7c15ull + c + 1);
       serve::TcpClient& client = stack.clients[c];
+      ScaledSegments scaled(&per_client[c], /*wall_time=*/true);
       while (Clock::now() < end) {
         const ServedCell& cell = cells[order.Next()];
         ++outcomes[c].attempted;
@@ -809,16 +899,20 @@ LoadResult RunClosedLoop(ServingStack& stack,
           outcomes[c].Wrong(cell.label +
                             ": reply differs from the reference sinks");
         } else {
-          latency[c].push_back(ms);
+          scaled.Add(ms);
         }
       }
+      scaled.Close();
     });
   }
   for (std::thread& t : threads) t.join();
-  result.busy_seconds = SecondsSince(start);
+  // Every client ran for the whole phase, so the phase's time is their
+  // mean.
   for (std::size_t c = 0; c < n; ++c) {
-    result.latency_ms.insert(result.latency_ms.end(), latency[c].begin(),
-                             latency[c].end());
+    result.latency_ms.insert(result.latency_ms.end(),
+                             per_client[c].latency_ms.begin(),
+                             per_client[c].latency_ms.end());
+    result.seconds += per_client[c].seconds / static_cast<double>(n);
     outcome->Merge(outcomes[c]);
   }
   return result;
@@ -849,20 +943,22 @@ LoadResult RunInProcess(const std::vector<ServedCell>& cells,
   std::vector<std::size_t> uses(cells.size(), 0);
   RoundRobin order(cells.size(), seed);
   result.latency_ms.reserve(std::size_t{1} << 16);
-  const Clock::time_point start = Clock::now();
-  while (SecondsSince(start) < seconds) {
+  ScaledSegments scaled(&result, /*wall_time=*/false);
+  double busy_seconds = 0;
+  while (busy_seconds < seconds) {
     const std::size_t i = order.Next();
     serve::InferenceSession& session =
         sessions[i * per_cell + uses[i]++ % per_cell];
     ++outcome->attempted;
     const double ms = RunMs(session, cells[i]);
+    busy_seconds += ms / 1e3;
     if (!SameBits(session.executor().SinkValues(), cells[i].expect)) {
       outcome->Wrong(cells[i].label + ": sinks differ from the reference");
       continue;
     }
-    result.latency_ms.push_back(ms);
-    result.busy_seconds += ms / 1e3;
+    scaled.Add(ms);
   }
+  scaled.Close();
   return result;
 }
 

@@ -3,7 +3,7 @@
 // result as the last line of stdout. README.md lists the workloads, the
 // metrics and which layer metric should move which end-to-end metric.
 //
-//   serenity_perfbench --workload plan_zoo|plan_synth|serve_infer
+//   serenity_perfbench --workload plan_zoo|serve_infer
 //                      --seed N --seconds S --trace 0|1
 //
 // --trace 0 prints the end-to-end metrics, measured with no spans at all;
@@ -58,15 +58,14 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       return false;
     }
   }
-  return args->workload == "plan_zoo" || args->workload == "plan_synth" ||
-         args->workload == "serve_infer";
+  return args->workload == "plan_zoo" || args->workload == "serve_infer";
 }
 
 // Set-up passes per run: setup_s is their median, the last one is kept.
-// serve_infer's pass plans nine cells (its passes are also plan_s_*'s
-// samples there); the plan_* pass is milliseconds, so it takes more passes
-// for a steady median.
-constexpr int kServeSetupPasses = 5;
+// serve_infer's pass plans nine cells over the wire, and its passes are
+// also plan_s_*'s samples there; plan_zoo's pass is milliseconds, so it
+// takes more passes for a steady median.
+constexpr int kServeSetupPasses = 12;
 constexpr int kPlanSetupPasses = 15;
 
 // Shares of --seconds per phase. An untraced run spends all of it on the
@@ -84,7 +83,7 @@ Shares SharesFor(const Args& args) {
   if (args.workload == "serve_infer") {
     return args.trace ? Shares{0, 0.3, 0.25, 0.45} : Shares{0, 1.0, 0, 0};
   }
-  return args.trace ? Shares{0.1, 0.05, 0.6, 0.25} : Shares{0.8, 0.2, 0, 0};
+  return args.trace ? Shares{0.1, 0.05, 0.6, 0.25} : Shares{0.4, 0.6, 0, 0};
 }
 
 void ReportPlanTimes(const std::vector<std::vector<double>>& seconds,
@@ -135,7 +134,7 @@ void RunWorkload(const Args& args, Outcome* outcome, Report* e2e,
   const Shares share = SharesFor(args);
 
   // serve_infer's set-up is the serving stack with all nine cells planned
-  // over the wire and every pooled session warm; the plan_* set-up is the
+  // over the wire and every pooled session warm; plan_zoo's set-up is the
   // input graphs and their TFLite baselines.
   std::vector<double> setup_seconds;
   std::vector<WorkloadGraph> graphs;
@@ -144,29 +143,38 @@ void RunWorkload(const Args& args, Outcome* outcome, Report* e2e,
   std::vector<ServedCell> cells;
   std::vector<std::vector<double>> plan_seconds;
   const int passes = serving ? kServeSetupPasses : kPlanSetupPasses;
+  double loop = ReferenceLoopSeconds();
   for (int pass = 0; pass < passes; ++pass) {
     stack.reset();
     const Clock::time_point start = Clock::now();
-    graphs = args.workload == "plan_synth" ? SynthGraphs() : ZooGraphs();
+    graphs = ZooGraphs();
     if (serving) {
       stack = std::make_unique<ServingStack>();
       plans = PlanOverWire(*stack, graphs, &plan_seconds, outcome);
       cells = MakeCells(graphs, plans, args.seed);
       WarmStack(*stack, cells);
     }
-    setup_seconds.push_back(SecondsSince(start));
+    const double seconds = SecondsSince(start);
+    const double next = ReferenceLoopSeconds();
+    setup_seconds.push_back(seconds * SpeedScale(loop, next));
+    loop = next;
   }
 
   LoadResult load;
+  double rss_mb = 0;
   if (serving) {
     ComputeReferenceSinks(&cells);
     load = RunClosedLoop(*stack, cells, args.seed, share.load * args.seconds,
                          outcome);
+    rss_mb = PeakRssMb();
   } else {
     ColdPlans cold = PlanCold(graphs, args.seed, share.plan * args.seconds,
                               args.trace ? 1 : 3, outcome);
     plans = std::move(cold.plans);
     plan_seconds = std::move(cold.seconds);
+    // The planner's memory: read before the deploy phase's sessions and
+    // reference executors, which are the benchmark's choices.
+    rss_mb = PeakRssMb();
     // Deploy what was just planned, in-process, as an edge device would.
     cells = MakeCells(graphs, plans, args.seed);
     ComputeReferenceSinks(&cells);
@@ -186,10 +194,9 @@ void RunWorkload(const Args& args, Outcome* outcome, Report* e2e,
         *stack, cells, share.trace_serve * args.seconds, outcome, layers);
     ReportHealth(serving ? served : planning, layers);
   }
-  // Read before the oracles run: the unseeded DP is the benchmark's own
-  // work and must not count as the program's memory.
-  const double rss_mb = PeakRssMb();
-  CheckPlans(plans, outcome);
+  // rss_peak_mb was read before the oracles run: the unseeded DP is the
+  // benchmark's own work and must not count as the program's memory.
+  CheckPlans(graphs, plans, outcome);
 
   e2e->Set("setup_s", Median(setup_seconds), "s");
   ReportPlanTimes(plan_seconds, e2e);
@@ -197,9 +204,8 @@ void RunWorkload(const Args& args, Outcome* outcome, Report* e2e,
   e2e->Set("infer_ms_p50", Quantile(load.latency_ms, 0.50), "ms");
   e2e->Set("infer_ms_p99", Quantile(load.latency_ms, 0.99), "ms");
   e2e->Set("infer_per_s",
-           load.busy_seconds > 0
-               ? static_cast<double>(load.latency_ms.size()) /
-                     load.busy_seconds
+           load.seconds > 0
+               ? static_cast<double>(load.latency_ms.size()) / load.seconds
                : 0.0,
            "1/s");
   e2e->Set("ok_frac",
@@ -223,7 +229,7 @@ int main(int argc, char** argv) {
   Args args;
   if (!ParseArgs(argc, argv, &args)) {
     std::fprintf(stderr,
-                 "usage: %s --workload plan_zoo|plan_synth|serve_infer "
+                 "usage: %s --workload plan_zoo|serve_infer "
                  "--seed N --seconds S --trace 0|1\n",
                  argv[0]);
     return 2;
