@@ -61,10 +61,7 @@ bool PrintFigure(const std::string& json_path) {
     rows.Field("states_expanded", full.states_expanded);
     rows.Field("states_pruned_by_bound", full.states_pruned_by_bound);
     rows.Field("states_pruned_by_incumbent", full.pruned.incumbent);
-    rows.Field("states_pruned_by_residual", full.pruned.residual);
     rows.Field("states_pruned_by_frontier_floor", full.pruned.frontier_floor);
-    rows.Field("states_pruned_by_lookahead", full.pruned.lookahead);
-    rows.Field("states_pruned_by_dominance", full.pruned.dominance);
   }
   bench::PrintRule();
   std::printf("%-32s %12.4f %12.1f %12.4f %12.1f\n", "mean",

@@ -94,10 +94,7 @@ bool PrintStudy(const std::string& json_path) {
     rows.Field("bnb_states_expanded", bnb.states_expanded);
     rows.Field("states_pruned_by_bound", bnb.states_pruned_by_bound);
     rows.Field("states_pruned_by_incumbent", bnb.pruned.incumbent);
-    rows.Field("states_pruned_by_residual", bnb.pruned.residual);
     rows.Field("states_pruned_by_frontier_floor", bnb.pruned.frontier_floor);
-    rows.Field("states_pruned_by_lookahead", bnb.pruned.lookahead);
-    rows.Field("states_pruned_by_dominance", bnb.pruned.dominance);
     rows.Field("bnb_peak_bytes", bnb.peak_bytes);
     rows.Field("max_level_states", dp.max_level_states);
     rows.Field("beam64_peak_bytes", beam.peak_bytes);

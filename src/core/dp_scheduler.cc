@@ -53,22 +53,8 @@ class DpRunner {
         bound_pruning_(options.incumbent_bytes != kNoBudget),
         incumbent_(options.incumbent_bytes),
         step_limit_(std::min(options.budget_bytes, options.incumbent_bytes)),
-        lookahead_depth_(std::min(std::max(options.lookahead_depth, 2), 16)),
         cancel_(options.cancel),
-        dominance_(options.dominance != nullptr &&
-                           options.dominance->initialized()
-                       ? options.dominance
-                       : nullptr),
-        reservation_(options.memory_budget) {
-    if (dominance_ != nullptr) {
-      // A mismatched table would prune against the wrong incumbent or read
-      // the wrong signature width — both silent wrong-answer bugs.
-      SERENITY_CHECK(bound_pruning_)
-          << "a dominance table requires bound pruning";
-      SERENITY_CHECK_EQ(dominance_->words_per_state(), words_);
-      SERENITY_CHECK_EQ(dominance_->incumbent(), incumbent_);
-    }
-  }
+        reservation_(options.memory_budget) {}
 
   DpResult Run() {
     util::Stopwatch total_clock;
@@ -98,23 +84,12 @@ class DpRunner {
                                std::thread::hardware_concurrency())));
     }
 
-    // Level 0: the empty schedule (Algorithm 1 lines 4-5). When bounding,
-    // the root's one-step floor is computed directly (every other state
-    // gets its floor stored by the parent that inserts it).
+    // Level 0: the empty schedule (Algorithm 1 lines 4-5).
     StateLevel current;
     current.Init(words_, 1, 1);
     const std::vector<std::uint64_t> empty(words_, 0);
-    std::int64_t root_floor = StateLevel::kFloorUnknown;
-    if (bound_pruning_) {
-      std::vector<std::int32_t> root_frontier;
-      ExpansionTables::FrontierAllocs root_allocs;
-      tables_.AppendFrontier(empty.data(), &root_frontier, nullptr);
-      tables_.ComputeFrontierAllocs(empty.data(), root_frontier,
-                                    &root_allocs);
-      root_floor = root_allocs.min1;
-    }
     current.InsertOrRelax(empty.data(), SignatureHasher::kEmptyHash, 0, 0,
-                          0, -1, -1, root_floor);
+                          0, -1, -1);
     current.Seal();
 
     for (std::size_t i = 0; i < num_nodes_; ++i) {
@@ -153,49 +128,15 @@ class DpRunner {
       }
       StateLevel next;
       next.Init(words_, hint, level_shards);
-      const bool last_level = i + 1 == num_nodes_;
-      // Lookahead gate: the residual, frontier floor and dominance probes
-      // are cheap enough (stored floors, has_cowriter fast paths, O(1)
-      // lookups) to stay on whenever an incumbent exists; only the exact
-      // depth-k probe — a bounded DFS per candidate — is gated.
-      // Probe by default, back off after two consecutive zero-yield
-      // levels, re-probe every 8th level, and re-arm immediately when the
-      // floor pruned anything last level (a tight region: the deeper probe
-      // likely pays too — this keeps the probe alive on sink-dominated
-      // graphs whose tightness arrives late). The gate state is a pure
-      // function of per-level totals, so it is identical across thread
-      // counts.
-      const bool probe_lookahead =
-          bound_pruning_ && (lookahead_zero_streak_ < 2 || (i & 7) == 0 ||
-                             floor_yield_last_level_);
-      level_bounds_.push_back(!bound_pruning_ ? LevelBounds::kDisabled
-                              : probe_lookahead ? LevelBounds::kFull
-                                               : LevelBounds::kFloorOnly);
-      level_pruned_ = PruneBreakdown{};
       const bool completed =
           level_threads > 1
-              ? ExpandLevelSharded(current, next, level_threads, last_level,
-                                   probe_lookahead, level_clock)
-              : ExpandLevel(current, next, last_level, probe_lookahead,
-                            level_clock);
-      pruned_ += level_pruned_;
-      if (probe_lookahead) {
-        lookahead_zero_streak_ =
-            level_pruned_.lookahead == 0 ? lookahead_zero_streak_ + 1 : 0;
-      }
-      floor_yield_last_level_ = level_pruned_.frontier_floor != 0;
+              ? ExpandLevelSharded(current, next, level_threads, level_clock)
+              : ExpandLevel(current, next, level_clock);
       if (!completed ||
           level_clock.ElapsedSeconds() > options_.step_timeout_seconds) {
-        // An aborted level's learned signatures are discarded: its batch
-        // may be partial and thread-timing-dependent, and the dominance
-        // table must stay deterministic.
-        level_batch_.clear();
         result.status = completed ? DpStatus::kTimeout : AbortStatus();
         result.levels_completed = static_cast<int>(i);
         return Finish(result, total_clock);
-      }
-      if (dominance_ != nullptr && !level_batch_.empty()) {
-        dominance_->Merge(&level_batch_);
       }
       next.Seal();
       max_level_states_ =
@@ -234,7 +175,6 @@ class DpRunner {
     result.transitions = transitions_;
     result.pruned = pruned_;
     result.states_pruned_by_bound = pruned_.Total();
-    result.level_bounds = level_bounds_;
     result.max_level_states = max_level_states_;
     result.seconds = clock.ElapsedSeconds();
     return result;
@@ -271,33 +211,36 @@ class DpRunner {
   // dropped eagerly but the reservation keeps the run's peak until the
   // whole run ends — the budget governs peaks, not instantaneous usage.
   bool EnsureResident(std::int64_t store_bytes) {
-    // The dominance table grows only at level boundaries (single-threaded
-    // merges), so reading its capacity here is race-free; the overshoot
-    // between true-ups is bounded by one level's learned batch.
-    const std::int64_t dominance_bytes =
-        dominance_ != nullptr ? dominance_->ResidentBytes() : 0;
     return reservation_.EnsureAtLeast(fixed_bytes_ + recon_bytes_ +
-                                      dominance_bytes + store_bytes);
+                                      store_bytes);
   }
 
-  // Records a signature proven dead (lower bound strictly above the
-  // incumbent) into the level's pending dominance batch. No-op without an
-  // attached table. The batch merges only if the level completes.
-  void Learn(DominanceTable::PendingBatch* batch, std::uint64_t hash,
-             const std::uint64_t* sig, std::int64_t lower_bound) {
-    if (dominance_ != nullptr) batch->Add(hash, sig, words_, lower_bound);
+  // The one-step frontier floor on a child that survived the step-peak
+  // cut (DESIGN.md "Branch-and-bound over levels"): whatever the child
+  // schedules next allocates at least the floor, so footprint + floor
+  // STRICTLY above the incumbent proves every completion is worse than a
+  // schedule already in hand. A pure function of the child signature, so
+  // every duplicate candidate agrees and relax winners (hence the
+  // reconstructed schedule) are the unpruned search's. `child` holds the
+  // child's signature; `allocs` are the parent's frontier allocs.
+  bool FloorExceedsIncumbent(const ExpansionTables::Transition& t,
+                             const std::uint64_t* child, std::int32_t u,
+                             const ExpansionTables::FrontierAllocs& allocs)
+      const {
+    if (!bound_pruning_) return false;
+    const std::int64_t floor = tables_.ChildNextAllocFloor(child, u, allocs);
+    return floor != ExpansionTables::kNoAlloc &&
+           t.footprint + floor > incumbent_;
   }
 
   // Sequential expansion of one level (Algorithm 1 lines 9-24, plus the
-  // branch-and-bound cuts of DESIGN.md "Admissible bounds & dominance").
-  // Returns false on step timeout or state-cap overrun.
+  // branch-and-bound cuts: step peak, then child floor, each against the
+  // incumbent). Returns false on step timeout or state-cap overrun.
   bool ExpandLevel(const StateLevel& current, StateLevel& next,
-                   bool last_level, bool probe_lookahead,
                    const util::Stopwatch& level_clock) {
     std::vector<std::int32_t> frontier;
     std::vector<std::uint64_t> child(words_);
     ExpansionTables::FrontierAllocs allocs;
-    ExpansionTables::LookaheadScratch scratch;
     for (std::size_t s = 0; s < current.size(); ++s) {
       if ((s & 0x3f) == 0 && s != 0 &&
           !CheckLimits(current, next, level_clock)) {
@@ -307,49 +250,11 @@ class DpRunner {
       const std::int64_t peak = current.peak(s);
       const std::int64_t footprint = current.footprint(s);
       const std::uint64_t hash = current.hash(s);
-      if (bound_pruning_) {
-        // O(1) pre-frontier cuts. The stored floor was already tested when
-        // this state was inserted, so it normally cannot fire here — it is
-        // a defense against callers that seed levels without bounding (the
-        // root path computes its floor directly).
-        const std::int64_t sfloor = current.floor(s);
-        if (sfloor >= 0 && sfloor != ExpansionTables::kNoAlloc &&
-            footprint + sfloor > incumbent_) {
-          ++level_pruned_.frontier_floor;
-          Learn(&level_batch_, hash, sig, footprint + sfloor);
-          continue;
-        }
-        if (dominance_ != nullptr &&
-            dominance_->Lookup(hash, sig) > incumbent_) {
-          // An earlier attempt (or level) proved every completion of this
-          // signature peaks above the incumbent.
-          ++level_pruned_.dominance;
-          continue;
-        }
-      }
       frontier.clear();
-      std::int64_t residual = 0;
-      tables_.AppendFrontier(sig, &frontier,
-                             bound_pruning_ ? &residual : nullptr);
-      if (bound_pruning_ && std::max(peak, residual) > incumbent_) {
-        // Every completion of this state peaks above a schedule we already
-        // hold: cut the whole subtree before expanding a single child.
-        // Only the residual half is a pure function of the signature, so
-        // only it is learnable.
-        if (residual > incumbent_) {
-          ++level_pruned_.residual;
-          Learn(&level_batch_, hash, sig, residual);
-        } else {
-          ++level_pruned_.incumbent;
-        }
-        continue;
-      }
-      if (bound_pruning_) {
-        // Always computed (not gated): the children's stored floors come
-        // from these allocs, and the has_cowriter fast path makes the scan
-        // cheap enough to keep on for every level.
-        tables_.ComputeFrontierAllocs(sig, frontier, &allocs);
-      }
+      tables_.AppendFrontier(sig, &frontier);
+      // The children's floors come from these allocs, computed once per
+      // parent; the has_cowriter fast path keeps the scan cheap.
+      if (bound_pruning_) tables_.ComputeFrontierAllocs(sig, frontier, &allocs);
       for (const std::int32_t u : frontier) {
         ++transitions_;
         // Re-check the limits every ~4096 transitions so a single
@@ -362,56 +267,21 @@ class DpRunner {
             tables_.Apply(sig, u, footprint, step_limit_);
         if (t.step_peak > options_.budget_bytes) continue;  // prune (§3.2)
         if (t.step_peak > incumbent_) {
-          ++level_pruned_.incumbent;
+          ++pruned_.incumbent;
           continue;
         }
         std::copy(sig, sig + words_, child.data());
         util::SpanSetBit(child.data(), static_cast<std::size_t>(u));
-        const std::uint64_t child_hash =
-            hash ^ hasher_.key(static_cast<std::size_t>(u));
-        std::int64_t child_floor = StateLevel::kFloorUnknown;
-        if (bound_pruning_) {
-          if (dominance_ != nullptr &&
-              dominance_->Lookup(child_hash, child.data()) > incumbent_) {
-            ++level_pruned_.dominance;
-            continue;
-          }
-          // Child lookahead, cheap pass first: whatever the child
-          // schedules next must peak at least child footprint + its
-          // frontier's min alloc; if that survives, the (gated) exact
-          // depth-k probe checks that some k-step start stays under the
-          // incumbent. Both are admissible and pure functions of
-          // the child signature, so every duplicate candidate agrees and
-          // relax winners (hence the reconstructed schedule) are
-          // preserved. A survivor's floor is stored in the child's SoA
-          // slot — the memoized residual the next level reads back in O(1).
-          child_floor = tables_.ChildNextAllocFloor(child.data(), u, allocs);
-          if (child_floor != ExpansionTables::kNoAlloc &&
-              t.footprint + child_floor > incumbent_) {
-            ++level_pruned_.frontier_floor;
-            Learn(&level_batch_, child_hash, child.data(),
-                  t.footprint + child_floor);
-            continue;
-          }
-          if (probe_lookahead && !last_level &&
-              tables_.ChildLookaheadExceeds(
-                  child.data(), t.footprint, u, frontier, incumbent_,
-                  lookahead_depth_, &scratch, dominance_, &hasher_,
-                  child_hash,
-                  dominance_ != nullptr ? &level_batch_ : nullptr)) {
-            ++level_pruned_.lookahead;
-            // The probe proves every completion exceeds the incumbent; the
-            // tightest sound sig-pure bound it certifies is I+1.
-            Learn(&level_batch_, child_hash, child.data(), incumbent_ + 1);
-            continue;
-          }
+        if (FloorExceedsIncumbent(t, child.data(), u, allocs)) {
+          ++pruned_.frontier_floor;
+          continue;
         }
-        if (next.InsertOrRelax(child.data(), child_hash,
+        if (next.InsertOrRelax(child.data(),
+                               hash ^ hasher_.key(static_cast<std::size_t>(u)),
                                t.footprint, std::max(peak, t.step_peak),
                                hasher_.candidate_tie(
                                    hash, static_cast<std::size_t>(u)),
-                               static_cast<std::int32_t>(s), u,
-                               child_floor)) {
+                               static_cast<std::int32_t>(s), u)) {
           ++states_expanded_;
         }
       }
@@ -449,26 +319,17 @@ class DpRunner {
   // so each sub-table has exactly one writer and per-shard insertion order
   // is the same ascending (state, node) order regardless of scheduling —
   // the determinism argument in DESIGN.md. Bound pruning is a pure
-  // function of the parent state and the transition, so every thread skips
-  // the same parents and transitions; the pruned counter attributes each
-  // skipped parent to one thread (s % num_threads) and each pruned
-  // transition to its shard owner, keeping the total independent of the
-  // thread count.
+  // function of the transition, and each pruned transition is counted by
+  // its shard owner, keeping the totals independent of the thread count.
   bool ExpandLevelSharded(const StateLevel& current, StateLevel& next,
-                          int num_threads, bool last_level,
-                          bool probe_lookahead,
+                          int num_threads,
                           const util::Stopwatch& level_clock) {
     std::atomic<bool> abort{false};
     std::atomic<int> abort_reason{-1};  // first aborting worker's Abort
     std::atomic<std::uint64_t> transitions{0};
     std::atomic<std::uint64_t> created{0};
-    // Per-thread prune attribution and learned-dead batches, summed and
-    // concatenated in thread-index order after the join — the dominance
-    // table itself is frozen (read-only) while the level runs, so workers
-    // share it without synchronization.
+    // Per-thread prune attribution, summed after the join.
     std::vector<PruneBreakdown> thread_pruned(
-        static_cast<std::size_t>(num_threads));
-    std::vector<DominanceTable::PendingBatch> thread_batch(
         static_cast<std::size_t>(num_threads));
     auto request_abort = [&](Abort reason) {
       int expected = -1;
@@ -481,11 +342,8 @@ class DpRunner {
       std::vector<std::int32_t> frontier;
       std::vector<std::uint64_t> child(words_);
       ExpansionTables::FrontierAllocs allocs;
-      ExpansionTables::LookaheadScratch scratch;
       PruneBreakdown& local_pruned =
           thread_pruned[static_cast<std::size_t>(thread_index)];
-      DominanceTable::PendingBatch& local_batch =
-          thread_batch[static_cast<std::size_t>(thread_index)];
       std::uint64_t local_transitions = 0;
       std::uint64_t local_created = 0;
       std::uint64_t since_check = 0;
@@ -495,43 +353,8 @@ class DpRunner {
         const std::int64_t peak = current.peak(s);
         const std::int64_t footprint = current.footprint(s);
         const std::uint64_t hash = current.hash(s);
-        // Every thread evaluates the same parent cuts (they are pure
-        // functions of the state), but exactly one — the parent's owner —
-        // counts and learns it.
-        const bool owns_parent =
-            static_cast<int>(s % static_cast<std::size_t>(num_threads)) ==
-            thread_index;
-        if (bound_pruning_) {
-          const std::int64_t sfloor = current.floor(s);
-          if (sfloor >= 0 && sfloor != ExpansionTables::kNoAlloc &&
-              footprint + sfloor > incumbent_) {
-            if (owns_parent) {
-              ++local_pruned.frontier_floor;
-              Learn(&local_batch, hash, sig, footprint + sfloor);
-            }
-            continue;
-          }
-          if (dominance_ != nullptr &&
-              dominance_->Lookup(hash, sig) > incumbent_) {
-            if (owns_parent) ++local_pruned.dominance;
-            continue;
-          }
-        }
         frontier.clear();
-        std::int64_t residual = 0;
-        tables_.AppendFrontier(sig, &frontier,
-                               bound_pruning_ ? &residual : nullptr);
-        if (bound_pruning_ && std::max(peak, residual) > incumbent_) {
-          if (owns_parent) {
-            if (residual > incumbent_) {
-              ++local_pruned.residual;
-              Learn(&local_batch, hash, sig, residual);
-            } else {
-              ++local_pruned.incumbent;
-            }
-          }
-          continue;
-        }
+        tables_.AppendFrontier(sig, &frontier);
         if (bound_pruning_) {
           tables_.ComputeFrontierAllocs(sig, frontier, &allocs);
         }
@@ -573,39 +396,15 @@ class DpRunner {
           }
           std::copy(sig, sig + words_, child.data());
           util::SpanSetBit(child.data(), static_cast<std::size_t>(u));
-          std::int64_t child_floor = StateLevel::kFloorUnknown;
-          if (bound_pruning_) {
-            if (dominance_ != nullptr &&
-                dominance_->Lookup(child_hash, child.data()) > incumbent_) {
-              ++local_pruned.dominance;
-              continue;
-            }
-            child_floor =
-                tables_.ChildNextAllocFloor(child.data(), u, allocs);
-            if (child_floor != ExpansionTables::kNoAlloc &&
-                t.footprint + child_floor > incumbent_) {
-              ++local_pruned.frontier_floor;
-              Learn(&local_batch, child_hash, child.data(),
-                    t.footprint + child_floor);
-              continue;
-            }
-            if (probe_lookahead && !last_level &&
-                tables_.ChildLookaheadExceeds(
-                    child.data(), t.footprint, u, frontier, incumbent_,
-                    lookahead_depth_, &scratch, dominance_, &hasher_,
-                    child_hash,
-                    dominance_ != nullptr ? &local_batch : nullptr)) {
-              ++local_pruned.lookahead;
-              Learn(&local_batch, child_hash, child.data(), incumbent_ + 1);
-              continue;
-            }
+          if (FloorExceedsIncumbent(t, child.data(), u, allocs)) {
+            ++local_pruned.frontier_floor;
+            continue;
           }
           if (next.InsertOrRelax(child.data(), child_hash, t.footprint,
                                  std::max(peak, t.step_peak),
                                  hasher_.candidate_tie(
                                    hash, static_cast<std::size_t>(u)),
-                                 static_cast<std::int32_t>(s), u,
-                                 child_floor)) {
+                                 static_cast<std::int32_t>(s), u)) {
             ++local_created;
           }
         }
@@ -619,14 +418,7 @@ class DpRunner {
     for (std::thread& t : threads) t.join();
     transitions_ += transitions.load();
     states_expanded_ += created.load();
-    for (int t = 0; t < num_threads; ++t) {
-      level_pruned_ += thread_pruned[static_cast<std::size_t>(t)];
-      // Thread-index concatenation order is cosmetic: Merge re-sorts by an
-      // intrinsic key, so the retained set depends only on the batch
-      // contents, which are a thread-count-invariant multiset.
-      level_batch_.Append(
-          std::move(thread_batch[static_cast<std::size_t>(t)]));
-    }
+    for (const PruneBreakdown& p : thread_pruned) pruned_ += p;
     if (abort.load()) {
       abort_ = static_cast<Abort>(abort_reason.load());
       return false;
@@ -660,11 +452,7 @@ class DpRunner {
   // Transitions peaking above min(τ, incumbent) are dead either way, so
   // Apply may skip their free scan.
   const std::int64_t step_limit_;
-  const int lookahead_depth_;
   const util::CancelToken* const cancel_;
-  // Shared cross-attempt dominance table; nullptr when the caller did not
-  // attach one (or attached an uninitialized one).
-  DominanceTable* const dominance_;
   // High-water byte reservation against options_.memory_budget; refunded
   // in full when the runner is destroyed.
   util::BudgetReservation reservation_;
@@ -676,18 +464,8 @@ class DpRunner {
   std::uint64_t states_expanded_ = 0;
   std::uint64_t transitions_ = 0;
   std::uint64_t max_level_states_ = 0;
-  // Prune attribution: per-level (reset in Run, filled by the expanders)
-  // and whole-run totals.
-  PruneBreakdown level_pruned_;
+  // Prune attribution, whole-run totals.
   PruneBreakdown pruned_;
-  // Dead signatures learned during the current level; merged into
-  // dominance_ at the level boundary iff the level completes.
-  DominanceTable::PendingBatch level_batch_;
-  // Per-level bound-configuration audit trail (DpResult::level_bounds).
-  std::vector<LevelBounds> level_bounds_;
-  // Lookahead gate state (see Run).
-  int lookahead_zero_streak_ = 0;
-  bool floor_yield_last_level_ = false;
 };
 
 }  // namespace

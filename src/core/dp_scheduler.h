@@ -46,8 +46,6 @@
 
 namespace serenity::core {
 
-class DominanceTable;  // core/state_store.h
-
 inline constexpr std::int64_t kNoBudget =
     std::numeric_limits<std::int64_t>::max();
 
@@ -57,14 +55,14 @@ struct DpOptions {
   std::int64_t budget_bytes = kNoBudget;
   // Branch-and-bound incumbent: the peak of a schedule that is *known
   // achievable* (greedy baseline, narrow beam, Kahn), i.e. an upper bound
-  // on the optimum µ*. Any state whose admissible lower bound — the max of
-  // its best peak so far and its residual bound (max over unscheduled nodes
-  // of ExpansionTables::min_step_bytes) — STRICTLY exceeds the incumbent is
-  // pruned. Strict inequality keeps the returned peak and the reconstructed
-  // schedule bit-identical to the unpruned search (DESIGN.md
-  // "Branch-and-bound over levels"); an incumbent below µ* violates the
-  // contract and may turn a feasible search into kNoSolution. kNoBudget
-  // disables bound pruning.
+  // on the optimum µ*. Two admissible cuts run against it: a transition
+  // whose step peak STRICTLY exceeds the incumbent is dropped, and so is a
+  // child whose footprint plus one-step frontier floor (the least its next
+  // step must allocate) does. Strict inequality keeps the returned peak and
+  // the reconstructed schedule bit-identical to the unpruned search
+  // (DESIGN.md "Branch-and-bound over levels"); an incumbent below µ*
+  // violates the contract and may turn a feasible search into
+  // kNoSolution. kNoBudget disables bound pruning.
   std::int64_t incumbent_bytes = kNoBudget;
   // The paper's per-search-step time limit T (seconds). A level that takes
   // longer aborts the run with kTimeout. Infinity disables the check. The
@@ -95,7 +93,7 @@ struct DpOptions {
   bool adaptive_parallelism = false;
   std::size_t parallel_threshold_states = std::size_t{1} << 17;
   // Byte budget for the search's *own* memory (state arenas, SoA arrays,
-  // probe tables, reconstruction records, expansion tables). The run holds
+  // hash tables, reconstruction records, expansion tables). The run holds
   // a high-water reservation against it — charged before each level grows,
   // trued up at the same 64-state/~4096-transition cadence as step
   // timeouts, refunded wholesale when the run ends. A denied charge aborts
@@ -111,45 +109,25 @@ struct DpOptions {
   // shared, so re-planning after a cancel is bit-identical to a run that
   // was never cancelled. nullptr = not cancellable.
   const util::CancelToken* cancel = nullptr;
-  // Cross-attempt transposition/dominance table (core/state_store.h),
-  // owned by the caller — the soft-budget meta-search shares one table
-  // across its attempts. Must be Init'ed with this run's exact
-  // `incumbent_bytes` and the graph's words-per-state (checked). The run
-  // consults it read-only during each level and merges that level's learned
-  // dead signatures at the level boundary; aborted levels learn nothing.
-  // nullptr (the default) = no dominance layer. Requires bound pruning.
-  DominanceTable* dominance = nullptr;
-  // Horizon of the exact lookahead probe on surviving children
-  // (ExpansionTables::ChildLookaheadExceeds): a child every one of whose
-  // next `lookahead_depth` step sequences takes a step above the incumbent
-  // is pruned. 2 reproduces the historical two-step probe; deeper horizons
-  // cut more states for a per-probe cost bounded by the probe's internal
-  // node cap (the common kept child still settles in O(depth) transitions
-  // thanks to the early exit). Pure function of each child's signature, so
-  // any depth preserves bit-identical peaks/schedules. Clamped to [2, 16].
-  int lookahead_depth = 16;
 };
 
-// Per-bound prune attribution. Each pruned parent or transition is counted
-// exactly once, under the *first* test that killed it (stored floor /
-// dominance / residual on the parent; step-peak incumbent / dominance /
-// child floor / two-step lookahead on the child — in evaluation order).
-// Deterministic and identical across thread counts, like every other state
-// count of the run.
+// Per-bound prune attribution. Each pruned transition is counted exactly
+// once, under the *first* test that killed it (step peak, then child
+// floor). Deterministic and identical across thread counts, like every
+// other state count of the run. The search runs only the step-peak cut and
+// the one-step frontier floor: `residual`, `lookahead` and `dominance`
+// always read 0 and stay only so readers of all five fields still compile.
 struct PruneBreakdown {
   // Transition step peaks that exceeded the incumbent.
   std::uint64_t incumbent = 0;
-  // Parent residual bounds (max unscheduled min-step footprint) above the
-  // incumbent.
+  // Always 0: no residual bound runs.
   std::uint64_t residual = 0;
-  // One-step frontier-alloc floors: the child-side floor at insertion plus
-  // the (normally redundant, see dp_scheduler.cc) stored-floor re-check.
+  // Children whose footprint plus one-step frontier-alloc floor exceeded
+  // the incumbent.
   std::uint64_t frontier_floor = 0;
-  // Exact depth-k lookahead probe (DpOptions::lookahead_depth): every
-  // k-step start from the child exceeded the incumbent.
+  // Always 0: no lookahead probe runs.
   std::uint64_t lookahead = 0;
-  // Cross-attempt dominance-table hits (parent or child signature already
-  // proven dead by an earlier attempt or level).
+  // Always 0: no dominance table is kept.
   std::uint64_t dominance = 0;
 
   std::uint64_t Total() const {
@@ -163,17 +141,6 @@ struct PruneBreakdown {
     dominance += o.dominance;
     return *this;
   }
-};
-
-// Which bound machinery a level ran with (recorded per level, in order, at
-// the moment the level's expansion starts — an aborted level keeps its
-// entry). The one-step frontier floor is always on whenever bound pruning
-// is on; only the exact depth-k lookahead probe is gated, so the weakest
-// pruned configuration is kFloorOnly, never a fully dark level.
-enum class LevelBounds : std::uint8_t {
-  kDisabled = 0,   // no incumbent: no bound machinery at all
-  kFloorOnly = 1,  // residual + frontier floor + dominance; probe gated off
-  kFull = 2,       // all of the above plus the exact lookahead probe
 };
 
 enum class DpStatus {
@@ -192,17 +159,12 @@ struct DpResult {
   std::int64_t peak_bytes = -1;     // µpeak of `schedule`
   std::uint64_t states_expanded = 0;   // memoized signatures created
   std::uint64_t transitions = 0;       // candidate node expansions
-  // Search-space cut by the incumbent bound: transitions whose child bound
-  // exceeded the incumbent, plus one per parent state skipped wholesale
-  // (its own bound already exceeded the incumbent). Deterministic and
-  // identical across thread counts. Always equals pruned.Total().
+  // Search-space cut by the incumbent bound: transitions whose step peak
+  // or child floor exceeded the incumbent. Deterministic and identical
+  // across thread counts. Always equals pruned.Total().
   std::uint64_t states_pruned_by_bound = 0;
   // The same cut, attributed per bound (see PruneBreakdown).
   PruneBreakdown pruned;
-  // Per-level bound configuration, one entry per level whose expansion
-  // started — the gate's audit trail (satellite: why was the two-step
-  // lookahead off on level i?).
-  std::vector<LevelBounds> level_bounds;
   // Widest sealed level of the run — the quantity the adaptive-parallelism
   // threshold is calibrated against (like every state count, independent of
   // the shard count: a level's contents are a set).

@@ -55,8 +55,9 @@ struct PipelineOptions {
   // magnitude cheaper than the exact search, and a tighter incumbent
   // multiplies the branch-and-bound cut (on rewritten SwiftNet segments
   // width 8 leaves the incumbent ~40% above µ* and most of the cut on the
-  // table; 256 reaches the two-step lookahead's ceiling on every paper
-  // cell).
+  // table). On the paper's nine cells the width-256 seed about halves
+  // total planning time against a greedy-only seed (DESIGN.md
+  // "Branch-and-bound over levels"); 0 seeds from greedy alone.
   int incumbent_beam_width = 256;
 
   // Expand big DP levels with min(hardware_concurrency, 64) threads
@@ -139,9 +140,10 @@ struct PipelineResult {
   // Search-space cut by the branch-and-bound incumbent, summed like
   // states_expanded (0 when bound pruning is disabled).
   std::uint64_t states_pruned_by_bound = 0;
-  // The same cut attributed per bound (incumbent / residual / frontier
-  // floor / two-step lookahead / cross-attempt dominance), summed across
-  // segments and attempts; pruned.Total() == states_pruned_by_bound.
+  // The same cut attributed per bound (step peak over the incumbent /
+  // one-step frontier floor; the other PruneBreakdown fields read 0),
+  // summed across segments and attempts; pruned.Total() ==
+  // states_pruned_by_bound.
   PruneBreakdown pruned;
   // Widest sealed DP level across segments/attempts (shard-count
   // invariant); what the adaptive-parallelism threshold compares against.

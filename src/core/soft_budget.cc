@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/state_store.h"
 #include "sched/baselines.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
@@ -43,30 +42,13 @@ SoftBudgetResult ScheduleWithSoftBudget(const graph::Graph& graph,
         std::min(options.incumbent_bytes, result.tau_max);
   }
 
-  // Cross-attempt dominance: one table outlives every attempt (and the
-  // fallback), keyed on the meta-search's fixed incumbent — that fixity is
-  // what makes a dead signature from one τ sound under every other τ
-  // (DESIGN.md "Admissible bounds & dominance"). Later attempts re-walk
-  // mostly the same lattice prefix, so the table pays for itself on the
-  // first re-search.
-  DominanceTable dominance;
-  if (options.enable_bound_pruning && options.enable_dominance &&
-      options.dominance_max_entries > 0) {
-    dominance.Init(
-        (static_cast<std::size_t>(graph.num_nodes()) + 63) / 64,
-        dp_options.incumbent_bytes, options.dominance_max_entries);
-    dp_options.dominance = &dominance;
-  }
-
   // Wall-clock guard: seconds left before the caller's deadline. Checked
   // between attempts and clamped onto each attempt's per-level timeout, so
   // overshoot is bounded by one level granule.
   const auto remaining = [&] {
     return options.deadline_seconds - clock.ElapsedSeconds();
   };
-  // Every exit path reports how big the shared table got.
   const auto finish = [&]() -> SoftBudgetResult& {
-    result.dominance_entries = dominance.size();
     result.total_seconds = clock.ElapsedSeconds();
     return result;
   };
@@ -133,9 +115,6 @@ SoftBudgetResult ScheduleWithSoftBudget(const graph::Graph& graph,
   fallback.incumbent_bytes = dp_options.incumbent_bytes;
   fallback.memory_budget = options.memory_budget;
   fallback.cancel = options.cancel;
-  // The fallback profits from everything the failed attempts learned: its
-  // incumbent equals theirs, so the shared table's entries stay sound.
-  fallback.dominance = dp_options.dominance;
   // The fallback must never cost more than the attempts that failed: the
   // caller's state cap (a memory guard) and byte budget govern it too. The
   // historical escalation to max(attempts*4, 4M) states let a "degraded"

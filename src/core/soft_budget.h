@@ -50,16 +50,6 @@ struct SoftBudgetOptions {
   // Escape hatch for apples-to-apples ablations: disables bound pruning
   // entirely (including the Kahn tightening).
   bool enable_bound_pruning = true;
-  // Cross-attempt transposition/dominance table (DESIGN.md "Admissible
-  // bounds & dominance"): signatures proven dead by one attempt are pruned
-  // without re-expansion in every later attempt, including the fallback.
-  // Sound for any τ because the table's incumbent is fixed for the whole
-  // meta-search; requires enable_bound_pruning (ignored without it).
-  bool enable_dominance = true;
-  // Entry cap for that table — bounds its resident memory (which is also
-  // charged against memory_budget by each attempt). Novel dead signatures
-  // beyond the cap are dropped, deterministically.
-  std::size_t dominance_max_entries = std::size_t{1} << 20;
   // Soft wall-clock budget for the whole meta-search (seconds; infinity =
   // none). Checked before each attempt and it clamps each attempt's
   // per-level timeout; once expired the search returns kTimeout without
@@ -91,9 +81,6 @@ struct SoftBudgetResult {
   std::int64_t tau_final = 0;  // budget that produced the solution
   bool used_fallback = false;  // degenerated to the uncapped τmax run
   std::uint64_t max_level_states = 0;  // widest sealed level, any attempt
-  // Dead signatures resident in the cross-attempt dominance table when the
-  // meta-search ended (0 when dominance was off).
-  std::uint64_t dominance_entries = 0;
   std::vector<BudgetAttempt> attempts;
   double total_seconds = 0.0;
 

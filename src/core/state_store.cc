@@ -1,7 +1,6 @@
 #include "core/state_store.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "util/logging.h"
 
@@ -61,7 +60,6 @@ void StateLevel::Init(std::size_t words_per_state,
     shard.hashes.reserve(per_shard);
     shard.footprint.reserve(per_shard);
     shard.peak.reserve(per_shard);
-    shard.floor.reserve(per_shard);
     shard.tie.reserve(per_shard);
     shard.recon.reserve(per_shard);
     // Open-addressing capacity for load factor <= 2/3 at the expected size.
@@ -74,13 +72,12 @@ bool StateLevel::InsertOrRelax(const std::uint64_t* sig, std::uint64_t hash,
                                std::int64_t footprint, std::int64_t peak,
                                std::uint64_t tie_key,
                                std::int32_t prev_index,
-                               std::int32_t last_node,
-                               std::int64_t next_floor) {
+                               std::int32_t last_node) {
   SERENITY_CHECK(!sealed_);
   SERENITY_CHECK_EQ(width_, 0u) << "bounded level: use InsertBounded";
   return InsertOrRelaxShard(shards_[static_cast<std::size_t>(ShardOf(hash))],
                             sig, hash, footprint, peak, tie_key, prev_index,
-                            last_node, next_floor);
+                            last_node);
 }
 
 // ----------------------------------------------------- bounded (beam) mode
@@ -106,7 +103,6 @@ void StateLevel::InitBounded(std::size_t words_per_state, std::size_t width) {
   shard.hashes.reserve(reserve);
   shard.footprint.reserve(reserve);
   shard.peak.reserve(reserve);
-  shard.floor.reserve(reserve);
   shard.tie.reserve(reserve);
   shard.recon.reserve(reserve);
   // Capacity >= 2*(width+2): live + tombstones stay under the 2/3 load
@@ -215,8 +211,7 @@ bool StateLevel::InsertBounded(const std::uint64_t* sig, std::uint64_t hash,
                                std::int64_t footprint, std::int64_t peak,
                                std::uint64_t tie_key,
                                std::int32_t prev_index,
-                               std::int32_t last_node,
-                               std::int64_t next_floor) {
+                               std::int32_t last_node) {
   SERENITY_CHECK(!sealed_);
   SERENITY_CHECK_GT(width_, 0u) << "unbounded level: use InsertOrRelax";
   Shard& shard = shards_[0];
@@ -277,7 +272,6 @@ bool StateLevel::InsertBounded(const std::uint64_t* sig, std::uint64_t hash,
     shard.hashes[ti] = hash;
     shard.footprint[ti] = footprint;
     shard.peak[ti] = peak;
-    shard.floor[ti] = next_floor;
     shard.tie[ti] = tie_key;
     shard.recon[ti] = ReconRecord{prev_index, last_node};
     slot_live_[ti] = 1;
@@ -287,7 +281,6 @@ bool StateLevel::InsertBounded(const std::uint64_t* sig, std::uint64_t hash,
     shard.hashes.push_back(hash);
     shard.footprint.push_back(footprint);
     shard.peak.push_back(peak);
-    shard.floor.push_back(next_floor);
     shard.tie.push_back(tie_key);
     shard.recon.push_back(ReconRecord{prev_index, last_node});
     slot_gen_.push_back(0);
@@ -330,7 +323,6 @@ void StateLevel::SealBounded() {
   out.hashes.reserve(keep.size());
   out.footprint.reserve(keep.size());
   out.peak.reserve(keep.size());
-  out.floor.reserve(keep.size());
   out.tie.reserve(keep.size());
   out.recon.reserve(keep.size());
   for (const std::int32_t index : keep) {
@@ -340,7 +332,6 @@ void StateLevel::SealBounded() {
     out.hashes.push_back(shard.hashes[i]);
     out.footprint.push_back(shard.footprint[i]);
     out.peak.push_back(shard.peak[i]);
-    out.floor.push_back(shard.floor[i]);
     out.tie.push_back(shard.tie[i]);
     out.recon.push_back(shard.recon[i]);
   }
@@ -358,8 +349,7 @@ bool StateLevel::InsertOrRelaxShard(Shard& shard, const std::uint64_t* sig,
                                     std::int64_t peak,
                                     std::uint64_t tie_key,
                                     std::int32_t prev_index,
-                                    std::int32_t last_node,
-                                    std::int64_t next_floor) {
+                                    std::int32_t last_node) {
   if ((shard.count + 1) * 3 > shard.slots.size() * 2) GrowTable(shard);
   const std::size_t mask = shard.slots.size() - 1;
   std::size_t slot = static_cast<std::size_t>(hash) & mask;
@@ -371,7 +361,6 @@ bool StateLevel::InsertOrRelaxShard(Shard& shard, const std::uint64_t* sig,
       shard.hashes.push_back(hash);
       shard.footprint.push_back(footprint);
       shard.peak.push_back(peak);
-      shard.floor.push_back(next_floor);
       shard.tie.push_back(tie_key);
       shard.recon.push_back(ReconRecord{prev_index, last_node});
       ++shard.count;
@@ -423,7 +412,6 @@ void StateLevel::Seal() {
   merged.hashes.reserve(total);
   merged.footprint.reserve(total);
   merged.peak.reserve(total);
-  merged.floor.reserve(total);
   merged.tie.reserve(total);
   merged.recon.reserve(total);
   merged.count = total;
@@ -436,8 +424,6 @@ void StateLevel::Seal() {
                             shard.footprint.end());
     merged.peak.insert(merged.peak.end(), shard.peak.begin(),
                        shard.peak.end());
-    merged.floor.insert(merged.floor.end(), shard.floor.begin(),
-                        shard.floor.end());
     merged.tie.insert(merged.tie.end(), shard.tie.begin(),
                       shard.tie.end());
     merged.recon.insert(merged.recon.end(), shard.recon.begin(),
@@ -463,7 +449,6 @@ std::int64_t StateLevel::ResidentBytes() const {
     bytes += static_cast<std::int64_t>(shard.hashes.capacity()) * 8;
     bytes += static_cast<std::int64_t>(shard.footprint.capacity()) * 8;
     bytes += static_cast<std::int64_t>(shard.peak.capacity()) * 8;
-    bytes += static_cast<std::int64_t>(shard.floor.capacity()) * 8;
     bytes += static_cast<std::int64_t>(shard.tie.capacity()) * 8;
     bytes += static_cast<std::int64_t>(shard.recon.capacity() *
                                        sizeof(ReconRecord));
@@ -487,8 +472,8 @@ std::int64_t StateLevel::EstimateBytes(std::size_t words_per_state,
   const std::int64_t per_shard_bytes =
       static_cast<std::int64_t>(per_shard * words_per_state) * 8 +  // arena
       static_cast<std::int64_t>(per_shard) *
-          // hashes + footprint + peak + floor + tie + recon
-          (8 + 8 + 8 + 8 + 8 +
+          // hashes + footprint + peak + tie + recon
+          (8 + 8 + 8 + 8 +
            static_cast<std::int64_t>(sizeof(ReconRecord))) +
       static_cast<std::int64_t>(slots) * 4;
   return per_shard_bytes * num_shards;
@@ -514,7 +499,6 @@ StateLevel StateLevel::Select(const std::vector<std::int32_t>& keep) const {
   dst.hashes.reserve(keep.size());
   dst.footprint.reserve(keep.size());
   dst.peak.reserve(keep.size());
-  dst.floor.reserve(keep.size());
   dst.tie.reserve(keep.size());
   dst.recon.reserve(keep.size());
   for (const std::int32_t index : keep) {
@@ -525,146 +509,10 @@ StateLevel StateLevel::Select(const std::vector<std::int32_t>& keep) const {
     dst.hashes.push_back(src.hashes[i]);
     dst.footprint.push_back(src.footprint[i]);
     dst.peak.push_back(src.peak[i]);
-    dst.floor.push_back(src.floor[i]);
     dst.tie.push_back(src.tie[i]);
     dst.recon.push_back(src.recon[i]);
   }
   return out;
-}
-
-// ----------------------------------------------------- dominance table
-
-void DominanceTable::Init(std::size_t words_per_state,
-                          std::int64_t incumbent_bytes,
-                          std::size_t max_entries) {
-  SERENITY_CHECK_GT(words_per_state, 0u);
-  SERENITY_CHECK_GT(max_entries, 0u);
-  words_ = words_per_state;
-  incumbent_ = incumbent_bytes;
-  max_entries_ = max_entries;
-  count_ = 0;
-  hashes_.clear();
-  bounds_.clear();
-  sig_arena_.clear();
-  slots_.assign(64, -1);
-}
-
-std::int64_t DominanceTable::Lookup(std::uint64_t hash,
-                                    const std::uint64_t* sig) const {
-  if (count_ == 0) return 0;
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t cell = static_cast<std::size_t>(hash) & mask;
-  for (;;) {
-    const std::int32_t e = slots_[cell];
-    if (e < 0) return 0;
-    const std::size_t ei = static_cast<std::size_t>(e);
-    if (hashes_[ei] == hash &&
-        util::SpanEqual(sig_arena_.data() + ei * words_, sig, words_)) {
-      return bounds_[ei];
-    }
-    cell = (cell + 1) & mask;
-  }
-}
-
-void DominanceTable::PendingBatch::Add(std::uint64_t hash,
-                                       const std::uint64_t* sig,
-                                       std::size_t words,
-                                       std::int64_t lower_bound) {
-  records_.push_back(Record{
-      hash, lower_bound, static_cast<std::uint32_t>(sig_arena_.size())});
-  sig_arena_.insert(sig_arena_.end(), sig, sig + words);
-}
-
-void DominanceTable::PendingBatch::Append(PendingBatch&& other) {
-  const std::uint32_t base = static_cast<std::uint32_t>(sig_arena_.size());
-  for (Record record : other.records_) {
-    record.offset += base;
-    records_.push_back(record);
-  }
-  sig_arena_.insert(sig_arena_.end(), other.sig_arena_.begin(),
-                    other.sig_arena_.end());
-  other.clear();
-}
-
-void DominanceTable::PendingBatch::clear() {
-  records_.clear();
-  sig_arena_.clear();
-}
-
-void DominanceTable::GrowSlots() {
-  const std::size_t capacity = slots_.size() * 2;
-  slots_.assign(capacity, -1);
-  const std::size_t mask = capacity - 1;
-  for (std::size_t i = 0; i < count_; ++i) {
-    std::size_t cell = static_cast<std::size_t>(hashes_[i]) & mask;
-    while (slots_[cell] >= 0) cell = (cell + 1) & mask;
-    slots_[cell] = static_cast<std::int32_t>(i);
-  }
-}
-
-void DominanceTable::Merge(PendingBatch* batch) {
-  SERENITY_CHECK(initialized());
-  if (batch->records_.empty()) return;
-  // Intrinsic order first: (hash, signature words, bound descending). The
-  // retained set under the entry cap then depends only on the batch's
-  // CONTENTS — a set, identical across thread counts — never on the order
-  // per-thread buffers were concatenated in.
-  const std::uint64_t* arena = batch->sig_arena_.data();
-  const std::size_t words = words_;
-  std::sort(batch->records_.begin(), batch->records_.end(),
-            [arena, words](const PendingBatch::Record& a,
-                           const PendingBatch::Record& b) {
-              if (a.hash != b.hash) return a.hash < b.hash;
-              const std::uint64_t* sa = arena + a.offset;
-              const std::uint64_t* sb = arena + b.offset;
-              for (std::size_t w = 0; w < words; ++w) {
-                if (sa[w] != sb[w]) return sa[w] < sb[w];
-              }
-              return a.lb > b.lb;  // max bound first among duplicates
-            });
-  const PendingBatch::Record* prev = nullptr;
-  for (const PendingBatch::Record& record : batch->records_) {
-    SERENITY_CHECK_GT(record.lb, incumbent_)
-        << "dominance table only memoizes dead signatures";
-    if (prev != nullptr && prev->hash == record.hash &&
-        util::SpanEqual(arena + prev->offset, arena + record.offset,
-                        words_)) {
-      continue;  // duplicate signature: the sort put the max bound first
-    }
-    prev = &record;
-    if ((count_ + 1) * 3 > slots_.size() * 2) GrowSlots();
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t cell = static_cast<std::size_t>(record.hash) & mask;
-    bool found = false;
-    for (;;) {
-      const std::int32_t e = slots_[cell];
-      if (e < 0) break;
-      const std::size_t ei = static_cast<std::size_t>(e);
-      if (hashes_[ei] == record.hash &&
-          util::SpanEqual(sig_arena_.data() + ei * words_,
-                          arena + record.offset, words_)) {
-        bounds_[ei] = std::max(bounds_[ei], record.lb);
-        found = true;
-        break;
-      }
-      cell = (cell + 1) & mask;
-    }
-    if (found) continue;
-    if (count_ >= max_entries_) continue;  // full: drop novel signatures
-    slots_[cell] = static_cast<std::int32_t>(count_);
-    hashes_.push_back(record.hash);
-    bounds_.push_back(record.lb);
-    sig_arena_.insert(sig_arena_.end(), arena + record.offset,
-                      arena + record.offset + words_);
-    ++count_;
-  }
-  batch->clear();
-}
-
-std::int64_t DominanceTable::ResidentBytes() const {
-  return static_cast<std::int64_t>(
-      hashes_.capacity() * 8 + bounds_.capacity() * 8 +
-      sig_arena_.capacity() * 8 + slots_.capacity() * 4);
 }
 
 ExpansionTables::ExpansionTables(const graph::Graph& graph,
@@ -722,7 +570,6 @@ ExpansionTables::ExpansionTables(const graph::Graph& graph,
     }
     freeable_begin_[u + 1] = static_cast<std::uint32_t>(freeables_.size());
   }
-  min_step_bytes_ = table.MinStepFootprints();
   succ_begin_.assign(num_nodes_ + 1, 0);
   for (std::size_t u = 0; u < num_nodes_; ++u) {
     const auto& consumers = graph.consumers(static_cast<graph::NodeId>(u));
@@ -734,12 +581,7 @@ ExpansionTables::ExpansionTables(const graph::Graph& graph,
 }
 
 void ExpansionTables::AppendFrontier(const std::uint64_t* sig,
-                                     std::vector<std::int32_t>* out,
-                                     std::int64_t* residual_bound) const {
-  // The residual max rides the candidate scan only when a caller asks for
-  // it (the nullptr test is loop-invariant, so the beam and unpruned DP
-  // paths pay nothing beyond the unswitched branch).
-  std::int64_t residual = 0;
+                                     std::vector<std::int32_t>* out) const {
   for (std::size_t w = 0; w < words_; ++w) {
     std::uint64_t candidates = ~sig[w];
     if (w + 1 == words_) candidates &= last_word_mask_;
@@ -747,15 +589,11 @@ void ExpansionTables::AppendFrontier(const std::uint64_t* sig,
       const std::size_t u =
           w * 64 + static_cast<std::size_t>(__builtin_ctzll(candidates));
       candidates &= candidates - 1;
-      if (residual_bound != nullptr) {
-        residual = std::max(residual, min_step_bytes_[u]);
-      }
       if (util::SpanIsSubsetOf(preds_.data() + u * words_, sig, words_)) {
         out->push_back(static_cast<std::int32_t>(u));
       }
     }
   }
-  if (residual_bound != nullptr) *residual_bound = residual;
 }
 
 void ExpansionTables::ComputeFrontierAllocs(
@@ -793,179 +631,6 @@ void ExpansionTables::ComputeFrontierAllocs(
     }
   }
   std::sort(out->shared_positive.begin(), out->shared_positive.end());
-}
-
-// Per-probe state cap for the depth-k lookahead: a probe that expands this
-// many lookahead states without settling reports "viable" (no prune). The
-// cap is part of the bound's definition — the DFS order and the cap are
-// pure functions of the probed signature, so capped probes stay
-// deterministic across runs and thread counts. With the per-probe
-// transposition cache the cap counts distinct signatures, not step
-// sequences, so it is rarely reached in practice.
-constexpr int kLookaheadNodeCap = 32768;
-// Slots of the per-probe transposition cache. Power of two, and at least
-// 2x the node cap so the open-addressing load factor stays under 1/2.
-constexpr std::size_t kLookaheadMemoSlots = 65536;
-
-bool ExpansionTables::LookaheadViable(
-    const std::uint64_t* sig, std::int64_t footprint, std::uint64_t hash,
-    const std::vector<std::int32_t>& frontier, std::int64_t incumbent,
-    int remaining, std::size_t depth_index, LookaheadScratch* scratch,
-    const DominanceTable* dominance, const SignatureHasher* hasher,
-    DominanceTable::PendingBatch* learn, int* node_budget) const {
-  constexpr std::size_t kMemoMask = kLookaheadMemoSlots - 1;
-  for (const std::int32_t v : frontier) {
-    const std::size_t vi = static_cast<std::size_t>(v);
-    // v is unscheduled in sig, so a sole-writer output cannot be allocated
-    // yet (same fast path as ComputeFrontierAllocs).
-    std::int64_t alloc = own_size_[vi];
-    if (has_cowriter_[vi] != 0) {
-      const std::uint64_t* writers =
-          buffer_writers_.data() +
-          static_cast<std::size_t>(own_buffer_[vi]) * words_;
-      if (util::SpanIntersects(writers, sig, words_)) alloc = 0;
-    }
-    if (footprint + alloc > incumbent) continue;  // this start is dead
-    // The step fits; at the probe horizon that alone settles viability.
-    if (remaining == 1) return true;
-    std::vector<std::uint64_t>& next_sig = scratch->sig[depth_index];
-    next_sig.assign(sig, sig + words_);
-    util::SpanSetBit(next_sig.data(), vi);
-    const std::uint64_t next_hash =
-        hasher != nullptr ? hash ^ hasher->key(vi) : 0;
-    // Per-probe transposition cache: the lattice is graded, so this
-    // signature always carries the same remaining horizon within one probe
-    // and its cached verdict is exact. Lookup stops at the first
-    // stale-generation slot (stale slots are reused on insert, so entries
-    // of the current probe always precede one).
-    std::size_t memo_slot = kLookaheadMemoSlots;
-    if (hasher != nullptr) {
-      std::size_t cell = static_cast<std::size_t>(next_hash) & kMemoMask;
-      bool cached = false, cached_viable = false;
-      for (;;) {
-        LookaheadScratch::MemoEntry& e = scratch->memo[cell];
-        if (e.gen != scratch->memo_gen) {
-          memo_slot = cell;  // free slot: remember it for the insert below
-          break;
-        }
-        if (e.hash == next_hash &&
-            util::SpanEqual(scratch->memo_sigs.data() + cell * words_,
-                            next_sig.data(), words_)) {
-          cached = true;
-          cached_viable = e.viable != 0;
-          break;
-        }
-        cell = (cell + 1) & kMemoMask;
-      }
-      if (cached) {
-        if (cached_viable) return true;
-        continue;  // proven non-viable earlier in this probe
-      }
-    }
-    if (dominance != nullptr) {
-      // Memoized residual: a signature the dominance table has proven dead
-      // (every completion takes a step above the incumbent) kills this
-      // start outright — any schedule through it inherits that step.
-      if (dominance->Lookup(next_hash, next_sig.data()) > incumbent) {
-        continue;
-      }
-    }
-    if (--*node_budget <= 0) return true;  // capped: assume viable
-    const Transition t = Apply(sig, v, footprint, incumbent);
-    std::vector<std::int32_t>& next_frontier =
-        scratch->frontier[depth_index];
-    next_frontier.clear();
-    for (const std::int32_t x : frontier) {
-      if (x != v) next_frontier.push_back(x);
-    }
-    for (std::uint32_t i = succ_begin_[vi]; i < succ_begin_[vi + 1]; ++i) {
-      const std::int32_t w = succs_arena_[i];
-      if (util::SpanIsSubsetOf(
-              preds_.data() + static_cast<std::size_t>(w) * words_,
-              next_sig.data(), words_)) {
-        next_frontier.push_back(w);
-      }
-    }
-    // Reaching the full state within the horizon is viable: every step so
-    // far fit under the incumbent.
-    if (next_frontier.empty()) return true;
-    const bool viable = LookaheadViable(
-        next_sig.data(), t.footprint, next_hash, next_frontier, incumbent,
-        remaining - 1, depth_index + 1, scratch, dominance, hasher, learn,
-        node_budget);
-    if (memo_slot != kLookaheadMemoSlots) {
-      // The recursion may have reused our remembered slot; re-probe from it
-      // for the first free cell (never far: load factor is capped at 1/2).
-      std::size_t cell = memo_slot;
-      while (scratch->memo[cell].gen == scratch->memo_gen) {
-        cell = (cell + 1) & kMemoMask;
-      }
-      LookaheadScratch::MemoEntry& e = scratch->memo[cell];
-      e.hash = next_hash;
-      e.gen = scratch->memo_gen;
-      e.viable = viable ? 1 : 0;
-      std::copy(next_sig.data(), next_sig.data() + words_,
-                scratch->memo_sigs.data() + cell * words_);
-    }
-    if (viable) return true;
-    if (learn != nullptr) {
-      // A false verdict is a genuine certificate (the cap only ever forces
-      // "viable"): every completion of next_sig takes a step above the
-      // incumbent within its horizon, so the signature is dead outright.
-      learn->Add(next_hash, next_sig.data(), words_, incumbent + 1);
-    }
-  }
-  return false;  // every start within the horizon exceeds the incumbent
-}
-
-bool ExpansionTables::ChildLookaheadExceeds(
-    const std::uint64_t* child_sig, std::int64_t child_footprint,
-    std::int32_t u, const std::vector<std::int32_t>& frontier,
-    std::int64_t incumbent, int depth, LookaheadScratch* scratch,
-    const DominanceTable* dominance, const SignatureHasher* hasher,
-    std::uint64_t child_hash, DominanceTable::PendingBatch* learn) const {
-  SERENITY_CHECK_GE(depth, 1);
-  // Warm the per-depth scratch (no-op once grown; recursion level d writes
-  // buffers [d] and the deepest level, remaining == 1, never writes).
-  if (scratch->frontier.size() < static_cast<std::size_t>(depth)) {
-    scratch->frontier.resize(static_cast<std::size_t>(depth));
-    scratch->sig.resize(static_cast<std::size_t>(depth));
-  }
-  if (hasher != nullptr && scratch->memo.empty()) {
-    scratch->memo.resize(kLookaheadMemoSlots);
-    scratch->memo_sigs.resize(kLookaheadMemoSlots * words_);
-  }
-  // New probe generation; on uint32 wrap-around every stored generation is
-  // invalidated by hand (stale slots must never alias a new probe).
-  if (hasher != nullptr && ++scratch->memo_gen == 0) {
-    for (auto& e : scratch->memo) e.gen = 0;
-    scratch->memo_gen = 1;
-  }
-  // Materialize the child's frontier: surviving parent-frontier nodes plus
-  // u's newly-ready successors.
-  std::vector<std::int32_t>& cf = scratch->frontier[0];
-  cf.clear();
-  for (const std::int32_t v : frontier) {
-    if (v != u) cf.push_back(v);
-  }
-  const std::size_t ui = static_cast<std::size_t>(u);
-  for (std::uint32_t i = succ_begin_[ui]; i < succ_begin_[ui + 1]; ++i) {
-    const std::int32_t w = succs_arena_[i];
-    if (util::SpanIsSubsetOf(
-            preds_.data() + static_cast<std::size_t>(w) * words_, child_sig,
-            words_)) {
-      cf.push_back(w);
-    }
-  }
-  if (cf.empty()) return false;  // full state: no lookahead to fail
-  const bool memoized = dominance != nullptr && hasher != nullptr &&
-                        dominance->size() > 0;
-  int node_budget = kLookaheadNodeCap;
-  return !LookaheadViable(child_sig, child_footprint, child_hash, cf,
-                          incumbent, depth, 1, scratch,
-                          memoized ? dominance : nullptr, hasher,
-                          hasher != nullptr ? learn : nullptr,
-                          &node_budget);
 }
 
 std::int64_t ExpansionTables::ChildNextAllocFloor(
@@ -1016,8 +681,8 @@ std::int64_t ExpansionTables::ResidentBytes() const {
       touchers_arena_.capacity() * 8 + own_buffer_.capacity() * 4 +
       own_size_.capacity() * 8 + has_cowriter_.capacity() +
       freeables_.capacity() * sizeof(Freeable) +
-      freeable_begin_.capacity() * 4 + min_step_bytes_.capacity() * 8 +
-      succs_arena_.capacity() * 4 + succ_begin_.capacity() * 4);
+      freeable_begin_.capacity() * 4 + succs_arena_.capacity() * 4 +
+      succ_begin_.capacity() * 4);
 }
 
 ExpansionTables::Transition ExpansionTables::Apply(

@@ -164,8 +164,7 @@ class StateLevel {
   bool InsertBounded(const std::uint64_t* sig, std::uint64_t hash,
                      std::int64_t footprint, std::int64_t peak,
                      std::uint64_t tie_key, std::int32_t prev_index,
-                     std::int32_t last_node,
-                     std::int64_t next_floor = kFloorUnknown);
+                     std::int32_t last_node);
 
   // Seals a bounded level: compacts the (at most `width`) survivors, orders
   // them by the intrinsic total order — best first, deterministic and
@@ -190,22 +189,10 @@ class StateLevel {
   // order). Thread-safe across *different* shards: callers in a sharded
   // build must only pass hashes they own. Returns true iff a new state was
   // created. Only valid before Seal().
-  //
-  // `next_floor` is the state's memoized one-step frontier-alloc floor
-  // (ExpansionTables::ChildNextAllocFloor) — a pure function of the
-  // signature, so every duplicate candidate passes the same value and it is
-  // written once at creation. kFloorUnknown for callers that do not bound
-  // (the beam's default path, unit tests).
   bool InsertOrRelax(const std::uint64_t* sig, std::uint64_t hash,
                      std::int64_t footprint, std::int64_t peak,
                      std::uint64_t tie_key, std::int32_t prev_index,
-                     std::int32_t last_node,
-                     std::int64_t next_floor = kFloorUnknown);
-
-  // Sentinel floor for states inserted by non-bounding callers. Negative,
-  // so it can never pass a `footprint + floor > incumbent` test by
-  // accident.
-  static constexpr std::int64_t kFloorUnknown = -1;
+                     std::int32_t last_node);
 
   // Concatenates the shards into one contiguous SoA block (no-op for a
   // single shard) and drops the hash tables. States are numbered shard by
@@ -223,10 +210,6 @@ class StateLevel {
     return shards_[0].footprint[i];
   }
   std::int64_t peak(std::size_t i) const { return shards_[0].peak[i]; }
-  // Memoized one-step floor recorded at creation (kFloorUnknown when the
-  // inserting caller did not bound; ExpansionTables::kNoAlloc for the full
-  // state).
-  std::int64_t floor(std::size_t i) const { return shards_[0].floor[i]; }
   const ReconRecord& recon(std::size_t i) const {
     return shards_[0].recon[i];
   }
@@ -259,7 +242,6 @@ class StateLevel {
     std::vector<std::uint64_t> hashes;     // cached Zobrist hash per state
     std::vector<std::int64_t> footprint;
     std::vector<std::int64_t> peak;
-    std::vector<std::int64_t> floor;  // memoized one-step frontier floor
     std::vector<std::uint64_t> tie;  // winning candidate's intrinsic id
     std::vector<ReconRecord> recon;
     std::vector<std::int32_t> slots;  // open addressing; -1 = empty
@@ -282,8 +264,7 @@ class StateLevel {
   bool InsertOrRelaxShard(Shard& shard, const std::uint64_t* sig,
                           std::uint64_t hash, std::int64_t footprint,
                           std::int64_t peak, std::uint64_t tie_key,
-                          std::int32_t prev_index, std::int32_t last_node,
-                          std::int64_t next_floor);
+                          std::int32_t prev_index, std::int32_t last_node);
   void GrowTable(Shard& shard);
 
   // True iff the value (peak, footprint, hash, sig) ranks strictly better
@@ -310,106 +291,6 @@ class StateLevel {
   std::vector<std::uint8_t> slot_live_;
 };
 
-// Cross-attempt transposition/dominance layer for the soft-budget
-// meta-search (DESIGN.md "Admissible bounds & dominance"). The table
-// memoizes signatures proven DEAD for a fixed incumbent I: an admissible
-// lower bound on the peak of every completion of the signature — its
-// residual bound, footprint + one-step frontier floor, or I+1 when the
-// exact two-step probe showed every start exceeds I — strictly above I.
-// Every stored bound is a pure function of the signature (never of the
-// arriving path's peak or of the attempt's budget τ), and the incumbent is
-// fixed for the whole meta-search, so a hit is a sound prune in ANY later
-// attempt: with τ ≤ I the pruned subtree is τ-infeasible too, and with
-// τ > I it cannot contain the optimum (µ* ≤ I). Only bounds that EXCEED
-// the incumbent are worth memoizing — a surviving state's bound can never
-// combine with its (≤ I) peak to prune later — which keeps the table
-// proportional to the pruned frontier, not the explored lattice.
-//
-// Determinism contract: the table is frozen (read-only) while a level
-// expands; learned records are buffered per thread, concatenated and merged
-// single-threaded at the level boundary after sorting by an intrinsic key
-// (hash, signature words, bound descending), so the retained set under the
-// entry cap is identical across thread counts. Runs that abort mid-level
-// discard that level's batch.
-//
-// Layout mirrors StateLevel: SoA arrays (hash, bound) over a contiguous
-// signature-word arena, deduplicated through an open-addressing table of
-// int32 entry indices; hash collisions are confirmed on the words.
-class DominanceTable {
- public:
-  DominanceTable() = default;
-
-  // `incumbent_bytes` pins the meta-search's fixed incumbent; every merged
-  // bound must strictly exceed it (checked), every lookup compares against
-  // it. `max_entries` caps resident memory; once full, novel signatures
-  // are dropped (existing entries still take bound maxima).
-  void Init(std::size_t words_per_state, std::int64_t incumbent_bytes,
-            std::size_t max_entries = std::size_t{1} << 20);
-
-  bool initialized() const { return words_ != 0; }
-  std::size_t words_per_state() const { return words_; }
-  std::int64_t incumbent() const { return incumbent_; }
-  std::size_t size() const { return count_; }
-
-  // Memoized residual lower bound of the signature; 0 when absent. By the
-  // dead-only contract any non-zero return strictly exceeds incumbent(),
-  // so a hit prunes the state outright.
-  std::int64_t Lookup(std::uint64_t hash, const std::uint64_t* sig) const;
-
-  // Per-thread buffer of dead signatures learned while a level expands.
-  // Owned by the expansion worker; the runner concatenates the batches in
-  // thread-index order and merges once the level completes.
-  class PendingBatch {
-   public:
-    void Add(std::uint64_t hash, const std::uint64_t* sig,
-             std::size_t words, std::int64_t lower_bound);
-    void Append(PendingBatch&& other);
-    std::size_t size() const { return records_.size(); }
-    bool empty() const { return records_.empty(); }
-    void clear();
-
-   private:
-    friend class DominanceTable;
-    struct Record {
-      std::uint64_t hash;
-      std::int64_t lb;
-      std::uint32_t offset;  // into sig_arena_, words_per_state words
-    };
-    std::vector<Record> records_;
-    std::vector<std::uint64_t> sig_arena_;
-  };
-
-  // Single-threaded merge at a level boundary. Sorts the batch by the
-  // intrinsic key first (see the class comment), takes the maximum bound
-  // per signature, and drops novel signatures beyond the entry cap. The
-  // batch is consumed.
-  void Merge(PendingBatch* batch);
-
-  // Entry iteration for the bound-audit suite: every stored bound must be
-  // admissible (≤ the true completion peak of its signature) and > I.
-  std::uint64_t entry_hash(std::size_t i) const { return hashes_[i]; }
-  const std::uint64_t* entry_signature(std::size_t i) const {
-    return sig_arena_.data() + i * words_;
-  }
-  std::int64_t entry_bound(std::size_t i) const { return bounds_[i]; }
-
-  // Bytes resident by vector capacity — included in the DP run's
-  // memory-budget reservation alongside the state store.
-  std::int64_t ResidentBytes() const;
-
- private:
-  void GrowSlots();
-
-  std::size_t words_ = 0;
-  std::size_t max_entries_ = 0;
-  std::int64_t incumbent_ = 0;
-  std::size_t count_ = 0;
-  std::vector<std::uint64_t> hashes_;
-  std::vector<std::int64_t> bounds_;
-  std::vector<std::uint64_t> sig_arena_;
-  std::vector<std::int32_t> slots_;  // open addressing; -1 = empty
-};
-
 // Graph-side constants of Algorithm 1, flattened for the expansion hot
 // loop. Self-contained: copies every word it needs into its own arenas.
 class ExpansionTables {
@@ -433,25 +314,12 @@ class ExpansionTables {
   // predecessors are all scheduled) to `out` in ascending node order. `out`
   // is a caller-owned scratch buffer — the frontier is a function of the
   // signature, so it is recomputed here instead of being stored per state.
-  //
-  // When `residual_bound` is non-null it receives the residual lower bound
-  // of the state: max over the *unscheduled* nodes of their minimum step
-  // footprint (graph::BufferUseTable::MinStepFootprints) — every completion
-  // of `sig` must pass through a step at least that large. Computed in the
-  // same candidate scan the frontier already pays for; it only fires
-  // against incumbents below the optimum (a contract violation), and is
-  // kept as the safety net of the branch-and-bound cut.
-  void AppendFrontier(const std::uint64_t* sig, std::vector<std::int32_t>* out,
-                      std::int64_t* residual_bound = nullptr) const;
+  void AppendFrontier(const std::uint64_t* sig,
+                      std::vector<std::int32_t>* out) const;
 
-  // Minimum transient footprint of the step scheduling `node`, in any
-  // topological order (the per-node constant behind the residual bound).
-  std::int64_t min_step_bytes(std::int32_t node) const {
-    return min_step_bytes_[static_cast<std::size_t>(node)];
-  }
-
-  // Per-parent-state scratch for the branch-and-bound one-step lookahead
-  // (DESIGN.md "Branch-and-bound over levels"). For every frontier node v,
+  // Per-parent-state scratch for the branch-and-bound one-step frontier
+  // floor (DESIGN.md "Branch-and-bound over levels"). For every frontier
+  // node v,
   // `alloc[v-index]` is the EXACT number of bytes the step scheduling v
   // from this state allocates (its output size when no writer of v's
   // buffer has run, else 0). min1/min2/argmin summarize the array so the
@@ -470,7 +338,7 @@ class ExpansionTables {
 
   // Sentinel for "no frontier": an empty min. Any state with unscheduled
   // nodes has a non-empty frontier in a DAG, so callers only see this for
-  // the full state (which they must not bound with a lookahead anyway).
+  // the full state, which has no next step to bound.
   static constexpr std::int64_t kNoAlloc =
       std::numeric_limits<std::int64_t>::max();
 
@@ -478,7 +346,7 @@ class ExpansionTables {
                              const std::vector<std::int32_t>& frontier,
                              FrontierAllocs* out) const;
 
-  // Exact one-step lookahead floor of the child `sig ∪ {u}` (whose
+  // Exact one-step frontier floor of the child `sig ∪ {u}` (whose
   // signature words are `child_sig`): min over the child's frontier of the
   // bytes its next step must allocate. The child's frontier is
   // (parent frontier \ {u}) ∪ {newly ready successors of u}, and the
@@ -489,68 +357,6 @@ class ExpansionTables {
   std::int64_t ChildNextAllocFloor(const std::uint64_t* child_sig,
                                    std::int32_t u,
                                    const FrontierAllocs& fa) const;
-
-  // Scratch buffers for ChildLookaheadExceeds, owned by the caller so the
-  // probe allocates nothing per transition once warm: one frontier and one
-  // signature buffer per probed depth, plus a per-probe transposition
-  // cache. The prefix lattice is graded (every path to a signature has the
-  // same length), so within one probe a signature is always reached with
-  // the same remaining horizon — caching its DFS verdict is exact, and it
-  // collapses the probe's permutation blow-up (b^k step sequences) to the
-  // number of distinct signatures within k steps. Generation-stamped slots
-  // make the between-probe reset O(1).
-  struct LookaheadScratch {
-    std::vector<std::vector<std::int32_t>> frontier;
-    std::vector<std::vector<std::uint64_t>> sig;
-    struct MemoEntry {
-      std::uint64_t hash = 0;
-      std::uint32_t gen = 0;
-      std::uint8_t viable = 0;
-    };
-    std::vector<MemoEntry> memo;       // open addressing, power-of-two
-    std::vector<std::uint64_t> memo_sigs;  // slot-indexed signature words
-    std::uint32_t memo_gen = 0;
-  };
-
-  // Exact depth-`depth` lookahead on the child `sig ∪ {u}`: true iff EVERY
-  // way of scheduling the child's next `depth` steps takes some step whose
-  // transient footprint strictly exceeds `incumbent` — an admissible reason
-  // to prune the child, since every completion of the child starts with
-  // some such sequence (a sequence that reaches the full state early is
-  // judged on the steps it has). Depth-first with early exit: the common
-  // kept child settles on the first viable chain in O(depth) transitions;
-  // only near-dead children pay a wider scan, and a per-probe node cap
-  // bounds even those (a capped probe reports "viable" — never a wrong
-  // prune, and the cap is part of the bound's definition, so probes stay
-  // pure functions of the child signature). Depth 2 is the historical
-  // two-step probe.
-  //
-  // When `dominance`/`hasher`/`child_hash` are supplied the probe is
-  // extended with the memoized residuals: a start whose signature is
-  // recorded dead (every continuation through it peaks above the
-  // incumbent) is rejected without scanning deeper. Still a pure function
-  // of the child signature for a fixed (frozen-per-level) table, so
-  // duplicate candidates keep agreeing. `hasher` alone (no table) still
-  // enables the per-probe transposition cache.
-  //
-  // When `learn` is supplied, every interior DFS signature proven to have
-  // no viable continuation — a genuine certificate: the node cap can only
-  // force "viable", never "exceeds" — is recorded with bound incumbent+1.
-  // Such a signature is dead outright (every completion of it takes a step
-  // above the incumbent within its horizon), so later levels and attempts
-  // prune it by dominance lookup instead of re-running the DFS; this is
-  // what keeps consecutive levels' deep probes from re-exploring the same
-  // dead region.
-  bool ChildLookaheadExceeds(const std::uint64_t* child_sig,
-                             std::int64_t child_footprint, std::int32_t u,
-                             const std::vector<std::int32_t>& frontier,
-                             std::int64_t incumbent, int depth,
-                             LookaheadScratch* scratch,
-                             const DominanceTable* dominance = nullptr,
-                             const SignatureHasher* hasher = nullptr,
-                             std::uint64_t child_hash = 0,
-                             DominanceTable::PendingBatch* learn =
-                                 nullptr) const;
 
   struct Transition {
     std::int64_t footprint;  // µ after scheduling `node` and freeing
@@ -570,22 +376,6 @@ class ExpansionTables {
   std::int64_t ResidentBytes() const;
 
  private:
-  // Depth-first viability scan behind ChildLookaheadExceeds: true iff some
-  // way of scheduling the next `remaining` steps from (sig, footprint),
-  // whose ready set is `frontier`, keeps every transient footprint at or
-  // under `incumbent`. `depth_index` picks this recursion level's scratch
-  // buffers; `node_budget` is the shared per-probe cap (exhaustion returns
-  // viable). `dominance`/`hasher` are either both set or both null.
-  bool LookaheadViable(const std::uint64_t* sig, std::int64_t footprint,
-                       std::uint64_t hash,
-                       const std::vector<std::int32_t>& frontier,
-                       std::int64_t incumbent, int remaining,
-                       std::size_t depth_index, LookaheadScratch* scratch,
-                       const DominanceTable* dominance,
-                       const SignatureHasher* hasher,
-                       DominanceTable::PendingBatch* learn,
-                       int* node_budget) const;
-
   std::size_t num_nodes_ = 0;
   std::size_t words_ = 0;
   std::uint64_t last_word_mask_ = 0;  // valid bits of the final word
@@ -596,7 +386,7 @@ class ExpansionTables {
   std::vector<std::int64_t> own_size_;         // node -> output buffer bytes
   // Whether the node's output buffer has another writer (a pure graph
   // property). A sole writer that is itself unscheduled — always the case
-  // for the frontier/lookahead nodes the alloc probes test — cannot have an
+  // for the frontier nodes the alloc probes test — cannot have an
   // allocated output, so the common case skips the writer-word intersect
   // entirely; this is what makes the always-on one-step floor cheap.
   std::vector<std::uint8_t> has_cowriter_;     // node -> shared output buffer
@@ -610,7 +400,6 @@ class ExpansionTables {
   std::vector<Freeable> freeables_;
   std::vector<std::uint32_t> freeable_begin_;  // num_nodes + 1 offsets
   std::vector<std::uint64_t> touchers_arena_;
-  std::vector<std::int64_t> min_step_bytes_;  // node -> admissible step floor
 
   // Flattened successor adjacency for the newly-ready scan of
   // ChildNextAllocFloor.

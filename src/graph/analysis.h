@@ -60,9 +60,8 @@ struct BufferUseTable {
   // and no operand can be freed before its toucher u has run, while the
   // output is allocated no later than u itself. The value is therefore an
   // admissible lower bound on the transient footprint of u's step, and the
-  // max over a state's unscheduled nodes lower-bounds the peak of every
-  // completion — the residual bound of the branch-and-bound scheduler
-  // (DESIGN.md "Branch-and-bound over levels").
+  // max over all nodes lower-bounds the peak of every schedule — the
+  // admission floor of serve::SchedulerService.
   std::vector<std::int64_t> MinStepFootprints() const;
 
   // True if no writer of buffer `b` has executed yet, i.e. scheduling a

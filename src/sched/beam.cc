@@ -70,15 +70,13 @@ BeamResult ScheduleBeam(const graph::Graph& graph,
     for (std::size_t s = 0; s < current.size(); ++s) {
       const std::uint64_t* sig = current.signature(s);
       frontier.clear();
-      std::int64_t residual = 0;
-      tables.AppendFrontier(sig, &frontier, bounding ? &residual : nullptr);
+      tables.AppendFrontier(sig, &frontier);
       const std::int64_t footprint = current.footprint(s);
       const std::int64_t peak = current.peak(s);
       const std::uint64_t hash = current.hash(s);
       if (bounding) {
-        // The DP's parent-side admissible cuts, streamed: residual bound,
-        // then the one-step frontier-alloc floor.
-        if (std::max(peak, residual) > bound) continue;
+        // The DP's one-step frontier-alloc floor, streamed: every child of
+        // this state takes a step of at least footprint + min alloc.
         tables.ComputeFrontierAllocs(sig, frontier, &allocs);
         if (allocs.min1 != core::ExpansionTables::kNoAlloc &&
             footprint + allocs.min1 > bound) {

@@ -38,14 +38,13 @@ struct BeamOptions {
   const util::CancelToken* cancel = nullptr;
   // Branch-and-bound cut against a peak already known achievable (e.g. the
   // greedy baseline, when the beam runs as an incumbent refiner in
-  // core/pipeline): parents and transitions whose admissible lower bound —
-  // best peak, residual, one-step frontier floor, or step peak — STRICTLY
-  // exceeds this value are skipped before they compete for beam slots; the
-  // same floors the DP consults, streamed (satellite: `sched/beam` streamed
-  // levels consult the same floors). If the cut empties a level the beam
-  // reports NotFound — every width-limited path exceeded the bound, so the
-  // caller's existing incumbent already wins. The default (max) disables
-  // the cut entirely, keeping plain beam results bit-identical.
+  // core/pipeline): parents whose one-step frontier floor and transitions
+  // whose step peak STRICTLY exceed this value are skipped before they
+  // compete for beam slots — the same admissible cuts the DP makes,
+  // streamed. If the cut empties a level the beam reports NotFound — every
+  // width-limited path exceeded the bound, so the caller's existing
+  // incumbent already wins. The default (max) disables the cut entirely,
+  // keeping plain beam results bit-identical.
   std::int64_t prune_above_bytes = std::numeric_limits<std::int64_t>::max();
 };
 

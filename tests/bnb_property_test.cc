@@ -15,13 +15,17 @@
 //    counts coincide at every width.
 //  - Soft-budget interplay: the Kahn-tightened incumbent inside
 //    ScheduleWithSoftBudget changes neither the schedule nor the peak.
+//  - The paper's nine cells through the full Pipeline: bound pruning on
+//    and off give the same exact schedule and peak.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 
 #include "core/dp_scheduler.h"
+#include "core/pipeline.h"
 #include "core/soft_budget.h"
+#include "models/zoo.h"
 #include "sched/baselines.h"
 #include "sched/beam.h"
 #include "sched/schedule.h"
@@ -103,6 +107,26 @@ TEST(BnbProperty, DpBitIdenticalWithPruningOnRandomGraphs) {
     }
 
     if (::testing::Test::HasFailure()) return;  // one counterexample
+  }
+}
+
+TEST(BnbProperty, PipelineBitIdenticalWithPruningOnPaperCells) {
+  PipelineOptions off_options;
+  off_options.enable_bound_pruning = false;
+  const Pipeline on_pipeline;
+  const Pipeline off_pipeline(off_options);
+  for (const models::BenchmarkCell& cell : models::AllBenchmarkCells()) {
+    const graph::Graph g = cell.factory();
+    const std::string ctx = cell.group + "/" + cell.name;
+    const PipelineResult on = on_pipeline.Run(g);
+    const PipelineResult off = off_pipeline.Run(g);
+    ASSERT_TRUE(on.success) << ctx << ": " << on.failure_reason;
+    ASSERT_TRUE(off.success) << ctx << ": " << off.failure_reason;
+    EXPECT_EQ(on.quality, PlanQuality::kExact) << ctx;
+    EXPECT_EQ(off.quality, PlanQuality::kExact) << ctx;
+    EXPECT_EQ(on.peak_bytes, off.peak_bytes) << ctx;
+    EXPECT_EQ(on.schedule, off.schedule) << ctx;
+    EXPECT_EQ(off.states_pruned_by_bound, 0u) << ctx;
   }
 }
 

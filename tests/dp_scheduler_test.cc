@@ -225,13 +225,10 @@ TEST(DpScheduler, OptimalWithSharedAccumulatorBuffers) {
 }
 
 // A sink-dominated exemplar: three spines each producing a large buffer
-// consumed by six tiny sinks — 19 of 22 nodes are sinks or near-sinks.
-// These graphs historically starved the lookahead's yield gate (early
-// levels have nothing to prune, so the zero-yield streak switches the
-// probe off); the per-level frontier floor is cheap enough to stay on
-// everywhere and its yields re-arm the probe for the mid-search levels
-// where the real pruning happens.
-TEST(DpSchedulerGate, LookaheadGateStaysOnForSinkDominatedGraph) {
+// consumed by six tiny sinks — 19 of 22 nodes are sinks or near-sinks. The
+// early levels have nothing to prune; the one-step frontier floor must
+// still cut in the tight mid-search levels without changing the plan.
+TEST(DpSchedulerBound, FrontierFloorPrunesSinkDominatedGraphExactly) {
   GraphBuilder b("sinkdom");
   const NodeId in = b.Input(TensorShape{1, 16, 16, 2}, "in");
   for (int s = 0; s < 3; ++s) {
@@ -253,32 +250,7 @@ TEST(DpSchedulerGate, LookaheadGateStaysOnForSinkDominatedGraph) {
   ASSERT_EQ(r.status, DpStatus::kSolution);
   EXPECT_EQ(r.peak_bytes, off.peak_bytes);
   EXPECT_EQ(r.schedule, off.schedule);
-
-  // The audit trail covers every level, and bound machinery never goes
-  // fully dark: the floor runs on all levels, and the probe is live on the
-  // bulk of them.
-  ASSERT_EQ(r.level_bounds.size(), static_cast<std::size_t>(g.num_nodes()));
-  std::size_t full = 0;
-  for (const LevelBounds lb : r.level_bounds) {
-    EXPECT_NE(lb, LevelBounds::kDisabled);
-    full += lb == LevelBounds::kFull;
-  }
-  EXPECT_GE(full, r.level_bounds.size() * 2 / 3);
   EXPECT_GT(r.pruned.frontier_floor, 0u);
-  EXPECT_GT(r.pruned.lookahead, 0u);
-
-  // The floor-yield re-arm specifically: some level l with l % 8 != 0 runs
-  // the probe right after a probe-off level. The zero-yield streak was
-  // still >= 2 there (it only updates on levels that probed), so the only
-  // gate clause that can have fired is "the floor yielded last level".
-  bool rearmed = false;
-  for (std::size_t l = 1; l < r.level_bounds.size(); ++l) {
-    if (l % 8 != 0 && r.level_bounds[l] == LevelBounds::kFull &&
-        r.level_bounds[l - 1] == LevelBounds::kFloorOnly) {
-      rearmed = true;
-    }
-  }
-  EXPECT_TRUE(rearmed);
 }
 
 }  // namespace

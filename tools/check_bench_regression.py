@@ -20,7 +20,7 @@ is a timing; every other numeric field must match the baseline exactly
 (1e-9 relative tolerance for float formatting). String fields identify rows
 and must match exactly. Fields starting with "states_" — the search-space
 counters, including the per-bound prune attribution
-(states_pruned_by_{incumbent,residual,frontier_floor,lookahead,dominance})
+(states_pruned_by_{incumbent,frontier_floor})
 — are ALWAYS deterministic, marker matches notwithstanding: they are exact
 state counts of a deterministic search, identical across machines and
 thread counts, and any drift is a behavior change that must be
