@@ -15,7 +15,6 @@
 //     never fail.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -30,6 +29,7 @@
 #include "testing/runtime_inputs.h"
 #include "testing/sink_compare.h"
 #include "util/logging.h"
+#include "util/stats.h"
 #include "util/stopwatch.h"
 
 namespace {
@@ -71,14 +71,6 @@ std::vector<PlannedCell> PlanWorkingSet(serve::SchedulerService& service,
     ++index;
   }
   return cells;
-}
-
-double Percentile(std::vector<double> sorted, double q) {
-  if (sorted.empty()) return 0;
-  std::sort(sorted.begin(), sorted.end());
-  const std::size_t index = static_cast<std::size_t>(
-      q * static_cast<double>(sorted.size() - 1) + 0.5);
-  return sorted[index];
 }
 
 struct SweepResult {
@@ -134,8 +126,8 @@ SweepResult RunSweep(int port, const std::vector<PlannedCell>& cells,
     all.insert(all.end(), latencies[static_cast<std::size_t>(c)].begin(),
                latencies[static_cast<std::size_t>(c)].end());
   }
-  result.p50_millis = Percentile(all, 0.50);
-  result.p99_millis = Percentile(all, 0.99);
+  result.p50_millis = util::Percentile(all, 50);
+  result.p99_millis = util::Percentile(all, 99);
   return result;
 }
 

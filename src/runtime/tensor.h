@@ -29,6 +29,7 @@
 #define SERENITY_RUNTIME_TENSOR_H_
 
 #include <cstdint>
+#include <cstring>
 #include <initializer_list>
 #include <vector>
 
@@ -182,9 +183,19 @@ class Tensor {
   int pixel_stride() const { return backing_c_; }
 
   // Elementwise copy from `other` (same shape) into this tensor's existing
-  // storage — never reallocates, so a bound view stays bound.
+  // storage — never reallocates, so a bound view stays bound. Two
+  // contiguous tensors copy in one memmove, bounds-checked once per side.
   void CopyFrom(const Tensor& other) {
     SERENITY_CHECK(shape_ == other.shape_) << "shape mismatch in CopyFrom";
+    if (contiguous() && other.contiguous()) {
+      const std::size_t count = size();
+      SERENITY_CHECK_LE(count, span_elements_)
+          << "tensor access escapes its backing span";
+      SERENITY_CHECK_LE(count, other.span_elements_)
+          << "tensor access escapes its backing span";
+      if (count > 0) std::memmove(data_, other.data_, count * sizeof(float));
+      return;
+    }
     ForEachIndex([&](int n, int h, int w, int c) {
       At(n, h, w, c) = other.At(n, h, w, c);
     });

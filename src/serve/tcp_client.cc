@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <string_view>
 #include <utility>
 
 namespace serenity::serve {
@@ -25,6 +26,7 @@ TcpClient& TcpClient::operator=(TcpClient&& other) noexcept {
     fd_ = other.fd_;
     retry_after_millis_ = other.retry_after_millis_;
     max_frame_bytes_ = other.max_frame_bytes_;
+    frame_ = std::move(other.frame_);
     other.fd_ = -1;
   }
   return *this;
@@ -92,13 +94,13 @@ util::StatusOr<std::string> TcpClient::Call(const wire::Request& request,
     return util::FailedPreconditionError("client is not connected");
   }
   retry_after_millis_ = 0;
-  SERENITY_RETURN_IF_ERROR(wire::WriteFrame(fd_, wire::EncodeRequest(request),
-                                            timeout_seconds,
-                                            max_frame_bytes_));
-  util::StatusOr<std::string> frame = wire::ReadFrame(
-      fd_, max_frame_bytes_, timeout_seconds, timeout_seconds);
-  if (!frame.ok()) return frame.status();
-  util::StatusOr<wire::Reply> reply = wire::DecodeReply(*frame);
+  const std::string head = wire::EncodeRequestHead(request);
+  const std::string_view parts[] = {head, request.body};
+  SERENITY_RETURN_IF_ERROR(wire::WriteFrameParts(fd_, parts, timeout_seconds,
+                                                 max_frame_bytes_));
+  SERENITY_RETURN_IF_ERROR(wire::ReadFrame(fd_, &frame_, max_frame_bytes_,
+                                           timeout_seconds, timeout_seconds));
+  util::StatusOr<wire::Reply> reply = wire::DecodeReply(std::move(frame_));
   if (!reply.ok()) return reply.status();
   retry_after_millis_ = reply->retry_after_millis;
   if (reply->code != util::StatusCode::kOk) {
@@ -139,17 +141,16 @@ util::StatusOr<std::vector<runtime::Tensor>> TcpClient::Infer(
   wire::Request request;
   request.verb = wire::Verb::kInfer;
   request.deadline_seconds = deadline_seconds;
+  std::size_t body_bytes = 20;
+  for (const runtime::Tensor& input : inputs) {
+    body_bytes += wire::TensorWireBytes(input.shape());
+  }
+  request.body.reserve(body_bytes);
   wire::AppendU64(&request.body, hash.hi);
   wire::AppendU64(&request.body, hash.lo);
   wire::AppendU32(&request.body, static_cast<std::uint32_t>(inputs.size()));
   for (const runtime::Tensor& input : inputs) {
-    const graph::TensorShape& s = input.shape();
-    wire::AppendU32(&request.body, static_cast<std::uint32_t>(s.n));
-    wire::AppendU32(&request.body, static_cast<std::uint32_t>(s.h));
-    wire::AppendU32(&request.body, static_cast<std::uint32_t>(s.w));
-    wire::AppendU32(&request.body, static_cast<std::uint32_t>(s.c));
-    wire::AppendF32Array(&request.body, input.data(),
-                         static_cast<std::uint32_t>(input.size()));
+    wire::AppendTensor(&request.body, input);
   }
   util::StatusOr<std::string> body = Call(request, timeout_seconds);
   if (!body.ok()) return body.status();
@@ -184,6 +185,7 @@ util::StatusOr<std::vector<runtime::Tensor>> TcpClient::Infer(
   if (!reader.exhausted()) {
     return util::InvalidArgumentError("trailing bytes after the sinks");
   }
+  frame_ = std::move(*body);  // hand the capacity back for the next reply
   return sinks;
 }
 

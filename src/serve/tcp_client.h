@@ -74,6 +74,8 @@ class TcpClient {
   int fd_ = -1;
   std::uint32_t retry_after_millis_ = 0;
   std::uint32_t max_frame_bytes_ = wire::kMaxFrameBytesDefault;
+  // Receive buffer reused across replies (Infer hands each body back).
+  std::string frame_;
 };
 
 }  // namespace serenity::serve

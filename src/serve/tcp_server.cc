@@ -13,6 +13,7 @@
 #include <future>
 #include <memory>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "serialize/serialize.h"
@@ -46,18 +47,6 @@ bool PeerClosedNow(int fd) {
 
 util::StatusCode ClampCode(util::StatusCode code) {
   return code == util::StatusCode::kOk ? util::StatusCode::kInternal : code;
-}
-
-// Tensor body codec: u32 n,h,w,c then the bit-exact f32 payload. Mirrored
-// by serve::TcpClient — change both or neither (DESIGN.md "Wire protocol").
-void AppendTensor(std::string* out, const runtime::Tensor& tensor) {
-  const graph::TensorShape& s = tensor.shape();
-  wire::AppendU32(out, static_cast<std::uint32_t>(s.n));
-  wire::AppendU32(out, static_cast<std::uint32_t>(s.h));
-  wire::AppendU32(out, static_cast<std::uint32_t>(s.w));
-  wire::AppendU32(out, static_cast<std::uint32_t>(s.c));
-  wire::AppendF32Array(out, tensor.data(),
-                       static_cast<std::uint32_t>(tensor.size()));
 }
 
 }  // namespace
@@ -237,6 +226,9 @@ void TcpServer::ServeConnection(int fd) {
     counters_.*field += 1;
   };
   double idle_left = options_.idle_timeout_seconds;
+  // Receive buffer reused across this connection's frames: each request's
+  // body is moved out of it for decoding and moved back after the reply.
+  std::string frame;
   while (true) {
     if (draining_.load(std::memory_order_acquire)) break;
     const double slice = std::min(kPollSliceSeconds, idle_left);
@@ -255,16 +247,16 @@ void TcpServer::ServeConnection(int fd) {
     }
     // Data is ready: the frame has effectively begun, so both phases of
     // ReadFrame run under the frame budget.
-    util::StatusOr<std::string> frame =
-        wire::ReadFrame(fd, options_.max_frame_bytes,
+    const util::Status read =
+        wire::ReadFrame(fd, &frame, options_.max_frame_bytes,
                         options_.frame_timeout_seconds,
                         options_.frame_timeout_seconds);
-    if (!frame.ok()) {
-      if (frame.status().code() == util::StatusCode::kUnavailable) {
+    if (!read.ok()) {
+      if (read.code() == util::StatusCode::kUnavailable) {
         // Peer closed or reset: the normal end of a persistent connection.
         break;
       }
-      if (frame.status().code() == util::StatusCode::kDeadlineExceeded) {
+      if (read.code() == util::StatusCode::kDeadlineExceeded) {
         bump(&TcpServerStats::timeout_closes);
         break;
       }
@@ -273,15 +265,16 @@ void TcpServer::ServeConnection(int fd) {
       // resynchronized after a damaged frame.
       bump(&TcpServerStats::bad_frames);
       wire::Reply reply;
-      reply.code = ClampCode(frame.status().code());
-      reply.message = frame.status().message();
+      reply.code = ClampCode(read.code());
+      reply.message = read.message();
       (void)wire::WriteFrame(fd, wire::EncodeReply(reply), kShedWriteSeconds,
                              options_.max_frame_bytes);
       bump(&TcpServerStats::replies_error);
       break;
     }
     idle_left = options_.idle_timeout_seconds;
-    util::StatusOr<wire::Request> request = wire::DecodeRequest(*frame);
+    util::StatusOr<wire::Request> request =
+        wire::DecodeRequest(std::move(frame));
     wire::Reply reply;
     if (!request.ok()) {
       std::lock_guard<std::mutex> lock(mu_);
@@ -294,10 +287,12 @@ void TcpServer::ServeConnection(int fd) {
       reply.code = ClampCode(request.status().code());
       reply.message = request.status().message();
     }
+    const std::string head = wire::EncodeReplyHead(reply);
+    const std::string_view parts[] = {head, reply.body};
     const util::Status wrote =
-        wire::WriteFrame(fd, wire::EncodeReply(reply),
-                         options_.write_timeout_seconds,
-                         options_.max_frame_bytes);
+        wire::WriteFrameParts(fd, parts, options_.write_timeout_seconds,
+                              options_.max_frame_bytes);
+    if (request.ok()) frame = std::move(request->body);
     if (!wrote.ok()) {
       bump(&TcpServerStats::timeout_closes);
       break;
@@ -482,9 +477,18 @@ wire::Reply TcpServer::HandleInfer(const wire::Request& request) {
     return reply;
   }
   (*lease)->Run(inputs);
-  const std::vector<runtime::Tensor> sinks = (*lease)->executor().SinkValues();
+  // Encode the sinks straight out of the arena while the lease holds it.
+  const std::vector<const runtime::Tensor*>& sinks =
+      (*lease)->executor().SinkViews();
+  std::size_t body_bytes = 4;
+  for (const runtime::Tensor* sink : sinks) {
+    body_bytes += wire::TensorWireBytes(sink->shape());
+  }
+  reply.body.reserve(body_bytes);
   wire::AppendU32(&reply.body, static_cast<std::uint32_t>(sinks.size()));
-  for (const runtime::Tensor& sink : sinks) AppendTensor(&reply.body, sink);
+  for (const runtime::Tensor* sink : sinks) {
+    wire::AppendTensor(&reply.body, *sink);
+  }
   return reply;
 }
 

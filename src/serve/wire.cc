@@ -4,7 +4,10 @@
 #include <poll.h>
 #include <string.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <chrono>
 #include <cstring>
@@ -13,12 +16,16 @@
 
 #include "testing/fault_injection.h"
 #include "util/crc32.h"
+#include "util/logging.h"
 
 namespace serenity::serve::wire {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+// ReadFrame's first payload chunk; later chunks double what has landed.
+constexpr std::size_t kFirstReadChunkBytes = 64u << 10;
 
 Clock::time_point DeadlineFrom(double timeout_seconds) {
   if (!(timeout_seconds < std::numeric_limits<double>::infinity())) {
@@ -44,10 +51,24 @@ util::Status ErrnoError(const char* what) {
                                 std::strerror(errno));
 }
 
-util::Status SendAllUntil(int fd, const char* data, std::size_t len,
-                          Clock::time_point deadline) {
-  std::size_t sent = 0;
-  while (sent < len) {
+// Sends bytes [from, to) of the concatenation of `parts` with gathered
+// writes (sendmsg), resuming after partial writes.
+util::Status SendPartsUntil(int fd, std::span<const std::string_view> parts,
+                            std::size_t from, std::size_t to,
+                            Clock::time_point deadline) {
+  std::array<iovec, kMaxFrameParts + 1> iov;
+  while (from < to) {
+    std::size_t count = 0;
+    std::size_t start = 0;  // offset of the current part in the frame
+    for (const std::string_view part : parts) {
+      const std::size_t end = start + part.size();
+      if (end > from && start < to) {
+        const std::size_t lo = std::max(from, start) - start;
+        const std::size_t hi = std::min(to, end) - start;
+        iov[count++] = {const_cast<char*>(part.data()) + lo, hi - lo};
+      }
+      start = end;
+    }
     const int wait = PollMillis(deadline);
     if (wait == 0 && deadline <= Clock::now()) {
       return util::DeadlineExceededError("socket write timed out");
@@ -61,15 +82,18 @@ util::Status SendAllUntil(int fd, const char* data, std::size_t len,
     if (ready == 0) {
       return util::DeadlineExceededError("socket write timed out");
     }
-    const ssize_t n = ::send(fd, data + sent, len - sent, MSG_NOSIGNAL);
+    msghdr msg{};
+    msg.msg_iov = iov.data();
+    msg.msg_iovlen = count;
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
       if (errno == EPIPE || errno == ECONNRESET) {
         return util::UnavailableError("connection closed by peer");
       }
-      return ErrnoError("send");
+      return ErrnoError("sendmsg");
     }
-    sent += static_cast<std::size_t>(n);
+    from += static_cast<std::size_t>(n);
   }
   return util::OkStatus();
 }
@@ -144,8 +168,43 @@ void AppendBytes(std::string* out, const std::string& bytes) {
 
 void AppendF32Array(std::string* out, const float* values,
                     std::uint32_t count) {
-  for (std::uint32_t i = 0; i < count; ++i) {
-    AppendU32(out, std::bit_cast<std::uint32_t>(values[i]));
+  if (count == 0) return;
+  if constexpr (std::endian::native == std::endian::little) {
+    out->append(reinterpret_cast<const char*>(values),
+                static_cast<std::size_t>(count) * sizeof(float));
+  } else {
+    for (std::uint32_t i = 0; i < count; ++i) {
+      AppendU32(out, std::bit_cast<std::uint32_t>(values[i]));
+    }
+  }
+}
+
+std::size_t TensorWireBytes(const graph::TensorShape& shape) {
+  return 16 + static_cast<std::size_t>(shape.NumElements()) * sizeof(float);
+}
+
+void AppendTensor(std::string* out, const runtime::Tensor& tensor) {
+  const graph::TensorShape& s = tensor.shape();
+  for (const int dim : {s.n, s.h, s.w, s.c}) {
+    AppendU32(out, static_cast<std::uint32_t>(dim));
+  }
+  if (tensor.contiguous()) {
+    AppendF32Array(out, tensor.data(),
+                   static_cast<std::uint32_t>(tensor.size()));
+    return;
+  }
+  // A channel window: each pixel's channels are contiguous in its backing
+  // row, pixel_stride() floats apart.
+  for (int n = 0; n < s.n; ++n) {
+    for (int h = 0; h < s.h; ++h) {
+      if (s.w == 0) continue;
+      const float* row = tensor.PixelRun(n, h, 0, s.w);
+      for (int w = 0; w < s.w; ++w) {
+        AppendF32Array(out, row + static_cast<std::size_t>(w) *
+                                      tensor.pixel_stride(),
+                       static_cast<std::uint32_t>(s.c));
+      }
+    }
   }
 }
 
@@ -205,17 +264,25 @@ util::Status ByteReader::ReadF32Array(float* out, std::uint32_t count) {
     return util::InvalidArgumentError(
         "truncated payload: float array under-run");
   }
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::uint32_t bits = 0;
-    SERENITY_RETURN_IF_ERROR(ReadU32(&bits));
-    out[i] = std::bit_cast<float>(bits);
+  if constexpr (std::endian::native == std::endian::little) {
+    if (count > 0) {
+      std::memcpy(out, data_.data() + pos_,
+                  static_cast<std::size_t>(count) * sizeof(float));
+      pos_ += static_cast<std::size_t>(count) * sizeof(float);
+    }
+  } else {
+    for (std::uint32_t i = 0; i < count; ++i) {
+      std::uint32_t bits = 0;
+      SERENITY_RETURN_IF_ERROR(ReadU32(&bits));
+      out[i] = std::bit_cast<float>(bits);
+    }
   }
   return util::OkStatus();
 }
 
-std::string EncodeRequest(const Request& request) {
-  std::string payload;
-  AppendU8(&payload, static_cast<std::uint8_t>(request.verb));
+std::string EncodeRequestHead(const Request& request) {
+  std::string head;
+  AppendU8(&head, static_cast<std::uint8_t>(request.verb));
   std::uint32_t deadline_millis = 0;
   if (request.deadline_seconds > 0 &&
       request.deadline_seconds < std::numeric_limits<double>::infinity()) {
@@ -223,13 +290,22 @@ std::string EncodeRequest(const Request& request) {
     deadline_millis = millis >= 4e9 ? 0xFFFFFFFFu
                                     : static_cast<std::uint32_t>(millis) + 1;
   }
-  AppendU32(&payload, deadline_millis);
-  AppendU8(&payload, request.allow_degraded ? 1 : 0);
+  AppendU32(&head, deadline_millis);
+  AppendU8(&head, request.allow_degraded ? 1 : 0);
+  return head;
+}
+
+std::string EncodeRequest(const Request& request) {
+  std::string payload = EncodeRequestHead(request);
   payload.append(request.body);
   return payload;
 }
 
 util::StatusOr<Request> DecodeRequest(const std::string& payload) {
+  return DecodeRequest(std::string(payload));
+}
+
+util::StatusOr<Request> DecodeRequest(std::string&& payload) {
   ByteReader reader(payload);
   std::uint8_t verb = 0;
   std::uint32_t deadline_millis = 0;
@@ -246,20 +322,30 @@ util::StatusOr<Request> DecodeRequest(const std::string& payload) {
   request.deadline_seconds =
       deadline_millis == 0 ? 0 : static_cast<double>(deadline_millis) / 1e3;
   request.allow_degraded = (flags & 1) != 0;
-  request.body = payload.substr(payload.size() - reader.remaining());
+  payload.erase(0, payload.size() - reader.remaining());
+  request.body = std::move(payload);
   return request;
 }
 
+std::string EncodeReplyHead(const Reply& reply) {
+  std::string head;
+  AppendU8(&head, static_cast<std::uint8_t>(reply.code));
+  AppendU32(&head, reply.retry_after_millis);
+  AppendBytes(&head, reply.message);
+  return head;
+}
+
 std::string EncodeReply(const Reply& reply) {
-  std::string payload;
-  AppendU8(&payload, static_cast<std::uint8_t>(reply.code));
-  AppendU32(&payload, reply.retry_after_millis);
-  AppendBytes(&payload, reply.message);
+  std::string payload = EncodeReplyHead(reply);
   payload.append(reply.body);
   return payload;
 }
 
 util::StatusOr<Reply> DecodeReply(const std::string& payload) {
+  return DecodeReply(std::string(payload));
+}
+
+util::StatusOr<Reply> DecodeReply(std::string&& payload) {
   ByteReader reader(payload);
   std::uint8_t code = 0;
   Reply reply;
@@ -271,14 +357,16 @@ util::StatusOr<Reply> DecodeReply(const std::string& payload) {
   reply.code = static_cast<util::StatusCode>(code);
   SERENITY_RETURN_IF_ERROR(reader.ReadU32(&reply.retry_after_millis));
   SERENITY_RETURN_IF_ERROR(reader.ReadBytes(&reply.message));
-  reply.body = payload.substr(payload.size() - reader.remaining());
+  payload.erase(0, payload.size() - reader.remaining());
+  reply.body = std::move(payload);
   return reply;
 }
 
 util::Status SendAll(int fd, const void* data, std::size_t len,
                      double timeout_seconds) {
-  return SendAllUntil(fd, static_cast<const char*>(data), len,
-                      DeadlineFrom(timeout_seconds));
+  const std::string_view part(static_cast<const char*>(data), len);
+  return SendPartsUntil(fd, {&part, 1}, 0, len,
+                        DeadlineFrom(timeout_seconds));
 }
 
 util::Status RecvAll(int fd, void* data, std::size_t len,
@@ -305,54 +393,78 @@ util::StatusOr<bool> WaitReadable(int fd, double timeout_seconds) {
 util::Status WriteFrame(int fd, const std::string& payload,
                         double timeout_seconds,
                         std::uint32_t max_frame_bytes) {
-  if (payload.empty()) {
+  const std::string_view part = payload;
+  return WriteFrameParts(fd, {&part, 1}, timeout_seconds, max_frame_bytes);
+}
+
+util::Status WriteFrameParts(int fd, std::span<const std::string_view> parts,
+                             double timeout_seconds,
+                             std::uint32_t max_frame_bytes) {
+  SERENITY_CHECK_LE(parts.size(), kMaxFrameParts);
+  std::size_t payload_bytes = 0;
+  for (const std::string_view part : parts) payload_bytes += part.size();
+  if (payload_bytes == 0) {
     return util::InvalidArgumentError("refusing to write an empty frame");
   }
-  if (payload.size() > max_frame_bytes) {
+  if (payload_bytes > max_frame_bytes) {
     return util::InvalidArgumentError(
-        "frame of " + std::to_string(payload.size()) +
+        "frame of " + std::to_string(payload_bytes) +
         " bytes exceeds the max-frame limit of " +
         std::to_string(max_frame_bytes));
   }
-  std::string frame;
-  frame.reserve(8 + payload.size());
-  AppendU32(&frame, static_cast<std::uint32_t>(payload.size()));
-  AppendU32(&frame, util::Crc32(payload));
-  frame.append(payload);
+  std::uint32_t crc = 0;
+  for (const std::string_view part : parts) crc = util::Crc32Extend(crc, part);
+  std::string header;  // 8 bytes: fits the small-string buffer
+  AppendU32(&header, static_cast<std::uint32_t>(payload_bytes));
+  AppendU32(&header, crc);
+  std::array<std::string_view, kMaxFrameParts + 1> pieces;
+  pieces[0] = header;
+  std::copy(parts.begin(), parts.end(), pieces.begin() + 1);
+  const std::span<const std::string_view> frame(pieces.data(),
+                                                parts.size() + 1);
+  const std::size_t frame_bytes = header.size() + payload_bytes;
   const Clock::time_point deadline = DeadlineFrom(timeout_seconds);
 
   if (testing::FaultTriggered(testing::FaultPoint::kSocketTornFrame)) {
-    const std::size_t half = frame.size() / 2;
-    SERENITY_RETURN_IF_ERROR(
-        SendAllUntil(fd, frame.data(), half, deadline));
+    const std::size_t half = frame_bytes / 2;
+    SERENITY_RETURN_IF_ERROR(SendPartsUntil(fd, frame, 0, half, deadline));
     return util::DataLossError("injected torn frame: wrote " +
                                std::to_string(half) + " of " +
-                               std::to_string(frame.size()) + " bytes");
+                               std::to_string(frame_bytes) + " bytes");
   }
   if (testing::FaultTriggered(testing::FaultPoint::kSocketDelayedByte)) {
     // Slow-loris: start the frame, stall, then finish. A receiver with a
     // frame deadline must cut us off during the stall.
     const std::size_t head = 2;
-    SERENITY_RETURN_IF_ERROR(
-        SendAllUntil(fd, frame.data(), head, deadline));
+    SERENITY_RETURN_IF_ERROR(SendPartsUntil(fd, frame, 0, head, deadline));
     std::this_thread::sleep_for(
         std::chrono::milliseconds(testing::SocketDelayMillis()));
-    return SendAllUntil(fd, frame.data() + head, frame.size() - head,
-                        deadline);
+    return SendPartsUntil(fd, frame, head, frame_bytes, deadline);
   }
   if (testing::FaultTriggered(testing::FaultPoint::kSocketMidStreamClose)) {
     SERENITY_RETURN_IF_ERROR(
-        SendAllUntil(fd, frame.data(), frame.size(), deadline));
+        SendPartsUntil(fd, frame, 0, frame_bytes, deadline));
     ::shutdown(fd, SHUT_RDWR);
     return util::DataLossError(
         "injected mid-stream close after a full frame");
   }
-  return SendAllUntil(fd, frame.data(), frame.size(), deadline);
+  return SendPartsUntil(fd, frame, 0, frame_bytes, deadline);
 }
 
 util::StatusOr<std::string> ReadFrame(int fd, std::uint32_t max_frame_bytes,
                                       double idle_timeout_seconds,
                                       double frame_timeout_seconds) {
+  std::string payload;
+  SERENITY_RETURN_IF_ERROR(ReadFrame(fd, &payload, max_frame_bytes,
+                                     idle_timeout_seconds,
+                                     frame_timeout_seconds));
+  return payload;
+}
+
+util::Status ReadFrame(int fd, std::string* payload,
+                       std::uint32_t max_frame_bytes,
+                       double idle_timeout_seconds,
+                       double frame_timeout_seconds) {
   // Phase 1: wait for the frame to begin under the idle budget. Reading the
   // header byte-at-a-time until the first byte lands lets the frame budget
   // start exactly when data first arrives.
@@ -395,13 +507,22 @@ util::StatusOr<std::string> ReadFrame(int fd, std::uint32_t max_frame_bytes,
         " bytes, above the max-frame limit of " +
         std::to_string(max_frame_bytes));
   }
-  std::string payload(declared, '\0');
-  SERENITY_RETURN_IF_ERROR(
-      RecvAllUntil(fd, payload.data(), declared, deadline, nullptr));
-  if (util::Crc32(payload) != crc) {
+  // The declared size is the peer's claim, not its bytes: the buffer grows
+  // in doubling chunks as they land, so a stalled giant frame pins little.
+  std::size_t have = 0;
+  while (have < declared) {
+    const std::size_t want = std::min<std::size_t>(
+        declared, std::max(kFirstReadChunkBytes, 2 * have));
+    if (payload->size() < want) payload->resize(want);
+    SERENITY_RETURN_IF_ERROR(RecvAllUntil(fd, payload->data() + have,
+                                          want - have, deadline, nullptr));
+    have = want;
+  }
+  payload->resize(declared);
+  if (util::Crc32(*payload) != crc) {
     return util::DataLossError("frame checksum mismatch");
   }
-  return payload;
+  return util::OkStatus();
 }
 
 }  // namespace serenity::serve::wire

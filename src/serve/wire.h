@@ -37,12 +37,22 @@
 // Fault-injection hooks for torn frames, delayed bytes and mid-stream
 // closes live in WriteFrame (testing/fault_injection.h), which is how the
 // net chaos suite manufactures wire damage deterministically.
+//
+// The hot path copies no payload it does not have to (DESIGN.md "Wire
+// protocol"): WriteFrameParts gathers the frame header and the payload
+// pieces into one sendmsg, the rvalue Decode* overloads move the body out
+// of the received payload, ReadFrame fills a caller-owned buffer that a
+// connection reuses, and the f32 codec is one memcpy on little-endian
+// hosts.
 #ifndef SERENITY_SERVE_WIRE_H_
 #define SERENITY_SERVE_WIRE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 
+#include "runtime/tensor.h"
 #include "util/status.h"
 
 namespace serenity::serve::wire {
@@ -74,23 +84,39 @@ struct Reply {
   std::string body;                      // present iff code == kOk
 };
 
+// Encode* build the whole payload; Encode*Head build everything before the
+// body, for WriteFrameParts to send next to a body it never copies.
 std::string EncodeRequest(const Request& request);
+std::string EncodeRequestHead(const Request& request);
+// The rvalue overloads move the body out of `payload` instead of copying
+// it; on failure `payload` is left untouched.
 util::StatusOr<Request> DecodeRequest(const std::string& payload);
+util::StatusOr<Request> DecodeRequest(std::string&& payload);
 
 std::string EncodeReply(const Reply& reply);
+std::string EncodeReplyHead(const Reply& reply);
 util::StatusOr<Reply> DecodeReply(const std::string& payload);
+util::StatusOr<Reply> DecodeReply(std::string&& payload);
 
 // ------------------------------------------------------------ body codecs
 //
 // Little-endian append/extract helpers for the verb bodies. ByteReader is
 // Status-returning on under-run so a truncated body is a clean
-// kInvalidArgument, never an out-of-range read.
+// kInvalidArgument, never an out-of-range read. The f32 array codec is one
+// memcpy on little-endian hosts and a per-element loop elsewhere; both
+// produce the same bytes.
 
 void AppendU8(std::string* out, std::uint8_t v);
 void AppendU32(std::string* out, std::uint32_t v);
 void AppendU64(std::string* out, std::uint64_t v);
 void AppendBytes(std::string* out, const std::string& bytes);  // u32 len + bytes
 void AppendF32Array(std::string* out, const float* values, std::uint32_t count);
+
+// Tensor codec shared by the infer request (inputs) and reply (sinks):
+// u32 n,h,w,c then the tensor's values in NHWC order. A channel-window view
+// encodes its logical values, one pixel's channels at a time.
+std::size_t TensorWireBytes(const graph::TensorShape& shape);
+void AppendTensor(std::string* out, const runtime::Tensor& tensor);
 
 class ByteReader {
  public:
@@ -100,7 +126,8 @@ class ByteReader {
   util::Status ReadU32(std::uint32_t* v);
   util::Status ReadU64(std::uint64_t* v);
   util::Status ReadBytes(std::string* bytes);  // u32 len + bytes
-  // Reads `count` floats (bit-exact: u32 patterns reinterpreted).
+  // Reads `count` floats (bit-exact: u32 patterns reinterpreted). An
+  // under-run reads nothing and leaves the reader where it was.
   util::Status ReadF32Array(float* out, std::uint32_t count);
 
   std::size_t remaining() const { return data_.size() - pos_; }
@@ -125,6 +152,15 @@ util::Status WriteFrame(int fd, const std::string& payload,
                         double timeout_seconds,
                         std::uint32_t max_frame_bytes = kMaxFrameBytesDefault);
 
+// WriteFrame for a payload that is the concatenation of `parts` (at most
+// kMaxFrameParts of them): the header and the parts go out in gathered
+// writes, so the payload is never assembled in one buffer. The bytes on
+// the wire, the limits and the fault hooks are WriteFrame's.
+inline constexpr std::size_t kMaxFrameParts = 2;
+util::Status WriteFrameParts(
+    int fd, std::span<const std::string_view> parts, double timeout_seconds,
+    std::uint32_t max_frame_bytes = kMaxFrameBytesDefault);
+
 // Reads one frame. idle_timeout_seconds bounds the wait for the first
 // header byte (expiry = kDeadlineExceeded with "idle" in the message);
 // frame_timeout_seconds bounds the rest of the frame once it has begun
@@ -134,6 +170,16 @@ util::Status WriteFrame(int fd, const std::string& payload,
 util::StatusOr<std::string> ReadFrame(
     int fd, std::uint32_t max_frame_bytes, double idle_timeout_seconds,
     double frame_timeout_seconds);
+
+// ReadFrame into `payload`, which a connection reuses across frames: its
+// capacity is kept, and it grows only as payload bytes land (doubling,
+// capped at the declared size), so a peer that declares a large frame and
+// stalls pins about what it actually sent. On success payload->size() is
+// the declared size; on failure its contents are unspecified.
+util::Status ReadFrame(int fd, std::string* payload,
+                       std::uint32_t max_frame_bytes,
+                       double idle_timeout_seconds,
+                       double frame_timeout_seconds);
 
 // Raw deadline-bounded primitives (exposed for the chaos suite's
 // hand-built damaged frames).

@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 
+#include "testing/reference_crc32.h"
 #include "util/crc32.h"
+#include "util/rng.h"
 
 namespace serenity::util {
 namespace {
@@ -98,6 +102,33 @@ TEST(Crc32, SingleBitFlipAlwaysChangesTheChecksum) {
     mutated[bit / 8] = static_cast<char>(
         static_cast<unsigned char>(mutated[bit / 8]) ^ (1u << (bit % 8)));
     EXPECT_NE(Crc32(mutated), crc) << "bit " << bit;
+  }
+}
+
+TEST(Crc32, MatchesByteAtATimeReferenceOnRandomBuffers) {
+  // Lengths 0..4099 cover every tail length of the 8-byte blocks; start
+  // offsets 0..7 into a larger buffer cover every load alignment.
+  Rng rng(0xC3C32u);
+  std::string buffer(4099 + 8, '\0');
+  for (int i = 0; i < 2000; ++i) {
+    const std::size_t offset = rng.NextBounded(8);
+    const std::size_t length = rng.NextBounded(4100);
+    for (std::size_t k = 0; k < length; ++k) {
+      buffer[offset + k] = static_cast<char>(rng.NextBounded(256));
+    }
+    const std::string_view data(buffer.data() + offset, length);
+    ASSERT_EQ(Crc32(data), testing::ReferenceCrc32(data))
+        << "length " << length << " offset " << offset;
+  }
+}
+
+TEST(Crc32, ExtendMatchesOneShotOverAnySplit) {
+  const std::string data = "slicing-by-8 over split frame parts, 0123456789";
+  for (std::size_t cut = 0; cut <= data.size(); ++cut) {
+    const std::string_view whole = data;
+    EXPECT_EQ(Crc32Extend(Crc32(whole.substr(0, cut)), whole.substr(cut)),
+              Crc32(data))
+        << "cut " << cut;
   }
 }
 
