@@ -56,22 +56,19 @@ constexpr KernelBackend kBlockedTable = {
 };
 
 #if defined(SERENITY_HAVE_AVX2)
-// Ops with no intrinsic variant (concat, pooling) use the blocked
-// implementations — they are memory-bound copies/reductions the compiler
-// already vectorizes well from the blocked form.
 constexpr KernelBackend kAvx2Table = {
     Backend::kAvx2,
     &avx2::Conv2dPartial,
     &avx2::DepthwiseConv2dPartial,
     &avx2::DenseInto,
-    &blocked::ConcatInto,
+    &avx2::ConcatInto,
     &avx2::AddInto,
     &avx2::MulInto,
     &avx2::ReluInto,
     &avx2::BatchNormInto,
-    &blocked::MaxPool2dInto,
-    &blocked::AvgPool2dInto,
-    &blocked::GlobalAvgPool2dInto,
+    &avx2::MaxPool2dInto,
+    &avx2::AvgPool2dInto,
+    &avx2::GlobalAvgPool2dInto,
 };
 #endif
 
@@ -158,7 +155,7 @@ std::int64_t PlacementAlignment(Backend backend) {
       return static_cast<std::int64_t>(sizeof(float));
     case Backend::kBlocked:
     case Backend::kAvx2:
-      return 32;  // one AVX2 vector; also what the blocked tiles want
+      return 32;  // one AVX2 vector, two baseline (16-byte) vectors
     case Backend::kAuto:
       break;  // unreachable: ResolveBackend never returns kAuto
   }

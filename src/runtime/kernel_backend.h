@@ -9,23 +9,25 @@
 //   * kReference — the naive bounds-checked loops of runtime/kernels.h.
 //     Trivially auditable against the paper's equations; the oracle the
 //     parity suite pins every other backend against.
-//   * kBlocked   — portable blocked/tiled C++ (runtime/kernels_blocked.cc):
-//     raw pixel-run pointers, clamped tap ranges instead of per-tap bounds
-//     checks, output-channel tiles the compiler can auto-vectorize. Always
-//     built; the fallback for every unavailable ISA backend.
-//   * kAvx2      — AVX2 intrinsics (runtime/kernels_avx2.cc, compiled with
-//     -mavx2), 8-lane vectors across output channels. Compiled in only on
-//     x86-64 builds and entered only when cpuid reports AVX2 at runtime.
+//   * kBlocked   — the vectorized kernels (runtime/kernels_blocked.cc)
+//     built for the baseline ISA: raw pixel-run pointers, clamped tap
+//     ranges instead of per-tap bounds checks, generic vectors as wide as
+//     the build's native register (16 bytes: SSE2 on x86-64, NEON on
+//     AArch64) across independent outputs. Always built; the fallback for
+//     every unavailable ISA build.
+//   * kAvx2      — the same source built a second time for AVX2 (32-byte
+//     vectors), not a second implementation. Compiled in only on x86-64
+//     builds and entered only when cpuid reports AVX2 at runtime.
 //   * kAuto      — resolves to the fastest available backend at dispatch
-//     resolution. What production callers should ask for; a NEON backend
-//     slots into the same resolution point when an AArch64 leg lands.
+//     resolution. What production callers should ask for.
 //
-// Bit-identity contract: every backend blocks/vectorizes across
-// *independent* outputs only, preserves each output's summation order, and
-// uses no FMA — so all backends produce bit-identical results and the
-// executors' sink-vs-reference gates hold unchanged under any backend
-// (DESIGN.md "Kernel backends & dispatch" documents the ULP policy a
-// future order-relaxing backend would fall under).
+// Bit-identity contract: every backend vectorizes across *independent*
+// outputs only, preserves each output's summation order, and uses no FMA
+// (the kernel sources are compiled with -ffp-contract=off) — so all
+// backends produce bit-identical results and the executors'
+// sink-vs-reference gates hold unchanged under any backend (DESIGN.md
+// "Bit-identity contract and the ULP policy" documents the policy a future
+// order-relaxing backend would fall under).
 //
 // Resolution is pure and total: GetKernelBackend(b) never fails — an
 // unavailable backend resolves to kBlocked (the cpuid guard), so a binary
@@ -48,8 +50,8 @@ namespace serenity::runtime {
 
 enum class Backend : std::uint8_t {
   kReference,  // naive loops, the bit-exact oracle
-  kBlocked,    // portable blocked/tiled C++, always built
-  kAvx2,       // AVX2 intrinsics behind a runtime cpuid guard
+  kBlocked,    // the vectorized kernels, baseline ISA build, always built
+  kAvx2,       // the same kernels built for AVX2, behind a cpuid guard
   kAuto,       // fastest available, resolved at dispatch resolution
 };
 
@@ -75,7 +77,7 @@ Backend ResolveBackend(Backend requested);
 std::vector<Backend> AvailableBackends();
 
 // Arena placement alignment `backend` wants for vector loads: sizeof(float)
-// for kReference, 32 bytes for the blocked/SIMD backends (the planner's
+// for kReference, 32 bytes for the vectorized backends (the planner's
 // 64-byte default satisfies both; ValidatePlanForGraph enforces it).
 std::int64_t PlacementAlignment(Backend backend);
 

@@ -3,12 +3,13 @@
 // outside runtime/ resolves a KernelBackend and calls through it.
 //
 // Every backend computes the SAME arithmetic in the SAME per-output-element
-// order as the reference kernels (runtime/kernels.h): blocking and
-// vectorization run across *independent* output channels, never across a
-// single output's summation, and no backend uses fused multiply-add. That
-// is the mechanism behind the bit-identity contract the parity suite pins
-// (tests/kernel_parity_property_test.cc) — see DESIGN.md "Kernel backends
-// & dispatch" for the ULP policy if a future backend has to relax it.
+// order as the reference kernels (runtime/kernels.h): vectorization runs
+// across *independent* outputs, never across a single output's summation,
+// and no backend uses fused multiply-add (the kernel sources are compiled
+// with -ffp-contract=off). That is the mechanism behind the bit-identity
+// contract the parity suite pins (tests/kernel_parity_property_test.cc) —
+// see DESIGN.md "Bit-identity contract and the ULP policy" for the policy
+// if a future backend has to relax it.
 #ifndef SERENITY_RUNTIME_KERNELS_BACKENDS_H_
 #define SERENITY_RUNTIME_KERNELS_BACKENDS_H_
 
@@ -56,55 +57,44 @@ inline int EndValidTap(int pos, int dilation, int kernel, int extent) {
 
 }  // namespace internal
 
-// Portable blocked backend (runtime/kernels_blocked.cc): raw pixel-run
-// pointers instead of per-element checked At(), output-channel tiles sized
-// for auto-vectorization. Always compiled; the fallback every unavailable
-// ISA backend resolves to.
+// The vectorized kernels (runtime/kernels_blocked.cc): one source, built
+// once for the baseline ISA (namespace blocked, Backend::kBlocked, always
+// compiled) and, on x86-64, once more for AVX2 (namespace avx2,
+// Backend::kAvx2, only entered through the dispatch table's runtime cpuid
+// guard). Both builds define the same op list, declared here once.
+#define SERENITY_VECTOR_KERNEL_OPS                                          \
+  void Conv2dPartial(const Tensor& input, const ConvWeights& weights,      \
+                     const graph::ConvAttrs& attrs, int ic_offset,         \
+                     bool overwrite, bool add_bias, Tensor& acc);          \
+  void DepthwiseConv2dPartial(                                             \
+      const Tensor& input, const DepthwiseWeights& weights,                \
+      const graph::ConvAttrs& attrs, int weight_c_offset, Tensor& out,     \
+      int out_c_offset);                                                   \
+  void DenseInto(const Tensor& input, const DenseWeights& weights,         \
+                 Tensor& out);                                             \
+  void ConcatInto(const std::vector<const Tensor*>& inputs, Tensor& out);  \
+  void AddInto(const std::vector<const Tensor*>& inputs, Tensor& out);     \
+  void MulInto(const std::vector<const Tensor*>& inputs, Tensor& out);     \
+  void ReluInto(const Tensor& input, Tensor& out);                         \
+  void BatchNormInto(const Tensor& input, const BatchNormWeights& weights, \
+                     Tensor& out);                                         \
+  void MaxPool2dInto(const Tensor& input, const graph::ConvAttrs& attrs,   \
+                     Tensor& out);                                         \
+  void AvgPool2dInto(const Tensor& input, const graph::ConvAttrs& attrs,   \
+                     Tensor& out);                                         \
+  void GlobalAvgPool2dInto(const Tensor& input, Tensor& out);
+
 namespace blocked {
-void Conv2dPartial(const Tensor& input, const ConvWeights& weights,
-                   const graph::ConvAttrs& attrs, int ic_offset,
-                   bool overwrite, bool add_bias, Tensor& acc);
-void DepthwiseConv2dPartial(const Tensor& input,
-                            const DepthwiseWeights& weights,
-                            const graph::ConvAttrs& attrs,
-                            int weight_c_offset, Tensor& out,
-                            int out_c_offset);
-void DenseInto(const Tensor& input, const DenseWeights& weights, Tensor& out);
-void ConcatInto(const std::vector<const Tensor*>& inputs, Tensor& out);
-void AddInto(const std::vector<const Tensor*>& inputs, Tensor& out);
-void MulInto(const std::vector<const Tensor*>& inputs, Tensor& out);
-void ReluInto(const Tensor& input, Tensor& out);
-void BatchNormInto(const Tensor& input, const BatchNormWeights& weights,
-                   Tensor& out);
-void MaxPool2dInto(const Tensor& input, const graph::ConvAttrs& attrs,
-                   Tensor& out);
-void AvgPool2dInto(const Tensor& input, const graph::ConvAttrs& attrs,
-                   Tensor& out);
-void GlobalAvgPool2dInto(const Tensor& input, Tensor& out);
+SERENITY_VECTOR_KERNEL_OPS
 }  // namespace blocked
 
 #if defined(SERENITY_HAVE_AVX2)
-// AVX2 backend (runtime/kernels_avx2.cc, compiled with -mavx2): 8-lane
-// vectors across output channels, scalar tails, explicitly NO FMA — mul
-// then add, matching C arithmetic, so lanes are bit-identical to the
-// reference. Only entered through the dispatch table's runtime cpuid guard.
 namespace avx2 {
-void Conv2dPartial(const Tensor& input, const ConvWeights& weights,
-                   const graph::ConvAttrs& attrs, int ic_offset,
-                   bool overwrite, bool add_bias, Tensor& acc);
-void DepthwiseConv2dPartial(const Tensor& input,
-                            const DepthwiseWeights& weights,
-                            const graph::ConvAttrs& attrs,
-                            int weight_c_offset, Tensor& out,
-                            int out_c_offset);
-void DenseInto(const Tensor& input, const DenseWeights& weights, Tensor& out);
-void AddInto(const std::vector<const Tensor*>& inputs, Tensor& out);
-void MulInto(const std::vector<const Tensor*>& inputs, Tensor& out);
-void ReluInto(const Tensor& input, Tensor& out);
-void BatchNormInto(const Tensor& input, const BatchNormWeights& weights,
-                   Tensor& out);
+SERENITY_VECTOR_KERNEL_OPS
 }  // namespace avx2
 #endif  // SERENITY_HAVE_AVX2
+
+#undef SERENITY_VECTOR_KERNEL_OPS
 
 }  // namespace serenity::runtime
 

@@ -1,45 +1,173 @@
-// Portable blocked/tiled kernel backend (Backend::kBlocked).
+// The vectorized kernels, one source compiled twice (CMakeLists.txt):
+//
+//   * namespace blocked — the baseline build, Backend::kBlocked. Always
+//     built; the fallback every unavailable ISA build resolves to.
+//   * namespace avx2    — the same source with SERENITY_KERNELS_AVX2
+//     defined, Backend::kAvx2. Only the kernel bodies below the headers are
+//     compiled for AVX2 (#pragma GCC target), so no inline function of a
+//     header gets a VEX-encoded weak copy in that object; the dispatch
+//     table's cpuid guard is the only way in (runtime/kernel_backend.cc).
 //
 // Same arithmetic as runtime/kernels.cc, restructured for speed:
 //
-//   * Raw pixel-run pointers (Tensor::PixelRun) — one bounds check per run
-//     of pixels instead of a checked index computation per element.
-//   * Clamped tap ranges (internal::FirstValidTap/EndValidTap) — the padding
-//     bounds checks leave the inner loops entirely.
-//   * Fixed-size output tiles (kTile floats on the stack) accumulated across
-//     *independent* output channels / units — the dimension that is
-//     contiguous in the weight layouts ([kh][kw][ic][oc], [kh][kw][c],
-//     [in][units]) — so the compiler auto-vectorizes the tile loops with
-//     unit-stride loads.
+//   * Raw pixel-run pointers (Tensor::PixelRun) and clamped tap ranges
+//     (internal::FirstValidTap/EndValidTap): the padding checks leave the
+//     inner loops, and each output pixel looks its tap rows up once.
+//   * GCC/Clang generic vectors as wide as the build's native register,
+//     across *independent* outputs — output channels, units, channels — the
+//     dimension that is contiguous in the weight layouts ([kh][kw][ic][oc],
+//     [kh][kw][c], [in][units]). Every op walks its outputs in chunks of 4
+//     vectors, then 1 vector, then the scalar tail (ForEachChunk).
 //
 // Bit-identity with the reference backend holds because each output
 // element's summation order is untouched: taps still run (ky, kx, ic)
 // ascending, dense still runs i ascending, and only the *outputs* are
-// blocked. No FMA: plain mul-then-add float arithmetic, and this TU is
-// compiled without any FMA-bearing ISA, so GCC's default fp-contract has
-// nothing to contract to (DESIGN.md "Kernel backends & dispatch").
+// vectorized. No FMA: plain mul-then-add, and this file is compiled with
+// -ffp-contract=off so no target ISA can fuse them (DESIGN.md "Bit-identity
+// contract and the ULP policy").
 //
 // Everything writes through caller-provided views (arena placements); no
 // function here allocates.
-#include <algorithm>
 #include <cstddef>
+#include <cstring>
 #include <limits>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "runtime/kernels_backends.h"
 #include "util/logging.h"
 
-namespace serenity::runtime::blocked {
+#if defined(SERENITY_KERNELS_AVX2)
+#pragma GCC push_options
+#pragma GCC target("avx2")
+#define SERENITY_KERNELS_NS avx2
+#else
+#define SERENITY_KERNELS_NS blocked
+#endif
+
+namespace serenity::runtime::SERENITY_KERNELS_NS {
 
 namespace {
 
-// Output tile width in floats: 8 AVX2 vectors / 16 SSE vectors worth of
-// accumulators, small enough to live in registers + L1 for every tc.
-constexpr int kTile = 64;
+// One native vector register of floats. GCC's C++ front end does not
+// redefine __AVX__ under #pragma GCC target, so the AVX2 build names itself.
+// A wider-than-native vector is lowered piecewise and runs several times
+// slower, hence 16 bytes (SSE2, NEON) unless the build has AVX.
+#if defined(__AVX__) || defined(SERENITY_KERNELS_AVX2)
+constexpr std::size_t kVecBytes = 32;
+#else
+constexpr std::size_t kVecBytes = 16;
+#endif
+typedef float Vec __attribute__((vector_size(kVecBytes)));
+constexpr int kLanes = static_cast<int>(kVecBytes / sizeof(float));
 
 // Elementwise ops take their variadic inputs as row-pointer arrays on the
 // stack (no per-call allocation); arity above this is a graph-construction
 // bug, not a runtime condition.
 constexpr int kMaxInputs = 16;
+
+// Unaligned loads and stores for V = Vec or V = float: channel windows land
+// mid-vector by design, and memcpy compiles to one move either way.
+template <typename V>
+V Load(const float* p) {
+  V v;
+  std::memcpy(&v, p, sizeof(V));
+  return v;
+}
+
+template <typename V>
+void Store(float* p, const V& v) {
+  std::memcpy(p, &v, sizeof(V));
+}
+
+// x in every lane. x - 0 is x for every float, -0.0f and NaN included.
+template <typename V>
+V Splat(float x) {
+  return x - V{};
+}
+
+// std::max(a, b) lane by lane: b only where a < b, so a NaN in b yields a.
+template <typename V>
+V Max(const V& a, const V& b) {
+  return a < b ? b : a;
+}
+
+// `kCount` accumulators of type `Type`, `kStep` floats each.
+template <typename V, int N>
+struct Chunk {
+  using Type = V;
+  static constexpr int kCount = N;
+  static constexpr int kStep = static_cast<int>(sizeof(V) / sizeof(float));
+};
+
+// body(first, Chunk<float, tail>), for the one N + 1 that equals tail.
+template <typename Body, int... N>
+void ScalarTail(int first, int tail, const Body& body,
+                std::integer_sequence<int, N...>) {
+  ((tail == N + 1 ? body(first, Chunk<float, N + 1>{}) : void()), ...);
+}
+
+// Calls body(first, Chunk) over [0, count): 4 vectors at a time, then 1,
+// then the scalar tail (fewer than kLanes floats) in one call. The tail's
+// accumulators are as independent as a vector's lanes; walking its outputs
+// one at a time instead left a 6-channel conv latency-bound on one add
+// chain, over 3x slower.
+template <typename Body>
+void ForEachChunk(int count, const Body& body) {
+  int i = 0;
+  for (; i + 4 * kLanes <= count; i += 4 * kLanes) body(i, Chunk<Vec, 4>{});
+  for (; i + kLanes <= count; i += kLanes) body(i, Chunk<Vec, 1>{});
+  ScalarTail(i, count - i, body,
+             std::make_integer_sequence<int, kLanes - 1>{});
+}
+
+// The valid taps of one output pixel: kernel taps [ky0, ky0 + rows) x
+// [kx0, kx0 + cols). Tap (ky0 + r, kx0 + c) is kernel tap Index(r, c) in
+// row-major (ky, kx) order and reads the input pixel at At(r, c). The first
+// and the last tap row are bounds-checked through PixelRun; the rows
+// between them lie between the two.
+struct PixelTaps {
+  int ky0 = 0;
+  int kx0 = 0;
+  int rows = 0;
+  int cols = 0;
+  int kernel_w = 0;
+  const float* origin = nullptr;
+  std::ptrdiff_t dy = 0;
+  std::ptrdiff_t dx = 0;
+
+  std::size_t Index(int r, int c) const {
+    return static_cast<std::size_t>(ky0 + r) *
+               static_cast<std::size_t>(kernel_w) +
+           static_cast<std::size_t>(kx0 + c);
+  }
+  const float* At(int r, int c) const { return origin + r * dy + c * dx; }
+};
+
+// Inlined so each kernel specializes it (strided convs with few input
+// channels ran ~10% slower through a call).
+[[gnu::always_inline]] inline PixelTaps TapsAt(const Tensor& input, int n,
+                                               int ph, int pw, int kernel_h,
+                                               int kernel_w, int dilation) {
+  const graph::TensorShape in = input.shape();
+  PixelTaps t;
+  t.kernel_w = kernel_w;
+  t.ky0 = internal::FirstValidTap(ph, dilation);
+  t.kx0 = internal::FirstValidTap(pw, dilation);
+  const int ky_end = internal::EndValidTap(ph, dilation, kernel_h, in.h);
+  const int kx_end = internal::EndValidTap(pw, dilation, kernel_w, in.w);
+  if (t.ky0 >= ky_end || t.kx0 >= kx_end) return t;
+  t.rows = ky_end - t.ky0;
+  t.cols = kx_end - t.kx0;
+  const int iw0 = pw + t.kx0 * dilation;
+  const int run = (t.cols - 1) * dilation + 1;
+  t.origin = input.PixelRun(n, ph + t.ky0 * dilation, iw0, run);
+  if (t.rows > 1) input.PixelRun(n, ph + (ky_end - 1) * dilation, iw0, run);
+  t.dx = static_cast<std::ptrdiff_t>(dilation) * input.pixel_stride();
+  t.dy = t.dx * in.w;
+  return t;
+}
 
 void CheckSameShape(const std::vector<const Tensor*>& inputs) {
   SERENITY_CHECK_GE(inputs.size(), 2u);
@@ -62,60 +190,49 @@ void Conv2dPartial(const Tensor& input, const ConvWeights& weights,
       internal::ComputePadding(in, attrs, out.h, out.w);
   const float* kern = weights.kernel.data();
   const float* bias = weights.bias.data();
-  const int in_stride = input.pixel_stride();
+  const std::size_t kern_in_c = static_cast<std::size_t>(weights.in_c);
+  const std::size_t kern_out_c = static_cast<std::size_t>(weights.out_c);
 
+  // Floats between the weights of kernel taps (ky, kx) and (ky, kx + 1).
+  const std::size_t tap_stride = kern_in_c * kern_out_c;
+  const int acc_stride = acc.pixel_stride();
   for (int n = 0; n < out.n; ++n) {
     for (int oh = 0; oh < out.h; ++oh) {
-      const int ph = oh * attrs.stride - pad.top;
-      const int ky_lo = internal::FirstValidTap(ph, attrs.dilation);
-      const int ky_end =
-          internal::EndValidTap(ph, attrs.dilation, attrs.kernel_h, in.h);
+      float* acc_row = acc.PixelRun(n, oh, 0, out.w);
       for (int ow = 0; ow < out.w; ++ow) {
-        const int pw = ow * attrs.stride - pad.left;
-        const int kx_lo = internal::FirstValidTap(pw, attrs.dilation);
-        const int kx_end =
-            internal::EndValidTap(pw, attrs.dilation, attrs.kernel_w, in.w);
-        const bool any_taps = ky_lo < ky_end && kx_lo < kx_end;
-        const int iw0 = pw + kx_lo * attrs.dilation;
-        const int iw_run =
-            any_taps ? (kx_end - 1 - kx_lo) * attrs.dilation + 1 : 0;
-        float* acc_px = acc.PixelRun(n, oh, ow, 1);
-        for (int oc0 = 0; oc0 < out.c; oc0 += kTile) {
-          const int tc = std::min(kTile, out.c - oc0);
-          float tile[kTile];
-          if (overwrite) {
-            for (int j = 0; j < tc; ++j) tile[j] = 0.0f;
-          } else {
-            for (int j = 0; j < tc; ++j) tile[j] = acc_px[oc0 + j];
+        const PixelTaps taps =
+            TapsAt(input, n, oh * attrs.stride - pad.top,
+                   ow * attrs.stride - pad.left, attrs.kernel_h,
+                   attrs.kernel_w, attrs.dilation);
+        const float* w_taps =
+            kern + (taps.Index(0, 0) * kern_in_c + ic_offset) * kern_out_c;
+        float* acc_px =
+            acc_row + static_cast<std::ptrdiff_t>(ow) * acc_stride;
+        ForEachChunk(out.c, [&](int oc, auto chunk) {
+          using C = decltype(chunk);
+          using V = typename C::Type;
+          V a[C::kCount];
+          for (int v = 0; v < C::kCount; ++v) {
+            a[v] = overwrite ? V{} : Load<V>(acc_px + oc + v * C::kStep);
           }
-          if (any_taps) {
-            for (int ky = ky_lo; ky < ky_end; ++ky) {
-              const int ih = ph + ky * attrs.dilation;
-              const float* in_run = input.PixelRun(n, ih, iw0, iw_run);
-              for (int kx = kx_lo; kx < kx_end; ++kx) {
-                const float* in_px =
-                    in_run + static_cast<std::ptrdiff_t>(kx - kx_lo) *
-                                 attrs.dilation * in_stride;
-                const std::size_t tap_base =
-                    (static_cast<std::size_t>(ky) * attrs.kernel_w + kx) *
-                    static_cast<std::size_t>(weights.in_c);
-                for (int ic = 0; ic < in.c; ++ic) {
-                  const float x = in_px[ic];
-                  const float* w_row =
-                      kern + (tap_base + static_cast<std::size_t>(
-                                             ic_offset + ic)) *
-                                 static_cast<std::size_t>(weights.out_c) +
-                      oc0;
-                  for (int j = 0; j < tc; ++j) tile[j] += x * w_row[j];
+          for (int r = 0; r < taps.rows; ++r) {
+            const float* x = taps.At(r, 0);
+            const float* w_row =
+                w_taps + r * attrs.kernel_w * tap_stride + oc;
+            for (int c = 0; c < taps.cols; ++c, x += taps.dx) {
+              const float* w = w_row + c * tap_stride;
+              for (int ic = 0; ic < in.c; ++ic, w += kern_out_c) {
+                for (int v = 0; v < C::kCount; ++v) {
+                  a[v] += x[ic] * Load<V>(w + v * C::kStep);
                 }
               }
             }
           }
-          if (add_bias) {
-            for (int j = 0; j < tc; ++j) tile[j] += bias[oc0 + j];
+          for (int v = 0; v < C::kCount; ++v) {
+            if (add_bias) a[v] += Load<V>(bias + oc + v * C::kStep);
+            Store(acc_px + oc + v * C::kStep, a[v]);
           }
-          for (int j = 0; j < tc; ++j) acc_px[oc0 + j] = tile[j];
-        }
+        });
       }
     }
   }
@@ -131,53 +248,38 @@ void DepthwiseConv2dPartial(const Tensor& input,
   SERENITY_CHECK_LE(out_c_offset + in.c, out.shape().c);
   const internal::Padding2d pad =
       internal::ComputePadding(in, attrs, out.shape().h, out.shape().w);
-  const float* kern = weights.kernel.data();
-  const float* bias = weights.bias.data();
-  const int in_stride = input.pixel_stride();
+  const float* kern = weights.kernel.data() + weight_c_offset;
+  const float* bias = weights.bias.data() + weight_c_offset;
+  const std::size_t kern_c = static_cast<std::size_t>(weights.c);
 
   for (int n = 0; n < out.shape().n; ++n) {
     for (int oh = 0; oh < out.shape().h; ++oh) {
-      const int ph = oh * attrs.stride - pad.top;
-      const int ky_lo = internal::FirstValidTap(ph, attrs.dilation);
-      const int ky_end =
-          internal::EndValidTap(ph, attrs.dilation, attrs.kernel_h, in.h);
       for (int ow = 0; ow < out.shape().w; ++ow) {
-        const int pw = ow * attrs.stride - pad.left;
-        const int kx_lo = internal::FirstValidTap(pw, attrs.dilation);
-        const int kx_end =
-            internal::EndValidTap(pw, attrs.dilation, attrs.kernel_w, in.w);
-        const bool any_taps = ky_lo < ky_end && kx_lo < kx_end;
-        const int iw0 = pw + kx_lo * attrs.dilation;
-        const int iw_run =
-            any_taps ? (kx_end - 1 - kx_lo) * attrs.dilation + 1 : 0;
+        const PixelTaps taps =
+            TapsAt(input, n, oh * attrs.stride - pad.top,
+                   ow * attrs.stride - pad.left, attrs.kernel_h,
+                   attrs.kernel_w, attrs.dilation);
         float* out_px = out.PixelRun(n, oh, ow, 1) + out_c_offset;
-        for (int c0 = 0; c0 < in.c; c0 += kTile) {
-          const int tc = std::min(kTile, in.c - c0);
-          float tile[kTile];
-          for (int j = 0; j < tc; ++j) {
-            tile[j] = bias[weight_c_offset + c0 + j];
+        ForEachChunk(in.c, [&](int c0, auto chunk) {
+          using C = decltype(chunk);
+          using V = typename C::Type;
+          V a[C::kCount];
+          for (int v = 0; v < C::kCount; ++v) {
+            a[v] = Load<V>(bias + c0 + v * C::kStep);
           }
-          if (any_taps) {
-            for (int ky = ky_lo; ky < ky_end; ++ky) {
-              const int ih = ph + ky * attrs.dilation;
-              const float* in_run = input.PixelRun(n, ih, iw0, iw_run);
-              for (int kx = kx_lo; kx < kx_end; ++kx) {
-                const float* in_px =
-                    in_run + static_cast<std::ptrdiff_t>(kx - kx_lo) *
-                                 attrs.dilation * in_stride;
-                const float* w_row =
-                    kern + (static_cast<std::size_t>(ky) * attrs.kernel_w +
-                            kx) *
-                               static_cast<std::size_t>(weights.c) +
-                    weight_c_offset + c0;
-                for (int j = 0; j < tc; ++j) {
-                  tile[j] += in_px[c0 + j] * w_row[j];
-                }
+          for (int r = 0; r < taps.rows; ++r) {
+            for (int c = 0; c < taps.cols; ++c) {
+              const float* x = taps.At(r, c) + c0;
+              const float* w = kern + taps.Index(r, c) * kern_c + c0;
+              for (int v = 0; v < C::kCount; ++v) {
+                a[v] += Load<V>(x + v * C::kStep) * Load<V>(w + v * C::kStep);
               }
             }
           }
-          for (int j = 0; j < tc; ++j) out_px[c0 + j] = tile[j];
-        }
+          for (int v = 0; v < C::kCount; ++v) {
+            Store(out_px + c0 + v * C::kStep, a[v]);
+          }
+        });
       }
     }
   }
@@ -191,39 +293,43 @@ void DenseInto(const Tensor& input, const DenseWeights& weights,
                  (graph::TensorShape{in.n, 1, 1, weights.units}))
       << "Dense output shape mismatch";
   const float* kern = weights.kernel.data();
+  const float* bias = weights.bias.data();
   const std::size_t units = static_cast<std::size_t>(weights.units);
   const int in_stride = input.pixel_stride();
 
   for (int n = 0; n < in.n; ++n) {
     float* out_px = out.PixelRun(n, 0, 0, 1);
-    for (int u0 = 0; u0 < weights.units; u0 += kTile) {
-      const int tc = std::min(kTile, weights.units - u0);
-      float tile[kTile];
-      for (int j = 0; j < tc; ++j) tile[j] = weights.bias[u0 + j];
-      // i walks the flattened (h, w, c) kernel rows in logical order, so
+    ForEachChunk(weights.units, [&](int u, auto chunk) {
+      using C = decltype(chunk);
+      using V = typename C::Type;
+      V a[C::kCount];
+      for (int v = 0; v < C::kCount; ++v) {
+        a[v] = Load<V>(bias + u + v * C::kStep);
+      }
+      // w walks the flattened (h, w, c) kernel rows in logical order, so
       // each unit's summation order matches the reference exactly.
-      std::size_t i = 0;
+      const float* w = kern + u;
       for (int h = 0; h < in.h; ++h) {
         const float* in_row = input.PixelRun(n, h, 0, in.w);
-        for (int w = 0; w < in.w; ++w) {
+        for (int x = 0; x < in.w; ++x) {
           const float* in_px =
-              in_row + static_cast<std::ptrdiff_t>(w) * in_stride;
-          for (int c = 0; c < in.c; ++c) {
-            const float x = in_px[c];
-            const float* w_row = kern + i * units + u0;
-            for (int j = 0; j < tc; ++j) tile[j] += x * w_row[j];
-            ++i;
+              in_row + static_cast<std::ptrdiff_t>(x) * in_stride;
+          for (int c = 0; c < in.c; ++c, w += units) {
+            for (int v = 0; v < C::kCount; ++v) {
+              a[v] += in_px[c] * Load<V>(w + v * C::kStep);
+            }
           }
         }
       }
-      for (int j = 0; j < tc; ++j) out_px[u0 + j] = tile[j];
-    }
+      for (int v = 0; v < C::kCount; ++v) {
+        Store(out_px + u + v * C::kStep, a[v]);
+      }
+    });
   }
 }
 
 void ConcatInto(const std::vector<const Tensor*>& inputs, Tensor& out) {
   SERENITY_CHECK_GE(inputs.size(), 2u);
-  SERENITY_CHECK_LE(inputs.size(), static_cast<std::size_t>(kMaxInputs));
   graph::TensorShape cat_shape = inputs[0]->shape();
   cat_shape.c = 0;
   for (const Tensor* t : inputs) {
@@ -253,10 +359,15 @@ void ConcatInto(const std::vector<const Tensor*>& inputs, Tensor& out) {
   }
 }
 
-void AddInto(const std::vector<const Tensor*>& inputs, Tensor& out) {
-  CheckSameShape(inputs);
+namespace {
+
+// Add and Mul: out = init (op) inputs[0] (op) inputs[1] ..., in input
+// order. Every input of a chunk is read before the chunk is written, so
+// `out` may alias any input (the in-place contract).
+template <typename Op>
+void FoldInto(const std::vector<const Tensor*>& inputs, float init,
+              const Op& op, Tensor& out) {
   const graph::TensorShape s = inputs[0]->shape();
-  SERENITY_CHECK(out.shape() == s) << "Add output shape mismatch";
   const int num = static_cast<int>(inputs.size());
   const int os = out.pixel_stride();
   const float* rows[kMaxInputs];
@@ -269,177 +380,164 @@ void AddInto(const std::vector<const Tensor*>& inputs, Tensor& out) {
         rows[t] = inputs[t]->PixelRun(n, h, 0, s.w);
       }
       for (int w = 0; w < s.w; ++w) {
-        // All inputs of an element are read before it is written, so `out`
-        // may alias any input (the in-place contract).
-        for (int c = 0; c < s.c; ++c) {
-          float sum = 0.0f;
+        float* o = out_row + static_cast<std::ptrdiff_t>(w) * os;
+        ForEachChunk(s.c, [&](int c, auto chunk) {
+          using C = decltype(chunk);
+          using V = typename C::Type;
+          V a[C::kCount];
+          for (int v = 0; v < C::kCount; ++v) a[v] = Splat<V>(init);
           for (int t = 0; t < num; ++t) {
-            sum += rows[t][static_cast<std::ptrdiff_t>(w) * strides[t] + c];
+            const float* x =
+                rows[t] + static_cast<std::ptrdiff_t>(w) * strides[t] + c;
+            for (int v = 0; v < C::kCount; ++v) {
+              a[v] = op(a[v], Load<V>(x + v * C::kStep));
+            }
           }
-          out_row[static_cast<std::ptrdiff_t>(w) * os + c] = sum;
-        }
+          for (int v = 0; v < C::kCount; ++v) {
+            Store(o + c + v * C::kStep, a[v]);
+          }
+        });
       }
     }
   }
+}
+
+// out = fn(input values, their first channel), chunk by chunk.
+template <typename Fn>
+void MapInto(const Tensor& input, const Fn& fn, Tensor& out) {
+  const graph::TensorShape s = input.shape();
+  const int is = input.pixel_stride();
+  const int os = out.pixel_stride();
+  for (int n = 0; n < s.n; ++n) {
+    for (int h = 0; h < s.h; ++h) {
+      const float* in_row = input.PixelRun(n, h, 0, s.w);
+      float* out_row = out.PixelRun(n, h, 0, s.w);
+      for (int w = 0; w < s.w; ++w) {
+        const float* x = in_row + static_cast<std::ptrdiff_t>(w) * is;
+        float* o = out_row + static_cast<std::ptrdiff_t>(w) * os;
+        ForEachChunk(s.c, [&](int c, auto chunk) {
+          using C = decltype(chunk);
+          using V = typename C::Type;
+          for (int v = 0; v < C::kCount; ++v) {
+            const int j = c + v * C::kStep;
+            Store(o + j, fn(Load<V>(x + j), j));
+          }
+        });
+      }
+    }
+  }
+}
+
+}  // namespace
+
+void AddInto(const std::vector<const Tensor*>& inputs, Tensor& out) {
+  CheckSameShape(inputs);
+  SERENITY_CHECK(out.shape() == inputs[0]->shape())
+      << "Add output shape mismatch";
+  FoldInto(
+      inputs, 0.0f, [](const auto& a, const auto& x) { return a + x; }, out);
 }
 
 void MulInto(const std::vector<const Tensor*>& inputs, Tensor& out) {
   CheckSameShape(inputs);
-  const graph::TensorShape s = inputs[0]->shape();
-  SERENITY_CHECK(out.shape() == s) << "Mul output shape mismatch";
-  const int num = static_cast<int>(inputs.size());
-  const int os = out.pixel_stride();
-  const float* rows[kMaxInputs];
-  int strides[kMaxInputs];
-  for (int t = 0; t < num; ++t) strides[t] = inputs[t]->pixel_stride();
-  for (int n = 0; n < s.n; ++n) {
-    for (int h = 0; h < s.h; ++h) {
-      float* out_row = out.PixelRun(n, h, 0, s.w);
-      for (int t = 0; t < num; ++t) {
-        rows[t] = inputs[t]->PixelRun(n, h, 0, s.w);
-      }
-      for (int w = 0; w < s.w; ++w) {
-        for (int c = 0; c < s.c; ++c) {
-          float product = 1.0f;
-          for (int t = 0; t < num; ++t) {
-            product *=
-                rows[t][static_cast<std::ptrdiff_t>(w) * strides[t] + c];
-          }
-          out_row[static_cast<std::ptrdiff_t>(w) * os + c] = product;
-        }
-      }
-    }
-  }
+  SERENITY_CHECK(out.shape() == inputs[0]->shape())
+      << "Mul output shape mismatch";
+  FoldInto(
+      inputs, 1.0f, [](const auto& a, const auto& x) { return a * x; }, out);
 }
 
 void ReluInto(const Tensor& input, Tensor& out) {
-  const graph::TensorShape s = input.shape();
-  SERENITY_CHECK(out.shape() == s) << "Relu output shape mismatch";
-  const int is = input.pixel_stride();
-  const int os = out.pixel_stride();
-  for (int n = 0; n < s.n; ++n) {
-    for (int h = 0; h < s.h; ++h) {
-      const float* in_row = input.PixelRun(n, h, 0, s.w);
-      float* out_row = out.PixelRun(n, h, 0, s.w);
-      for (int w = 0; w < s.w; ++w) {
-        const float* x = in_row + static_cast<std::ptrdiff_t>(w) * is;
-        float* o = out_row + static_cast<std::ptrdiff_t>(w) * os;
-        for (int c = 0; c < s.c; ++c) o[c] = std::max(0.0f, x[c]);
-      }
-    }
-  }
+  SERENITY_CHECK(out.shape() == input.shape()) << "Relu output shape mismatch";
+  MapInto(
+      input,
+      [](const auto& x, int) {
+        using V = std::remove_cvref_t<decltype(x)>;
+        return Max(V{}, x);
+      },
+      out);
 }
 
 void BatchNormInto(const Tensor& input, const BatchNormWeights& weights,
                    Tensor& out) {
-  const graph::TensorShape s = input.shape();
-  SERENITY_CHECK_EQ(weights.scale.size(), static_cast<std::size_t>(s.c));
-  SERENITY_CHECK(out.shape() == s) << "BatchNorm output shape mismatch";
+  SERENITY_CHECK_EQ(weights.scale.size(),
+                    static_cast<std::size_t>(input.shape().c));
+  SERENITY_CHECK(out.shape() == input.shape())
+      << "BatchNorm output shape mismatch";
   const float* scale = weights.scale.data();
   const float* shift = weights.shift.data();
-  const int is = input.pixel_stride();
-  const int os = out.pixel_stride();
-  for (int n = 0; n < s.n; ++n) {
-    for (int h = 0; h < s.h; ++h) {
-      const float* in_row = input.PixelRun(n, h, 0, s.w);
-      float* out_row = out.PixelRun(n, h, 0, s.w);
-      for (int w = 0; w < s.w; ++w) {
-        const float* x = in_row + static_cast<std::ptrdiff_t>(w) * is;
-        float* o = out_row + static_cast<std::ptrdiff_t>(w) * os;
-        for (int c = 0; c < s.c; ++c) o[c] = x[c] * scale[c] + shift[c];
+  MapInto(
+      input,
+      [&](const auto& x, int c) {
+        using V = std::remove_cvref_t<decltype(x)>;
+        return x * Load<V>(scale + c) + Load<V>(shift + c);
+      },
+      out);
+}
+
+namespace {
+
+// Max and average pooling: out = finish(fold(init, taps), tap count) per
+// channel, folding the valid taps in (ky, kx) order.
+template <typename Fold, typename Finish>
+void PoolInto(const Tensor& input, const graph::ConvAttrs& attrs, float init,
+              const Fold& fold, const Finish& finish, Tensor& out) {
+  const graph::TensorShape in = input.shape();
+  const graph::TensorShape os = out.shape();
+  SERENITY_CHECK(os == graph::InferPoolShape(in, attrs))
+      << "Pool2d output shape mismatch";
+  const internal::Padding2d pad =
+      internal::ComputePadding(in, attrs, os.h, os.w);
+  for (int n = 0; n < os.n; ++n) {
+    for (int oh = 0; oh < os.h; ++oh) {
+      for (int ow = 0; ow < os.w; ++ow) {
+        const PixelTaps taps = TapsAt(
+            input, n, oh * attrs.stride - pad.top,
+            ow * attrs.stride - pad.left, attrs.kernel_h, attrs.kernel_w,
+            /*dilation=*/1);
+        const int count = taps.rows * taps.cols;
+        float* out_px = out.PixelRun(n, oh, ow, 1);
+        ForEachChunk(os.c, [&](int c0, auto chunk) {
+          using C = decltype(chunk);
+          using V = typename C::Type;
+          V a[C::kCount];
+          for (int v = 0; v < C::kCount; ++v) a[v] = Splat<V>(init);
+          for (int r = 0; r < taps.rows; ++r) {
+            for (int c = 0; c < taps.cols; ++c) {
+              const float* x = taps.At(r, c) + c0;
+              for (int v = 0; v < C::kCount; ++v) {
+                a[v] = fold(a[v], Load<V>(x + v * C::kStep));
+              }
+            }
+          }
+          for (int v = 0; v < C::kCount; ++v) {
+            Store(out_px + c0 + v * C::kStep, finish(a[v], count));
+          }
+        });
       }
     }
   }
 }
 
+}  // namespace
+
 void MaxPool2dInto(const Tensor& input, const graph::ConvAttrs& attrs,
                    Tensor& out) {
-  const graph::TensorShape in = input.shape();
-  SERENITY_CHECK(out.shape() == graph::InferPoolShape(in, attrs))
-      << "MaxPool2d output shape mismatch";
-  const internal::Padding2d pad =
-      internal::ComputePadding(in, attrs, out.shape().h, out.shape().w);
-  const int in_stride = input.pixel_stride();
-  for (int n = 0; n < out.shape().n; ++n) {
-    for (int oh = 0; oh < out.shape().h; ++oh) {
-      const int ph = oh * attrs.stride - pad.top;
-      const int ky_lo = internal::FirstValidTap(ph, 1);
-      const int ky_end = internal::EndValidTap(ph, 1, attrs.kernel_h, in.h);
-      for (int ow = 0; ow < out.shape().w; ++ow) {
-        const int pw = ow * attrs.stride - pad.left;
-        const int kx_lo = internal::FirstValidTap(pw, 1);
-        const int kx_end = internal::EndValidTap(pw, 1, attrs.kernel_w, in.w);
-        const bool any_taps = ky_lo < ky_end && kx_lo < kx_end;
-        const int iw_run = any_taps ? kx_end - kx_lo : 0;
-        float* out_px = out.PixelRun(n, oh, ow, 1);
-        for (int c0 = 0; c0 < out.shape().c; c0 += kTile) {
-          const int tc = std::min(kTile, out.shape().c - c0);
-          float tile[kTile];
-          for (int j = 0; j < tc; ++j) {
-            tile[j] = std::numeric_limits<float>::lowest();
-          }
-          if (any_taps) {
-            for (int ky = ky_lo; ky < ky_end; ++ky) {
-              const float* in_run =
-                  input.PixelRun(n, ph + ky, pw + kx_lo, iw_run);
-              for (int kx = kx_lo; kx < kx_end; ++kx) {
-                const float* in_px =
-                    in_run +
-                    static_cast<std::ptrdiff_t>(kx - kx_lo) * in_stride;
-                for (int j = 0; j < tc; ++j) {
-                  tile[j] = std::max(tile[j], in_px[c0 + j]);
-                }
-              }
-            }
-          }
-          for (int j = 0; j < tc; ++j) out_px[c0 + j] = tile[j];
-        }
-      }
-    }
-  }
+  PoolInto(
+      input, attrs, std::numeric_limits<float>::lowest(),
+      [](const auto& a, const auto& x) { return Max(a, x); },
+      [](const auto& a, int) { return a; }, out);
 }
 
 void AvgPool2dInto(const Tensor& input, const graph::ConvAttrs& attrs,
                    Tensor& out) {
-  const graph::TensorShape in = input.shape();
-  SERENITY_CHECK(out.shape() == graph::InferPoolShape(in, attrs))
-      << "AvgPool2d output shape mismatch";
-  const internal::Padding2d pad =
-      internal::ComputePadding(in, attrs, out.shape().h, out.shape().w);
-  const int in_stride = input.pixel_stride();
-  for (int n = 0; n < out.shape().n; ++n) {
-    for (int oh = 0; oh < out.shape().h; ++oh) {
-      const int ph = oh * attrs.stride - pad.top;
-      const int ky_lo = internal::FirstValidTap(ph, 1);
-      const int ky_end = internal::EndValidTap(ph, 1, attrs.kernel_h, in.h);
-      for (int ow = 0; ow < out.shape().w; ++ow) {
-        const int pw = ow * attrs.stride - pad.left;
-        const int kx_lo = internal::FirstValidTap(pw, 1);
-        const int kx_end = internal::EndValidTap(pw, 1, attrs.kernel_w, in.w);
-        const int count = (ky_end - ky_lo) * (kx_end - kx_lo);
+  PoolInto(
+      input, attrs, 0.0f, [](const auto& a, const auto& x) { return a + x; },
+      [](const auto& a, int count) {
+        // Average over the valid taps only (TFLite SAME).
         SERENITY_CHECK_GT(count, 0);
-        const int iw_run = kx_end - kx_lo;
-        float* out_px = out.PixelRun(n, oh, ow, 1);
-        for (int c0 = 0; c0 < out.shape().c; c0 += kTile) {
-          const int tc = std::min(kTile, out.shape().c - c0);
-          float tile[kTile];
-          for (int j = 0; j < tc; ++j) tile[j] = 0.0f;
-          for (int ky = ky_lo; ky < ky_end; ++ky) {
-            const float* in_run =
-                input.PixelRun(n, ph + ky, pw + kx_lo, iw_run);
-            for (int kx = kx_lo; kx < kx_end; ++kx) {
-              const float* in_px =
-                  in_run +
-                  static_cast<std::ptrdiff_t>(kx - kx_lo) * in_stride;
-              for (int j = 0; j < tc; ++j) tile[j] += in_px[c0 + j];
-            }
-          }
-          const float denom = static_cast<float>(count);
-          for (int j = 0; j < tc; ++j) out_px[c0 + j] = tile[j] / denom;
-        }
-      }
-    }
-  }
+        return a / static_cast<float>(count);
+      },
+      out);
 }
 
 void GlobalAvgPool2dInto(const Tensor& input, Tensor& out) {
@@ -450,21 +548,29 @@ void GlobalAvgPool2dInto(const Tensor& input, Tensor& out) {
   const int in_stride = input.pixel_stride();
   for (int n = 0; n < in.n; ++n) {
     float* out_px = out.PixelRun(n, 0, 0, 1);
-    for (int c0 = 0; c0 < in.c; c0 += kTile) {
-      const int tc = std::min(kTile, in.c - c0);
-      float tile[kTile];
-      for (int j = 0; j < tc; ++j) tile[j] = 0.0f;
+    ForEachChunk(in.c, [&](int c0, auto chunk) {
+      using C = decltype(chunk);
+      using V = typename C::Type;
+      V a[C::kCount];
+      for (int v = 0; v < C::kCount; ++v) a[v] = V{};
       for (int h = 0; h < in.h; ++h) {
-        const float* in_row = input.PixelRun(n, h, 0, in.w);
+        const float* in_row = input.PixelRun(n, h, 0, in.w) + c0;
         for (int w = 0; w < in.w; ++w) {
-          const float* in_px =
-              in_row + static_cast<std::ptrdiff_t>(w) * in_stride;
-          for (int j = 0; j < tc; ++j) tile[j] += in_px[c0 + j];
+          const float* x = in_row + static_cast<std::ptrdiff_t>(w) * in_stride;
+          for (int v = 0; v < C::kCount; ++v) {
+            a[v] += Load<V>(x + v * C::kStep);
+          }
         }
       }
-      for (int j = 0; j < tc; ++j) out_px[c0 + j] = tile[j] / denom;
-    }
+      for (int v = 0; v < C::kCount; ++v) {
+        Store(out_px + c0 + v * C::kStep, a[v] / denom);
+      }
+    });
   }
 }
 
-}  // namespace serenity::runtime::blocked
+}  // namespace serenity::runtime::SERENITY_KERNELS_NS
+
+#if defined(SERENITY_KERNELS_AVX2)
+#pragma GCC pop_options
+#endif

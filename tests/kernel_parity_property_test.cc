@@ -4,12 +4,14 @@
 // Backend::kReference oracle for the same call sequence.
 //
 // Bit-identity is the contract, not a tolerance: the blocked and AVX2
-// kernels block/vectorize only across independent outputs, preserve each
-// output's summation order, and use no FMA, so they compute the exact same
-// float sequence the reference loops compute (see DESIGN.md "Kernel
-// backends & dispatch"). The shapes exercise channel-window views on inputs
-// and outputs, SAME/VALID padding, strides, dilations, and the partial-op
-// channel offsets the rewriter emits.
+// builds of the vectorized kernels vectorize only across independent
+// outputs, preserve each output's summation order, and use no FMA, so they
+// compute the exact same float sequence the reference loops compute (see
+// DESIGN.md "Bit-identity contract and the ULP policy"). The shapes
+// exercise channel-window views on inputs and outputs, SAME/VALID padding,
+// strides, dilations, the partial-op channel offsets the rewriter emits,
+// and channel counts wide enough to reach every vector chunk width and its
+// scalar tail.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,6 +20,7 @@
 #include <deque>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/types.h"
@@ -115,7 +118,7 @@ TEST(KernelParity, Conv2dFullAndPartial) {
                                rng.NextInt(lo, lo + 6),
                                rng.NextInt(lo, lo + 6),
                                rng.NextInt(1, 12)};
-    const int out_c = rng.NextInt(1, 20);
+    const int out_c = rng.NextInt(1, 72);
     const ConvWeights w = MakeConvWeights(1000u + iter, attrs.kernel_h,
                                           attrs.kernel_w, in_shape.c, out_c);
     const WindowGeom in_geom = RandomGeom(rng);
@@ -179,7 +182,7 @@ TEST(KernelParity, DepthwiseFullAndPartial) {
     const TensorShape in_shape{rng.NextInt(1, 2),
                                rng.NextInt(lo, lo + 6),
                                rng.NextInt(lo, lo + 6),
-                               rng.NextInt(1, 16)};
+                               rng.NextInt(1, 40)};
     const DepthwiseWeights w = MakeDepthwiseWeights(
         2000u + iter, attrs.kernel_h, attrs.kernel_w, in_shape.c);
     const WindowGeom in_geom = RandomGeom(rng);
@@ -228,6 +231,47 @@ TEST(KernelParity, DepthwiseFullAndPartial) {
   }
 }
 
+// Kernel heights and widths past 16 — the graph format puts no cap on
+// them — run on every backend, bit-identical to the reference.
+TEST(KernelParity, TallAndWideKernels) {
+  const std::vector<Backend> backends = BackendsUnderTest();
+  const TensorShape in_shape{1, 20, 19, 5};
+  const int out_c = 37;
+  int seed = 0;
+  for (const auto& [kh, kw] : {std::pair{17, 1}, {1, 17}, {17, 17}}) {
+    for (const Padding padding : {Padding::kSame, Padding::kValid}) {
+      ++seed;
+      ConvAttrs attrs;
+      attrs.kernel_h = kh;
+      attrs.kernel_w = kw;
+      attrs.padding = padding;
+      const ConvWeights cw =
+          MakeConvWeights(3000u + seed, kh, kw, in_shape.c, out_c);
+      const DepthwiseWeights dw =
+          MakeDepthwiseWeights(4000u + seed, kh, kw, in_shape.c);
+      util::Rng fill(7200u + seed);
+      const Tensor in = Tensor::Random(in_shape, fill);
+      const KernelBackend& ref = GetKernelBackend(Backend::kReference);
+      Tensor conv_want(graph::InferConv2dShape(in_shape, attrs, out_c));
+      Tensor dw_want(graph::InferDepthwiseShape(in_shape, attrs));
+      ref.Conv2dInto(in, cw, attrs, conv_want);
+      ref.DepthwiseConv2dInto(in, dw, attrs, dw_want);
+      for (const Backend b : backends) {
+        const KernelBackend& k = GetKernelBackend(b);
+        const std::string ctx = std::to_string(kh) + "x" +
+                                std::to_string(kw) + " kernel, backend " +
+                                ToString(b);
+        Tensor conv_got(conv_want.shape());
+        Tensor dw_got(dw_want.shape());
+        k.Conv2dInto(in, cw, attrs, conv_got);
+        k.DepthwiseConv2dInto(in, dw, attrs, dw_got);
+        ExpectBitIdentical(conv_got, conv_want, "conv " + ctx);
+        ExpectBitIdentical(dw_got, dw_want, "dw " + ctx);
+      }
+    }
+  }
+}
+
 // One shared driver for the ops whose call shape is (inputs...) -> out.
 template <typename RunFn>
 void ElementwiseStyleParity(std::uint64_t seed, const char* what,
@@ -262,7 +306,7 @@ TEST(KernelParity, ConcatAddMul) {
       0xCA7u, "concat/add/mul",
       [](const KernelBackend& k, util::Rng& rng, util::Rng& fill) {
         const TensorShape base{rng.NextInt(1, 2), rng.NextInt(1, 6),
-                               rng.NextInt(1, 6), rng.NextInt(1, 12)};
+                               rng.NextInt(1, 6), rng.NextInt(1, 40)};
         const int num = rng.NextInt(2, 4);
         const int op = rng.NextInt(0, 2);  // 0=concat, 1=add, 2=mul
         std::deque<Tensor> store;
@@ -270,7 +314,7 @@ TEST(KernelParity, ConcatAddMul) {
         int total_c = 0;
         for (int i = 0; i < num; ++i) {
           TensorShape s = base;
-          if (op == 0) s.c = rng.NextInt(1, 8);  // concat: ragged channels
+          if (op == 0) s.c = rng.NextInt(1, 40);  // concat: ragged channels
           total_c += s.c;
           const WindowGeom geom = RandomGeom(rng);
           store.push_back(MakeTensor(s, geom, fill, store));
@@ -296,7 +340,7 @@ TEST(KernelParity, ReluAndBatchNorm) {
       0xBEEFu, "relu/bn",
       [](const KernelBackend& k, util::Rng& rng, util::Rng& fill) {
         const TensorShape s{rng.NextInt(1, 2), rng.NextInt(1, 7),
-                            rng.NextInt(1, 7), rng.NextInt(1, 20)};
+                            rng.NextInt(1, 7), rng.NextInt(1, 40)};
         std::deque<Tensor> store;
         const Tensor in = MakeTensor(s, RandomGeom(rng), fill, store);
         Tensor out = MakeTensor(s, RandomGeom(rng), fill, store);
@@ -319,7 +363,7 @@ TEST(KernelParity, Pooling) {
         attrs.dilation = 1;  // pooling contract: dilation unused
         const int lo = MinExtent(attrs);
         const TensorShape s{rng.NextInt(1, 2), rng.NextInt(lo, lo + 6),
-                            rng.NextInt(lo, lo + 6), rng.NextInt(1, 16)};
+                            rng.NextInt(lo, lo + 6), rng.NextInt(1, 40)};
         std::deque<Tensor> store;
         const Tensor in = MakeTensor(s, RandomGeom(rng), fill, store);
         const int op = rng.NextInt(0, 2);  // 0=max, 1=avg, 2=gap
@@ -346,7 +390,7 @@ TEST(KernelParity, Dense) {
       [](const KernelBackend& k, util::Rng& rng, util::Rng& fill) {
         const TensorShape s{rng.NextInt(1, 2), rng.NextInt(1, 5),
                             rng.NextInt(1, 5), rng.NextInt(1, 10)};
-        const int units = rng.NextInt(1, 24);
+        const int units = rng.NextInt(1, 72);
         const DenseWeights w = MakeDenseWeights(rng.NextInt(0, 1 << 20),
                                                 s.h * s.w * s.c, units);
         std::deque<Tensor> store;
@@ -365,7 +409,7 @@ TEST(KernelParity, AliasedElementwiseMatchesReference) {
   util::Rng rng(0xA11A5u);
   for (int iter = 0; iter < 200; ++iter) {
     const TensorShape s{1, rng.NextInt(1, 6), rng.NextInt(1, 6),
-                        rng.NextInt(1, 20)};
+                        rng.NextInt(1, 40)};
     util::Rng fill(5000u + iter);
     const Tensor a = Tensor::Random(s, fill);
     const Tensor b = Tensor::Random(s, fill);
