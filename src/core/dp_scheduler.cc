@@ -84,12 +84,16 @@ class DpRunner {
                                std::thread::hardware_concurrency())));
     }
 
-    // Level 0: the empty schedule (Algorithm 1 lines 4-5).
+    // Level 0: the empty schedule (Algorithm 1 lines 4-5). Its frontier
+    // mask is the one computed from scratch; every later state derives its
+    // own from its parent's (ExpansionTables::ChildFrontier).
     StateLevel current;
     current.Init(words_, 1, 1);
     const std::vector<std::uint64_t> empty(words_, 0);
-    current.InsertOrRelax(empty.data(), SignatureHasher::kEmptyHash, 0, 0,
-                          0, -1, -1);
+    std::vector<std::uint64_t> root_frontier(words_);
+    tables_.FrontierMask(empty.data(), root_frontier.data());
+    current.InsertOrRelax(empty.data(), root_frontier.data(),
+                          SignatureHasher::kEmptyHash, 0, 0, 0, -1, -1);
     current.Seal();
 
     for (std::size_t i = 0; i < num_nodes_; ++i) {
@@ -222,24 +226,32 @@ class DpRunner {
   // schedule already in hand. A pure function of the child signature, so
   // every duplicate candidate agrees and relax winners (hence the
   // reconstructed schedule) are the unpruned search's. `child` holds the
-  // child's signature; `allocs` are the parent's frontier allocs.
+  // child's signature; `allocs` are the parent's frontier allocs and
+  // `newly_ready` the successors of u that the child made ready.
   bool FloorExceedsIncumbent(const ExpansionTables::Transition& t,
                              const std::uint64_t* child, std::int32_t u,
-                             const ExpansionTables::FrontierAllocs& allocs)
+                             const ExpansionTables::FrontierAllocs& allocs,
+                             const std::vector<std::int32_t>& newly_ready)
       const {
     if (!bound_pruning_) return false;
-    const std::int64_t floor = tables_.ChildNextAllocFloor(child, u, allocs);
+    const std::int64_t floor =
+        tables_.ChildNextAllocFloor(child, u, allocs, newly_ready);
     return floor != ExpansionTables::kNoAlloc &&
            t.footprint + floor > incumbent_;
   }
 
   // Sequential expansion of one level (Algorithm 1 lines 9-24, plus the
   // branch-and-bound cuts: step peak, then child floor, each against the
-  // incumbent). Returns false on step timeout or state-cap overrun.
+  // incumbent). A parent's frontier is read off its stored mask; a child
+  // that survives the step cut gets its mask from one successor scan,
+  // whose newly ready nodes also feed the floor. Returns false on step
+  // timeout or state-cap overrun.
   bool ExpandLevel(const StateLevel& current, StateLevel& next,
                    const util::Stopwatch& level_clock) {
     std::vector<std::int32_t> frontier;
+    std::vector<std::int32_t> newly_ready;
     std::vector<std::uint64_t> child(words_);
+    std::vector<std::uint64_t> child_mask(words_);
     ExpansionTables::FrontierAllocs allocs;
     for (std::size_t s = 0; s < current.size(); ++s) {
       if ((s & 0x3f) == 0 && s != 0 &&
@@ -247,11 +259,12 @@ class DpRunner {
         return false;
       }
       const std::uint64_t* sig = current.signature(s);
+      const std::uint64_t* mask = current.frontier(s);
       const std::int64_t peak = current.peak(s);
       const std::int64_t footprint = current.footprint(s);
       const std::uint64_t hash = current.hash(s);
       frontier.clear();
-      tables_.AppendFrontier(sig, &frontier);
+      util::SpanAppendSetBits(mask, words_, &frontier);
       // The children's floors come from these allocs, computed once per
       // parent; the has_cowriter fast path keeps the scan cheap.
       if (bound_pruning_) tables_.ComputeFrontierAllocs(sig, frontier, &allocs);
@@ -272,11 +285,13 @@ class DpRunner {
         }
         std::copy(sig, sig + words_, child.data());
         util::SpanSetBit(child.data(), static_cast<std::size_t>(u));
-        if (FloorExceedsIncumbent(t, child.data(), u, allocs)) {
+        tables_.ChildFrontier(mask, child.data(), u, child_mask.data(),
+                              &newly_ready);
+        if (FloorExceedsIncumbent(t, child.data(), u, allocs, newly_ready)) {
           ++pruned_.frontier_floor;
           continue;
         }
-        if (next.InsertOrRelax(child.data(),
+        if (next.InsertOrRelax(child.data(), child_mask.data(),
                                hash ^ hasher_.key(static_cast<std::size_t>(u)),
                                t.footprint, std::max(peak, t.step_peak),
                                hasher_.candidate_tie(
@@ -314,7 +329,7 @@ class DpRunner {
   }
 
   // Sharded parallel expansion: every thread scans the whole parent level
-  // (the frontier recomputation is duplicated — it is cheap) but computes
+  // (the frontier decode is duplicated — it is cheap) but computes
   // and inserts only the transitions whose child hash falls in its shards,
   // so each sub-table has exactly one writer and per-shard insertion order
   // is the same ascending (state, node) order regardless of scheduling —
@@ -340,7 +355,9 @@ class DpRunner {
     };
     auto worker = [&](int thread_index) {
       std::vector<std::int32_t> frontier;
+      std::vector<std::int32_t> newly_ready;
       std::vector<std::uint64_t> child(words_);
+      std::vector<std::uint64_t> child_mask(words_);
       ExpansionTables::FrontierAllocs allocs;
       PruneBreakdown& local_pruned =
           thread_pruned[static_cast<std::size_t>(thread_index)];
@@ -350,11 +367,12 @@ class DpRunner {
       for (std::size_t s = 0; s < current.size(); ++s) {
         if (abort.load(std::memory_order_relaxed)) break;
         const std::uint64_t* sig = current.signature(s);
+        const std::uint64_t* mask = current.frontier(s);
         const std::int64_t peak = current.peak(s);
         const std::int64_t footprint = current.footprint(s);
         const std::uint64_t hash = current.hash(s);
         frontier.clear();
-        tables_.AppendFrontier(sig, &frontier);
+        util::SpanAppendSetBits(mask, words_, &frontier);
         if (bound_pruning_) {
           tables_.ComputeFrontierAllocs(sig, frontier, &allocs);
         }
@@ -396,12 +414,15 @@ class DpRunner {
           }
           std::copy(sig, sig + words_, child.data());
           util::SpanSetBit(child.data(), static_cast<std::size_t>(u));
-          if (FloorExceedsIncumbent(t, child.data(), u, allocs)) {
+          tables_.ChildFrontier(mask, child.data(), u, child_mask.data(),
+                                &newly_ready);
+          if (FloorExceedsIncumbent(t, child.data(), u, allocs,
+                                    newly_ready)) {
             ++local_pruned.frontier_floor;
             continue;
           }
-          if (next.InsertOrRelax(child.data(), child_hash, t.footprint,
-                                 std::max(peak, t.step_peak),
+          if (next.InsertOrRelax(child.data(), child_mask.data(), child_hash,
+                                 t.footprint, std::max(peak, t.step_peak),
                                  hasher_.candidate_tie(
                                    hash, static_cast<std::size_t>(u)),
                                  static_cast<std::int32_t>(s), u)) {

@@ -51,14 +51,14 @@ struct PipelineOptions {
   // complete schedule lands: greedy first, then the beam, then per-attempt
   // Kahn inside soft budgeting.
   bool enable_bound_pruning = true;
-  // Seed-beam width. A few hundred states per level is still orders of
-  // magnitude cheaper than the exact search, and a tighter incumbent
-  // multiplies the branch-and-bound cut (on rewritten SwiftNet segments
-  // width 8 leaves the incumbent ~40% above µ* and most of the cut on the
-  // table). On the paper's nine cells the width-256 seed about halves
-  // total planning time against a greedy-only seed (DESIGN.md
-  // "Branch-and-bound over levels"); 0 seeds from greedy alone.
-  int incumbent_beam_width = 256;
+  // Seed-beam width; 0 seeds from greedy alone. On the paper's nine cells
+  // the seed decides DARTS's search (a greedy-only seed expands 5x the
+  // states) and any width from 4 up closes that gap; wider beams save a
+  // few states elsewhere but cost more beam time than the DP saves
+  // (DESIGN.md "Branch-and-bound over levels" has the width sweep). The
+  // beam is skipped when the greedy peak already sits on the segment's
+  // peak floor, where greedy is provably optimal.
+  int incumbent_beam_width = 8;
 
   // Expand big DP levels with min(hardware_concurrency, 64) threads
   // (DpOptions::adaptive_parallelism); small levels stay sequential. Safe

@@ -57,6 +57,7 @@ void StateLevel::Init(std::size_t words_per_state,
       expected_states / static_cast<std::size_t>(num_shards) + 1;
   for (Shard& shard : shards_) {
     shard.sig_arena.reserve(per_shard * words_);
+    shard.frontier_arena.reserve(per_shard * words_);
     shard.hashes.reserve(per_shard);
     shard.footprint.reserve(per_shard);
     shard.peak.reserve(per_shard);
@@ -68,16 +69,17 @@ void StateLevel::Init(std::size_t words_per_state,
   }
 }
 
-bool StateLevel::InsertOrRelax(const std::uint64_t* sig, std::uint64_t hash,
-                               std::int64_t footprint, std::int64_t peak,
-                               std::uint64_t tie_key,
+bool StateLevel::InsertOrRelax(const std::uint64_t* sig,
+                               const std::uint64_t* frontier,
+                               std::uint64_t hash, std::int64_t footprint,
+                               std::int64_t peak, std::uint64_t tie_key,
                                std::int32_t prev_index,
                                std::int32_t last_node) {
   SERENITY_CHECK(!sealed_);
   SERENITY_CHECK_EQ(width_, 0u) << "bounded level: use InsertBounded";
   return InsertOrRelaxShard(shards_[static_cast<std::size_t>(ShardOf(hash))],
-                            sig, hash, footprint, peak, tie_key, prev_index,
-                            last_node);
+                            sig, frontier, hash, footprint, peak, tie_key,
+                            prev_index, last_node);
 }
 
 // ----------------------------------------------------- bounded (beam) mode
@@ -344,6 +346,7 @@ void StateLevel::SealBounded() {
 }
 
 bool StateLevel::InsertOrRelaxShard(Shard& shard, const std::uint64_t* sig,
+                                    const std::uint64_t* frontier,
                                     std::uint64_t hash,
                                     std::int64_t footprint,
                                     std::int64_t peak,
@@ -358,6 +361,8 @@ bool StateLevel::InsertOrRelaxShard(Shard& shard, const std::uint64_t* sig,
     if (s < 0) {
       shard.slots[slot] = static_cast<std::int32_t>(shard.count);
       shard.sig_arena.insert(shard.sig_arena.end(), sig, sig + words_);
+      shard.frontier_arena.insert(shard.frontier_arena.end(), frontier,
+                                  frontier + words_);
       shard.hashes.push_back(hash);
       shard.footprint.push_back(footprint);
       shard.peak.push_back(peak);
@@ -409,6 +414,7 @@ void StateLevel::Seal() {
   std::size_t total = 0;
   for (const Shard& shard : shards_) total += shard.count;
   merged.sig_arena.reserve(total * words_);
+  merged.frontier_arena.reserve(total * words_);
   merged.hashes.reserve(total);
   merged.footprint.reserve(total);
   merged.peak.reserve(total);
@@ -418,6 +424,9 @@ void StateLevel::Seal() {
   for (Shard& shard : shards_) {
     merged.sig_arena.insert(merged.sig_arena.end(), shard.sig_arena.begin(),
                             shard.sig_arena.end());
+    merged.frontier_arena.insert(merged.frontier_arena.end(),
+                                 shard.frontier_arena.begin(),
+                                 shard.frontier_arena.end());
     merged.hashes.insert(merged.hashes.end(), shard.hashes.begin(),
                          shard.hashes.end());
     merged.footprint.insert(merged.footprint.end(), shard.footprint.begin(),
@@ -446,6 +455,7 @@ std::int64_t StateLevel::ResidentBytes() const {
   std::int64_t bytes = 0;
   for (const Shard& shard : shards_) {
     bytes += static_cast<std::int64_t>(shard.sig_arena.capacity()) * 8;
+    bytes += static_cast<std::int64_t>(shard.frontier_arena.capacity()) * 8;
     bytes += static_cast<std::int64_t>(shard.hashes.capacity()) * 8;
     bytes += static_cast<std::int64_t>(shard.footprint.capacity()) * 8;
     bytes += static_cast<std::int64_t>(shard.peak.capacity()) * 8;
@@ -470,7 +480,8 @@ std::int64_t StateLevel::EstimateBytes(std::size_t words_per_state,
   const std::size_t slots =
       NextPowerOfTwo(std::max<std::size_t>(16, per_shard * 3 / 2));
   const std::int64_t per_shard_bytes =
-      static_cast<std::int64_t>(per_shard * words_per_state) * 8 +  // arena
+      // signature + frontier arenas
+      static_cast<std::int64_t>(per_shard * words_per_state) * 16 +
       static_cast<std::int64_t>(per_shard) *
           // hashes + footprint + peak + tie + recon
           (8 + 8 + 8 + 8 +
@@ -488,6 +499,7 @@ std::vector<ReconRecord> StateLevel::TakeReconAndRelease() {
 
 StateLevel StateLevel::Select(const std::vector<std::int32_t>& keep) const {
   SERENITY_CHECK(sealed_);
+  SERENITY_CHECK_EQ(width_, 0u) << "bounded levels store no frontier masks";
   StateLevel out;
   out.words_ = words_;
   out.sealed_ = true;
@@ -496,6 +508,7 @@ StateLevel StateLevel::Select(const std::vector<std::int32_t>& keep) const {
   const Shard& src = shards_[0];
   dst.count = keep.size();
   dst.sig_arena.reserve(keep.size() * words_);
+  dst.frontier_arena.reserve(keep.size() * words_);
   dst.hashes.reserve(keep.size());
   dst.footprint.reserve(keep.size());
   dst.peak.reserve(keep.size());
@@ -506,6 +519,8 @@ StateLevel StateLevel::Select(const std::vector<std::int32_t>& keep) const {
     SERENITY_CHECK_LT(i, src.count);
     const std::uint64_t* sig = src.sig_arena.data() + i * words_;
     dst.sig_arena.insert(dst.sig_arena.end(), sig, sig + words_);
+    const std::uint64_t* mask = src.frontier_arena.data() + i * words_;
+    dst.frontier_arena.insert(dst.frontier_arena.end(), mask, mask + words_);
     dst.hashes.push_back(src.hashes[i]);
     dst.footprint.push_back(src.footprint[i]);
     dst.peak.push_back(src.peak[i]);
@@ -580,18 +595,53 @@ ExpansionTables::ExpansionTables(const graph::Graph& graph,
   }
 }
 
+std::uint64_t ExpansionTables::FrontierWord(const std::uint64_t* sig,
+                                            std::size_t w) const {
+  std::uint64_t candidates = ~sig[w];
+  if (w + 1 == words_) candidates &= last_word_mask_;
+  std::uint64_t ready = 0;
+  while (candidates != 0) {
+    const int bit = __builtin_ctzll(candidates);
+    candidates &= candidates - 1;
+    const std::size_t u = w * 64 + static_cast<std::size_t>(bit);
+    if (util::SpanIsSubsetOf(preds_.data() + u * words_, sig, words_)) {
+      ready |= std::uint64_t{1} << bit;
+    }
+  }
+  return ready;
+}
+
 void ExpansionTables::AppendFrontier(const std::uint64_t* sig,
                                      std::vector<std::int32_t>* out) const {
   for (std::size_t w = 0; w < words_; ++w) {
-    std::uint64_t candidates = ~sig[w];
-    if (w + 1 == words_) candidates &= last_word_mask_;
-    while (candidates != 0) {
-      const std::size_t u =
-          w * 64 + static_cast<std::size_t>(__builtin_ctzll(candidates));
-      candidates &= candidates - 1;
-      if (util::SpanIsSubsetOf(preds_.data() + u * words_, sig, words_)) {
-        out->push_back(static_cast<std::int32_t>(u));
-      }
+    for (std::uint64_t ready = FrontierWord(sig, w); ready != 0;
+         ready &= ready - 1) {
+      out->push_back(static_cast<std::int32_t>(
+          w * 64 + static_cast<std::size_t>(__builtin_ctzll(ready))));
+    }
+  }
+}
+
+void ExpansionTables::FrontierMask(const std::uint64_t* sig,
+                                   std::uint64_t* mask) const {
+  for (std::size_t w = 0; w < words_; ++w) mask[w] = FrontierWord(sig, w);
+}
+
+void ExpansionTables::ChildFrontier(
+    const std::uint64_t* parent_mask, const std::uint64_t* child_sig,
+    std::int32_t u, std::uint64_t* child_mask,
+    std::vector<std::int32_t>* newly_ready) const {
+  std::copy(parent_mask, parent_mask + words_, child_mask);
+  const std::size_t ui = static_cast<std::size_t>(u);
+  child_mask[ui >> 6] &= ~(std::uint64_t{1} << (ui & 63));
+  newly_ready->clear();
+  for (std::uint32_t i = succ_begin_[ui]; i < succ_begin_[ui + 1]; ++i) {
+    const std::int32_t v = succs_arena_[i];
+    const std::size_t vi = static_cast<std::size_t>(v);
+    if (util::SpanIsSubsetOf(preds_.data() + vi * words_, child_sig,
+                             words_)) {
+      util::SpanSetBit(child_mask, vi);
+      newly_ready->push_back(v);
     }
   }
 }
@@ -634,8 +684,8 @@ void ExpansionTables::ComputeFrontierAllocs(
 }
 
 std::int64_t ExpansionTables::ChildNextAllocFloor(
-    const std::uint64_t* child_sig, std::int32_t u,
-    const FrontierAllocs& fa) const {
+    const std::uint64_t* child_sig, std::int32_t u, const FrontierAllocs& fa,
+    const std::vector<std::int32_t>& newly_ready) const {
   // Part 1: surviving parent-frontier nodes. Their alloc in the child
   // equals their alloc in the parent, except that scheduling u zeroes any
   // sibling writer of u's own buffer (u writes exactly its output buffer).
@@ -655,13 +705,8 @@ std::int64_t ExpansionTables::ChildNextAllocFloor(
     }
   }
   // Part 2: successors of u that just became ready.
-  const std::size_t ui = static_cast<std::size_t>(u);
-  for (std::uint32_t i = succ_begin_[ui]; i < succ_begin_[ui + 1]; ++i) {
-    const std::size_t w = static_cast<std::size_t>(succs_arena_[i]);
-    if (!util::SpanIsSubsetOf(preds_.data() + w * words_, child_sig,
-                              words_)) {
-      continue;
-    }
+  for (const std::int32_t v : newly_ready) {
+    const std::size_t w = static_cast<std::size_t>(v);
     std::int64_t alloc = own_size_[w];
     if (has_cowriter_[w] != 0) {
       const std::uint64_t* writers =

@@ -10,11 +10,13 @@
 //
 //  - StateLevel: one level's states in SoA layout. Signature words live
 //    back-to-back in a single uint64_t arena (state i occupies words
-//    [i*W, (i+1)*W)); footprint, best peak and the cached Zobrist hash live
-//    in parallel transient arrays; the back-pointer needed for schedule
-//    reconstruction is an 8-byte ReconRecord. Deduplication runs through an
-//    open-addressing (linear-probe) table of int32 state indices keyed by
-//    the cached hashes — no per-state allocation anywhere.
+//    [i*W, (i+1)*W)), and the state's zero-indegree frontier mask in a
+//    second arena of the same shape; footprint, best peak and the cached
+//    Zobrist hash live in parallel transient arrays; the back-pointer
+//    needed for schedule reconstruction is an 8-byte ReconRecord.
+//    Deduplication runs through an open-addressing (linear-probe) table of
+//    int32 state indices keyed by the cached hashes — no per-state
+//    allocation anywhere.
 //
 //  - SignatureHasher: Zobrist hashing. Every node gets a fixed SplitMix64
 //    key; hash(S) = XOR of the keys of S's members, so a child state's hash
@@ -24,9 +26,10 @@
 //
 //  - ExpansionTables: the graph-side constants of Algorithm 1 flattened
 //    into contiguous word arenas — predecessor masks (for the zero-indegree
-//    frontier scan), per-buffer writer masks (allocate-on-first-write) and
-//    per-node freeable-buffer lists (deallocate-after-last-use as a
-//    word-wise `touchers ⊆ scheduled ∪ {u}` subset check).
+//    frontier scan and its incremental per-child update), per-buffer writer
+//    masks (allocate-on-first-write) and per-node freeable-buffer lists
+//    (deallocate-after-last-use as a word-wise `touchers ⊆ scheduled ∪ {u}`
+//    subset check).
 //
 // Lifecycle of a level: Init → InsertOrRelax (during expansion of the
 // previous level; shardable, see below) → Seal → read-only expansion →
@@ -38,7 +41,10 @@
 // InsertBounded → SealBounded: top-`width` pruning is fused into insertion
 // through an eviction heap over the open-addressing table, so a beam level
 // never materializes more than `width` live states (plus the probe table)
-// no matter how many children the parent level generates.
+// no matter how many children the parent level generates. Bounded levels
+// store no frontier masks: the beam recomputes each parent's frontier
+// (ExpansionTables::AppendFrontier), which at the seed's width is cheaper
+// than carrying masks through eviction.
 //
 // Sharded parallel insertion: a level may be built by several threads, each
 // owning a disjoint subset of `num_shards` sub-tables; a state's shard is a
@@ -76,8 +82,8 @@ struct ReconRecord {
 // parent level makes rehashes rare without over-reserving: a too-small hint
 // costs O(level) amortised rehash/copy work, a too-large one costs idle
 // arena memory that is freed when the level's transients are dropped — the
-// bias is slightly toward memory since the arena dominates (8·W+32
-// bytes/state vs 8 bytes/slot). The hint is clamped against the search's
+// bias is slightly toward memory since the arenas dominate (16·W+40
+// bytes/state vs 4 bytes/slot). The hint is clamped against the search's
 // state cap: a run that exceeds `max_states` aborts anyway, so a huge
 // sealed level must never pre-allocate an arena past the cap (the +1 keeps
 // room for the state whose insertion trips it).
@@ -186,13 +192,15 @@ class StateLevel {
   // footprint; the lower peak and its back-pointer win, equal peaks resolve
   // to the lower `tie_key` — an intrinsic candidate id, see
   // SignatureHasher::tie_key, so the winner is independent of arrival
-  // order). Thread-safe across *different* shards: callers in a sharded
-  // build must only pass hashes they own. Returns true iff a new state was
-  // created. Only valid before Seal().
-  bool InsertOrRelax(const std::uint64_t* sig, std::uint64_t hash,
-                     std::int64_t footprint, std::int64_t peak,
-                     std::uint64_t tie_key, std::int32_t prev_index,
-                     std::int32_t last_node);
+  // order). `frontier` is the W-word zero-indegree mask of `sig`; it is
+  // copied only when a new state is created (a relaxed state keeps its own,
+  // which is the same set). Thread-safe across *different* shards: callers
+  // in a sharded build must only pass hashes they own. Returns true iff a
+  // new state was created. Only valid before Seal().
+  bool InsertOrRelax(const std::uint64_t* sig, const std::uint64_t* frontier,
+                     std::uint64_t hash, std::int64_t footprint,
+                     std::int64_t peak, std::uint64_t tie_key,
+                     std::int32_t prev_index, std::int32_t last_node);
 
   // Concatenates the shards into one contiguous SoA block (no-op for a
   // single shard) and drops the hash tables. States are numbered shard by
@@ -205,6 +213,11 @@ class StateLevel {
   const std::uint64_t* signature(std::size_t i) const {
     return shards_[0].sig_arena.data() + i * words_;
   }
+  // Zero-indegree frontier mask of state i (W words). Unbounded levels
+  // only: bounded (beam) levels store none.
+  const std::uint64_t* frontier(std::size_t i) const {
+    return shards_[0].frontier_arena.data() + i * words_;
+  }
   std::uint64_t hash(std::size_t i) const { return shards_[0].hashes[i]; }
   std::int64_t footprint(std::size_t i) const {
     return shards_[0].footprint[i];
@@ -215,8 +228,8 @@ class StateLevel {
   }
 
   // Moves out the reconstruction records and frees every transient array
-  // (signatures, hashes, footprints, peaks, table). The level is dead
-  // afterwards.
+  // (signatures, frontier masks, hashes, footprints, peaks, table). The
+  // level is dead afterwards.
   std::vector<ReconRecord> TakeReconAndRelease();
 
   // Bytes this level currently holds resident, by vector *capacity* (what
@@ -233,12 +246,15 @@ class StateLevel {
                                     int num_shards);
 
   // Compacted copy holding exactly the states in `keep` (sealed, in the
-  // given order) — the beam-search pruning step. Only valid after Seal().
+  // given order, frontier masks included) — the reference beam's pruning
+  // step. Only valid after Seal().
   StateLevel Select(const std::vector<std::int32_t>& keep) const;
 
  private:
   struct Shard {
     std::vector<std::uint64_t> sig_arena;  // count * words signature words
+    // count * words frontier-mask words; empty in bounded mode
+    std::vector<std::uint64_t> frontier_arena;
     std::vector<std::uint64_t> hashes;     // cached Zobrist hash per state
     std::vector<std::int64_t> footprint;
     std::vector<std::int64_t> peak;
@@ -262,9 +278,10 @@ class StateLevel {
   static bool EvictLess(const EvictEntry& a, const EvictEntry& b);
 
   bool InsertOrRelaxShard(Shard& shard, const std::uint64_t* sig,
-                          std::uint64_t hash, std::int64_t footprint,
-                          std::int64_t peak, std::uint64_t tie_key,
-                          std::int32_t prev_index, std::int32_t last_node);
+                          const std::uint64_t* frontier, std::uint64_t hash,
+                          std::int64_t footprint, std::int64_t peak,
+                          std::uint64_t tie_key, std::int32_t prev_index,
+                          std::int32_t last_node);
   void GrowTable(Shard& shard);
 
   // True iff the value (peak, footprint, hash, sig) ranks strictly better
@@ -312,10 +329,25 @@ class ExpansionTables {
 
   // Appends the zero-indegree frontier of `sig` (unscheduled nodes whose
   // predecessors are all scheduled) to `out` in ascending node order. `out`
-  // is a caller-owned scratch buffer — the frontier is a function of the
-  // signature, so it is recomputed here instead of being stored per state.
+  // is a caller-owned scratch buffer. A full predecessor scan: the DP
+  // instead carries each state's frontier as a stored mask (FrontierMask
+  // for the root, ChildFrontier per transition); the beam, whose bounded
+  // levels store no masks, recomputes it here.
   void AppendFrontier(const std::uint64_t* sig,
                       std::vector<std::int32_t>* out) const;
+
+  // Writes the zero-indegree frontier of `sig` as a W-word mask.
+  void FrontierMask(const std::uint64_t* sig, std::uint64_t* mask) const;
+
+  // Derives the frontier mask of the child `sig ∪ {u}` (signature words
+  // `child_sig`) from its parent's mask: u leaves, and every successor of u
+  // whose predecessors are now all scheduled joins. Those newly ready
+  // successors are also written to `newly_ready` (cleared first) for
+  // ChildNextAllocFloor, so one successor scan serves both.
+  void ChildFrontier(const std::uint64_t* parent_mask,
+                     const std::uint64_t* child_sig, std::int32_t u,
+                     std::uint64_t* child_mask,
+                     std::vector<std::int32_t>* newly_ready) const;
 
   // Per-parent-state scratch for the branch-and-bound one-step frontier
   // floor (DESIGN.md "Branch-and-bound over levels"). For every frontier
@@ -349,14 +381,15 @@ class ExpansionTables {
   // Exact one-step frontier floor of the child `sig ∪ {u}` (whose
   // signature words are `child_sig`): min over the child's frontier of the
   // bytes its next step must allocate. The child's frontier is
-  // (parent frontier \ {u}) ∪ {newly ready successors of u}, and the
-  // returned value is a pure function of the child signature — every
+  // (parent frontier \ {u}) ∪ `newly_ready` (ChildFrontier's output), and
+  // the returned value is a pure function of the child signature — every
   // duplicate candidate computes the same floor, which keeps relax winners
   // (and the reconstructed schedule) bit-identical under pruning. Returns
   // kNoAlloc when the child is the full state.
-  std::int64_t ChildNextAllocFloor(const std::uint64_t* child_sig,
-                                   std::int32_t u,
-                                   const FrontierAllocs& fa) const;
+  std::int64_t ChildNextAllocFloor(
+      const std::uint64_t* child_sig, std::int32_t u,
+      const FrontierAllocs& fa,
+      const std::vector<std::int32_t>& newly_ready) const;
 
   struct Transition {
     std::int64_t footprint;  // µ after scheduling `node` and freeing
@@ -376,6 +409,9 @@ class ExpansionTables {
   std::int64_t ResidentBytes() const;
 
  private:
+  // Word w of the zero-indegree frontier mask of `sig`.
+  std::uint64_t FrontierWord(const std::uint64_t* sig, std::size_t w) const;
+
   std::size_t num_nodes_ = 0;
   std::size_t words_ = 0;
   std::uint64_t last_word_mask_ = 0;  // valid bits of the final word
@@ -402,7 +438,7 @@ class ExpansionTables {
   std::vector<std::uint64_t> touchers_arena_;
 
   // Flattened successor adjacency for the newly-ready scan of
-  // ChildNextAllocFloor.
+  // ChildFrontier.
   std::vector<std::int32_t> succs_arena_;
   std::vector<std::uint32_t> succ_begin_;  // num_nodes + 1 offsets
 };

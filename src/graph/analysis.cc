@@ -87,14 +87,16 @@ BufferUseTable BufferUseTable::Build(const Graph& graph) {
   return table;
 }
 
-std::vector<std::int64_t> BufferUseTable::MinStepFootprints() const {
-  std::vector<std::int64_t> bytes(touched_buffers.size(), 0);
-  for (std::size_t u = 0; u < touched_buffers.size(); ++u) {
-    for (const BufferId b : touched_buffers[u]) {
-      bytes[u] += buffers[static_cast<std::size_t>(b)].size_bytes;
+std::int64_t BufferUseTable::PeakFloorBytes() const {
+  std::int64_t floor_bytes = 0;
+  for (const std::vector<BufferId>& touched : touched_buffers) {
+    std::int64_t step_bytes = 0;
+    for (const BufferId b : touched) {
+      step_bytes += buffers[static_cast<std::size_t>(b)].size_bytes;
     }
+    floor_bytes = std::max(floor_bytes, step_bytes);
   }
-  return bytes;
+  return floor_bytes;
 }
 
 }  // namespace serenity::graph

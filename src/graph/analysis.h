@@ -54,15 +54,14 @@ struct BufferUseTable {
 
   static BufferUseTable Build(const Graph& graph);
 
-  // Per node u: the bytes of u's distinct touched buffers (operands plus its
-  // output). Every one of them is simultaneously live at the step that
-  // schedules u in ANY topological order — the operands' writers precede u
-  // and no operand can be freed before its toucher u has run, while the
-  // output is allocated no later than u itself. The value is therefore an
-  // admissible lower bound on the transient footprint of u's step, and the
-  // max over all nodes lower-bounds the peak of every schedule — the
-  // admission floor of serve::SchedulerService.
-  std::vector<std::int64_t> MinStepFootprints() const;
+  // Lower bound on the peak of every schedule: the max over nodes u of the
+  // bytes of u's distinct touched buffers (operands plus its output). Every
+  // one of them is simultaneously live at the step that schedules u in ANY
+  // topological order — the operands' writers precede u and no operand can
+  // be freed before its toucher u has run, while the output is allocated no
+  // later than u itself. The admission floor of serve::SchedulerService,
+  // and the pipeline's proof that a greedy seed sitting on it is optimal.
+  std::int64_t PeakFloorBytes() const;
 
   // True if no writer of buffer `b` has executed yet, i.e. scheduling a
   // writer of `b` now would allocate it.

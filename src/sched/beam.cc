@@ -43,8 +43,10 @@ BeamResult ScheduleBeam(const graph::Graph& graph,
   core::StateLevel current;
   current.Init(words, 1, 1);
   const std::vector<std::uint64_t> empty(words, 0);
-  current.InsertOrRelax(empty.data(), core::SignatureHasher::kEmptyHash, 0,
-                        0, 0, -1, -1);
+  std::vector<std::uint64_t> root_frontier(words);
+  tables.FrontierMask(empty.data(), root_frontier.data());
+  current.InsertOrRelax(empty.data(), root_frontier.data(),
+                        core::SignatureHasher::kEmptyHash, 0, 0, 0, -1, -1);
   current.Seal();
 
   // Branch-and-bound cut (see BeamOptions::prune_above_bytes). `bounding`

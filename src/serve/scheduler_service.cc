@@ -17,18 +17,6 @@ std::chrono::duration<double> Seconds(double s) {
   return std::chrono::duration<double>(s);
 }
 
-// Provable lower bound on the peak of *any* schedule of `graph`: every
-// schedule executes every node, and a node's step footprint is at least
-// its minimum step footprint (operands + output live together).
-std::int64_t ScheduleFloorBytes(const graph::Graph& graph) {
-  const graph::BufferUseTable table = graph::BufferUseTable::Build(graph);
-  std::int64_t floor_bytes = 0;
-  for (const std::int64_t bytes : table.MinStepFootprints()) {
-    floor_bytes = std::max(floor_bytes, bytes);
-  }
-  return floor_bytes;
-}
-
 }  // namespace
 
 SchedulerService::SchedulerService(ServeOptions options)
@@ -84,7 +72,7 @@ Submission SchedulerService::Submit(const graph::Graph& graph,
   // scheduled must not cost a planning slot.
   std::int64_t floor_bytes = 0;
   if (options_.admission_floor_budget_bytes > 0) {
-    floor_bytes = ScheduleFloorBytes(graph);
+    floor_bytes = graph::BufferUseTable::Build(graph).PeakFloorBytes();
   }
 
   std::lock_guard<std::mutex> lock(mu_);

@@ -85,7 +85,7 @@ struct ServeOptions {
   util::MemoryBudget* planning_budget = nullptr;
   // Admission lower-bound shed: > 0 enables it. Every schedule of a graph
   // must pass through a step at least as large as the graph's widest
-  // minimum step footprint (graph::BufferUseTable::MinStepFootprints), so
+  // minimum step footprint (graph::BufferUseTable::PeakFloorBytes), so
   // a graph whose floor exceeds this cap provably cannot fit no matter how
   // well it is scheduled — it is shed at Submit with kResourceExhausted
   // *before* any planning memory is spent. Wire it to the session-arena

@@ -60,6 +60,18 @@ inline bool SpanEqual(const std::uint64_t* a, const std::uint64_t* b,
   return true;
 }
 
+// Appends the positions of the set bits to `out` in ascending order.
+inline void SpanAppendSetBits(const std::uint64_t* words,
+                              std::size_t num_words,
+                              std::vector<std::int32_t>* out) {
+  for (std::size_t i = 0; i < num_words; ++i) {
+    for (std::uint64_t word = words[i]; word != 0; word &= word - 1) {
+      out->push_back(static_cast<std::int32_t>(
+          i * 64 + static_cast<std::size_t>(__builtin_ctzll(word))));
+    }
+  }
+}
+
 // FNV-1a over the words — the one-shot hash for spans whose hash is not
 // maintained incrementally (the state store instead caches a Zobrist hash
 // per state and derives child hashes with a single XOR; see

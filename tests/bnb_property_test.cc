@@ -15,8 +15,9 @@
 //    counts coincide at every width.
 //  - Soft-budget interplay: the Kahn-tightened incumbent inside
 //    ScheduleWithSoftBudget changes neither the schedule nor the peak.
-//  - The paper's nine cells through the full Pipeline: bound pruning on
-//    and off give the same exact schedule and peak.
+//  - The paper's nine cells through the full Pipeline: bound pruning off,
+//    and on with a greedy-only, width-8 and width-256 seed, all give the
+//    same exact schedule and peak.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -113,20 +114,25 @@ TEST(BnbProperty, DpBitIdenticalWithPruningOnRandomGraphs) {
 TEST(BnbProperty, PipelineBitIdenticalWithPruningOnPaperCells) {
   PipelineOptions off_options;
   off_options.enable_bound_pruning = false;
-  const Pipeline on_pipeline;
   const Pipeline off_pipeline(off_options);
   for (const models::BenchmarkCell& cell : models::AllBenchmarkCells()) {
     const graph::Graph g = cell.factory();
-    const std::string ctx = cell.group + "/" + cell.name;
-    const PipelineResult on = on_pipeline.Run(g);
     const PipelineResult off = off_pipeline.Run(g);
-    ASSERT_TRUE(on.success) << ctx << ": " << on.failure_reason;
-    ASSERT_TRUE(off.success) << ctx << ": " << off.failure_reason;
-    EXPECT_EQ(on.quality, PlanQuality::kExact) << ctx;
-    EXPECT_EQ(off.quality, PlanQuality::kExact) << ctx;
-    EXPECT_EQ(on.peak_bytes, off.peak_bytes) << ctx;
-    EXPECT_EQ(on.schedule, off.schedule) << ctx;
-    EXPECT_EQ(off.states_pruned_by_bound, 0u) << ctx;
+    ASSERT_TRUE(off.success) << cell.name << ": " << off.failure_reason;
+    EXPECT_EQ(off.quality, PlanQuality::kExact) << cell.name;
+    EXPECT_EQ(off.states_pruned_by_bound, 0u) << cell.name;
+    // The seed width only moves the incumbent, never the answer.
+    for (const int width : {0, 8, 256}) {
+      PipelineOptions on_options;
+      on_options.incumbent_beam_width = width;
+      const PipelineResult on = Pipeline(on_options).Run(g);
+      const std::string ctx =
+          cell.group + "/" + cell.name + " width " + std::to_string(width);
+      ASSERT_TRUE(on.success) << ctx << ": " << on.failure_reason;
+      EXPECT_EQ(on.quality, PlanQuality::kExact) << ctx;
+      EXPECT_EQ(on.peak_bytes, off.peak_bytes) << ctx;
+      EXPECT_EQ(on.schedule, off.schedule) << ctx;
+    }
   }
 }
 

@@ -135,7 +135,9 @@ TEST(BoundAdmissibility, FrontierFloorIsExactAndRespectsTheSuffixOracle) {
     const Lattice lat = EnumerateLattice(tables, hasher);
 
     ExpansionTables::FrontierAllocs fa;
-    std::vector<std::int32_t> frontier, child_frontier;
+    std::vector<std::int32_t> frontier, child_frontier, newly_ready;
+    std::vector<std::uint64_t> mask(tables.words_per_state());
+    std::vector<std::uint64_t> child_mask(tables.words_per_state());
 
     for (std::size_t s = 0; s < lat.sig.size(); ++s) {
       const std::uint64_t* sig = lat.sig[s].data();
@@ -144,6 +146,7 @@ TEST(BoundAdmissibility, FrontierFloorIsExactAndRespectsTheSuffixOracle) {
 
       frontier.clear();
       tables.AppendFrontier(sig, &frontier);
+      tables.FrontierMask(sig, mask.data());
 
       // Frontier allocs: exact per-candidate, and the floor is a true
       // lower bound on the very next step (hence on the suffix).
@@ -167,8 +170,10 @@ TEST(BoundAdmissibility, FrontierFloorIsExactAndRespectsTheSuffixOracle) {
 
         // Child floor: exact against direct recomputation on the child,
         // and admissible against the child's suffix.
-        const std::int64_t floor =
-            tables.ChildNextAllocFloor(lat.sig[c].data(), u, fa);
+        tables.ChildFrontier(mask.data(), lat.sig[c].data(), u,
+                             child_mask.data(), &newly_ready);
+        const std::int64_t floor = tables.ChildNextAllocFloor(
+            lat.sig[c].data(), u, fa, newly_ready);
         child_frontier.clear();
         tables.AppendFrontier(lat.sig[c].data(), &child_frontier);
         std::int64_t direct = kInf;

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "core/dp_scheduler.h"
@@ -45,12 +46,16 @@ TEST(StateLevel, InsertDedupAndRelax) {
   level.Init(/*words_per_state=*/2, /*expected_states=*/4);
   const std::uint64_t sig_a[2] = {0b101, 0};
   const std::uint64_t sig_b[2] = {0b011, 0};
-  EXPECT_TRUE(level.InsertOrRelax(sig_a, 111, 10, 50, 9, 0, 2));
-  EXPECT_TRUE(level.InsertOrRelax(sig_b, 222, 20, 40, 9, 1, 1));
+  const std::uint64_t mask_a[2] = {0b1010, 1};
+  const std::uint64_t mask_b[2] = {0b0100, 2};
+  const std::uint64_t other[2] = {~std::uint64_t{0}, ~std::uint64_t{0}};
+  EXPECT_TRUE(level.InsertOrRelax(sig_a, mask_a, 111, 10, 50, 9, 0, 2));
+  EXPECT_TRUE(level.InsertOrRelax(sig_b, mask_b, 222, 20, 40, 9, 1, 1));
   // Duplicate signature with a worse peak: ignored.
-  EXPECT_FALSE(level.InsertOrRelax(sig_a, 111, 10, 60, 9, 3, 0));
-  // Duplicate with a better peak: relaxes peak and back-pointer.
-  EXPECT_FALSE(level.InsertOrRelax(sig_a, 111, 10, 30, 9, 4, 0));
+  EXPECT_FALSE(level.InsertOrRelax(sig_a, other, 111, 10, 60, 9, 3, 0));
+  // Duplicate with a better peak: relaxes peak and back-pointer, but the
+  // frontier mask is written on creation only.
+  EXPECT_FALSE(level.InsertOrRelax(sig_a, other, 111, 10, 30, 9, 4, 0));
   level.Seal();
   ASSERT_EQ(level.size(), 2u);
   EXPECT_EQ(level.footprint(0), 10);
@@ -62,6 +67,10 @@ TEST(StateLevel, InsertDedupAndRelax) {
       util::SpanEqual(level.signature(0), sig_a, level.words_per_state()));
   EXPECT_TRUE(
       util::SpanEqual(level.signature(1), sig_b, level.words_per_state()));
+  EXPECT_TRUE(
+      util::SpanEqual(level.frontier(0), mask_a, level.words_per_state()));
+  EXPECT_TRUE(
+      util::SpanEqual(level.frontier(1), mask_b, level.words_per_state()));
 }
 
 TEST(StateLevel, GrowsPastInitialCapacityWithoutLosingStates) {
@@ -70,7 +79,7 @@ TEST(StateLevel, GrowsPastInitialCapacityWithoutLosingStates) {
   const SignatureHasher hasher(64);
   for (std::size_t u = 0; u < 64; ++u) {
     const std::uint64_t sig[1] = {std::uint64_t{1} << u};
-    EXPECT_TRUE(level.InsertOrRelax(sig, hasher.key(u),
+    EXPECT_TRUE(level.InsertOrRelax(sig, sig, hasher.key(u),
                                     static_cast<std::int64_t>(u), 0, 0, -1,
                                     static_cast<std::int32_t>(u)));
   }
@@ -98,7 +107,8 @@ TEST(StateLevel, ShardedSealConcatenatesDeterministically) {
                /*num_shards=*/4);
     for (std::size_t u = 0; u < 40; ++u) {
       const std::uint64_t sig[1] = {std::uint64_t{1} << u};
-      level.InsertOrRelax(sig, hasher.key(u), 0, 0, 0, -1,
+      const std::uint64_t mask[1] = {~sig[0]};
+      level.InsertOrRelax(sig, mask, hasher.key(u), 0, 0, 0, -1,
                           static_cast<std::int32_t>(u));
     }
     level.Seal();
@@ -111,6 +121,8 @@ TEST(StateLevel, ShardedSealConcatenatesDeterministically) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a.signature(i)[0], b.signature(i)[0]);
     EXPECT_EQ(a.recon(i).last_node, b.recon(i).last_node);
+    // The merge keeps each state's frontier mask beside its signature.
+    EXPECT_EQ(a.frontier(i)[0], ~a.signature(i)[0]);
   }
 }
 
@@ -120,7 +132,7 @@ TEST(StateLevel, SelectCompactsInGivenOrder) {
   const SignatureHasher hasher(8);
   for (std::size_t u = 0; u < 4; ++u) {
     const std::uint64_t sig[1] = {std::uint64_t{1} << u};
-    level.InsertOrRelax(sig, hasher.key(u), static_cast<std::int64_t>(u),
+    level.InsertOrRelax(sig, sig, hasher.key(u), static_cast<std::int64_t>(u),
                         static_cast<std::int64_t>(10 + u), 0, -1,
                         static_cast<std::int32_t>(u));
   }
@@ -131,6 +143,27 @@ TEST(StateLevel, SelectCompactsInGivenOrder) {
   EXPECT_EQ(pruned.peak(0), 13);
   EXPECT_EQ(pruned.recon(1).last_node, 1);
   EXPECT_EQ(pruned.hash(1), hasher.key(1));
+  EXPECT_EQ(pruned.frontier(0)[0], std::uint64_t{1} << 3);
+  EXPECT_EQ(pruned.frontier(1)[0], std::uint64_t{1} << 1);
+}
+
+TEST(StateLevel, EstimateBytesMatchesResidentBytesAfterInit) {
+  // The DP charges EstimateBytes to its memory budget before Init grows a
+  // level, so the estimate must be exactly what Init reserves — every
+  // arena, frontier masks included.
+  for (const int shards : {1, 4}) {
+    for (const std::size_t words : {std::size_t{1}, std::size_t{2}}) {
+      for (const std::size_t expected : {std::size_t{1}, std::size_t{64},
+                                         std::size_t{1000}}) {
+        StateLevel level;
+        level.Init(words, expected, shards);
+        EXPECT_EQ(StateLevel::EstimateBytes(words, expected, shards),
+                  level.ResidentBytes())
+            << "shards " << shards << " words " << words << " expected "
+            << expected;
+      }
+    }
+  }
 }
 
 TEST(StateLevel, TakeReconAndReleaseReturnsAllRecords) {
@@ -138,8 +171,8 @@ TEST(StateLevel, TakeReconAndReleaseReturnsAllRecords) {
   level.Init(1, 4);
   const std::uint64_t s0[1] = {1};
   const std::uint64_t s1[1] = {2};
-  level.InsertOrRelax(s0, 11, 0, 0, 0, 7, 0);
-  level.InsertOrRelax(s1, 22, 0, 0, 0, 8, 1);
+  level.InsertOrRelax(s0, s1, 11, 0, 0, 0, 7, 0);
+  level.InsertOrRelax(s1, s0, 22, 0, 0, 0, 8, 1);
   level.Seal();
   const std::vector<ReconRecord> recon = level.TakeReconAndRelease();
   ASSERT_EQ(recon.size(), 2u);
@@ -252,7 +285,7 @@ TEST(StateLevelBounded, MatchesInsertAllPlusSelectOnRandomStreams) {
           static_cast<std::uint64_t>(rng.NextInt(0, 1023));
       const std::int32_t prev = i;
       bounded.InsertBounded(sig, hash, footprint, peak, tie, prev, 0);
-      batch.InsertOrRelax(sig, hash, footprint, peak, tie, prev, 0);
+      batch.InsertOrRelax(sig, sig, hash, footprint, peak, tie, prev, 0);
     }
     bounded.SealBounded();
     batch.Seal();
@@ -293,35 +326,70 @@ TEST(StateLevelBounded, MatchesInsertAllPlusSelectOnRandomStreams) {
 // ----------------------------------------------------------- ExpansionTables
 
 TEST(ExpansionTables, FrontierMatchesDirectComputation) {
-  util::Rng rng(31);
-  testing::RandomDagOptions opts;
-  opts.num_ops = 20;
-  const graph::Graph g = testing::RandomDag(rng, opts, "frontier");
-  const graph::BufferUseTable table = graph::BufferUseTable::Build(g);
-  const graph::AdjacencyBitsets adjacency = graph::BuildAdjacency(g);
-  const ExpansionTables tables(g, table, adjacency);
-  const std::size_t n = static_cast<std::size_t>(g.num_nodes());
+  // 20 nodes fit one signature word; 70 ops span two, like DARTS's 67
+  // nodes, so the derived mask crosses a word boundary.
+  for (const int num_ops : {20, 70}) {
+    util::Rng rng(31);
+    testing::RandomDagOptions opts;
+    opts.num_ops = num_ops;
+    const graph::Graph g = testing::RandomDag(rng, opts, "frontier");
+    const graph::BufferUseTable table = graph::BufferUseTable::Build(g);
+    const graph::AdjacencyBitsets adjacency = graph::BuildAdjacency(g);
+    const ExpansionTables tables(g, table, adjacency);
+    const std::size_t n = static_cast<std::size_t>(g.num_nodes());
+    const std::size_t words = tables.words_per_state();
+    if (num_ops > 64) ASSERT_GE(words, 2u);
 
-  // Random schedulable prefixes: schedule a random ready node at a time and
-  // cross-check the frontier after every step.
-  util::Bitset64 scheduled(n);
-  std::vector<std::int32_t> frontier;
-  for (std::size_t step = 0; step <= n; ++step) {
-    frontier.clear();
-    tables.AppendFrontier(scheduled.words(), &frontier);
-    std::vector<std::int32_t> expected;
-    for (std::size_t u = 0; u < n; ++u) {
-      if (!scheduled.Test(u) && adjacency.preds[u].IsSubsetOf(scheduled)) {
-        expected.push_back(static_cast<std::int32_t>(u));
+    // Random schedulable prefixes: schedule a random ready node at a time
+    // and cross-check, after every step, the scanned frontier, the mask
+    // computed from scratch and the mask derived step by step from the
+    // root's (the DP's stored per-state mask).
+    util::Bitset64 scheduled(n);
+    std::vector<std::int32_t> frontier;
+    std::vector<std::int32_t> newly_ready;
+    std::vector<std::uint64_t> derived(words);
+    std::vector<std::uint64_t> scratch(words);
+    tables.FrontierMask(scheduled.words(), derived.data());
+    for (std::size_t step = 0; step <= n; ++step) {
+      const std::string ctx = std::to_string(num_ops) + " ops, after " +
+                              std::to_string(step) + " steps";
+      frontier.clear();
+      tables.AppendFrontier(scheduled.words(), &frontier);
+      std::vector<std::int32_t> expected;
+      for (std::size_t u = 0; u < n; ++u) {
+        if (!scheduled.Test(u) && adjacency.preds[u].IsSubsetOf(scheduled)) {
+          expected.push_back(static_cast<std::int32_t>(u));
+        }
       }
+      ASSERT_EQ(frontier, expected) << ctx;
+      tables.FrontierMask(scheduled.words(), scratch.data());
+      std::vector<std::int32_t> from_mask;
+      util::SpanAppendSetBits(scratch.data(), words, &from_mask);
+      ASSERT_EQ(from_mask, expected) << ctx;
+      from_mask.clear();
+      util::SpanAppendSetBits(derived.data(), words, &from_mask);
+      ASSERT_EQ(from_mask, expected) << ctx;
+      if (step == n) break;
+      ASSERT_FALSE(frontier.empty());
+      const std::int32_t u = frontier[static_cast<std::size_t>(
+          rng.NextInt(0, static_cast<int>(frontier.size()) - 1))];
+      scheduled.Set(static_cast<std::size_t>(u));
+      tables.ChildFrontier(derived.data(), scheduled.words(), u,
+                           scratch.data(), &newly_ready);
+      // The newly ready nodes are exactly the child's frontier minus the
+      // parent's.
+      std::vector<std::uint64_t> diff(words);
+      for (std::size_t w = 0; w < words; ++w) {
+        diff[w] = scratch[w] & ~derived[w];
+      }
+      std::vector<std::int32_t> joined;
+      util::SpanAppendSetBits(diff.data(), words, &joined);
+      std::sort(newly_ready.begin(), newly_ready.end());
+      ASSERT_EQ(newly_ready, joined) << ctx;
+      derived = scratch;
     }
-    ASSERT_EQ(frontier, expected) << "after " << step << " steps";
-    if (step == n) break;
-    ASSERT_FALSE(frontier.empty());
-    scheduled.Set(static_cast<std::size_t>(frontier[static_cast<std::size_t>(
-        rng.NextInt(0, static_cast<int>(frontier.size()) - 1))]));
+    EXPECT_EQ(scheduled.Count(), n);
   }
-  EXPECT_EQ(scheduled.Count(), n);
 }
 
 TEST(ExpansionTables, ApplyMatchesScheduleEvaluator) {

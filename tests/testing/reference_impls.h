@@ -56,8 +56,10 @@ inline sched::BeamResult ReferenceScheduleBeam(const graph::Graph& graph,
   core::StateLevel current;
   current.Init(words, 1, 1);
   const std::vector<std::uint64_t> empty(words, 0);
-  current.InsertOrRelax(empty.data(), core::SignatureHasher::kEmptyHash, 0,
-                        0, 0, -1, -1);
+  std::vector<std::uint64_t> child_mask(words);
+  tables.FrontierMask(empty.data(), child_mask.data());
+  current.InsertOrRelax(empty.data(), child_mask.data(),
+                        core::SignatureHasher::kEmptyHash, 0, 0, 0, -1, -1);
   current.Seal();
 
   // The streaming path's intrinsic total order, on a sealed level.
@@ -102,8 +104,10 @@ inline sched::BeamResult ReferenceScheduleBeam(const graph::Graph& graph,
             sig, u, footprint, std::numeric_limits<std::int64_t>::max());
         std::copy(sig, sig + words, child.data());
         util::SpanSetBit(child.data(), static_cast<std::size_t>(u));
+        tables.FrontierMask(child.data(), child_mask.data());
         next.InsertOrRelax(
-            child.data(), hash ^ hasher.key(static_cast<std::size_t>(u)),
+            child.data(), child_mask.data(),
+            hash ^ hasher.key(static_cast<std::size_t>(u)),
             t.footprint, std::max(peak, t.step_peak),
             hasher.candidate_tie(hash, static_cast<std::size_t>(u)),
             static_cast<std::int32_t>(s), u);
