@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "graph/analysis.h"
 #include "sched/baselines.h"
 #include "sched/beam.h"
 #include "testing/fault_injection.h"
@@ -27,9 +26,7 @@ namespace {
 // greedy memory baseline and a narrow beam. Both produce complete, valid
 // schedules, so their peaks are incumbents the branch-and-bound search can
 // prune against; the beam usually tightens the greedy seed substantially at
-// a cost that is small next to the DP it accelerates. A greedy peak on the
-// segment's peak floor (graph::BufferUseTable::PeakFloorBytes) is already
-// µ*, so the beam is skipped: nothing can beat it.
+// a cost that is small next to the DP it accelerates.
 std::int64_t SeedIncumbent(const graph::Graph& segment, int beam_width,
                            util::MemoryBudget* budget,
                            const util::CancelToken* cancel) {
@@ -39,8 +36,7 @@ std::int64_t SeedIncumbent(const graph::Graph& segment, int beam_width,
   // follows will surface the budget/cancel signal itself).
   std::int64_t incumbent = sched::PeakFootprint(
       segment, sched::GreedyMemorySchedule(segment));
-  if (beam_width > 0 &&
-      incumbent > graph::BufferUseTable::Build(segment).PeakFloorBytes()) {
+  if (beam_width > 0) {
     sched::BeamOptions beam_options;
     beam_options.width = beam_width;
     beam_options.memory_budget = budget;

@@ -55,9 +55,7 @@ struct PipelineOptions {
   // the seed decides DARTS's search (a greedy-only seed expands 5x the
   // states) and any width from 4 up closes that gap; wider beams save a
   // few states elsewhere but cost more beam time than the DP saves
-  // (DESIGN.md "Branch-and-bound over levels" has the width sweep). The
-  // beam is skipped when the greedy peak already sits on the segment's
-  // peak floor, where greedy is provably optimal.
+  // (DESIGN.md "Branch-and-bound over levels" has the width sweep).
   int incumbent_beam_width = 8;
 
   // Expand big DP levels with min(hardware_concurrency, 64) threads

@@ -59,8 +59,7 @@ struct BufferUseTable {
   // one of them is simultaneously live at the step that schedules u in ANY
   // topological order — the operands' writers precede u and no operand can
   // be freed before its toucher u has run, while the output is allocated no
-  // later than u itself. The admission floor of serve::SchedulerService,
-  // and the pipeline's proof that a greedy seed sitting on it is optimal.
+  // later than u itself. The admission floor of serve::SchedulerService.
   std::int64_t PeakFloorBytes() const;
 
   // True if no writer of buffer `b` has executed yet, i.e. scheduling a

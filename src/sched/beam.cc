@@ -40,14 +40,14 @@ BeamResult ScheduleBeam(const graph::Graph& graph,
     return result;
   }
 
+  // Every beam level is bounded, the root included: bounded levels store
+  // no frontier masks, and each parent's frontier is recomputed below.
   core::StateLevel current;
-  current.Init(words, 1, 1);
+  current.InitBounded(words, 1);
   const std::vector<std::uint64_t> empty(words, 0);
-  std::vector<std::uint64_t> root_frontier(words);
-  tables.FrontierMask(empty.data(), root_frontier.data());
-  current.InsertOrRelax(empty.data(), root_frontier.data(),
-                        core::SignatureHasher::kEmptyHash, 0, 0, 0, -1, -1);
-  current.Seal();
+  current.InsertBounded(empty.data(), core::SignatureHasher::kEmptyHash, 0, 0,
+                        0, -1, -1);
+  current.SealBounded();
 
   // Branch-and-bound cut (see BeamOptions::prune_above_bytes). `bounding`
   // is loop-invariant, so the default path pays one predictable branch.

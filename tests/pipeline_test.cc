@@ -4,12 +4,9 @@
 
 #include <numeric>
 
-#include "graph/analysis.h"
-#include "models/random_cell.h"
 #include "models/swiftnet.h"
 #include "models/zoo.h"
 #include "sched/baselines.h"
-#include "sched/beam.h"
 #include "sched/schedule.h"
 
 namespace serenity::core {
@@ -113,43 +110,6 @@ TEST(Pipeline, SegmentSizesSumToGraph) {
   EXPECT_EQ(std::accumulate(r.segment_sizes.begin(), r.segment_sizes.end(),
                             0),
             r.scheduled_graph.num_nodes());
-}
-
-TEST(Pipeline, GreedySeedOnThePeakFloorSkipsTheBeam) {
-  // A synthetic irregular network of the scalability study's shape, planned
-  // whole: its greedy peak sits on the peak floor, so the seed beam is
-  // skipped. The answer and the search must be those of a beam-seeded run.
-  models::RandomCellParams p;
-  p.seed = 97;
-  p.num_cells = 2;
-  p.num_intermediates = 10;
-  p.concat_branches = 4;
-  p.spatial = 8;
-  const graph::Graph g = models::MakeRandomCellNetwork(p);
-  const std::int64_t greedy =
-      sched::PeakFootprint(g, sched::GreedyMemorySchedule(g));
-  ASSERT_EQ(greedy, graph::BufferUseTable::Build(g).PeakFloorBytes());
-
-  PipelineOptions options;
-  options.enable_rewriting = false;
-  options.enable_partitioning = false;
-  const PipelineResult r = Pipeline(options).Run(g);
-  ASSERT_TRUE(r.success) << r.failure_reason;
-  EXPECT_EQ(r.quality, PlanQuality::kExact);
-  EXPECT_EQ(r.incumbent_seed_bytes, r.peak_bytes);
-
-  sched::BeamOptions beam_options;
-  beam_options.width = options.incumbent_beam_width;
-  const sched::BeamResult beam = sched::ScheduleBeam(g, beam_options);
-  ASSERT_TRUE(beam.status.ok());
-  SoftBudgetOptions seeded = options.soft_budget;
-  seeded.incumbent_bytes = std::min(greedy, beam.peak_bytes);
-  seeded.adaptive_parallelism = true;
-  const SoftBudgetResult sb = ScheduleWithSoftBudget(g, seeded);
-  ASSERT_EQ(sb.status, DpStatus::kSolution);
-  EXPECT_EQ(r.peak_bytes, sb.peak_bytes);
-  EXPECT_EQ(r.schedule, sb.schedule);
-  EXPECT_EQ(r.states_expanded, sb.TotalStates());
 }
 
 TEST(Pipeline, TimingFieldsPopulated) {
