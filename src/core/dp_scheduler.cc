@@ -1,8 +1,6 @@
 #include "core/dp_scheduler.h"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 #include <vector>
 
 #include "core/state_store.h"
@@ -31,16 +29,6 @@ const char* ToString(DpStatus status) {
 }
 
 namespace {
-
-// StateLevel::ShardOf derives the shard from the top 6 hash bits, so at
-// most 64 shards can ever be populated; clamp thread/shard counts there.
-constexpr int kMaxShards = 64;
-
-int ShardCountFor(int num_threads) {
-  int shards = 1;
-  while (shards < num_threads && shards < kMaxShards) shards <<= 1;
-  return shards;
-}
 
 class DpRunner {
  public:
@@ -71,24 +59,11 @@ class DpRunner {
       return Finish(result, total_clock);
     }
 
-    const int configured =
-        std::min(std::max(1, options_.num_threads), kMaxShards);
-    // Adaptive mode: the thread pool a big level may escalate to. Derived
-    // from the hardware once; whether a given level uses it is decided from
-    // that level's reserve hint below.
-    int auto_threads = 1;
-    if (configured == 1 && options_.adaptive_parallelism) {
-      auto_threads = std::min<int>(
-          kMaxShards,
-          std::max<int>(1, static_cast<int>(
-                               std::thread::hardware_concurrency())));
-    }
-
     // Level 0: the empty schedule (Algorithm 1 lines 4-5). Its frontier
     // mask is the one computed from scratch; every later state derives its
     // own from its parent's (ExpansionTables::ChildFrontier).
     StateLevel current;
-    current.Init(words_, 1, 1);
+    current.Init(words_, 1);
     const std::vector<std::uint64_t> empty(words_, 0);
     std::vector<std::uint64_t> root_frontier(words_);
     tables_.FrontierMask(empty.data(), root_frontier.data());
@@ -113,29 +88,18 @@ class DpRunner {
       }
       const std::size_t hint =
           NextLevelReserveHint(current.size(), options_.max_states);
-      int level_threads = configured;
-      if (configured == 1 && auto_threads > 1 &&
-          hint >= options_.parallel_threshold_states) {
-        level_threads = auto_threads;
-      }
-      const int level_shards =
-          level_threads > 1 ? ShardCountFor(level_threads) : 1;
       // Charge the next level's reserve before it allocates. The estimate
       // mirrors Init's reserve math exactly, so a successful charge means
       // Init itself stays within the reservation.
       if (!EnsureResident(current.ResidentBytes() +
-                          StateLevel::EstimateBytes(words_, hint,
-                                                    level_shards))) {
+                          StateLevel::EstimateBytes(words_, hint))) {
         result.status = DpStatus::kResourceExhausted;
         result.levels_completed = static_cast<int>(i);
         return Finish(result, total_clock);
       }
       StateLevel next;
-      next.Init(words_, hint, level_shards);
-      const bool completed =
-          level_threads > 1
-              ? ExpandLevelSharded(current, next, level_threads, level_clock)
-              : ExpandLevel(current, next, level_clock);
+      next.Init(words_, hint);
+      const bool completed = ExpandLevel(current, next, level_clock);
       if (!completed ||
           level_clock.ElapsedSeconds() > options_.step_timeout_seconds) {
         result.status = completed ? DpStatus::kTimeout : AbortStatus();
@@ -196,14 +160,13 @@ class DpRunner {
   // Sticky cancellation poll. The kCancelPoll fault is consulted only when
   // a token is attached (a cancellable context), so runs without one are
   // immune to an armed countdown; sticky because the one-shot fault cannot
-  // re-fire on the next poll. Thread-safe: workers of a sharded level poll
-  // it concurrently.
+  // re-fire on the next poll.
   bool CancelRequested() {
-    if (cancelled_.load(std::memory_order_relaxed)) return true;
+    if (cancelled_) return true;
     if (cancel_ == nullptr) return false;
     if (cancel_->cancelled() ||
         testing::FaultTriggered(testing::FaultPoint::kCancelPoll)) {
-      cancelled_.store(true, std::memory_order_relaxed);
+      cancelled_ = true;
       return true;
     }
     return false;
@@ -219,33 +182,12 @@ class DpRunner {
                                       store_bytes);
   }
 
-  // The one-step frontier floor on a child that survived the step-peak
-  // cut (DESIGN.md "Branch-and-bound over levels"): whatever the child
-  // schedules next allocates at least the floor, so footprint + floor
-  // STRICTLY above the incumbent proves every completion is worse than a
-  // schedule already in hand. A pure function of the child signature, so
-  // every duplicate candidate agrees and relax winners (hence the
-  // reconstructed schedule) are the unpruned search's. `child` holds the
-  // child's signature; `allocs` are the parent's frontier allocs and
-  // `newly_ready` the successors of u that the child made ready.
-  bool FloorExceedsIncumbent(const ExpansionTables::Transition& t,
-                             const std::uint64_t* child, std::int32_t u,
-                             const ExpansionTables::FrontierAllocs& allocs,
-                             const std::vector<std::int32_t>& newly_ready)
-      const {
-    if (!bound_pruning_) return false;
-    const std::int64_t floor =
-        tables_.ChildNextAllocFloor(child, u, allocs, newly_ready);
-    return floor != ExpansionTables::kNoAlloc &&
-           t.footprint + floor > incumbent_;
-  }
-
-  // Sequential expansion of one level (Algorithm 1 lines 9-24, plus the
-  // branch-and-bound cuts: step peak, then child floor, each against the
-  // incumbent). A parent's frontier is read off its stored mask; a child
-  // that survives the step cut gets its mask from one successor scan,
-  // whose newly ready nodes also feed the floor. Returns false on step
-  // timeout or state-cap overrun.
+  // Expansion of one level (Algorithm 1 lines 9-24, plus the branch-and-
+  // bound cuts: step peak, then child floor, each against the incumbent).
+  // A parent's frontier is read off its stored mask; a child that survives
+  // the step cut gets its mask from one successor scan, whose newly ready
+  // nodes also feed the floor. Returns false on step timeout, state-cap
+  // overrun, cancellation or a denied budget true-up.
   bool ExpandLevel(const StateLevel& current, StateLevel& next,
                    const util::Stopwatch& level_clock) {
     std::vector<std::int32_t> frontier;
@@ -287,9 +229,21 @@ class DpRunner {
         util::SpanSetBit(child.data(), static_cast<std::size_t>(u));
         tables_.ChildFrontier(mask, child.data(), u, child_mask.data(),
                               &newly_ready);
-        if (FloorExceedsIncumbent(t, child.data(), u, allocs, newly_ready)) {
-          ++pruned_.frontier_floor;
-          continue;
+        // One-step frontier floor (DESIGN.md "Branch-and-bound over
+        // levels"): whatever the child schedules next allocates at least
+        // the floor, so footprint + floor STRICTLY above the incumbent
+        // proves every completion is worse than a schedule already in
+        // hand. A pure function of the child signature, so every duplicate
+        // candidate agrees and relax winners (hence the reconstructed
+        // schedule) are the unpruned search's.
+        if (bound_pruning_) {
+          const std::int64_t floor = tables_.ChildNextAllocFloor(
+              child.data(), u, allocs, newly_ready);
+          if (floor != ExpansionTables::kNoAlloc &&
+              t.footprint + floor > incumbent_) {
+            ++pruned_.frontier_floor;
+            continue;
+          }
         }
         if (next.InsertOrRelax(child.data(), child_mask.data(),
                                hash ^ hasher_.key(static_cast<std::size_t>(u)),
@@ -308,9 +262,9 @@ class DpRunner {
     return true;
   }
 
-  // The sequential per-cadence limit probe: step timeout (and state cap,
-  // checked per parent below) stay kTimeout; cancellation and a denied
-  // budget true-up get their own abort reasons.
+  // The per-cadence limit probe: step timeout (and state cap, checked per
+  // parent above) stay kTimeout; cancellation and a denied budget true-up
+  // get their own abort reasons.
   bool CheckLimits(const StateLevel& current, const StateLevel& next,
                    const util::Stopwatch& level_clock) {
     if (level_clock.ElapsedSeconds() > options_.step_timeout_seconds) {
@@ -323,129 +277,6 @@ class DpRunner {
     }
     if (!EnsureResident(current.ResidentBytes() + next.ResidentBytes())) {
       abort_ = Abort::kMemory;
-      return false;
-    }
-    return true;
-  }
-
-  // Sharded parallel expansion: every thread scans the whole parent level
-  // (the frontier decode is duplicated — it is cheap) but computes
-  // and inserts only the transitions whose child hash falls in its shards,
-  // so each sub-table has exactly one writer and per-shard insertion order
-  // is the same ascending (state, node) order regardless of scheduling —
-  // the determinism argument in DESIGN.md. Bound pruning is a pure
-  // function of the transition, and each pruned transition is counted by
-  // its shard owner, keeping the totals independent of the thread count.
-  bool ExpandLevelSharded(const StateLevel& current, StateLevel& next,
-                          int num_threads,
-                          const util::Stopwatch& level_clock) {
-    std::atomic<bool> abort{false};
-    std::atomic<int> abort_reason{-1};  // first aborting worker's Abort
-    std::atomic<std::uint64_t> transitions{0};
-    std::atomic<std::uint64_t> created{0};
-    // Per-thread prune attribution, summed after the join.
-    std::vector<PruneBreakdown> thread_pruned(
-        static_cast<std::size_t>(num_threads));
-    auto request_abort = [&](Abort reason) {
-      int expected = -1;
-      abort_reason.compare_exchange_strong(expected,
-                                           static_cast<int>(reason),
-                                           std::memory_order_relaxed);
-      abort.store(true, std::memory_order_relaxed);
-    };
-    auto worker = [&](int thread_index) {
-      std::vector<std::int32_t> frontier;
-      std::vector<std::int32_t> newly_ready;
-      std::vector<std::uint64_t> child(words_);
-      std::vector<std::uint64_t> child_mask(words_);
-      ExpansionTables::FrontierAllocs allocs;
-      PruneBreakdown& local_pruned =
-          thread_pruned[static_cast<std::size_t>(thread_index)];
-      std::uint64_t local_transitions = 0;
-      std::uint64_t local_created = 0;
-      std::uint64_t since_check = 0;
-      for (std::size_t s = 0; s < current.size(); ++s) {
-        if (abort.load(std::memory_order_relaxed)) break;
-        const std::uint64_t* sig = current.signature(s);
-        const std::uint64_t* mask = current.frontier(s);
-        const std::int64_t peak = current.peak(s);
-        const std::int64_t footprint = current.footprint(s);
-        const std::uint64_t hash = current.hash(s);
-        frontier.clear();
-        util::SpanAppendSetBits(mask, words_, &frontier);
-        if (bound_pruning_) {
-          tables_.ComputeFrontierAllocs(sig, frontier, &allocs);
-        }
-        for (const std::int32_t u : frontier) {
-          const std::uint64_t child_hash =
-              hash ^ hasher_.key(static_cast<std::size_t>(u));
-          if (next.ShardOf(child_hash) % num_threads != thread_index) {
-            continue;  // another thread owns this child's shard
-          }
-          ++local_transitions;
-          if ((++since_check & 0xfff) == 0) {
-            // Publish this worker's states before checking the cap, so the
-            // cap is enforced *within* a level (overshoot is bounded by
-            // ~4096 transitions per thread, matching the sequential path's
-            // granularity) rather than only after it is fully materialized.
-            created.fetch_add(local_created, std::memory_order_relaxed);
-            local_created = 0;
-            if (level_clock.ElapsedSeconds() >
-                    options_.step_timeout_seconds ||
-                states_expanded_ + created.load(std::memory_order_relaxed) >
-                    options_.max_states) {
-              request_abort(Abort::kTimeout);
-              break;
-            }
-            // Budget true-ups wait for the level boundary (a worker cannot
-            // read sibling shards' capacities while they grow), but
-            // cancellation is just an atomic poll.
-            if (CancelRequested()) {
-              request_abort(Abort::kCancelled);
-              break;
-            }
-          }
-          const ExpansionTables::Transition t =
-              tables_.Apply(sig, u, footprint, step_limit_);
-          if (t.step_peak > options_.budget_bytes) continue;
-          if (t.step_peak > incumbent_) {
-            ++local_pruned.incumbent;
-            continue;
-          }
-          std::copy(sig, sig + words_, child.data());
-          util::SpanSetBit(child.data(), static_cast<std::size_t>(u));
-          tables_.ChildFrontier(mask, child.data(), u, child_mask.data(),
-                                &newly_ready);
-          if (FloorExceedsIncumbent(t, child.data(), u, allocs,
-                                    newly_ready)) {
-            ++local_pruned.frontier_floor;
-            continue;
-          }
-          if (next.InsertOrRelax(child.data(), child_mask.data(), child_hash,
-                                 t.footprint, std::max(peak, t.step_peak),
-                                 hasher_.candidate_tie(
-                                   hash, static_cast<std::size_t>(u)),
-                                 static_cast<std::int32_t>(s), u)) {
-            ++local_created;
-          }
-        }
-      }
-      transitions.fetch_add(local_transitions, std::memory_order_relaxed);
-      created.fetch_add(local_created, std::memory_order_relaxed);
-    };
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(num_threads));
-    for (int t = 0; t < num_threads; ++t) threads.emplace_back(worker, t);
-    for (std::thread& t : threads) t.join();
-    transitions_ += transitions.load();
-    states_expanded_ += created.load();
-    for (const PruneBreakdown& p : thread_pruned) pruned_ += p;
-    if (abort.load()) {
-      abort_ = static_cast<Abort>(abort_reason.load());
-      return false;
-    }
-    if (states_expanded_ > options_.max_states) {
-      abort_ = Abort::kTimeout;
       return false;
     }
     return true;
@@ -479,7 +310,7 @@ class DpRunner {
   util::BudgetReservation reservation_;
   std::int64_t fixed_bytes_ = 0;
   std::int64_t recon_bytes_ = 0;
-  std::atomic<bool> cancelled_{false};
+  bool cancelled_ = false;
   Abort abort_ = Abort::kTimeout;
   std::vector<std::vector<ReconRecord>> recon_;
   std::uint64_t states_expanded_ = 0;

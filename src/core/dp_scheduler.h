@@ -21,10 +21,8 @@
 // deallocate-after-last-use test is a word-wise `touchers ⊆ scheduled ∪ {u}`
 // subset check. A finished level immediately drops everything except its
 // back-pointer records, so resident memory per completed level is 8
-// bytes/state. With `num_threads > 1` next-level insertion is sharded by
-// signature hash and levels expand in parallel; the reported peak is
-// identical across thread counts (it is the optimum), and the full result is
-// deterministic for a fixed thread count.
+// bytes/state. Levels expand sequentially, one parent state after another,
+// so the full result is deterministic.
 //
 // Soft budgets (paper §3.2): passing `budget_bytes` prunes any transition
 // whose transient footprint exceeds the budget. With τ ≥ µ* the optimal
@@ -73,36 +71,14 @@ struct DpOptions {
   // kTimeout (the two limits express the same "scheduling is intractable at
   // this budget" signal; the state cap makes runs deterministic).
   std::uint64_t max_states = 4'000'000;
-  // Threads expanding each level. 1 = sequential (the default; fastest on
-  // the paper's cells). With k > 1 threads, next-level insertion is sharded
-  // across the smallest power of two >= k sub-tables by signature hash; the
-  // optimal peak is unaffected and results are deterministic per thread
-  // count (see DESIGN.md for the argument). Clamped to 64, the shard
-  // addressing limit.
-  int num_threads = 1;
-  // Adaptive parallelism: when num_threads == 1 and this is set, a level
-  // whose reserve hint crosses `parallel_threshold_states` is expanded with
-  // min(hardware_concurrency, 64) threads instead — big levels amortize the
-  // duplicated frontier scan, small ones skip the thread-spawn cost. The
-  // optimal peak, states_expanded, transitions, states_pruned_by_bound AND
-  // the reconstructed schedule are all invariant under the shard count
-  // (state sets are order-free and relax winners use the intrinsic tie key
-  // of SignatureHasher::tie_key), so enabling this never makes results
-  // machine-dependent. Ignored when num_threads > 1 (an explicit thread
-  // count wins).
-  bool adaptive_parallelism = false;
-  std::size_t parallel_threshold_states = std::size_t{1} << 17;
   // Byte budget for the search's *own* memory (state arenas, SoA arrays,
   // hash tables, reconstruction records, expansion tables). The run holds
   // a high-water reservation against it — charged before each level grows,
   // trued up at the same 64-state/~4096-transition cadence as step
   // timeouts, refunded wholesale when the run ends. A denied charge aborts
-  // with kResourceExhausted (the degradation ladder's memory signal).
-  // Sequential runs overshoot the reservation by at most one vector
-  // doubling plus one check interval of inserts; sharded runs true up at
-  // level boundaries only (a worker cannot read sibling shards' capacities
-  // mid-growth), so their overshoot is bounded by one level's growth.
-  // nullptr = ungoverned.
+  // with kResourceExhausted (the degradation ladder's memory signal). A
+  // run overshoots the reservation by at most one vector doubling plus one
+  // check interval of inserts. nullptr = ungoverned.
   util::MemoryBudget* memory_budget = nullptr;
   // Cooperative cancellation, polled at the same cadence as the step
   // timeout. A cancelled run aborts with kCancelled; it mutates nothing
@@ -113,8 +89,7 @@ struct DpOptions {
 
 // Per-bound prune attribution. Each pruned transition is counted exactly
 // once, under the *first* test that killed it (step peak, then child
-// floor). Deterministic and identical across thread counts, like every
-// other state count of the run. The search runs only the step-peak cut and
+// floor). Deterministic, like every other state count of the run. The search runs only the step-peak cut and
 // the one-step frontier floor: `residual`, `lookahead` and `dominance`
 // always read 0 and stay only so readers of all five fields still compile.
 struct PruneBreakdown {
@@ -160,14 +135,12 @@ struct DpResult {
   std::uint64_t states_expanded = 0;   // memoized signatures created
   std::uint64_t transitions = 0;       // candidate node expansions
   // Search-space cut by the incumbent bound: transitions whose step peak
-  // or child floor exceeded the incumbent. Deterministic and identical
-  // across thread counts. Always equals pruned.Total().
+  // or child floor exceeded the incumbent. Deterministic. Always equals
+  // pruned.Total().
   std::uint64_t states_pruned_by_bound = 0;
   // The same cut, attributed per bound (see PruneBreakdown).
   PruneBreakdown pruned;
-  // Widest sealed level of the run — the quantity the adaptive-parallelism
-  // threshold is calibrated against (like every state count, independent of
-  // the shard count: a level's contents are a set).
+  // State count of the widest sealed level of the run.
   std::uint64_t max_level_states = 0;
   int levels_completed = 0;
   double seconds = 0.0;

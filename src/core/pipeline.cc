@@ -140,8 +140,6 @@ PipelineResult Pipeline::Run(const graph::Graph& graph) const {
           std::min(sb_options.incumbent_bytes, incumbent);
       sb_options.enable_bound_pruning = options_.enable_bound_pruning &&
                                         sb_options.enable_bound_pruning;
-      sb_options.adaptive_parallelism = sb_options.adaptive_parallelism ||
-                                        options_.adaptive_parallelism;
       sb_options.deadline_seconds =
           std::min(sb_options.deadline_seconds, remaining());
       sb_options.memory_budget = options_.memory_budget;
@@ -176,8 +174,6 @@ PipelineResult Pipeline::Run(const graph::Graph& graph) const {
       DpOptions dp_options = options_.dp;
       dp_options.incumbent_bytes =
           std::min(dp_options.incumbent_bytes, incumbent);
-      dp_options.adaptive_parallelism = dp_options.adaptive_parallelism ||
-                                        options_.adaptive_parallelism;
       dp_options.step_timeout_seconds =
           std::min(dp_options.step_timeout_seconds, remaining());
       dp_options.memory_budget = options_.memory_budget;

@@ -58,12 +58,7 @@ struct PipelineOptions {
   // (DESIGN.md "Branch-and-bound over levels" has the width sweep).
   int incumbent_beam_width = 8;
 
-  // Expand big DP levels with min(hardware_concurrency, 64) threads
-  // (DpOptions::adaptive_parallelism); small levels stay sequential. Safe
-  // to default on: state counts are shard-count invariant by construction,
-  // and the intrinsic relax tie-break makes the reconstructed schedule
-  // shard-count invariant too, so results do not depend on the machine's
-  // core count.
+  // No effect; remove with the next benchmark PR.
   bool adaptive_parallelism = true;
 
   // Wall-clock budget for the whole Run (seconds; infinity = none). The
@@ -143,8 +138,7 @@ struct PipelineResult {
   // summed across segments and attempts; pruned.Total() ==
   // states_pruned_by_bound.
   PruneBreakdown pruned;
-  // Widest sealed DP level across segments/attempts (shard-count
-  // invariant); what the adaptive-parallelism threshold compares against.
+  // Widest sealed DP level across segments/attempts.
   std::uint64_t max_level_states = 0;
   // Peak of the cheapest incumbent seed (greedy/beam) across segments — the
   // bound the DP had to beat; -1 when seeding is off.

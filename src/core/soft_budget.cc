@@ -33,8 +33,6 @@ SoftBudgetResult ScheduleWithSoftBudget(const graph::Graph& graph,
   DpOptions dp_options;
   dp_options.step_timeout_seconds = options.step_timeout_seconds;
   dp_options.max_states = options.max_states_per_attempt;
-  dp_options.num_threads = options.num_threads;
-  dp_options.adaptive_parallelism = options.adaptive_parallelism;
   dp_options.memory_budget = options.memory_budget;
   dp_options.cancel = options.cancel;
   if (options.enable_bound_pruning) {
@@ -110,8 +108,6 @@ SoftBudgetResult ScheduleWithSoftBudget(const graph::Graph& graph,
   // it too — a fallback that overruns is reported as kTimeout and the
   // caller degrades rather than blocking the serving thread.
   fallback.step_timeout_seconds = remaining();
-  fallback.num_threads = options.num_threads;
-  fallback.adaptive_parallelism = options.adaptive_parallelism;
   fallback.incumbent_bytes = dp_options.incumbent_bytes;
   fallback.memory_budget = options.memory_budget;
   fallback.cancel = options.cancel;

@@ -35,10 +35,7 @@ struct SoftBudgetOptions {
   // Hard cap on meta-search iterations (binary search halves the byte range,
   // so convergence is well under this in practice).
   int max_iterations = 64;
-  // Forwarded to DpOptions::num_threads for every attempt (including the
-  // fallback run).
-  int num_threads = 1;
-  // Forwarded to DpOptions::adaptive_parallelism for every attempt.
+  // No effect; remove with the next benchmark PR.
   bool adaptive_parallelism = false;
   // Branch-and-bound incumbent from the caller (an achievable peak, e.g.
   // Pipeline's greedy/beam seed). Every DP attempt additionally tightens it

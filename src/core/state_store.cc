@@ -24,6 +24,11 @@ std::size_t NextPowerOfTwo(std::size_t v) {
   return p;
 }
 
+// Open-addressing capacity for load factor <= 2/3 at `states` states.
+std::size_t TableSlotsFor(std::size_t states) {
+  return NextPowerOfTwo(std::max<std::size_t>(16, states * 3 / 2));
+}
+
 // Probe-table cell markers for the bounded mode. kEmpty terminates probe
 // chains; tombstones (left by evictions) do not, so lookups stay correct
 // after deletions and insertions may reuse the dead cell.
@@ -33,8 +38,8 @@ constexpr std::int32_t kTombstoneCell = -2;
 }  // namespace
 
 SignatureHasher::SignatureHasher(std::size_t num_nodes) {
-  // Fixed seeds: hashes and tie keys (and therefore shard assignment and
-  // back-pointer tie-breaks) are reproducible across runs and platforms.
+  // Fixed seeds: hashes and tie keys (and therefore back-pointer
+  // tie-breaks) are reproducible across runs and platforms.
   std::uint64_t state = 0x5e7e217f9a3c4d1bull;
   keys_.resize(num_nodes);
   for (std::uint64_t& key : keys_) key = SplitMix64(state);
@@ -44,29 +49,21 @@ SignatureHasher::SignatureHasher(std::size_t num_nodes) {
 }
 
 void StateLevel::Init(std::size_t words_per_state,
-                      std::size_t expected_states, int num_shards) {
+                      std::size_t expected_states) {
   SERENITY_CHECK_GT(words_per_state, 0u);
-  SERENITY_CHECK_GT(num_shards, 0);
-  SERENITY_CHECK_EQ(num_shards & (num_shards - 1), 0)
-      << "shard count must be a power of two";
   words_ = words_per_state;
   sealed_ = false;
   width_ = 0;  // unbounded mode
-  shards_.assign(static_cast<std::size_t>(num_shards), Shard{});
-  const std::size_t per_shard =
-      expected_states / static_cast<std::size_t>(num_shards) + 1;
-  for (Shard& shard : shards_) {
-    shard.sig_arena.reserve(per_shard * words_);
-    shard.frontier_arena.reserve(per_shard * words_);
-    shard.hashes.reserve(per_shard);
-    shard.footprint.reserve(per_shard);
-    shard.peak.reserve(per_shard);
-    shard.tie.reserve(per_shard);
-    shard.recon.reserve(per_shard);
-    // Open-addressing capacity for load factor <= 2/3 at the expected size.
-    shard.slots.assign(
-        NextPowerOfTwo(std::max<std::size_t>(16, per_shard * 3 / 2)), -1);
-  }
+  cols_ = Columns{};
+  const std::size_t reserve = expected_states + 1;
+  cols_.sig_arena.reserve(reserve * words_);
+  cols_.frontier_arena.reserve(reserve * words_);
+  cols_.hashes.reserve(reserve);
+  cols_.footprint.reserve(reserve);
+  cols_.peak.reserve(reserve);
+  cols_.tie.reserve(reserve);
+  cols_.recon.reserve(reserve);
+  cols_.slots.assign(TableSlotsFor(reserve), -1);
 }
 
 bool StateLevel::InsertOrRelax(const std::uint64_t* sig,
@@ -77,9 +74,60 @@ bool StateLevel::InsertOrRelax(const std::uint64_t* sig,
                                std::int32_t last_node) {
   SERENITY_CHECK(!sealed_);
   SERENITY_CHECK_EQ(width_, 0u) << "bounded level: use InsertBounded";
-  return InsertOrRelaxShard(shards_[static_cast<std::size_t>(ShardOf(hash))],
-                            sig, frontier, hash, footprint, peak, tie_key,
-                            prev_index, last_node);
+  if ((cols_.count + 1) * 3 > cols_.slots.size() * 2) GrowTable();
+  const std::size_t mask = cols_.slots.size() - 1;
+  std::size_t slot = static_cast<std::size_t>(hash) & mask;
+  for (;;) {
+    const std::int32_t s = cols_.slots[slot];
+    if (s < 0) {
+      cols_.slots[slot] = static_cast<std::int32_t>(cols_.count);
+      cols_.sig_arena.insert(cols_.sig_arena.end(), sig, sig + words_);
+      cols_.frontier_arena.insert(cols_.frontier_arena.end(), frontier,
+                                  frontier + words_);
+      cols_.hashes.push_back(hash);
+      cols_.footprint.push_back(footprint);
+      cols_.peak.push_back(peak);
+      cols_.tie.push_back(tie_key);
+      cols_.recon.push_back(ReconRecord{prev_index, last_node});
+      ++cols_.count;
+      return true;
+    }
+    const std::size_t si = static_cast<std::size_t>(s);
+    if (cols_.hashes[si] == hash &&
+        util::SpanEqual(cols_.sig_arena.data() + si * words_, sig, words_)) {
+      // Same signature ⇒ same µ (mechanically re-checked here); the lower
+      // peak wins, equal peaks resolve to the lower intrinsic tie key so
+      // the surviving back-pointer is independent of candidate arrival
+      // order (and therefore of pruning).
+      SERENITY_CHECK_EQ(cols_.footprint[si], footprint);
+      if (peak < cols_.peak[si] ||
+          (peak == cols_.peak[si] && tie_key < cols_.tie[si])) {
+        cols_.peak[si] = peak;
+        cols_.tie[si] = tie_key;
+        cols_.recon[si] = ReconRecord{prev_index, last_node};
+      }
+      return false;
+    }
+    slot = (slot + 1) & mask;
+  }
+}
+
+void StateLevel::GrowTable() {
+  const std::size_t capacity = cols_.slots.size() * 2;
+  cols_.slots.assign(capacity, -1);
+  const std::size_t mask = capacity - 1;
+  for (std::size_t i = 0; i < cols_.count; ++i) {
+    std::size_t slot = static_cast<std::size_t>(cols_.hashes[i]) & mask;
+    while (cols_.slots[slot] >= 0) slot = (slot + 1) & mask;
+    cols_.slots[slot] = static_cast<std::int32_t>(i);
+  }
+}
+
+void StateLevel::Seal() {
+  SERENITY_CHECK(!sealed_);
+  SERENITY_CHECK_EQ(width_, 0u) << "bounded level: use SealBounded";
+  sealed_ = true;
+  cols_.slots = {};
 }
 
 // ----------------------------------------------------- bounded (beam) mode
@@ -96,20 +144,19 @@ void StateLevel::InitBounded(std::size_t words_per_state, std::size_t width) {
   free_slots_.clear();
   slot_gen_.clear();
   slot_live_.clear();
-  shards_.assign(1, Shard{});
-  Shard& shard = shards_[0];
+  cols_ = Columns{};
   // At most width + 1 slots ever exist (the +1 is the state whose insertion
   // displaces the worst); reserve modestly — wide beams rarely fill.
   const std::size_t reserve = std::min<std::size_t>(width + 1, 1024);
-  shard.sig_arena.reserve(reserve * words_);
-  shard.hashes.reserve(reserve);
-  shard.footprint.reserve(reserve);
-  shard.peak.reserve(reserve);
-  shard.tie.reserve(reserve);
-  shard.recon.reserve(reserve);
+  cols_.sig_arena.reserve(reserve * words_);
+  cols_.hashes.reserve(reserve);
+  cols_.footprint.reserve(reserve);
+  cols_.peak.reserve(reserve);
+  cols_.tie.reserve(reserve);
+  cols_.recon.reserve(reserve);
   // Capacity >= 2*(width+2): live + tombstones stay under the 2/3 load
   // factor after every rebuild, so the table never needs to grow.
-  shard.slots.assign(
+  cols_.slots.assign(
       NextPowerOfTwo(std::max<std::size_t>(16, (width + 2) * 2)), kEmptyCell);
 }
 
@@ -130,11 +177,10 @@ bool StateLevel::BoundedValueLess(std::int64_t peak, std::int64_t footprint,
                                   std::uint64_t hash,
                                   const std::uint64_t* sig,
                                   std::size_t si) const {
-  const Shard& shard = shards_[0];
-  if (peak != shard.peak[si]) return peak < shard.peak[si];
-  if (footprint != shard.footprint[si]) return footprint < shard.footprint[si];
-  if (hash != shard.hashes[si]) return hash < shard.hashes[si];
-  const std::uint64_t* other = shard.sig_arena.data() + si * words_;
+  if (peak != cols_.peak[si]) return peak < cols_.peak[si];
+  if (footprint != cols_.footprint[si]) return footprint < cols_.footprint[si];
+  if (hash != cols_.hashes[si]) return hash < cols_.hashes[si];
+  const std::uint64_t* other = cols_.sig_arena.data() + si * words_;
   for (std::size_t w = 0; w < words_; ++w) {
     if (sig[w] != other[w]) return sig[w] < other[w];
   }
@@ -142,9 +188,8 @@ bool StateLevel::BoundedValueLess(std::int64_t peak, std::int64_t footprint,
 }
 
 void StateLevel::PushEvictEntry(std::size_t si) {
-  const Shard& shard = shards_[0];
-  evict_heap_.push_back(EvictEntry{shard.peak[si], shard.footprint[si],
-                                   shard.hashes[si],
+  evict_heap_.push_back(EvictEntry{cols_.peak[si], cols_.footprint[si],
+                                   cols_.hashes[si],
                                    static_cast<std::int32_t>(si),
                                    slot_gen_[si]});
   std::push_heap(evict_heap_.begin(), evict_heap_.end(), EvictLess);
@@ -156,7 +201,7 @@ void StateLevel::PushEvictEntry(std::size_t si) {
     for (const EvictEntry& e : evict_heap_) {
       const std::size_t slot = static_cast<std::size_t>(e.slot);
       if (slot_live_[slot] && slot_gen_[slot] == e.gen &&
-          shard.peak[slot] == e.peak) {
+          cols_.peak[slot] == e.peak) {
         fresh.push_back(e);
       }
     }
@@ -166,13 +211,12 @@ void StateLevel::PushEvictEntry(std::size_t si) {
 }
 
 std::size_t StateLevel::FreshWorstSlot() {
-  const Shard& shard = shards_[0];
   for (;;) {
     SERENITY_CHECK(!evict_heap_.empty());
     const EvictEntry& top = evict_heap_.front();
     const std::size_t si = static_cast<std::size_t>(top.slot);
     if (slot_live_[si] && slot_gen_[si] == top.gen &&
-        shard.peak[si] == top.peak) {
+        cols_.peak[si] == top.peak) {
       return si;
     }
     std::pop_heap(evict_heap_.begin(), evict_heap_.end(), EvictLess);
@@ -181,14 +225,13 @@ std::size_t StateLevel::FreshWorstSlot() {
 }
 
 void StateLevel::EvictSlot(std::size_t si) {
-  Shard& shard = shards_[0];
-  const std::size_t mask = shard.slots.size() - 1;
-  std::size_t cell = static_cast<std::size_t>(shard.hashes[si]) & mask;
-  while (shard.slots[cell] != static_cast<std::int32_t>(si)) {
-    SERENITY_CHECK(shard.slots[cell] != kEmptyCell);
+  const std::size_t mask = cols_.slots.size() - 1;
+  std::size_t cell = static_cast<std::size_t>(cols_.hashes[si]) & mask;
+  while (cols_.slots[cell] != static_cast<std::int32_t>(si)) {
+    SERENITY_CHECK(cols_.slots[cell] != kEmptyCell);
     cell = (cell + 1) & mask;
   }
-  shard.slots[cell] = kTombstoneCell;
+  cols_.slots[cell] = kTombstoneCell;
   ++tombstones_;
   ++slot_gen_[si];  // invalidates every heap snapshot of this tenancy
   slot_live_[si] = 0;
@@ -197,15 +240,14 @@ void StateLevel::EvictSlot(std::size_t si) {
 }
 
 void StateLevel::RebuildBoundedTable() {
-  Shard& shard = shards_[0];
-  std::fill(shard.slots.begin(), shard.slots.end(), kEmptyCell);
+  std::fill(cols_.slots.begin(), cols_.slots.end(), kEmptyCell);
   tombstones_ = 0;
-  const std::size_t mask = shard.slots.size() - 1;
-  for (std::size_t i = 0; i < shard.count; ++i) {
+  const std::size_t mask = cols_.slots.size() - 1;
+  for (std::size_t i = 0; i < cols_.count; ++i) {
     if (!slot_live_[i]) continue;
-    std::size_t cell = static_cast<std::size_t>(shard.hashes[i]) & mask;
-    while (shard.slots[cell] != kEmptyCell) cell = (cell + 1) & mask;
-    shard.slots[cell] = static_cast<std::int32_t>(i);
+    std::size_t cell = static_cast<std::size_t>(cols_.hashes[i]) & mask;
+    while (cols_.slots[cell] != kEmptyCell) cell = (cell + 1) & mask;
+    cols_.slots[cell] = static_cast<std::int32_t>(i);
   }
 }
 
@@ -216,42 +258,41 @@ bool StateLevel::InsertBounded(const std::uint64_t* sig, std::uint64_t hash,
                                std::int32_t last_node) {
   SERENITY_CHECK(!sealed_);
   SERENITY_CHECK_GT(width_, 0u) << "unbounded level: use InsertOrRelax";
-  Shard& shard = shards_[0];
-  if ((live_ + tombstones_ + 1) * 3 > shard.slots.size() * 2) {
+  if ((live_ + tombstones_ + 1) * 3 > cols_.slots.size() * 2) {
     RebuildBoundedTable();
   }
-  const std::size_t mask = shard.slots.size() - 1;
+  const std::size_t mask = cols_.slots.size() - 1;
   std::size_t cell = static_cast<std::size_t>(hash) & mask;
-  std::size_t reuse_cell = shard.slots.size();  // first tombstone on the path
+  std::size_t reuse_cell = cols_.slots.size();  // first tombstone on the path
   for (;;) {
-    const std::int32_t s = shard.slots[cell];
+    const std::int32_t s = cols_.slots[cell];
     if (s == kEmptyCell) break;
     if (s == kTombstoneCell) {
-      if (reuse_cell == shard.slots.size()) reuse_cell = cell;
+      if (reuse_cell == cols_.slots.size()) reuse_cell = cell;
     } else {
       const std::size_t si = static_cast<std::size_t>(s);
-      if (shard.hashes[si] == hash &&
-          util::SpanEqual(shard.sig_arena.data() + si * words_, sig,
+      if (cols_.hashes[si] == hash &&
+          util::SpanEqual(cols_.sig_arena.data() + si * words_, sig,
                           words_)) {
         // Live duplicate: relax exactly as InsertOrRelax does. A strictly
         // lower peak improves the slot's rank, so its heap snapshot is
         // re-pushed (the old one goes stale via the peak mismatch).
-        SERENITY_CHECK_EQ(shard.footprint[si], footprint);
-        if (peak < shard.peak[si]) {
-          shard.peak[si] = peak;
-          shard.tie[si] = tie_key;
-          shard.recon[si] = ReconRecord{prev_index, last_node};
+        SERENITY_CHECK_EQ(cols_.footprint[si], footprint);
+        if (peak < cols_.peak[si]) {
+          cols_.peak[si] = peak;
+          cols_.tie[si] = tie_key;
+          cols_.recon[si] = ReconRecord{prev_index, last_node};
           PushEvictEntry(si);
-        } else if (peak == shard.peak[si] && tie_key < shard.tie[si]) {
-          shard.tie[si] = tie_key;
-          shard.recon[si] = ReconRecord{prev_index, last_node};
+        } else if (peak == cols_.peak[si] && tie_key < cols_.tie[si]) {
+          cols_.tie[si] = tie_key;
+          cols_.recon[si] = ReconRecord{prev_index, last_node};
         }
         return false;
       }
     }
     cell = (cell + 1) & mask;
   }
-  if (reuse_cell == shard.slots.size()) reuse_cell = cell;
+  if (reuse_cell == cols_.slots.size()) reuse_cell = cell;
 
   if (live_ >= width_) {
     // Full level: entering is equivalent to insert-then-evict-the-worst,
@@ -270,29 +311,29 @@ bool StateLevel::InsertBounded(const std::uint64_t* sig, std::uint64_t hash,
     target = free_slots_.back();
     free_slots_.pop_back();
     const std::size_t ti = static_cast<std::size_t>(target);
-    std::copy(sig, sig + words_, shard.sig_arena.data() + ti * words_);
-    shard.hashes[ti] = hash;
-    shard.footprint[ti] = footprint;
-    shard.peak[ti] = peak;
-    shard.tie[ti] = tie_key;
-    shard.recon[ti] = ReconRecord{prev_index, last_node};
+    std::copy(sig, sig + words_, cols_.sig_arena.data() + ti * words_);
+    cols_.hashes[ti] = hash;
+    cols_.footprint[ti] = footprint;
+    cols_.peak[ti] = peak;
+    cols_.tie[ti] = tie_key;
+    cols_.recon[ti] = ReconRecord{prev_index, last_node};
     slot_live_[ti] = 1;
   } else {
-    target = static_cast<std::int32_t>(shard.count);
-    shard.sig_arena.insert(shard.sig_arena.end(), sig, sig + words_);
-    shard.hashes.push_back(hash);
-    shard.footprint.push_back(footprint);
-    shard.peak.push_back(peak);
-    shard.tie.push_back(tie_key);
-    shard.recon.push_back(ReconRecord{prev_index, last_node});
+    target = static_cast<std::int32_t>(cols_.count);
+    cols_.sig_arena.insert(cols_.sig_arena.end(), sig, sig + words_);
+    cols_.hashes.push_back(hash);
+    cols_.footprint.push_back(footprint);
+    cols_.peak.push_back(peak);
+    cols_.tie.push_back(tie_key);
+    cols_.recon.push_back(ReconRecord{prev_index, last_node});
     slot_gen_.push_back(0);
     slot_live_.push_back(1);
-    ++shard.count;
+    ++cols_.count;
   }
-  if (shard.slots[reuse_cell] == kTombstoneCell) {
+  if (cols_.slots[reuse_cell] == kTombstoneCell) {
     --tombstones_;  // the new entry resurrects a dead cell
   }
-  shard.slots[reuse_cell] = target;
+  cols_.slots[reuse_cell] = target;
   ++live_;
   PushEvictEntry(static_cast<std::size_t>(target));
   return true;
@@ -301,10 +342,9 @@ bool StateLevel::InsertBounded(const std::uint64_t* sig, std::uint64_t hash,
 void StateLevel::SealBounded() {
   SERENITY_CHECK(!sealed_);
   SERENITY_CHECK_GT(width_, 0u);
-  Shard& shard = shards_[0];
   std::vector<std::int32_t> keep;
   keep.reserve(live_);
-  for (std::size_t i = 0; i < shard.count; ++i) {
+  for (std::size_t i = 0; i < cols_.count; ++i) {
     if (slot_live_[i]) keep.push_back(static_cast<std::int32_t>(i));
   }
   SERENITY_CHECK_EQ(keep.size(), live_);
@@ -312,14 +352,14 @@ void StateLevel::SealBounded() {
   // eviction history — the order the reference seal-and-copy path must
   // reproduce for the bit-identity property suite.
   std::sort(keep.begin(), keep.end(),
-            [this, &shard](std::int32_t a, std::int32_t b) {
+            [this](std::int32_t a, std::int32_t b) {
               const std::size_t ia = static_cast<std::size_t>(a);
               return BoundedValueLess(
-                  shard.peak[ia], shard.footprint[ia], shard.hashes[ia],
-                  shard.sig_arena.data() + ia * words_,
+                  cols_.peak[ia], cols_.footprint[ia], cols_.hashes[ia],
+                  cols_.sig_arena.data() + ia * words_,
                   static_cast<std::size_t>(b));
             });
-  Shard out;
+  Columns out;
   out.count = keep.size();
   out.sig_arena.reserve(keep.size() * words_);
   out.hashes.reserve(keep.size());
@@ -329,15 +369,15 @@ void StateLevel::SealBounded() {
   out.recon.reserve(keep.size());
   for (const std::int32_t index : keep) {
     const std::size_t i = static_cast<std::size_t>(index);
-    const std::uint64_t* sig = shard.sig_arena.data() + i * words_;
+    const std::uint64_t* sig = cols_.sig_arena.data() + i * words_;
     out.sig_arena.insert(out.sig_arena.end(), sig, sig + words_);
-    out.hashes.push_back(shard.hashes[i]);
-    out.footprint.push_back(shard.footprint[i]);
-    out.peak.push_back(shard.peak[i]);
-    out.tie.push_back(shard.tie[i]);
-    out.recon.push_back(shard.recon[i]);
+    out.hashes.push_back(cols_.hashes[i]);
+    out.footprint.push_back(cols_.footprint[i]);
+    out.peak.push_back(cols_.peak[i]);
+    out.tie.push_back(cols_.tie[i]);
+    out.recon.push_back(cols_.recon[i]);
   }
-  shards_[0] = std::move(out);
+  cols_ = std::move(out);
   sealed_ = true;
   evict_heap_ = {};
   free_slots_ = {};
@@ -345,125 +385,23 @@ void StateLevel::SealBounded() {
   slot_live_ = {};
 }
 
-bool StateLevel::InsertOrRelaxShard(Shard& shard, const std::uint64_t* sig,
-                                    const std::uint64_t* frontier,
-                                    std::uint64_t hash,
-                                    std::int64_t footprint,
-                                    std::int64_t peak,
-                                    std::uint64_t tie_key,
-                                    std::int32_t prev_index,
-                                    std::int32_t last_node) {
-  if ((shard.count + 1) * 3 > shard.slots.size() * 2) GrowTable(shard);
-  const std::size_t mask = shard.slots.size() - 1;
-  std::size_t slot = static_cast<std::size_t>(hash) & mask;
-  for (;;) {
-    const std::int32_t s = shard.slots[slot];
-    if (s < 0) {
-      shard.slots[slot] = static_cast<std::int32_t>(shard.count);
-      shard.sig_arena.insert(shard.sig_arena.end(), sig, sig + words_);
-      shard.frontier_arena.insert(shard.frontier_arena.end(), frontier,
-                                  frontier + words_);
-      shard.hashes.push_back(hash);
-      shard.footprint.push_back(footprint);
-      shard.peak.push_back(peak);
-      shard.tie.push_back(tie_key);
-      shard.recon.push_back(ReconRecord{prev_index, last_node});
-      ++shard.count;
-      return true;
-    }
-    const std::size_t si = static_cast<std::size_t>(s);
-    if (shard.hashes[si] == hash &&
-        util::SpanEqual(shard.sig_arena.data() + si * words_, sig, words_)) {
-      // Same signature ⇒ same µ (mechanically re-checked here); the lower
-      // peak wins, equal peaks resolve to the lower intrinsic tie key so
-      // the surviving back-pointer is independent of candidate arrival
-      // order (and therefore of pruning and shard count).
-      SERENITY_CHECK_EQ(shard.footprint[si], footprint);
-      if (peak < shard.peak[si] ||
-          (peak == shard.peak[si] && tie_key < shard.tie[si])) {
-        shard.peak[si] = peak;
-        shard.tie[si] = tie_key;
-        shard.recon[si] = ReconRecord{prev_index, last_node};
-      }
-      return false;
-    }
-    slot = (slot + 1) & mask;
-  }
-}
-
-void StateLevel::GrowTable(Shard& shard) {
-  const std::size_t capacity = shard.slots.size() * 2;
-  shard.slots.assign(capacity, -1);
-  const std::size_t mask = capacity - 1;
-  for (std::size_t i = 0; i < shard.count; ++i) {
-    std::size_t slot = static_cast<std::size_t>(shard.hashes[i]) & mask;
-    while (shard.slots[slot] >= 0) slot = (slot + 1) & mask;
-    shard.slots[slot] = static_cast<std::int32_t>(i);
-  }
-}
-
-void StateLevel::Seal() {
-  SERENITY_CHECK(!sealed_);
-  SERENITY_CHECK_EQ(width_, 0u) << "bounded level: use SealBounded";
-  sealed_ = true;
-  if (shards_.size() == 1) {
-    shards_[0].slots = {};
-    return;
-  }
-  Shard merged;
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) total += shard.count;
-  merged.sig_arena.reserve(total * words_);
-  merged.frontier_arena.reserve(total * words_);
-  merged.hashes.reserve(total);
-  merged.footprint.reserve(total);
-  merged.peak.reserve(total);
-  merged.tie.reserve(total);
-  merged.recon.reserve(total);
-  merged.count = total;
-  for (Shard& shard : shards_) {
-    merged.sig_arena.insert(merged.sig_arena.end(), shard.sig_arena.begin(),
-                            shard.sig_arena.end());
-    merged.frontier_arena.insert(merged.frontier_arena.end(),
-                                 shard.frontier_arena.begin(),
-                                 shard.frontier_arena.end());
-    merged.hashes.insert(merged.hashes.end(), shard.hashes.begin(),
-                         shard.hashes.end());
-    merged.footprint.insert(merged.footprint.end(), shard.footprint.begin(),
-                            shard.footprint.end());
-    merged.peak.insert(merged.peak.end(), shard.peak.begin(),
-                       shard.peak.end());
-    merged.tie.insert(merged.tie.end(), shard.tie.begin(),
-                      shard.tie.end());
-    merged.recon.insert(merged.recon.end(), shard.recon.begin(),
-                        shard.recon.end());
-    shard = Shard{};  // free as we go
-  }
-  shards_.assign(1, Shard{});
-  shards_[0] = std::move(merged);
-}
-
 std::size_t StateLevel::size() const {
-  if (sealed_) return shards_[0].count;
-  if (width_ > 0) return live_;  // bounded mode: slots may hold dead states
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) total += shard.count;
-  return total;
+  // Bounded slots may hold evicted states until SealBounded compacts them.
+  if (width_ > 0 && !sealed_) return live_;
+  return cols_.count;
 }
 
 std::int64_t StateLevel::ResidentBytes() const {
   std::int64_t bytes = 0;
-  for (const Shard& shard : shards_) {
-    bytes += static_cast<std::int64_t>(shard.sig_arena.capacity()) * 8;
-    bytes += static_cast<std::int64_t>(shard.frontier_arena.capacity()) * 8;
-    bytes += static_cast<std::int64_t>(shard.hashes.capacity()) * 8;
-    bytes += static_cast<std::int64_t>(shard.footprint.capacity()) * 8;
-    bytes += static_cast<std::int64_t>(shard.peak.capacity()) * 8;
-    bytes += static_cast<std::int64_t>(shard.tie.capacity()) * 8;
-    bytes += static_cast<std::int64_t>(shard.recon.capacity() *
-                                       sizeof(ReconRecord));
-    bytes += static_cast<std::int64_t>(shard.slots.capacity()) * 4;
-  }
+  bytes += static_cast<std::int64_t>(cols_.sig_arena.capacity()) * 8;
+  bytes += static_cast<std::int64_t>(cols_.frontier_arena.capacity()) * 8;
+  bytes += static_cast<std::int64_t>(cols_.hashes.capacity()) * 8;
+  bytes += static_cast<std::int64_t>(cols_.footprint.capacity()) * 8;
+  bytes += static_cast<std::int64_t>(cols_.peak.capacity()) * 8;
+  bytes += static_cast<std::int64_t>(cols_.tie.capacity()) * 8;
+  bytes += static_cast<std::int64_t>(cols_.recon.capacity() *
+                                     sizeof(ReconRecord));
+  bytes += static_cast<std::int64_t>(cols_.slots.capacity()) * 4;
   bytes += static_cast<std::int64_t>(evict_heap_.capacity() *
                                      sizeof(EvictEntry));
   bytes += static_cast<std::int64_t>(free_slots_.capacity()) * 4;
@@ -473,27 +411,21 @@ std::int64_t StateLevel::ResidentBytes() const {
 }
 
 std::int64_t StateLevel::EstimateBytes(std::size_t words_per_state,
-                                       std::size_t expected_states,
-                                       int num_shards) {
-  const std::size_t per_shard =
-      expected_states / static_cast<std::size_t>(num_shards) + 1;
-  const std::size_t slots =
-      NextPowerOfTwo(std::max<std::size_t>(16, per_shard * 3 / 2));
-  const std::int64_t per_shard_bytes =
+                                       std::size_t expected_states) {
+  const std::size_t reserve = expected_states + 1;
+  return
       // signature + frontier arenas
-      static_cast<std::int64_t>(per_shard * words_per_state) * 16 +
-      static_cast<std::int64_t>(per_shard) *
+      static_cast<std::int64_t>(reserve * words_per_state) * 16 +
+      static_cast<std::int64_t>(reserve) *
           // hashes + footprint + peak + tie + recon
-          (8 + 8 + 8 + 8 +
-           static_cast<std::int64_t>(sizeof(ReconRecord))) +
-      static_cast<std::int64_t>(slots) * 4;
-  return per_shard_bytes * num_shards;
+          (8 + 8 + 8 + 8 + static_cast<std::int64_t>(sizeof(ReconRecord))) +
+      static_cast<std::int64_t>(TableSlotsFor(reserve)) * 4;
 }
 
 std::vector<ReconRecord> StateLevel::TakeReconAndRelease() {
   SERENITY_CHECK(sealed_);
-  std::vector<ReconRecord> recon = std::move(shards_[0].recon);
-  shards_.clear();
+  std::vector<ReconRecord> recon = std::move(cols_.recon);
+  cols_ = Columns{};
   return recon;
 }
 
@@ -503,9 +435,8 @@ StateLevel StateLevel::Select(const std::vector<std::int32_t>& keep) const {
   StateLevel out;
   out.words_ = words_;
   out.sealed_ = true;
-  out.shards_.assign(1, Shard{});
-  Shard& dst = out.shards_[0];
-  const Shard& src = shards_[0];
+  Columns& dst = out.cols_;
+  const Columns& src = cols_;
   dst.count = keep.size();
   dst.sig_arena.reserve(keep.size() * words_);
   dst.frontier_arena.reserve(keep.size() * words_);

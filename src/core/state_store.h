@@ -32,10 +32,10 @@
 //    subset check).
 //
 // Lifecycle of a level: Init → InsertOrRelax (during expansion of the
-// previous level; shardable, see below) → Seal → read-only expansion →
-// TakeReconAndRelease, which frees everything but the 8-byte records. A
-// finished level therefore costs 8 bytes/state instead of the seed's
-// ~(8*W + 40 + unordered_map node) bytes/state.
+// previous level) → Seal → read-only expansion → TakeReconAndRelease,
+// which frees everything but the 8-byte records. A finished level
+// therefore costs 8 bytes/state instead of the seed's ~(8*W + 40 +
+// unordered_map node) bytes/state.
 //
 // Beam search instead uses the bounded lifecycle InitBounded →
 // InsertBounded → SealBounded: top-`width` pruning is fused into insertion
@@ -45,15 +45,6 @@
 // store no frontier masks: the beam recomputes each parent's frontier
 // (ExpansionTables::AppendFrontier), which at the seed's width is cheaper
 // than carrying masks through eviction.
-//
-// Sharded parallel insertion: a level may be built by several threads, each
-// owning a disjoint subset of `num_shards` sub-tables; a state's shard is a
-// function of its hash (top bits, so it is independent of the table index
-// bits). Each shard is only ever touched by one thread, and each thread
-// scans parent states in the same ascending order, so the contents and
-// ordering of every shard — and of the level after Seal() concatenates the
-// shards — are deterministic for a fixed shard count. See DESIGN.md
-// ("Flat-arena DP state store") for the full argument.
 #ifndef SERENITY_CORE_STATE_STORE_H_
 #define SERENITY_CORE_STATE_STORE_H_
 
@@ -95,8 +86,8 @@ inline std::size_t NextLevelReserveHint(std::size_t prev_level_size,
   return static_cast<std::size_t>(hint);
 }
 
-// Zobrist signature hashing with a fixed seed: deterministic across runs,
-// platforms and thread counts.
+// Zobrist signature hashing with a fixed seed: deterministic across runs
+// and platforms.
 class SignatureHasher {
  public:
   explicit SignatureHasher(std::size_t num_nodes);
@@ -106,13 +97,13 @@ class SignatureHasher {
   // Independent second key stream for candidate tie-breaking:
   // `parent_hash ^ tie_key(u)` identifies the transition (parent state,
   // appended node) intrinsically — it does not depend on state numbering,
-  // insertion order, shard count or pruning. Equal-peak back-pointer ties
-  // resolve to the lowest such key, which is what makes the reconstructed
-  // schedule bit-identical across thread counts and with branch-and-bound
-  // pruning on or off (pruning reorders state *creation* within a level, so
-  // any arrival-based tie-break would drift). Distinct from key(): the
-  // natural `parent_hash ^ key(u)` is the child's hash, identical for every
-  // candidate of one child and useless as a discriminator.
+  // insertion order or pruning. Equal-peak back-pointer ties resolve to the
+  // lowest such key, which is what makes the reconstructed schedule
+  // bit-identical with branch-and-bound pruning on or off (pruning reorders
+  // state *creation* within a level, so any arrival-based tie-break would
+  // drift). Distinct from key(): the natural `parent_hash ^ key(u)` is the
+  // child's hash, identical for every candidate of one child and useless
+  // as a discriminator.
   std::uint64_t tie_key(std::size_t node) const { return tie_keys_[node]; }
 
   // The candidate tie key used by both schedulers: appended node in the
@@ -142,10 +133,8 @@ class StateLevel {
  public:
   StateLevel() = default;
 
-  // `expected_states` pre-sizes the arena and the hash table (split evenly
-  // across shards); `num_shards` must be a power of two.
-  void Init(std::size_t words_per_state, std::size_t expected_states,
-            int num_shards = 1);
+  // `expected_states` pre-sizes the arenas and the hash table.
+  void Init(std::size_t words_per_state, std::size_t expected_states);
 
   // Bounded (streaming top-`width`) mode — beam search's per-level pruning
   // fused into insertion. The level retains at most `width` live states at
@@ -157,9 +146,8 @@ class StateLevel {
   // because the rank of a state does not depend on its arrival position,
   // the surviving set is exactly the top `width` of the fully deduplicated
   // level (see DESIGN.md "Streaming beam levels" for the argument that
-  // evict-then-reinsert converges to batch dedup + nth_element). Single
-  // shard only; use InsertBounded/SealBounded instead of
-  // InsertOrRelax/Seal.
+  // evict-then-reinsert converges to batch dedup + nth_element). Use
+  // InsertBounded/SealBounded instead of InsertOrRelax/Seal.
   void InitBounded(std::size_t words_per_state, std::size_t width);
 
   // Bounded-mode insertion. Deduplicates and relaxes exactly like
@@ -179,14 +167,6 @@ class StateLevel {
   void SealBounded();
 
   std::size_t words_per_state() const { return words_; }
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-
-  // Owning shard of a hash. Uses the top 6 bits (so at most 64 shards can
-  // be addressed — callers must clamp `num_shards` accordingly): the probe
-  // sequence uses the low bits, keeping shard and slot choice independent.
-  int ShardOf(std::uint64_t hash) const {
-    return static_cast<int>(hash >> 58) & (num_shards() - 1);
-  }
 
   // Inserts the state or relaxes the existing one (same signature ⇒ same
   // footprint; the lower peak and its back-pointer win, equal peaks resolve
@@ -194,38 +174,31 @@ class StateLevel {
   // SignatureHasher::tie_key, so the winner is independent of arrival
   // order). `frontier` is the W-word zero-indegree mask of `sig`; it is
   // copied only when a new state is created (a relaxed state keeps its own,
-  // which is the same set). Thread-safe across *different* shards: callers
-  // in a sharded build must only pass hashes they own. Returns true iff a
-  // new state was created. Only valid before Seal().
+  // which is the same set). Returns true iff a new state was created. Only
+  // valid before Seal().
   bool InsertOrRelax(const std::uint64_t* sig, const std::uint64_t* frontier,
                      std::uint64_t hash, std::int64_t footprint,
                      std::int64_t peak, std::uint64_t tie_key,
                      std::int32_t prev_index, std::int32_t last_node);
 
-  // Concatenates the shards into one contiguous SoA block (no-op for a
-  // single shard) and drops the hash tables. States are numbered shard by
-  // shard, insertion order within each — deterministic for a fixed shard
-  // count. Accessors below are only valid after Seal().
+  // Drops the hash table; states keep their insertion order. Accessors
+  // below are only valid after Seal().
   void Seal();
 
   std::size_t size() const;
 
   const std::uint64_t* signature(std::size_t i) const {
-    return shards_[0].sig_arena.data() + i * words_;
+    return cols_.sig_arena.data() + i * words_;
   }
   // Zero-indegree frontier mask of state i (W words). Unbounded levels
   // only: bounded (beam) levels store none.
   const std::uint64_t* frontier(std::size_t i) const {
-    return shards_[0].frontier_arena.data() + i * words_;
+    return cols_.frontier_arena.data() + i * words_;
   }
-  std::uint64_t hash(std::size_t i) const { return shards_[0].hashes[i]; }
-  std::int64_t footprint(std::size_t i) const {
-    return shards_[0].footprint[i];
-  }
-  std::int64_t peak(std::size_t i) const { return shards_[0].peak[i]; }
-  const ReconRecord& recon(std::size_t i) const {
-    return shards_[0].recon[i];
-  }
+  std::uint64_t hash(std::size_t i) const { return cols_.hashes[i]; }
+  std::int64_t footprint(std::size_t i) const { return cols_.footprint[i]; }
+  std::int64_t peak(std::size_t i) const { return cols_.peak[i]; }
+  const ReconRecord& recon(std::size_t i) const { return cols_.recon[i]; }
 
   // Moves out the reconstruction records and frees every transient array
   // (signatures, frontier masks, hashes, footprints, peaks, table). The
@@ -238,12 +211,11 @@ class StateLevel {
   // lifecycle phase.
   std::int64_t ResidentBytes() const;
 
-  // What Init(words_per_state, expected_states, num_shards) will reserve,
-  // computed without allocating — used to charge a budget *before* the
-  // level grows. Mirrors Init's reserve math exactly.
+  // What Init(words_per_state, expected_states) will reserve, computed
+  // without allocating — used to charge a budget *before* the level grows.
+  // Mirrors Init's reserve math exactly.
   static std::int64_t EstimateBytes(std::size_t words_per_state,
-                                    std::size_t expected_states,
-                                    int num_shards);
+                                    std::size_t expected_states);
 
   // Compacted copy holding exactly the states in `keep` (sealed, in the
   // given order, frontier masks included) — the reference beam's pruning
@@ -251,7 +223,9 @@ class StateLevel {
   StateLevel Select(const std::vector<std::int32_t>& keep) const;
 
  private:
-  struct Shard {
+  // The level's SoA arrays, grouped so SealBounded can swap in a compacted
+  // set in one move.
+  struct Columns {
     std::vector<std::uint64_t> sig_arena;  // count * words signature words
     // count * words frontier-mask words; empty in bounded mode
     std::vector<std::uint64_t> frontier_arena;
@@ -277,12 +251,7 @@ class StateLevel {
   };
   static bool EvictLess(const EvictEntry& a, const EvictEntry& b);
 
-  bool InsertOrRelaxShard(Shard& shard, const std::uint64_t* sig,
-                          const std::uint64_t* frontier, std::uint64_t hash,
-                          std::int64_t footprint, std::int64_t peak,
-                          std::uint64_t tie_key, std::int32_t prev_index,
-                          std::int32_t last_node);
-  void GrowTable(Shard& shard);
+  void GrowTable();
 
   // True iff the value (peak, footprint, hash, sig) ranks strictly better
   // (lower) than live slot `si` in the intrinsic total order.
@@ -295,7 +264,7 @@ class StateLevel {
   void RebuildBoundedTable();
 
   std::size_t words_ = 0;
-  std::vector<Shard> shards_;
+  Columns cols_;
   bool sealed_ = false;
 
   // Bounded-mode bookkeeping; width_ == 0 means unbounded mode.

@@ -11,9 +11,9 @@
 //      instead of planning again (single-flight: one Pipeline::Run per
 //      distinct graph no matter how many concurrent requesters).
 //   3. Planned — the graph is enqueued to a worker pool; a worker runs the
-//      full Pipeline (whose DP expansion can itself shard across
-//      DpOptions::num_threads), inserts the plan into the cache, and
-//      fulfills every attached future.
+//      full Pipeline on its own thread, inserts the plan into the cache,
+//      and fulfills every attached future. A plan does not depend on which
+//      worker made it.
 //
 // Batching: ScheduleBatch submits a whole request batch up front — so
 // distinct graphs plan concurrently across the pool while duplicates

@@ -142,13 +142,17 @@ void TcpServer::SendShedAndClose(int fd, const char* why,
                    : util::StatusCode::kResourceExhausted;
   reply.retry_after_millis = options_.retry_after_millis;
   reply.message = why;
+  {
+    // Counted before the reply goes out, so a peer that has read its shed
+    // reply already sees it in the stats.
+    std::lock_guard<std::mutex> lock(mu_);
+    counters_.*counter += 1;
+    counters_.replies_error += 1;
+  }
   // Best-effort: a shed peer that also stopped reading just loses the hint.
   (void)wire::WriteFrame(fd, wire::EncodeReply(reply), kShedWriteSeconds,
                          options_.max_frame_bytes);
   ::close(fd);
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_.*counter += 1;
-  counters_.replies_error += 1;
 }
 
 void TcpServer::AcceptLoop() {

@@ -7,8 +7,6 @@
 //    more states than the unpruned search. Strict-inequality pruning plus
 //    the intrinsic relax tie-break make this exact (DESIGN.md
 //    "Branch-and-bound over levels").
-//  - Thread invariance under pruning: a 4-thread bounded run reproduces the
-//    sequential bounded run bit for bit.
 //  - Streaming beam: InsertBounded/SealBounded keep exactly the same
 //    `width` states with the same tie-breaks as the seal-and-copy reference
 //    (testing::ReferenceScheduleBeam), so schedules, peaks and expansion
@@ -78,19 +76,6 @@ TEST(BnbProperty, DpBitIdenticalWithPruningOnRandomGraphs) {
     EXPECT_EQ(tightest.peak_bytes, off.peak_bytes) << ctx;
     EXPECT_EQ(tightest.schedule, off.schedule) << ctx;
     EXPECT_LE(tightest.states_expanded, on.states_expanded) << ctx;
-
-    // Sharded expansion under pruning stays bit-identical too.
-    if (i % 7 == 0) {
-      DpOptions sharded = tight;
-      sharded.num_threads = 4;
-      const DpResult mt = ScheduleDp(g, sharded);
-      ASSERT_EQ(mt.status, DpStatus::kSolution) << ctx;
-      EXPECT_EQ(mt.peak_bytes, off.peak_bytes) << ctx;
-      EXPECT_EQ(mt.schedule, off.schedule) << ctx;
-      EXPECT_EQ(mt.states_expanded, tightest.states_expanded) << ctx;
-      EXPECT_EQ(mt.states_pruned_by_bound, tightest.states_pruned_by_bound)
-          << ctx;
-    }
 
     // Soft-budget interplay: the meta-search with its Kahn-tightened
     // incumbent must land on the same schedule as without pruning.

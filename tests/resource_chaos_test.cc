@@ -248,7 +248,7 @@ TEST(ResourceChaos, GovernorInjectionPointsAreTraversedWhenDisarmed) {
   EXPECT_EQ(budget.used_bytes(), 0);
 }
 
-// Cross-check the advisory ledger against the allocator: a sequential
+// Cross-check the advisory ledger against the allocator: a
 // governed DP run's peak live heap bytes (operator-new accounting, this
 // thread only) must stay within the ledger's claimed peak plus the
 // documented slack — one vector doubling (bounded by the claimed peak
@@ -270,8 +270,6 @@ TEST(ResourceChaos, OperatorNewPeakStaysWithinLedgerPeakPlusSlack) {
   util::MemoryBudget budget(std::int64_t{1} << 30);
   core::DpOptions options;
   options.memory_budget = &budget;
-  options.num_threads = 1;
-  options.adaptive_parallelism = false;
 
   ftest::ResetThreadPeakLiveBytes();
   const std::int64_t live_before = ftest::ThreadLiveBytes();

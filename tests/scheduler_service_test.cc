@@ -107,6 +107,19 @@ TEST(SchedulerService, BatchPlansDistinctGraphsAndCoalescesDuplicates) {
   EXPECT_EQ(results[0].plan.get(), results[3].plan.get());
   EXPECT_EQ(service.stats().planned, 3u);
 
+  // A plan does not depend on which worker made it: each one matches a
+  // single-threaded Pipeline run of the same graph on this thread.
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const core::PipelineResult expected =
+        core::Pipeline(service.options().pipeline).Run(*batch[i]);
+    ASSERT_TRUE(expected.success) << "request " << i;
+    const core::PipelineResult& planned = results[i].plan->result;
+    EXPECT_EQ(planned.schedule, expected.schedule) << "request " << i;
+    EXPECT_EQ(planned.peak_bytes, expected.peak_bytes) << "request " << i;
+    EXPECT_EQ(planned.states_expanded, expected.states_expanded)
+        << "request " << i;
+  }
+
   // A second identical batch is all cache hits.
   const std::vector<ServeResult> warm = service.ScheduleBatch(batch);
   for (const ServeResult& r : warm) EXPECT_TRUE(r.cache_hit);

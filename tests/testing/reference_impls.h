@@ -54,7 +54,7 @@ inline sched::BeamResult ReferenceScheduleBeam(const graph::Graph& graph,
   std::vector<std::vector<core::ReconRecord>> recon(n + 1);
 
   core::StateLevel current;
-  current.Init(words, 1, 1);
+  current.Init(words, 1);
   const std::vector<std::uint64_t> empty(words, 0);
   std::vector<std::uint64_t> child_mask(words);
   tables.FrontierMask(empty.data(), child_mask.data());

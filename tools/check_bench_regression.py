@@ -22,9 +22,8 @@ and must match exactly. Fields starting with "states_" — the search-space
 counters, including the per-bound prune attribution
 (states_pruned_by_{incumbent,frontier_floor})
 — are ALWAYS deterministic, marker matches notwithstanding: they are exact
-state counts of a deterministic search, identical across machines and
-thread counts, and any drift is a behavior change that must be
-re-baselined deliberately.
+state counts of a deterministic search, identical across machines, and
+any drift is a behavior change that must be re-baselined deliberately.
 
 Usage:
   tools/check_bench_regression.py --baselines bench/baselines --fresh . \
