@@ -29,12 +29,6 @@ std::size_t TableSlotsFor(std::size_t states) {
   return NextPowerOfTwo(std::max<std::size_t>(16, states * 3 / 2));
 }
 
-// Probe-table cell markers for the bounded mode. kEmpty terminates probe
-// chains; tombstones (left by evictions) do not, so lookups stay correct
-// after deletions and insertions may reuse the dead cell.
-constexpr std::int32_t kEmptyCell = -1;
-constexpr std::int32_t kTombstoneCell = -2;
-
 }  // namespace
 
 SignatureHasher::SignatureHasher(std::size_t num_nodes) {
@@ -53,7 +47,6 @@ void StateLevel::Init(std::size_t words_per_state,
   SERENITY_CHECK_GT(words_per_state, 0u);
   words_ = words_per_state;
   sealed_ = false;
-  width_ = 0;  // unbounded mode
   cols_ = Columns{};
   const std::size_t reserve = expected_states + 1;
   cols_.sig_arena.reserve(reserve * words_);
@@ -73,7 +66,6 @@ bool StateLevel::InsertOrRelax(const std::uint64_t* sig,
                                std::int32_t prev_index,
                                std::int32_t last_node) {
   SERENITY_CHECK(!sealed_);
-  SERENITY_CHECK_EQ(width_, 0u) << "bounded level: use InsertBounded";
   if ((cols_.count + 1) * 3 > cols_.slots.size() * 2) GrowTable();
   const std::size_t mask = cols_.slots.size() - 1;
   std::size_t slot = static_cast<std::size_t>(hash) & mask;
@@ -125,270 +117,8 @@ void StateLevel::GrowTable() {
 
 void StateLevel::Seal() {
   SERENITY_CHECK(!sealed_);
-  SERENITY_CHECK_EQ(width_, 0u) << "bounded level: use SealBounded";
   sealed_ = true;
   cols_.slots = {};
-}
-
-// ----------------------------------------------------- bounded (beam) mode
-
-void StateLevel::InitBounded(std::size_t words_per_state, std::size_t width) {
-  SERENITY_CHECK_GT(words_per_state, 0u);
-  SERENITY_CHECK_GT(width, 0u);
-  words_ = words_per_state;
-  sealed_ = false;
-  width_ = width;
-  live_ = 0;
-  tombstones_ = 0;
-  evict_heap_.clear();
-  free_slots_.clear();
-  slot_gen_.clear();
-  slot_live_.clear();
-  cols_ = Columns{};
-  // At most width + 1 slots ever exist (the +1 is the state whose insertion
-  // displaces the worst); reserve modestly — wide beams rarely fill.
-  const std::size_t reserve = std::min<std::size_t>(width + 1, 1024);
-  cols_.sig_arena.reserve(reserve * words_);
-  cols_.hashes.reserve(reserve);
-  cols_.footprint.reserve(reserve);
-  cols_.peak.reserve(reserve);
-  cols_.tie.reserve(reserve);
-  cols_.recon.reserve(reserve);
-  // Capacity >= 2*(width+2): live + tombstones stay under the 2/3 load
-  // factor after every rebuild, so the table never needs to grow.
-  cols_.slots.assign(
-      NextPowerOfTwo(std::max<std::size_t>(16, (width + 2) * 2)), kEmptyCell);
-}
-
-bool StateLevel::EvictLess(const EvictEntry& a, const EvictEntry& b) {
-  // Max-heap ("worst survivor on top") over the intrinsic rank. Slot and
-  // generation only make the comparator a total order for the heap; ties on
-  // (peak, footprint, hash) between *live* entries require a 64-bit Zobrist
-  // collision inside one level, which the fresh-top users treat as
-  // unreachable.
-  if (a.peak != b.peak) return a.peak < b.peak;
-  if (a.footprint != b.footprint) return a.footprint < b.footprint;
-  if (a.hash != b.hash) return a.hash < b.hash;
-  if (a.slot != b.slot) return a.slot < b.slot;
-  return a.gen < b.gen;
-}
-
-bool StateLevel::BoundedValueLess(std::int64_t peak, std::int64_t footprint,
-                                  std::uint64_t hash,
-                                  const std::uint64_t* sig,
-                                  std::size_t si) const {
-  if (peak != cols_.peak[si]) return peak < cols_.peak[si];
-  if (footprint != cols_.footprint[si]) return footprint < cols_.footprint[si];
-  if (hash != cols_.hashes[si]) return hash < cols_.hashes[si];
-  const std::uint64_t* other = cols_.sig_arena.data() + si * words_;
-  for (std::size_t w = 0; w < words_; ++w) {
-    if (sig[w] != other[w]) return sig[w] < other[w];
-  }
-  return false;  // identical value (same signature)
-}
-
-void StateLevel::PushEvictEntry(std::size_t si) {
-  evict_heap_.push_back(EvictEntry{cols_.peak[si], cols_.footprint[si],
-                                   cols_.hashes[si],
-                                   static_cast<std::int32_t>(si),
-                                   slot_gen_[si]});
-  std::push_heap(evict_heap_.begin(), evict_heap_.end(), EvictLess);
-  // Relax chains and evictions leave stale snapshots behind; compact once
-  // they dominate so the heap stays O(width), amortised O(1) per insert.
-  if (evict_heap_.size() > std::max<std::size_t>(64, 4 * width_)) {
-    std::vector<EvictEntry> fresh;
-    fresh.reserve(live_);
-    for (const EvictEntry& e : evict_heap_) {
-      const std::size_t slot = static_cast<std::size_t>(e.slot);
-      if (slot_live_[slot] && slot_gen_[slot] == e.gen &&
-          cols_.peak[slot] == e.peak) {
-        fresh.push_back(e);
-      }
-    }
-    evict_heap_ = std::move(fresh);
-    std::make_heap(evict_heap_.begin(), evict_heap_.end(), EvictLess);
-  }
-}
-
-std::size_t StateLevel::FreshWorstSlot() {
-  for (;;) {
-    SERENITY_CHECK(!evict_heap_.empty());
-    const EvictEntry& top = evict_heap_.front();
-    const std::size_t si = static_cast<std::size_t>(top.slot);
-    if (slot_live_[si] && slot_gen_[si] == top.gen &&
-        cols_.peak[si] == top.peak) {
-      return si;
-    }
-    std::pop_heap(evict_heap_.begin(), evict_heap_.end(), EvictLess);
-    evict_heap_.pop_back();
-  }
-}
-
-void StateLevel::EvictSlot(std::size_t si) {
-  const std::size_t mask = cols_.slots.size() - 1;
-  std::size_t cell = static_cast<std::size_t>(cols_.hashes[si]) & mask;
-  while (cols_.slots[cell] != static_cast<std::int32_t>(si)) {
-    SERENITY_CHECK(cols_.slots[cell] != kEmptyCell);
-    cell = (cell + 1) & mask;
-  }
-  cols_.slots[cell] = kTombstoneCell;
-  ++tombstones_;
-  ++slot_gen_[si];  // invalidates every heap snapshot of this tenancy
-  slot_live_[si] = 0;
-  --live_;
-  free_slots_.push_back(static_cast<std::int32_t>(si));
-}
-
-void StateLevel::RebuildBoundedTable() {
-  std::fill(cols_.slots.begin(), cols_.slots.end(), kEmptyCell);
-  tombstones_ = 0;
-  const std::size_t mask = cols_.slots.size() - 1;
-  for (std::size_t i = 0; i < cols_.count; ++i) {
-    if (!slot_live_[i]) continue;
-    std::size_t cell = static_cast<std::size_t>(cols_.hashes[i]) & mask;
-    while (cols_.slots[cell] != kEmptyCell) cell = (cell + 1) & mask;
-    cols_.slots[cell] = static_cast<std::int32_t>(i);
-  }
-}
-
-bool StateLevel::InsertBounded(const std::uint64_t* sig, std::uint64_t hash,
-                               std::int64_t footprint, std::int64_t peak,
-                               std::uint64_t tie_key,
-                               std::int32_t prev_index,
-                               std::int32_t last_node) {
-  SERENITY_CHECK(!sealed_);
-  SERENITY_CHECK_GT(width_, 0u) << "unbounded level: use InsertOrRelax";
-  if ((live_ + tombstones_ + 1) * 3 > cols_.slots.size() * 2) {
-    RebuildBoundedTable();
-  }
-  const std::size_t mask = cols_.slots.size() - 1;
-  std::size_t cell = static_cast<std::size_t>(hash) & mask;
-  std::size_t reuse_cell = cols_.slots.size();  // first tombstone on the path
-  for (;;) {
-    const std::int32_t s = cols_.slots[cell];
-    if (s == kEmptyCell) break;
-    if (s == kTombstoneCell) {
-      if (reuse_cell == cols_.slots.size()) reuse_cell = cell;
-    } else {
-      const std::size_t si = static_cast<std::size_t>(s);
-      if (cols_.hashes[si] == hash &&
-          util::SpanEqual(cols_.sig_arena.data() + si * words_, sig,
-                          words_)) {
-        // Live duplicate: relax exactly as InsertOrRelax does. A strictly
-        // lower peak improves the slot's rank, so its heap snapshot is
-        // re-pushed (the old one goes stale via the peak mismatch).
-        SERENITY_CHECK_EQ(cols_.footprint[si], footprint);
-        if (peak < cols_.peak[si]) {
-          cols_.peak[si] = peak;
-          cols_.tie[si] = tie_key;
-          cols_.recon[si] = ReconRecord{prev_index, last_node};
-          PushEvictEntry(si);
-        } else if (peak == cols_.peak[si] && tie_key < cols_.tie[si]) {
-          cols_.tie[si] = tie_key;
-          cols_.recon[si] = ReconRecord{prev_index, last_node};
-        }
-        return false;
-      }
-    }
-    cell = (cell + 1) & mask;
-  }
-  if (reuse_cell == cols_.slots.size()) reuse_cell = cell;
-
-  if (live_ >= width_) {
-    // Full level: entering is equivalent to insert-then-evict-the-worst,
-    // decided without the churn. Because the rank is intrinsic to the
-    // state's value — never its arrival position — a signature that was
-    // evicted earlier and arrives again with a better peak re-enters with
-    // exactly the rank batch dedup would have given it, which is what makes
-    // the streaming survivors identical to seal-and-copy pruning.
-    const std::size_t worst = FreshWorstSlot();
-    if (!BoundedValueLess(peak, footprint, hash, sig, worst)) return false;
-    EvictSlot(worst);
-  }
-
-  std::int32_t target;
-  if (!free_slots_.empty()) {
-    target = free_slots_.back();
-    free_slots_.pop_back();
-    const std::size_t ti = static_cast<std::size_t>(target);
-    std::copy(sig, sig + words_, cols_.sig_arena.data() + ti * words_);
-    cols_.hashes[ti] = hash;
-    cols_.footprint[ti] = footprint;
-    cols_.peak[ti] = peak;
-    cols_.tie[ti] = tie_key;
-    cols_.recon[ti] = ReconRecord{prev_index, last_node};
-    slot_live_[ti] = 1;
-  } else {
-    target = static_cast<std::int32_t>(cols_.count);
-    cols_.sig_arena.insert(cols_.sig_arena.end(), sig, sig + words_);
-    cols_.hashes.push_back(hash);
-    cols_.footprint.push_back(footprint);
-    cols_.peak.push_back(peak);
-    cols_.tie.push_back(tie_key);
-    cols_.recon.push_back(ReconRecord{prev_index, last_node});
-    slot_gen_.push_back(0);
-    slot_live_.push_back(1);
-    ++cols_.count;
-  }
-  if (cols_.slots[reuse_cell] == kTombstoneCell) {
-    --tombstones_;  // the new entry resurrects a dead cell
-  }
-  cols_.slots[reuse_cell] = target;
-  ++live_;
-  PushEvictEntry(static_cast<std::size_t>(target));
-  return true;
-}
-
-void StateLevel::SealBounded() {
-  SERENITY_CHECK(!sealed_);
-  SERENITY_CHECK_GT(width_, 0u);
-  std::vector<std::int32_t> keep;
-  keep.reserve(live_);
-  for (std::size_t i = 0; i < cols_.count; ++i) {
-    if (slot_live_[i]) keep.push_back(static_cast<std::int32_t>(i));
-  }
-  SERENITY_CHECK_EQ(keep.size(), live_);
-  // Best-first intrinsic order: deterministic, independent of arrival and
-  // eviction history — the order the reference seal-and-copy path must
-  // reproduce for the bit-identity property suite.
-  std::sort(keep.begin(), keep.end(),
-            [this](std::int32_t a, std::int32_t b) {
-              const std::size_t ia = static_cast<std::size_t>(a);
-              return BoundedValueLess(
-                  cols_.peak[ia], cols_.footprint[ia], cols_.hashes[ia],
-                  cols_.sig_arena.data() + ia * words_,
-                  static_cast<std::size_t>(b));
-            });
-  Columns out;
-  out.count = keep.size();
-  out.sig_arena.reserve(keep.size() * words_);
-  out.hashes.reserve(keep.size());
-  out.footprint.reserve(keep.size());
-  out.peak.reserve(keep.size());
-  out.tie.reserve(keep.size());
-  out.recon.reserve(keep.size());
-  for (const std::int32_t index : keep) {
-    const std::size_t i = static_cast<std::size_t>(index);
-    const std::uint64_t* sig = cols_.sig_arena.data() + i * words_;
-    out.sig_arena.insert(out.sig_arena.end(), sig, sig + words_);
-    out.hashes.push_back(cols_.hashes[i]);
-    out.footprint.push_back(cols_.footprint[i]);
-    out.peak.push_back(cols_.peak[i]);
-    out.tie.push_back(cols_.tie[i]);
-    out.recon.push_back(cols_.recon[i]);
-  }
-  cols_ = std::move(out);
-  sealed_ = true;
-  evict_heap_ = {};
-  free_slots_ = {};
-  slot_gen_ = {};
-  slot_live_ = {};
-}
-
-std::size_t StateLevel::size() const {
-  // Bounded slots may hold evicted states until SealBounded compacts them.
-  if (width_ > 0 && !sealed_) return live_;
-  return cols_.count;
 }
 
 std::int64_t StateLevel::ResidentBytes() const {
@@ -402,11 +132,6 @@ std::int64_t StateLevel::ResidentBytes() const {
   bytes += static_cast<std::int64_t>(cols_.recon.capacity() *
                                      sizeof(ReconRecord));
   bytes += static_cast<std::int64_t>(cols_.slots.capacity()) * 4;
-  bytes += static_cast<std::int64_t>(evict_heap_.capacity() *
-                                     sizeof(EvictEntry));
-  bytes += static_cast<std::int64_t>(free_slots_.capacity()) * 4;
-  bytes += static_cast<std::int64_t>(slot_gen_.capacity()) * 4;
-  bytes += static_cast<std::int64_t>(slot_live_.capacity());
   return bytes;
 }
 
@@ -431,7 +156,6 @@ std::vector<ReconRecord> StateLevel::TakeReconAndRelease() {
 
 StateLevel StateLevel::Select(const std::vector<std::int32_t>& keep) const {
   SERENITY_CHECK(sealed_);
-  SERENITY_CHECK_EQ(width_, 0u) << "bounded levels store no frontier masks";
   StateLevel out;
   out.words_ = words_;
   out.sealed_ = true;
@@ -526,36 +250,22 @@ ExpansionTables::ExpansionTables(const graph::Graph& graph,
   }
 }
 
-std::uint64_t ExpansionTables::FrontierWord(const std::uint64_t* sig,
-                                            std::size_t w) const {
-  std::uint64_t candidates = ~sig[w];
-  if (w + 1 == words_) candidates &= last_word_mask_;
-  std::uint64_t ready = 0;
-  while (candidates != 0) {
-    const int bit = __builtin_ctzll(candidates);
-    candidates &= candidates - 1;
-    const std::size_t u = w * 64 + static_cast<std::size_t>(bit);
-    if (util::SpanIsSubsetOf(preds_.data() + u * words_, sig, words_)) {
-      ready |= std::uint64_t{1} << bit;
-    }
-  }
-  return ready;
-}
-
-void ExpansionTables::AppendFrontier(const std::uint64_t* sig,
-                                     std::vector<std::int32_t>* out) const {
-  for (std::size_t w = 0; w < words_; ++w) {
-    for (std::uint64_t ready = FrontierWord(sig, w); ready != 0;
-         ready &= ready - 1) {
-      out->push_back(static_cast<std::int32_t>(
-          w * 64 + static_cast<std::size_t>(__builtin_ctzll(ready))));
-    }
-  }
-}
-
 void ExpansionTables::FrontierMask(const std::uint64_t* sig,
                                    std::uint64_t* mask) const {
-  for (std::size_t w = 0; w < words_; ++w) mask[w] = FrontierWord(sig, w);
+  for (std::size_t w = 0; w < words_; ++w) {
+    std::uint64_t candidates = ~sig[w];
+    if (w + 1 == words_) candidates &= last_word_mask_;
+    std::uint64_t ready = 0;
+    while (candidates != 0) {
+      const int bit = __builtin_ctzll(candidates);
+      candidates &= candidates - 1;
+      const std::size_t u = w * 64 + static_cast<std::size_t>(bit);
+      if (util::SpanIsSubsetOf(preds_.data() + u * words_, sig, words_)) {
+        ready |= std::uint64_t{1} << bit;
+      }
+    }
+    mask[w] = ready;
+  }
 }
 
 void ExpansionTables::ChildFrontier(

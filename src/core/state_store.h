@@ -37,14 +37,10 @@
 // therefore costs 8 bytes/state instead of the seed's ~(8*W + 40 +
 // unordered_map node) bytes/state.
 //
-// Beam search instead uses the bounded lifecycle InitBounded →
-// InsertBounded → SealBounded: top-`width` pruning is fused into insertion
-// through an eviction heap over the open-addressing table, so a beam level
-// never materializes more than `width` live states (plus the probe table)
-// no matter how many children the parent level generates. Bounded levels
-// store no frontier masks: the beam recomputes each parent's frontier
-// (ExpansionTables::AppendFrontier), which at the seed's width is cheaper
-// than carrying masks through eviction.
+// Both schedulers share this one lifecycle. Beam search differs only after
+// Seal: a level holding more than `width` states is cut to the `width`
+// best by the intrinsic order (peak, footprint, hash, signature words)
+// with Select.
 #ifndef SERENITY_CORE_STATE_STORE_H_
 #define SERENITY_CORE_STATE_STORE_H_
 
@@ -136,36 +132,6 @@ class StateLevel {
   // `expected_states` pre-sizes the arenas and the hash table.
   void Init(std::size_t words_per_state, std::size_t expected_states);
 
-  // Bounded (streaming top-`width`) mode — beam search's per-level pruning
-  // fused into insertion. The level retains at most `width` live states at
-  // any moment: an insertion into a full level either displaces the current
-  // worst survivor or is rejected on the spot, so the transient high-water
-  // memory is `width + 1` states plus the probe table and an amortised
-  // eviction heap — never the pre-prune level size. States are ranked by
-  // the *intrinsic* total order (peak, footprint, hash, signature words):
-  // because the rank of a state does not depend on its arrival position,
-  // the surviving set is exactly the top `width` of the fully deduplicated
-  // level (see DESIGN.md "Streaming beam levels" for the argument that
-  // evict-then-reinsert converges to batch dedup + nth_element). Use
-  // InsertBounded/SealBounded instead of InsertOrRelax/Seal.
-  void InitBounded(std::size_t words_per_state, std::size_t width);
-
-  // Bounded-mode insertion. Deduplicates and relaxes exactly like
-  // InsertOrRelax (including the intrinsic tie_key rule); a novel signature
-  // enters the level iff it is better than the current worst survivor (or
-  // the level holds fewer than `width`). Returns true iff a new live state
-  // was created.
-  bool InsertBounded(const std::uint64_t* sig, std::uint64_t hash,
-                     std::int64_t footprint, std::int64_t peak,
-                     std::uint64_t tie_key, std::int32_t prev_index,
-                     std::int32_t last_node);
-
-  // Seals a bounded level: compacts the (at most `width`) survivors, orders
-  // them by the intrinsic total order — best first, deterministic and
-  // arrival-independent — and drops the probe table, eviction heap and slot
-  // bookkeeping. Accessors and TakeReconAndRelease are valid afterwards.
-  void SealBounded();
-
   std::size_t words_per_state() const { return words_; }
 
   // Inserts the state or relaxes the existing one (same signature ⇒ same
@@ -185,13 +151,12 @@ class StateLevel {
   // below are only valid after Seal().
   void Seal();
 
-  std::size_t size() const;
+  std::size_t size() const { return cols_.count; }
 
   const std::uint64_t* signature(std::size_t i) const {
     return cols_.sig_arena.data() + i * words_;
   }
-  // Zero-indegree frontier mask of state i (W words). Unbounded levels
-  // only: bounded (beam) levels store none.
+  // Zero-indegree frontier mask of state i (W words).
   const std::uint64_t* frontier(std::size_t i) const {
     return cols_.frontier_arena.data() + i * words_;
   }
@@ -218,17 +183,16 @@ class StateLevel {
                                     std::size_t expected_states);
 
   // Compacted copy holding exactly the states in `keep` (sealed, in the
-  // given order, frontier masks included) — the reference beam's pruning
-  // step. Only valid after Seal().
+  // given order, frontier masks included) — the beam's per-level cut. Only
+  // valid after Seal().
   StateLevel Select(const std::vector<std::int32_t>& keep) const;
 
  private:
-  // The level's SoA arrays, grouped so SealBounded can swap in a compacted
-  // set in one move.
+  // The level's SoA arrays, grouped so Init and TakeReconAndRelease can
+  // reset them in one assignment.
   struct Columns {
     std::vector<std::uint64_t> sig_arena;  // count * words signature words
-    // count * words frontier-mask words; empty in bounded mode
-    std::vector<std::uint64_t> frontier_arena;
+    std::vector<std::uint64_t> frontier_arena;  // count * words mask words
     std::vector<std::uint64_t> hashes;     // cached Zobrist hash per state
     std::vector<std::int64_t> footprint;
     std::vector<std::int64_t> peak;
@@ -238,43 +202,11 @@ class StateLevel {
     std::size_t count = 0;
   };
 
-  // Lazy eviction-heap entry for the bounded mode: a snapshot of a slot's
-  // rank at push time. An entry is stale once its slot was freed/reused
-  // (generation mismatch) or relaxed (peak mismatch); stale entries are
-  // discarded on pop, exactly like the hierarchy simulator's heap.
-  struct EvictEntry {
-    std::int64_t peak = 0;
-    std::int64_t footprint = 0;
-    std::uint64_t hash = 0;
-    std::int32_t slot = -1;
-    std::uint32_t gen = 0;
-  };
-  static bool EvictLess(const EvictEntry& a, const EvictEntry& b);
-
   void GrowTable();
-
-  // True iff the value (peak, footprint, hash, sig) ranks strictly better
-  // (lower) than live slot `si` in the intrinsic total order.
-  bool BoundedValueLess(std::int64_t peak, std::int64_t footprint,
-                        std::uint64_t hash, const std::uint64_t* sig,
-                        std::size_t si) const;
-  std::size_t FreshWorstSlot();
-  void EvictSlot(std::size_t si);
-  void PushEvictEntry(std::size_t si);
-  void RebuildBoundedTable();
 
   std::size_t words_ = 0;
   Columns cols_;
   bool sealed_ = false;
-
-  // Bounded-mode bookkeeping; width_ == 0 means unbounded mode.
-  std::size_t width_ = 0;
-  std::size_t live_ = 0;
-  std::size_t tombstones_ = 0;
-  std::vector<EvictEntry> evict_heap_;
-  std::vector<std::int32_t> free_slots_;
-  std::vector<std::uint32_t> slot_gen_;
-  std::vector<std::uint8_t> slot_live_;
 };
 
 // Graph-side constants of Algorithm 1, flattened for the expansion hot
@@ -296,16 +228,10 @@ class ExpansionTables {
   std::size_t num_nodes() const { return num_nodes_; }
   std::size_t words_per_state() const { return words_; }
 
-  // Appends the zero-indegree frontier of `sig` (unscheduled nodes whose
-  // predecessors are all scheduled) to `out` in ascending node order. `out`
-  // is a caller-owned scratch buffer. A full predecessor scan: the DP
-  // instead carries each state's frontier as a stored mask (FrontierMask
-  // for the root, ChildFrontier per transition); the beam, whose bounded
-  // levels store no masks, recomputes it here.
-  void AppendFrontier(const std::uint64_t* sig,
-                      std::vector<std::int32_t>* out) const;
-
-  // Writes the zero-indegree frontier of `sig` as a W-word mask.
+  // Writes the zero-indegree frontier of `sig` (unscheduled nodes whose
+  // predecessors are all scheduled) as a W-word mask. A full predecessor
+  // scan: the schedulers call it once, for the root, and derive every other
+  // state's mask with ChildFrontier.
   void FrontierMask(const std::uint64_t* sig, std::uint64_t* mask) const;
 
   // Derives the frontier mask of the child `sig ∪ {u}` (signature words
@@ -378,9 +304,6 @@ class ExpansionTables {
   std::int64_t ResidentBytes() const;
 
  private:
-  // Word w of the zero-indegree frontier mask of `sig`.
-  std::uint64_t FrontierWord(const std::uint64_t* sig, std::size_t w) const;
-
   std::size_t num_nodes_ = 0;
   std::size_t words_ = 0;
   std::uint64_t last_word_mask_ = 0;  // valid bits of the final word

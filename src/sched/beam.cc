@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include "core/state_store.h"
@@ -24,30 +25,37 @@ BeamResult ScheduleBeam(const graph::Graph& graph,
   BeamResult result;
   std::vector<std::vector<core::ReconRecord>> recon(n + 1);
 
-  // Resource governance: a high-water reservation covering the tables, the
-  // two live levels and the reconstruction records, trued up per level
-  // (beam levels are bounded by `width`, so level granularity is tight);
-  // cancellation polled per level and every ~4096 expansions.
+  // Resource governance, charged exactly like the DP: a high-water
+  // reservation covering the tables, the reconstruction records and the
+  // two live levels — the next level's reserve before Init, its resident
+  // bytes every ~4096 transitions and once per level after the seal and
+  // cut. Cancellation is polled per level and on the same
+  // ~4096-transition cadence.
   util::BudgetReservation reservation(options.memory_budget);
   std::int64_t recon_bytes = 0;
   const std::int64_t fixed_bytes =
       tables.ResidentBytes() + static_cast<std::int64_t>(2 * n * 8);
+  const auto ensure_resident = [&](std::int64_t store_bytes) {
+    return reservation.EnsureAtLeast(fixed_bytes + recon_bytes + store_bytes);
+  };
   const auto cancelled = [&options] {
     return options.cancel != nullptr && options.cancel->cancelled();
   };
-  if (!reservation.EnsureAtLeast(fixed_bytes)) {
+  if (!ensure_resident(0)) {
     result.status = util::ResourceExhaustedError("beam: budget exhausted");
     return result;
   }
 
-  // Every beam level is bounded, the root included: bounded levels store
-  // no frontier masks, and each parent's frontier is recomputed below.
+  // The root's frontier mask is computed from scratch; every later state
+  // derives its own from its parent's (ExpansionTables::ChildFrontier).
   core::StateLevel current;
-  current.InitBounded(words, 1);
+  current.Init(words, 1);
   const std::vector<std::uint64_t> empty(words, 0);
-  current.InsertBounded(empty.data(), core::SignatureHasher::kEmptyHash, 0, 0,
-                        0, -1, -1);
-  current.SealBounded();
+  std::vector<std::uint64_t> root_frontier(words);
+  tables.FrontierMask(empty.data(), root_frontier.data());
+  current.InsertOrRelax(empty.data(), root_frontier.data(),
+                        core::SignatureHasher::kEmptyHash, 0, 0, 0, -1, -1);
+  current.Seal();
 
   // Branch-and-bound cut (see BeamOptions::prune_above_bytes). `bounding`
   // is loop-invariant, so the default path pays one predictable branch.
@@ -56,28 +64,37 @@ BeamResult ScheduleBeam(const graph::Graph& graph,
       bound != std::numeric_limits<std::int64_t>::max();
 
   std::vector<std::int32_t> frontier;
+  std::vector<std::int32_t> newly_ready;
+  std::vector<std::int32_t> keep;
   std::vector<std::uint64_t> child(words);
+  std::vector<std::uint64_t> child_mask(words);
   core::ExpansionTables::FrontierAllocs allocs;
   for (std::size_t level = 0; level < n; ++level) {
     if (cancelled()) {
       result.status = util::CancelledError("beam: cancelled");
       return result;
     }
-    // Streaming top-`width` level: pruning happens inside InsertBounded, so
-    // the transient high-water memory is width + 1 states regardless of how
-    // many children the parent level generates — the old seal → copy →
-    // nth_element path materialized them all first.
+    const std::size_t hint = core::NextLevelReserveHint(
+        current.size(), std::numeric_limits<std::uint64_t>::max());
+    if (!ensure_resident(current.ResidentBytes() +
+                         core::StateLevel::EstimateBytes(words, hint))) {
+      result.status = util::ResourceExhaustedError("beam: budget exhausted");
+      return result;
+    }
+    // A DP level (beam = DP with a truncated level): every deduplicated
+    // child is kept until Seal, then the level is cut below.
     core::StateLevel next;
-    next.InitBounded(words, width);
+    next.Init(words, hint);
     for (std::size_t s = 0; s < current.size(); ++s) {
       const std::uint64_t* sig = current.signature(s);
+      const std::uint64_t* mask = current.frontier(s);
       frontier.clear();
-      tables.AppendFrontier(sig, &frontier);
+      util::SpanAppendSetBits(mask, words, &frontier);
       const std::int64_t footprint = current.footprint(s);
       const std::int64_t peak = current.peak(s);
       const std::uint64_t hash = current.hash(s);
       if (bounding) {
-        // The DP's one-step frontier-alloc floor, streamed: every child of
+        // The DP's one-step frontier-alloc floor: every child of
         // this state takes a step of at least footprint + min alloc.
         tables.ComputeFrontierAllocs(sig, frontier, &allocs);
         if (allocs.min1 != core::ExpansionTables::kNoAlloc &&
@@ -87,9 +104,17 @@ BeamResult ScheduleBeam(const graph::Graph& graph,
       }
       for (const std::int32_t u : frontier) {
         ++result.states_expanded;
-        if ((result.states_expanded & 0xfff) == 0 && cancelled()) {
-          result.status = util::CancelledError("beam: cancelled");
-          return result;
+        if ((result.states_expanded & 0xfff) == 0) {
+          if (cancelled()) {
+            result.status = util::CancelledError("beam: cancelled");
+            return result;
+          }
+          if (!ensure_resident(current.ResidentBytes() +
+                               next.ResidentBytes())) {
+            result.status =
+                util::ResourceExhaustedError("beam: budget exhausted");
+            return result;
+          }
         }
         const core::ExpansionTables::Transition t = tables.Apply(
             sig, u, footprint,
@@ -97,11 +122,9 @@ BeamResult ScheduleBeam(const graph::Graph& graph,
         if (bounding && t.step_peak > bound) continue;
         std::copy(sig, sig + words, child.data());
         util::SpanSetBit(child.data(), static_cast<std::size_t>(u));
-        // Dedup signatures within the level exactly as in the DP (beam =
-        // DP with a truncated frontier); states ranked by the intrinsic
-        // (peak, footprint, hash, signature) order, so the survivors equal
-        // the batch dedup + prune of the reference path bit for bit.
-        next.InsertBounded(child.data(),
+        tables.ChildFrontier(mask, child.data(), u, child_mask.data(),
+                             &newly_ready);
+        next.InsertOrRelax(child.data(), child_mask.data(),
                            hash ^ hasher.key(static_cast<std::size_t>(u)),
                            t.footprint, std::max(peak, t.step_peak),
                            hasher.candidate_tie(
@@ -117,29 +140,53 @@ BeamResult ScheduleBeam(const graph::Graph& graph,
       return result;
     }
     SERENITY_CHECK_GT(next.size(), 0u) << "graph has a cycle?";
-    next.SealBounded();
+    next.Seal();
+    std::int64_t level_bytes = current.ResidentBytes() + next.ResidentBytes();
+    if (next.size() > width) {
+      // Keep the `width` best by the intrinsic total order (peak,
+      // footprint, hash, signature words): a state's rank depends only on
+      // its value, never on arrival order, so the survivors are a pure
+      // function of the deduplicated level.
+      keep.resize(next.size());
+      std::iota(keep.begin(), keep.end(), 0);
+      const auto less = [&next, words](std::int32_t a, std::int32_t b) {
+        const std::size_t ia = static_cast<std::size_t>(a);
+        const std::size_t ib = static_cast<std::size_t>(b);
+        if (next.peak(ia) != next.peak(ib)) {
+          return next.peak(ia) < next.peak(ib);
+        }
+        if (next.footprint(ia) != next.footprint(ib)) {
+          return next.footprint(ia) < next.footprint(ib);
+        }
+        if (next.hash(ia) != next.hash(ib)) {
+          return next.hash(ia) < next.hash(ib);
+        }
+        return std::lexicographical_compare(
+            next.signature(ia), next.signature(ia) + words,
+            next.signature(ib), next.signature(ib) + words);
+      };
+      std::partial_sort(keep.begin(), keep.begin() + width, keep.end(), less);
+      keep.resize(width);
+      core::StateLevel cut = next.Select(keep);
+      level_bytes += cut.ResidentBytes();
+      next = std::move(cut);
+    }
+    if (!ensure_resident(level_bytes)) {
+      result.status = util::ResourceExhaustedError("beam: budget exhausted");
+      return result;
+    }
     recon[level] = current.TakeReconAndRelease();
     recon_bytes += static_cast<std::int64_t>(recon[level].capacity() *
                                              sizeof(core::ReconRecord));
     current = std::move(next);
-    if (!reservation.EnsureAtLeast(fixed_bytes + recon_bytes +
-                                   current.ResidentBytes())) {
-      result.status = util::ResourceExhaustedError("beam: budget exhausted");
-      return result;
-    }
   }
 
-  // SealBounded orders best-first, so state 0 of the final level is the
-  // beam's answer (a DAG's full signature is unique; keep the defensive
-  // scan anyway).
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < current.size(); ++i) {
-    if (current.peak(i) < current.peak(best)) best = i;
-  }
-  result.peak_bytes = current.peak(best);
+  // A DAG has exactly one full signature.
+  SERENITY_CHECK_EQ(current.size(), 1u);
+  result.peak_bytes = current.peak(0);
   recon[n] = current.TakeReconAndRelease();
   result.schedule.assign(n, graph::kInvalidNode);
-  std::int32_t cursor = static_cast<std::int32_t>(best);
+  std::int32_t cursor = 0;
   for (std::size_t i = n; i > 0; --i) {
     const core::ReconRecord& record =
         recon[i][static_cast<std::size_t>(cursor)];

@@ -29,19 +29,21 @@ namespace serenity::sched {
 
 struct BeamOptions {
   int width = 64;  // states retained per level
-  // Byte budget for the beam's own level storage (bounded: ~width states
-  // per level plus the reconstruction records) and cooperative
+  // Byte budget for the beam's own level storage and cooperative
   // cancellation, both polled at level granularity and every ~4096
-  // expansions. On denial/cancel the result carries kResourceExhausted /
-  // kCancelled and no schedule. nullptr = ungoverned / not cancellable.
+  // expansions. A level holds every deduplicated child of the previous
+  // `width` states until it is cut to the `width` best, so the charge is
+  // that level plus the reconstruction records. On denial/cancel the
+  // result carries kResourceExhausted / kCancelled and no schedule.
+  // nullptr = ungoverned / not cancellable.
   util::MemoryBudget* memory_budget = nullptr;
   const util::CancelToken* cancel = nullptr;
   // Branch-and-bound cut against a peak already known achievable (e.g. the
   // greedy baseline, when the beam runs as an incumbent refiner in
   // core/pipeline): parents whose one-step frontier floor and transitions
   // whose step peak STRICTLY exceed this value are skipped before they
-  // compete for beam slots — the same admissible cuts the DP makes,
-  // streamed. If the cut empties a level the beam reports NotFound — every
+  // compete for beam slots — the same admissible cuts the DP makes. If
+  // the cut empties a level the beam reports NotFound — every
   // width-limited path exceeded the bound, so the caller's existing
   // incumbent already wins. The default (max) disables the cut entirely,
   // keeping plain beam results bit-identical.

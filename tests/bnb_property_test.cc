@@ -1,5 +1,5 @@
-// Randomized property suite for the branch-and-bound search core (PR:
-// incumbent-seeded B&B + streaming beam). Over 1000 random DAGs it pins:
+// Randomized property suite for the branch-and-bound search core and the
+// beam that seeds its incumbent. Over 1000 random DAGs it pins:
 //
 //  - DP bit-identity: peak AND reconstructed schedule are identical with
 //    bound pruning off, with a heuristic incumbent (greedy/beam seed), and
@@ -7,10 +7,14 @@
 //    more states than the unpruned search. Strict-inequality pruning plus
 //    the intrinsic relax tie-break make this exact (DESIGN.md
 //    "Branch-and-bound over levels").
-//  - Streaming beam: InsertBounded/SealBounded keep exactly the same
-//    `width` states with the same tie-breaks as the seal-and-copy reference
+//  - Beam vs reference: the beam's incremental frontier masks and
+//    partial_sort cut keep exactly the same `width` states with the same
+//    tie-breaks as the fully sorted, from-scratch reference
 //    (testing::ReferenceScheduleBeam), so schedules, peaks and expansion
-//    counts coincide at every width.
+//    counts coincide at every width, the default 64 included.
+//  - Beam bound cut (BeamOptions::prune_above_bytes): at or above the
+//    unbounded beam's peak the cut changes neither schedule nor peak and
+//    never expands more; below it the beam reports NotFound.
 //  - Soft-budget interplay: the Kahn-tightened incumbent inside
 //    ScheduleWithSoftBudget changes neither the schedule nor the peak.
 //  - The paper's nine cells through the full Pipeline: bound pruning off,
@@ -31,6 +35,7 @@
 #include "testing/random_graphs.h"
 #include "testing/reference_impls.h"
 #include "util/rng.h"
+#include "util/status.h"
 
 namespace serenity::core {
 namespace {
@@ -121,10 +126,10 @@ TEST(BnbProperty, PipelineBitIdenticalWithPruningOnPaperCells) {
   }
 }
 
-TEST(BnbProperty, StreamingBeamMatchesSealAndCopyReference) {
+TEST(BnbProperty, BeamMatchesReference) {
   util::Rng rng(424242);
   constexpr int kGraphs = 1000;
-  const int widths[] = {1, 2, 3, 8};
+  const int widths[] = {1, 2, 3, 8, 64};
   for (int i = 0; i < kGraphs; ++i) {
     testing::RandomDagOptions opts;
     opts.num_ops = 4 + i % 12;
@@ -134,16 +139,60 @@ TEST(BnbProperty, StreamingBeamMatchesSealAndCopyReference) {
     const graph::Graph g =
         testing::RandomDag(rng, opts, "beam" + std::to_string(i));
     sched::BeamOptions options;
-    options.width = widths[i % 4];
-    const sched::BeamResult streaming = sched::ScheduleBeam(g, options);
+    options.width = widths[i % 5];
+    const sched::BeamResult beam = sched::ScheduleBeam(g, options);
     const sched::BeamResult reference =
         testing::ReferenceScheduleBeam(g, options);
     const std::string ctx =
         "graph " + std::to_string(i) + " width " +
         std::to_string(options.width);
-    EXPECT_EQ(streaming.peak_bytes, reference.peak_bytes) << ctx;
-    EXPECT_EQ(streaming.schedule, reference.schedule) << ctx;
-    EXPECT_EQ(streaming.states_expanded, reference.states_expanded) << ctx;
+    EXPECT_EQ(beam.peak_bytes, reference.peak_bytes) << ctx;
+    EXPECT_EQ(beam.schedule, reference.schedule) << ctx;
+    EXPECT_EQ(beam.states_expanded, reference.states_expanded) << ctx;
+    if (::testing::Test::HasFailure()) return;  // one counterexample
+  }
+}
+
+TEST(BnbProperty, BeamBoundCutKeepsTheAnswerOrReportsNotFound) {
+  // The cut only drops states whose peak already exceeds the bound, and
+  // those rank below every state within it, so each level keeps the same
+  // states within the bound as the unbounded beam's.
+  util::Rng rng(20261017);
+  constexpr int kGraphs = 1000;
+  for (int i = 0; i < kGraphs; ++i) {
+    testing::RandomDagOptions opts;
+    opts.num_ops = 4 + i % 13;
+    opts.max_channels = 1 + i % 5;
+    opts.extra_edge_p = (i % 4) * 0.25;
+    opts.join_sinks = i % 3 != 0;
+    const graph::Graph g =
+        testing::RandomDag(rng, opts, "cut" + std::to_string(i));
+    const std::int64_t greedy =
+        sched::PeakFootprint(g, sched::GreedyMemorySchedule(g));
+    for (const int width : {1, 2, 3, 8, 64}) {
+      sched::BeamOptions options;
+      options.width = width;
+      const sched::BeamResult unbounded = sched::ScheduleBeam(g, options);
+      ASSERT_TRUE(unbounded.status.ok());
+      for (const std::int64_t bound :
+           {greedy, unbounded.peak_bytes, unbounded.peak_bytes - 1}) {
+        options.prune_above_bytes = bound;
+        const sched::BeamResult cut = sched::ScheduleBeam(g, options);
+        const std::string ctx = "graph " + std::to_string(i) + " width " +
+                                std::to_string(width) + " bound " +
+                                std::to_string(bound);
+        if (unbounded.peak_bytes <= bound) {
+          ASSERT_TRUE(cut.status.ok())
+              << ctx << ": " << cut.status.ToString();
+          EXPECT_EQ(cut.schedule, unbounded.schedule) << ctx;
+          EXPECT_EQ(cut.peak_bytes, unbounded.peak_bytes) << ctx;
+          EXPECT_LE(cut.states_expanded, unbounded.states_expanded) << ctx;
+        } else {
+          EXPECT_EQ(cut.status.code(), util::StatusCode::kNotFound) << ctx;
+          EXPECT_TRUE(cut.schedule.empty()) << ctx;
+        }
+      }
+    }
     if (::testing::Test::HasFailure()) return;  // one counterexample
   }
 }

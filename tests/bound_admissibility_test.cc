@@ -74,13 +74,15 @@ Lattice EnumerateLattice(const ExpansionTables& tables,
   lat.by_hash[0].push_back(0);
   lat.level_states[0].push_back(0);
   std::vector<std::int32_t> frontier;
+  std::vector<std::uint64_t> mask(words);
   for (std::size_t lvl = 0; lvl < n; ++lvl) {
     for (const std::int32_t s : lat.level_states[lvl]) {
       const std::vector<std::uint64_t> sig = lat.sig[static_cast<std::size_t>(s)];
       const std::int64_t foot = lat.footprint[static_cast<std::size_t>(s)];
       const std::uint64_t h = lat.hash[static_cast<std::size_t>(s)];
       frontier.clear();
-      tables.AppendFrontier(sig.data(), &frontier);
+      tables.FrontierMask(sig.data(), mask.data());
+      util::SpanAppendSetBits(mask.data(), words, &frontier);
       for (const std::int32_t u : frontier) {
         const auto t = tables.Apply(sig.data(), u, foot, kInf);
         std::vector<std::uint64_t> child = sig;
@@ -138,6 +140,7 @@ TEST(BoundAdmissibility, FrontierFloorIsExactAndRespectsTheSuffixOracle) {
     std::vector<std::int32_t> frontier, child_frontier, newly_ready;
     std::vector<std::uint64_t> mask(tables.words_per_state());
     std::vector<std::uint64_t> child_mask(tables.words_per_state());
+    std::vector<std::uint64_t> direct_mask(tables.words_per_state());
 
     for (std::size_t s = 0; s < lat.sig.size(); ++s) {
       const std::uint64_t* sig = lat.sig[s].data();
@@ -145,8 +148,9 @@ TEST(BoundAdmissibility, FrontierFloorIsExactAndRespectsTheSuffixOracle) {
       if (lat.edges[s].empty()) continue;  // full state: no bounds apply
 
       frontier.clear();
-      tables.AppendFrontier(sig, &frontier);
       tables.FrontierMask(sig, mask.data());
+      util::SpanAppendSetBits(mask.data(), tables.words_per_state(),
+                              &frontier);
 
       // Frontier allocs: exact per-candidate, and the floor is a true
       // lower bound on the very next step (hence on the suffix).
@@ -175,7 +179,9 @@ TEST(BoundAdmissibility, FrontierFloorIsExactAndRespectsTheSuffixOracle) {
         const std::int64_t floor = tables.ChildNextAllocFloor(
             lat.sig[c].data(), u, fa, newly_ready);
         child_frontier.clear();
-        tables.AppendFrontier(lat.sig[c].data(), &child_frontier);
+        tables.FrontierMask(lat.sig[c].data(), direct_mask.data());
+        util::SpanAppendSetBits(direct_mask.data(), tables.words_per_state(),
+                                &child_frontier);
         std::int64_t direct = kInf;
         for (const std::int32_t v : child_frontier) {
           const auto tv =

@@ -1,15 +1,14 @@
 // Tests for the flat-arena state store (core/state_store.h) and the
 // refactored schedulers running on it: unit coverage of StateLevel /
-// SignatureHasher / ExpansionTables, plus the randomized property suite
-// required by the refactor — bit-identical peaks and valid topological
-// orders versus the brute-force oracle on random DAGs, across the
-// kNoSolution / kTimeout paths.
+// SignatureHasher / ExpansionTables, the beam's memory-budget charging,
+// plus the randomized property suite required by the refactor —
+// bit-identical peaks and valid topological orders versus the brute-force
+// oracle on random DAGs, across the kNoSolution / kTimeout paths.
 #include "core/state_store.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -21,7 +20,9 @@
 #include "sched/schedule.h"
 #include "testing/random_graphs.h"
 #include "util/bitset.h"
+#include "util/memory_budget.h"
 #include "util/rng.h"
+#include "util/status.h"
 
 namespace serenity::core {
 namespace {
@@ -56,11 +57,15 @@ TEST(StateLevel, InsertDedupAndRelax) {
   // Duplicate with a better peak: relaxes peak and back-pointer, but the
   // frontier mask is written on creation only.
   EXPECT_FALSE(level.InsertOrRelax(sig_a, other, 111, 10, 30, 9, 4, 0));
+  // Equal peak: the lower intrinsic tie key takes the back-pointer, a
+  // higher one is ignored.
+  EXPECT_FALSE(level.InsertOrRelax(sig_a, other, 111, 10, 30, 3, 5, 0));
+  EXPECT_FALSE(level.InsertOrRelax(sig_a, other, 111, 10, 30, 7, 6, 0));
   level.Seal();
   ASSERT_EQ(level.size(), 2u);
   EXPECT_EQ(level.footprint(0), 10);
   EXPECT_EQ(level.peak(0), 30);
-  EXPECT_EQ(level.recon(0).prev_index, 4);
+  EXPECT_EQ(level.recon(0).prev_index, 5);
   EXPECT_EQ(level.recon(0).last_node, 0);
   EXPECT_EQ(level.peak(1), 40);
   EXPECT_TRUE(
@@ -148,147 +153,42 @@ TEST(StateLevel, TakeReconAndReleaseReturnsAllRecords) {
   EXPECT_EQ(recon[1].prev_index, 8);
 }
 
-// ------------------------------------------------------------- bounded mode
+// ------------------------------------------------------------ beam budget
 
-TEST(StateLevelBounded, KeepsTopWidthWithDedupRelaxAndEviction) {
-  StateLevel level;
-  level.InitBounded(/*words_per_state=*/1, /*width=*/2);
-  const std::uint64_t a[1] = {0b001};
-  const std::uint64_t b[1] = {0b010};
-  const std::uint64_t c[1] = {0b100};
-  EXPECT_TRUE(level.InsertBounded(a, 11, 10, 50, 5, 0, 0));
-  EXPECT_TRUE(level.InsertBounded(b, 22, 10, 40, 5, 1, 1));
-  EXPECT_EQ(level.size(), 2u);
-  // Worse than the current worst (peak 50): rejected outright.
-  EXPECT_FALSE(level.InsertBounded(c, 33, 10, 60, 5, 2, 2));
-  EXPECT_EQ(level.size(), 2u);
-  // Better than the worst: evicts state a (peak 50).
-  EXPECT_TRUE(level.InsertBounded(c, 33, 10, 45, 5, 2, 2));
-  EXPECT_EQ(level.size(), 2u);
-  // Duplicate of b with a worse peak: relax ignores it...
-  EXPECT_FALSE(level.InsertBounded(b, 22, 10, 41, 5, 3, 3));
-  // ...a better peak relaxes in place (no new state).
-  EXPECT_FALSE(level.InsertBounded(b, 22, 10, 39, 5, 4, 4));
-  // The previously evicted signature re-arrives with a better peak and
-  // re-enters with exactly its intrinsic rank, displacing c.
-  EXPECT_TRUE(level.InsertBounded(a, 11, 10, 30, 5, 6, 6));
-  level.SealBounded();
-  ASSERT_EQ(level.size(), 2u);
-  // Best-first intrinsic order: a (30) then b (39); c (45) was displaced.
-  EXPECT_EQ(level.peak(0), 30);
-  EXPECT_EQ(level.recon(0).prev_index, 6);
-  EXPECT_EQ(level.peak(1), 39);
-  EXPECT_EQ(level.recon(1).prev_index, 4);
-  EXPECT_TRUE(util::SpanEqual(level.signature(0), a, 1));
-  EXPECT_TRUE(util::SpanEqual(level.signature(1), b, 1));
-}
+TEST(BeamBudget, ChargesLikeTheDpAndUnwinds) {
+  // 24 ops at width 4: the levels outgrow the width, so the governed run
+  // goes through the cut on most levels.
+  util::Rng rng(71);
+  testing::RandomDagOptions opts;
+  opts.num_ops = 24;
+  const graph::Graph g = testing::RandomDag(rng, opts, "beam_budget");
+  sched::BeamOptions options;
+  options.width = 4;
+  const sched::BeamResult ungoverned = sched::ScheduleBeam(g, options);
+  ASSERT_TRUE(ungoverned.status.ok());
 
-TEST(StateLevelBounded, EqualPeakTieUsesIntrinsicTieKey) {
-  StateLevel level;
-  level.InitBounded(1, 4);
-  const std::uint64_t s[1] = {0b11};
-  EXPECT_TRUE(level.InsertBounded(s, 7, 10, 30, /*tie_key=*/9, 1, 1));
-  // Equal peak, lower tie key: back-pointer relaxes.
-  EXPECT_FALSE(level.InsertBounded(s, 7, 10, 30, /*tie_key=*/3, 2, 2));
-  // Equal peak, higher tie key: ignored.
-  EXPECT_FALSE(level.InsertBounded(s, 7, 10, 30, /*tie_key=*/5, 4, 4));
-  level.SealBounded();
-  ASSERT_EQ(level.size(), 1u);
-  EXPECT_EQ(level.recon(0).prev_index, 2);
-}
+  // Below the fixed bytes (expansion tables + two Zobrist key streams) the
+  // beam fails before building a level.
+  const std::int64_t fixed_bytes =
+      ExpansionTables::Build(g).ResidentBytes() +
+      static_cast<std::int64_t>(2 * g.num_nodes() * 8);
+  util::MemoryBudget starved(fixed_bytes - 1);
+  options.memory_budget = &starved;
+  const sched::BeamResult denied = sched::ScheduleBeam(g, options);
+  EXPECT_EQ(denied.status.code(), util::StatusCode::kResourceExhausted);
+  EXPECT_TRUE(denied.schedule.empty());
+  EXPECT_EQ(starved.used_bytes(), 0);
 
-TEST(StateLevelBounded, RejectedInsertsAcrossTombstonesKeepTableHealthy) {
-  // Regression: a rejected insert whose probe path crosses a tombstone must
-  // NOT consume the tombstone's accounting (it writes nothing). With the
-  // bug, repeated rejects underflowed tombstones_ and eventually wedged the
-  // probe loop; here we hammer the pattern far past the table's load
-  // factor and then verify the level still dedups, evicts and seals
-  // correctly.
-  StateLevel level;
-  level.InitBounded(/*words_per_state=*/1, /*width=*/1);
-  const std::uint64_t a[1] = {0b01};
-  const std::uint64_t b[1] = {0b10};
-  // Same hash: probe chains share cells, so evicting `a` leaves a
-  // tombstone at the head of the chain that every later probe crosses.
-  EXPECT_TRUE(level.InsertBounded(a, 5, 1, 100, 0, 0, 0));
-  EXPECT_TRUE(level.InsertBounded(b, 5, 2, 50, 0, 1, 1));  // evicts a
-  EXPECT_EQ(level.size(), 1u);
-  for (int i = 0; i < 1000; ++i) {
-    // Worse than the survivor: rejected after probing across the tombstone.
-    EXPECT_FALSE(level.InsertBounded(a, 5, 1, 100 + i, 0, 2, 2));
-  }
-  // The table must still accept and place a better state correctly.
-  EXPECT_TRUE(level.InsertBounded(a, 5, 1, 10, 0, 3, 3));  // evicts b
-  EXPECT_FALSE(level.InsertBounded(a, 5, 1, 9, 0, 4, 4));  // relaxes a
-  level.SealBounded();
-  ASSERT_EQ(level.size(), 1u);
-  EXPECT_EQ(level.peak(0), 9);
-  EXPECT_EQ(level.recon(0).prev_index, 4);
-  EXPECT_TRUE(util::SpanEqual(level.signature(0), a, 1));
-}
-
-TEST(StateLevelBounded, MatchesInsertAllPlusSelectOnRandomStreams) {
-  // Streaming top-width insert == batch dedup + Select of the width best
-  // (intrinsic order), on adversarial random streams with many duplicates
-  // and peak ties.
-  util::Rng rng(555);
-  for (int trial = 0; trial < 200; ++trial) {
-    const std::size_t width = 1 + static_cast<std::size_t>(trial % 7);
-    const int inserts = 20 + trial % 60;
-    const SignatureHasher hasher(16);
-    StateLevel bounded;
-    bounded.InitBounded(1, width);
-    StateLevel batch;
-    batch.Init(1, 8);
-    for (int i = 0; i < inserts; ++i) {
-      // Few distinct signatures and tiny peak range: ties and duplicate
-      // re-arrivals (including after eviction) are the common case.
-      const std::uint64_t sig[1] = {1ull << rng.NextInt(0, 7)};
-      const std::uint64_t hash =
-          hasher.key(static_cast<std::size_t>(__builtin_ctzll(sig[0])));
-      const std::int64_t footprint =
-          static_cast<std::int64_t>(sig[0]);  // function of the signature
-      const std::int64_t peak = footprint + 64 * rng.NextInt(0, 3);
-      const std::uint64_t tie =
-          static_cast<std::uint64_t>(rng.NextInt(0, 1023));
-      const std::int32_t prev = i;
-      bounded.InsertBounded(sig, hash, footprint, peak, tie, prev, 0);
-      batch.InsertOrRelax(sig, sig, hash, footprint, peak, tie, prev, 0);
-    }
-    bounded.SealBounded();
-    batch.Seal();
-    // Batch path: select the width best by the intrinsic order, best first.
-    std::vector<std::int32_t> keep(batch.size());
-    std::iota(keep.begin(), keep.end(), 0);
-    std::sort(keep.begin(), keep.end(), [&batch](std::int32_t a,
-                                                 std::int32_t b) {
-      const std::size_t ia = static_cast<std::size_t>(a);
-      const std::size_t ib = static_cast<std::size_t>(b);
-      if (batch.peak(ia) != batch.peak(ib)) {
-        return batch.peak(ia) < batch.peak(ib);
-      }
-      if (batch.footprint(ia) != batch.footprint(ib)) {
-        return batch.footprint(ia) < batch.footprint(ib);
-      }
-      if (batch.hash(ia) != batch.hash(ib)) {
-        return batch.hash(ia) < batch.hash(ib);
-      }
-      return batch.signature(ia)[0] < batch.signature(ib)[0];
-    });
-    if (keep.size() > width) keep.resize(width);
-    const StateLevel expected = batch.Select(keep);
-    ASSERT_EQ(bounded.size(), expected.size()) << "trial " << trial;
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(bounded.signature(i)[0], expected.signature(i)[0])
-          << "trial " << trial << " state " << i;
-      EXPECT_EQ(bounded.peak(i), expected.peak(i)) << trial << " " << i;
-      EXPECT_EQ(bounded.footprint(i), expected.footprint(i));
-      EXPECT_EQ(bounded.hash(i), expected.hash(i));
-      EXPECT_EQ(bounded.recon(i).prev_index, expected.recon(i).prev_index)
-          << "trial " << trial << " state " << i;
-    }
-    if (::testing::Test::HasFailure()) return;
-  }
+  // An ample budget changes nothing and is fully refunded.
+  util::MemoryBudget ample(std::int64_t{1} << 30);
+  options.memory_budget = &ample;
+  const sched::BeamResult governed = sched::ScheduleBeam(g, options);
+  ASSERT_TRUE(governed.status.ok());
+  EXPECT_EQ(governed.schedule, ungoverned.schedule);
+  EXPECT_EQ(governed.peak_bytes, ungoverned.peak_bytes);
+  EXPECT_EQ(governed.states_expanded, ungoverned.states_expanded);
+  EXPECT_GT(ample.peak_bytes(), fixed_bytes);
+  EXPECT_EQ(ample.used_bytes(), 0);
 }
 
 // ----------------------------------------------------------- ExpansionTables
@@ -306,12 +206,14 @@ TEST(ExpansionTables, FrontierMatchesDirectComputation) {
     const ExpansionTables tables(g, table, adjacency);
     const std::size_t n = static_cast<std::size_t>(g.num_nodes());
     const std::size_t words = tables.words_per_state();
-    if (num_ops > 64) ASSERT_GE(words, 2u);
+    if (num_ops > 64) {
+      ASSERT_GE(words, 2u);
+    }
 
     // Random schedulable prefixes: schedule a random ready node at a time
-    // and cross-check, after every step, the scanned frontier, the mask
+    // and cross-check, after every step, the direct frontier, the mask
     // computed from scratch and the mask derived step by step from the
-    // root's (the DP's stored per-state mask).
+    // root's (the schedulers' stored per-state mask).
     util::Bitset64 scheduled(n);
     std::vector<std::int32_t> frontier;
     std::vector<std::int32_t> newly_ready;
@@ -321,20 +223,17 @@ TEST(ExpansionTables, FrontierMatchesDirectComputation) {
     for (std::size_t step = 0; step <= n; ++step) {
       const std::string ctx = std::to_string(num_ops) + " ops, after " +
                               std::to_string(step) + " steps";
-      frontier.clear();
-      tables.AppendFrontier(scheduled.words(), &frontier);
       std::vector<std::int32_t> expected;
       for (std::size_t u = 0; u < n; ++u) {
         if (!scheduled.Test(u) && adjacency.preds[u].IsSubsetOf(scheduled)) {
           expected.push_back(static_cast<std::int32_t>(u));
         }
       }
-      ASSERT_EQ(frontier, expected) << ctx;
+      frontier.clear();
       tables.FrontierMask(scheduled.words(), scratch.data());
+      util::SpanAppendSetBits(scratch.data(), words, &frontier);
+      ASSERT_EQ(frontier, expected) << ctx;
       std::vector<std::int32_t> from_mask;
-      util::SpanAppendSetBits(scratch.data(), words, &from_mask);
-      ASSERT_EQ(from_mask, expected) << ctx;
-      from_mask.clear();
       util::SpanAppendSetBits(derived.data(), words, &from_mask);
       ASSERT_EQ(from_mask, expected) << ctx;
       if (step == n) break;

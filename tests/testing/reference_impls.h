@@ -1,14 +1,16 @@
-// Reference (pre-optimization) implementations of the arena planner and
-// the hierarchy simulator, kept as the oracle for the property suites and
-// the before/after micro-benchmark (`bench_planner_memsim`).
+// Reference (pre-optimization) implementations of the beam scheduler, the
+// arena planner and the hierarchy simulator, kept as the oracle for the
+// property suites and the before/after micro-benchmark
+// (`bench_planner_memsim`).
 //
-// These are the seed algorithms verbatim — quadratic conflict scans, the
-// O(placements x steps) highwater fill, the O(resident) eviction scan —
-// with one deliberate change: `ReferenceSimulateHierarchy` breaks eviction
-// ties to the lowest page id (the seed's strict `>` picked whichever tied
-// page was fetched first, an accident of resident-list insertion order).
-// The production implementations in src/alloc and src/memsim must stay
-// bit-identical to these on every input.
+// The planner and simulator are the seed algorithms verbatim — quadratic
+// conflict scans, the O(placements x steps) highwater fill, the
+// O(resident) eviction scan — with one deliberate change:
+// `ReferenceSimulateHierarchy` breaks eviction ties to the lowest page id
+// (the seed's strict `>` picked whichever tied page was fetched first, an
+// accident of resident-list insertion order).
+// The production implementations in src/sched, src/alloc and src/memsim
+// must stay bit-identical to these on every input.
 #ifndef SERENITY_TESTS_TESTING_REFERENCE_IMPLS_H_
 #define SERENITY_TESTS_TESTING_REFERENCE_IMPLS_H_
 
@@ -32,12 +34,14 @@ namespace serenity::testing {
 
 // ------------------------------------------------------- beam (seal & copy)
 //
-// The pre-streaming beam: every level materializes ALL deduplicated
-// children (InsertOrRelax), seals, and only then prunes to the `width`
-// best by the intrinsic total order (peak, footprint, hash, signature
-// words) via Select. The production beam (sched/beam.cc) fuses the pruning
-// into insertion (StateLevel::InsertBounded); `bnb_property_test`
-// pins the two to the same width-`width` survivors, tie-breaks included.
+// The beam written as plainly as possible: every level materializes ALL
+// deduplicated children (InsertOrRelax), seals, and is then fully sorted
+// by the intrinsic total order (peak, footprint, hash, signature words)
+// and cut to the `width` best via Select. Every frontier mask is computed
+// from scratch (FrontierMask), so the reference does not share the
+// production beam's incremental ChildFrontier or its partial_sort cut;
+// `bnb_property_test` pins the two to the same survivors, tie-breaks
+// included.
 
 inline sched::BeamResult ReferenceScheduleBeam(const graph::Graph& graph,
                                                const sched::BeamOptions&
@@ -62,7 +66,7 @@ inline sched::BeamResult ReferenceScheduleBeam(const graph::Graph& graph,
                         core::SignatureHasher::kEmptyHash, 0, 0, 0, -1, -1);
   current.Seal();
 
-  // The streaming path's intrinsic total order, on a sealed level.
+  // The intrinsic total order, on a sealed level.
   const auto less = [words](const core::StateLevel& level, std::int32_t a,
                             std::int32_t b) {
     const std::size_t ia = static_cast<std::size_t>(a);
@@ -94,7 +98,7 @@ inline sched::BeamResult ReferenceScheduleBeam(const graph::Graph& graph,
     for (std::size_t s = 0; s < current.size(); ++s) {
       const std::uint64_t* sig = current.signature(s);
       frontier.clear();
-      tables.AppendFrontier(sig, &frontier);
+      util::SpanAppendSetBits(current.frontier(s), words, &frontier);
       const std::int64_t footprint = current.footprint(s);
       const std::int64_t peak = current.peak(s);
       const std::uint64_t hash = current.hash(s);
@@ -120,7 +124,7 @@ inline sched::BeamResult ReferenceScheduleBeam(const graph::Graph& graph,
     std::sort(keep.begin(), keep.end(),
               [&](std::int32_t a, std::int32_t b) { return less(next, a, b); });
     if (keep.size() > width) keep.resize(width);
-    next = next.Select(keep);  // best-first, like SealBounded
+    next = next.Select(keep);
     recon[level] = current.TakeReconAndRelease();
     current = std::move(next);
   }
