@@ -1,6 +1,8 @@
 #include "core/dp_scheduler.h"
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
 #include <vector>
 
 #include "core/state_store.h"
@@ -30,15 +32,52 @@ const char* ToString(DpStatus status) {
 
 namespace {
 
+// The exact DP's level width: no level is ever cut.
+constexpr std::size_t kUnlimitedWidth = std::numeric_limits<std::size_t>::max();
+
+// A sealed level's `width` best states by the intrinsic total order (peak,
+// footprint, hash, signature words). A state's rank depends only on its
+// value, never on its arrival position, so the survivors are a pure
+// function of the deduplicated level.
+StateLevel KeepBest(const StateLevel& level, std::size_t width) {
+  const std::size_t words = level.words_per_state();
+  std::vector<std::int32_t> keep(level.size());
+  std::iota(keep.begin(), keep.end(), 0);
+  const auto less = [&level, words](std::int32_t a, std::int32_t b) {
+    const std::size_t ia = static_cast<std::size_t>(a);
+    const std::size_t ib = static_cast<std::size_t>(b);
+    if (level.peak(ia) != level.peak(ib)) {
+      return level.peak(ia) < level.peak(ib);
+    }
+    if (level.footprint(ia) != level.footprint(ib)) {
+      return level.footprint(ia) < level.footprint(ib);
+    }
+    if (level.hash(ia) != level.hash(ib)) {
+      return level.hash(ia) < level.hash(ib);
+    }
+    return std::lexicographical_compare(
+        level.signature(ia), level.signature(ia) + words,
+        level.signature(ib), level.signature(ib) + words);
+  };
+  std::partial_sort(keep.begin(),
+                    keep.begin() + static_cast<std::ptrdiff_t>(width),
+                    keep.end(), less);
+  keep.resize(width);
+  return level.Select(keep);
+}
+
 class DpRunner {
  public:
-  DpRunner(const graph::Graph& graph, const DpOptions& options)
+  DpRunner(const graph::Graph& graph, const DpOptions& options,
+           std::size_t width)
       : options_(options),
         tables_(ExpansionTables::Build(graph)),
         hasher_(static_cast<std::size_t>(graph.num_nodes())),
         num_nodes_(static_cast<std::size_t>(graph.num_nodes())),
         words_(tables_.words_per_state()),
-        bound_pruning_(options.incumbent_bytes != kNoBudget),
+        width_(width),
+        floor_pruning_(options.incumbent_bytes != kNoBudget &&
+                       width == kUnlimitedWidth),
         incumbent_(options.incumbent_bytes),
         step_limit_(std::min(options.budget_bytes, options.incumbent_bytes)),
         cancel_(options.cancel),
@@ -110,6 +149,18 @@ class DpRunner {
       max_level_states_ =
           std::max(max_level_states_,
                    static_cast<std::uint64_t>(next.size()));
+      if (next.size() > width_) {
+        // Beam search: the level is cut to its `width_` best. The cut copy
+        // briefly coexists with the sealed level, so it is charged too.
+        StateLevel cut = KeepBest(next, width_);
+        if (!EnsureResident(current.ResidentBytes() + next.ResidentBytes() +
+                            cut.ResidentBytes())) {
+          result.status = DpStatus::kResourceExhausted;
+          result.levels_completed = static_cast<int>(i);
+          return Finish(result, total_clock);
+        }
+        next = std::move(cut);
+      }
       // The finished level keeps only its 8-byte reconstruction records;
       // signatures, hashes, footprints and peaks are freed here.
       recon_[i] = current.TakeReconAndRelease();
@@ -183,7 +234,8 @@ class DpRunner {
   }
 
   // Expansion of one level (Algorithm 1 lines 9-24, plus the branch-and-
-  // bound cuts: step peak, then child floor, each against the incumbent).
+  // bound cuts: step peak, then child floor, each against the incumbent;
+  // the floor runs only at unlimited width, see ScheduleDpBeam).
   // A parent's frontier is read off its stored mask; a child that survives
   // the step cut gets its mask from one successor scan, whose newly ready
   // nodes also feed the floor. Returns false on step timeout, state-cap
@@ -209,7 +261,7 @@ class DpRunner {
       util::SpanAppendSetBits(mask, words_, &frontier);
       // The children's floors come from these allocs, computed once per
       // parent; the has_cowriter fast path keeps the scan cheap.
-      if (bound_pruning_) tables_.ComputeFrontierAllocs(sig, frontier, &allocs);
+      if (floor_pruning_) tables_.ComputeFrontierAllocs(sig, frontier, &allocs);
       for (const std::int32_t u : frontier) {
         ++transitions_;
         // Re-check the limits every ~4096 transitions so a single
@@ -236,7 +288,7 @@ class DpRunner {
         // hand. A pure function of the child signature, so every duplicate
         // candidate agrees and relax winners (hence the reconstructed
         // schedule) are the unpruned search's.
-        if (bound_pruning_) {
+        if (floor_pruning_) {
           const std::int64_t floor = tables_.ChildNextAllocFloor(
               child.data(), u, allocs, newly_ready);
           if (floor != ExpansionTables::kNoAlloc &&
@@ -299,7 +351,9 @@ class DpRunner {
   const SignatureHasher hasher_;
   const std::size_t num_nodes_;
   const std::size_t words_;
-  const bool bound_pruning_;
+  // States kept per sealed level (kUnlimitedWidth for the exact DP).
+  const std::size_t width_;
+  const bool floor_pruning_;
   const std::int64_t incumbent_;
   // Transitions peaking above min(τ, incumbent) are dead either way, so
   // Apply may skip their free scan.
@@ -323,8 +377,14 @@ class DpRunner {
 }  // namespace
 
 DpResult ScheduleDp(const graph::Graph& graph, const DpOptions& options) {
+  return ScheduleDpBeam(graph, options, kUnlimitedWidth);
+}
+
+DpResult ScheduleDpBeam(const graph::Graph& graph, const DpOptions& options,
+                        std::size_t width) {
   SERENITY_CHECK_GT(graph.num_nodes(), 0) << "cannot schedule an empty graph";
-  return DpRunner(graph, options).Run();
+  SERENITY_CHECK_GT(width, 0u);
+  return DpRunner(graph, options, width).Run();
 }
 
 }  // namespace serenity::core

@@ -30,6 +30,9 @@
 // scheduler reports kNoSolution. A per-level wall-clock cap and a global
 // state cap report kTimeout, the signal the adaptive-soft-budgeting
 // meta-search reacts to.
+//
+// Beam search (ScheduleDpBeam, wrapped by sched::ScheduleBeam) is the same
+// walk with a post-seal cut of each level to its `width` best states.
 #ifndef SERENITY_CORE_DP_SCHEDULER_H_
 #define SERENITY_CORE_DP_SCHEDULER_H_
 
@@ -133,20 +136,35 @@ struct DpResult {
   sched::Schedule schedule;         // valid iff status == kSolution
   std::int64_t peak_bytes = -1;     // µpeak of `schedule`
   std::uint64_t states_expanded = 0;   // memoized signatures created
-  std::uint64_t transitions = 0;       // candidate node expansions
+  // Candidate node expansions: every (parent state, frontier node) pair
+  // walked, cut or not.
+  std::uint64_t transitions = 0;
   // Search-space cut by the incumbent bound: transitions whose step peak
   // or child floor exceeded the incumbent. Deterministic. Always equals
   // pruned.Total().
   std::uint64_t states_pruned_by_bound = 0;
   // The same cut, attributed per bound (see PruneBreakdown).
   PruneBreakdown pruned;
-  // State count of the widest sealed level of the run.
+  // State count of the widest sealed level of the run (before any beam
+  // cut).
   std::uint64_t max_level_states = 0;
   int levels_completed = 0;
   double seconds = 0.0;
 };
 
 DpResult ScheduleDp(const graph::Graph& graph, const DpOptions& options = {});
+
+// The same walk keeping only the `width` best states of each sealed level
+// by the intrinsic order (peak, footprint, hash, signature words), for
+// width > 0: a beam search, exact only when no level outgrows `width`.
+// The memory budget is also charged for the cut copy. The one-step child
+// floor stays off: a floor-cut state would free a slot for another state,
+// so the survivors would depend on the incumbent. The step-peak cut against
+// `incumbent_bytes` runs, and since a state it drops ranks below every
+// state within the incumbent, it changes no survivor within it; a level it
+// empties ends the run with kNoSolution. ScheduleDp is the unlimited width.
+DpResult ScheduleDpBeam(const graph::Graph& graph, const DpOptions& options,
+                        std::size_t width);
 
 }  // namespace serenity::core
 

@@ -134,6 +134,8 @@ PipelineResult Pipeline::Run(const graph::Graph& graph) const {
               ? incumbent
               : std::min(result.incumbent_seed_bytes, incumbent);
     }
+    DpStatus status;
+    sched::Schedule schedule;
     if (options_.enable_soft_budgeting) {
       SoftBudgetOptions sb_options = options_.soft_budget;
       sb_options.incumbent_bytes =
@@ -151,25 +153,8 @@ PipelineResult Pipeline::Run(const graph::Graph& graph) const {
       result.pruned += sb.TotalPruned();
       result.max_level_states =
           std::max(result.max_level_states, sb.max_level_states);
-      if (sb.status != DpStatus::kSolution) {
-        // A timeout or exhausted byte budget is degradable (beam/greedy
-        // still satisfy the caller); kCancelled fails cleanly (the caller
-        // left); kNoSolution means the hard budget itself is infeasible —
-        // no fallback schedule could honor it either, so fail cleanly.
-        if (sb.status == DpStatus::kNoSolution) {
-          infeasible = true;
-        } else if (sb.status == DpStatus::kCancelled) {
-          cancelled = true;
-        } else if (sb.status == DpStatus::kResourceExhausted) {
-          memory_blown = true;
-        } else {
-          deadline_blown = true;
-        }
-        segment_failure = "segment '" + segment.subgraph.name() +
-                          "' did not converge: " + ToString(sb.status);
-        break;
-      }
-      segment_schedules.push_back(std::move(sb.schedule));
+      status = sb.status;
+      schedule = std::move(sb.schedule);
     } else {
       DpOptions dp_options = options_.dp;
       dp_options.incumbent_bytes =
@@ -178,28 +163,31 @@ PipelineResult Pipeline::Run(const graph::Graph& graph) const {
           std::min(dp_options.step_timeout_seconds, remaining());
       dp_options.memory_budget = options_.memory_budget;
       dp_options.cancel = options_.cancel;
-      const DpResult dp = ScheduleDp(segment.subgraph, dp_options);
+      DpResult dp = ScheduleDp(segment.subgraph, dp_options);
       result.states_expanded += dp.states_expanded;
       result.states_pruned_by_bound += dp.states_pruned_by_bound;
       result.pruned += dp.pruned;
       result.max_level_states =
           std::max(result.max_level_states, dp.max_level_states);
-      if (dp.status != DpStatus::kSolution) {
-        if (dp.status == DpStatus::kNoSolution) {
-          infeasible = true;
-        } else if (dp.status == DpStatus::kCancelled) {
-          cancelled = true;
-        } else if (dp.status == DpStatus::kResourceExhausted) {
-          memory_blown = true;
-        } else {
-          deadline_blown = true;
-        }
-        segment_failure = "segment '" + segment.subgraph.name() +
-                          "' failed: " + ToString(dp.status);
-        break;
-      }
-      segment_schedules.push_back(dp.schedule);
+      status = dp.status;
+      schedule = std::move(dp.schedule);
     }
+    if (status != DpStatus::kSolution) {
+      // A timeout or exhausted byte budget is degradable (beam/greedy
+      // still satisfy the caller); kCancelled fails cleanly (the caller
+      // left); kNoSolution means the hard budget itself is infeasible —
+      // no fallback schedule could honor it either, so fail cleanly.
+      switch (status) {
+        case DpStatus::kNoSolution: infeasible = true; break;
+        case DpStatus::kCancelled: cancelled = true; break;
+        case DpStatus::kResourceExhausted: memory_blown = true; break;
+        default: deadline_blown = true; break;
+      }
+      segment_failure = "segment '" + segment.subgraph.name() +
+                        "' did not converge: " + ToString(status);
+      break;
+    }
+    segment_schedules.push_back(std::move(schedule));
     if (remaining() <= 0) deadline_blown = true;
   }
 

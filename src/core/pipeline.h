@@ -75,7 +75,8 @@ struct PipelineOptions {
   // result with its PlanQuality tier. Serving callers turn this on; batch
   // tooling that prefers hard failure leaves it off.
   bool degrade_on_deadline = false;
-  // Beam width for the degraded fallback (0 = greedy only).
+  // Beam width for the degraded fallback (0 = greedy only). The serving
+  // layer plans with its ServeOptions::pipeline, so this is its width too.
   int degraded_beam_width = 64;
 
   // Byte budget for the run's search memory, forwarded into every DP

@@ -102,20 +102,15 @@ SoftBudgetResult ScheduleWithSoftBudget(const graph::Graph& graph,
     return finish();  // deadline expired: skip the uncapped fallback run
   }
   result.used_fallback = true;
-  DpOptions fallback;
+  // The fallback must never cost more than the attempts that failed: it
+  // keeps their incumbent, state cap (a memory guard), byte budget and
+  // cancel token.
+  DpOptions fallback = dp_options;
   fallback.budget_bytes = result.tau_max;
   // The fallback is normally untimed, but a finite caller deadline bounds
   // it too — a fallback that overruns is reported as kTimeout and the
   // caller degrades rather than blocking the serving thread.
   fallback.step_timeout_seconds = remaining();
-  fallback.incumbent_bytes = dp_options.incumbent_bytes;
-  fallback.memory_budget = options.memory_budget;
-  fallback.cancel = options.cancel;
-  // The fallback must never cost more than the attempts that failed: the
-  // caller's state cap (a memory guard) and byte budget govern it too. The
-  // historical escalation to max(attempts*4, 4M) states let a "degraded"
-  // run allocate far beyond anything the caller had sanctioned.
-  fallback.max_states = options.max_states_per_attempt;
   const DpResult final_run = ScheduleDp(graph, fallback);
   result.max_level_states =
       std::max(result.max_level_states, final_run.max_level_states);

@@ -1,7 +1,7 @@
-// Flat-arena state store for the level-by-level schedulers (exact DP and
-// beam search).
+// Flat-arena state store for the level-by-level walk of Algorithm 1
+// (core/dp_scheduler.cc), exact or as a beam search.
 //
-// Both schedulers walk the lattice of schedulable prefixes one level at a
+// The walk visits the lattice of schedulable prefixes one level at a
 // time, memoizing states on their *signature* — the bitset of scheduled
 // nodes. The seed implementation kept each level as
 // std::unordered_map<Bitset64, entry>, which heap-allocates a word vector
@@ -37,10 +37,9 @@
 // therefore costs 8 bytes/state instead of the seed's ~(8*W + 40 +
 // unordered_map node) bytes/state.
 //
-// Both schedulers share this one lifecycle. Beam search differs only after
-// Seal: a level holding more than `width` states is cut to the `width`
-// best by the intrinsic order (peak, footprint, hash, signature words)
-// with Select.
+// Beam search is the same walk and the same lifecycle, with one step
+// added after Seal: a level holding more than `width` states is replaced
+// by the Select copy of its `width` best (core::ScheduleDpBeam).
 #ifndef SERENITY_CORE_STATE_STORE_H_
 #define SERENITY_CORE_STATE_STORE_H_
 
@@ -183,8 +182,8 @@ class StateLevel {
                                     std::size_t expected_states);
 
   // Compacted copy holding exactly the states in `keep` (sealed, in the
-  // given order, frontier masks included) — the beam's per-level cut. Only
-  // valid after Seal().
+  // given order, frontier masks included) — the beam's post-seal width
+  // cut. Only valid after Seal().
   StateLevel Select(const std::vector<std::int32_t>& keep) const;
 
  private:

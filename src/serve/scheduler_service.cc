@@ -207,7 +207,6 @@ void SchedulerService::RunRequestJob(Job job) {
       popts.deadline_seconds =
           std::min(popts.deadline_seconds, std::max(remaining, 0.0));
       popts.degrade_on_deadline = job.request.allow_degraded;
-      popts.degraded_beam_width = options_.degraded_beam_width;
       popts.memory_budget = options_.planning_budget;
       if (job.flight != nullptr) popts.cancel = &job.flight->token;
       core::PipelineResult planned = core::Pipeline(popts).Run(job.graph);

@@ -74,8 +74,6 @@ struct ServeOptions {
   bool upgrade_degraded_plans = true;
   int max_upgrade_attempts = 3;
   double upgrade_backoff_seconds = 0.05;  // doubles per retry
-  // Beam width for deadline-degraded plans (0 = greedy only).
-  int degraded_beam_width = 64;
   // Byte budget governing every planning run's search memory (DP levels,
   // beam levels, arena-planner working set) across the whole worker pool;
   // typically a child of the server-wide governor. Exhaustion mid-search

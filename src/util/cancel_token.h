@@ -2,10 +2,10 @@
 //
 // A token is shared (shared_ptr) between the party that can cancel — a
 // TCP connection noticing its client hung up, a server entering drain —
-// and the work being cancelled: DP/B&B level expansion, beam search,
-// soft-budget attempts, session-pool waits. The work polls
-// cancelled() at the same ~4096-transition cadence as step timeouts (one
-// relaxed load on the hot path) and unwinds with kCancelled, freeing its
+// and the work being cancelled: the DP/B&B level walk (beam search
+// included), soft-budget attempts, session-pool waits. The work polls
+// cancelled() at the same cadence as step timeouts (per level, every 64
+// states and ~4096 transitions; one relaxed load on the hot path) and unwinds with kCancelled, freeing its
 // states promptly instead of finishing a plan nobody will read.
 //
 // Cancellation is sticky: once Cancel() is called the token stays

@@ -26,7 +26,9 @@ TEST(Beam, ValidScheduleAtEveryWidth) {
 }
 
 TEST(Beam, WideBeamIsExactlyOptimal) {
-  // With the beam wider than the true level width, beam == DP.
+  // With the beam wider than the true level width, no level is cut, so the
+  // beam is the unpruned DP walk: same peak, same schedule, and one
+  // counted expansion per DP transition.
   util::Rng rng(42);
   for (int trial = 0; trial < 10; ++trial) {
     testing::RandomDagOptions opts;
@@ -37,7 +39,11 @@ TEST(Beam, WideBeamIsExactlyOptimal) {
     ASSERT_EQ(dp.status, core::DpStatus::kSolution);
     BeamOptions wide;
     wide.width = 1 << 16;
-    EXPECT_EQ(ScheduleBeam(g, wide).peak_bytes, dp.peak_bytes) << g.name();
+    const BeamResult beam = ScheduleBeam(g, wide);
+    ASSERT_TRUE(beam.status.ok()) << g.name();
+    EXPECT_EQ(beam.peak_bytes, dp.peak_bytes) << g.name();
+    EXPECT_EQ(beam.schedule, dp.schedule) << g.name();
+    EXPECT_EQ(beam.states_expanded, dp.transitions) << g.name();
   }
 }
 

@@ -20,6 +20,7 @@
 #include "sched/schedule.h"
 #include "testing/random_graphs.h"
 #include "util/bitset.h"
+#include "util/cancel_token.h"
 #include "util/memory_budget.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -188,6 +189,16 @@ TEST(BeamBudget, ChargesLikeTheDpAndUnwinds) {
   EXPECT_EQ(governed.peak_bytes, ungoverned.peak_bytes);
   EXPECT_EQ(governed.states_expanded, ungoverned.states_expanded);
   EXPECT_GT(ample.peak_bytes(), fixed_bytes);
+  EXPECT_EQ(ample.used_bytes(), 0);
+
+  // A token that already fired stops the governed beam at its first poll:
+  // no schedule, and every charge is refunded.
+  util::CancelToken fired;
+  fired.Cancel();
+  options.cancel = &fired;
+  const sched::BeamResult cancelled = sched::ScheduleBeam(g, options);
+  EXPECT_EQ(cancelled.status.code(), util::StatusCode::kCancelled);
+  EXPECT_TRUE(cancelled.schedule.empty());
   EXPECT_EQ(ample.used_bytes(), 0);
 }
 
