@@ -236,13 +236,16 @@ class DpRunner {
   // Expansion of one level (Algorithm 1 lines 9-24, plus the branch-and-
   // bound cuts: step peak, then child floor, each against the incumbent;
   // the floor runs only at unlimited width, see ScheduleDpBeam).
-  // A parent's frontier is read off its stored mask; a child that survives
-  // the step cut gets its mask from one successor scan, whose newly ready
-  // nodes also feed the floor. Returns false on step timeout, state-cap
-  // overrun, cancellation or a denied budget true-up.
+  // A parent's frontier is read off its stored mask. If some frontier node
+  // is eager, the parent's only child is the one scheduling the lowest
+  // such node. A child that survives the step cut gets its mask from one
+  // successor scan, whose newly ready nodes also feed the floor. Returns
+  // false on step timeout, state-cap overrun, cancellation or a denied
+  // budget true-up.
   bool ExpandLevel(const StateLevel& current, StateLevel& next,
                    const util::Stopwatch& level_clock) {
     std::vector<std::int32_t> frontier;
+    std::vector<ExpansionTables::Transition> steps;
     std::vector<std::int32_t> newly_ready;
     std::vector<std::uint64_t> child(words_);
     std::vector<std::uint64_t> child_mask(words_);
@@ -262,7 +265,27 @@ class DpRunner {
       // The children's floors come from these allocs, computed once per
       // parent; the has_cowriter fast path keeps the scan cheap.
       if (floor_pruning_) tables_.ComputeFrontierAllocs(sig, frontier, &allocs);
-      for (const std::int32_t u : frontier) {
+      // Eager step (DESIGN.md "Eager non-increasing steps"): a node whose
+      // step stays within the parent's peak and whose footprint does not
+      // grow can go first in some optimal completion, so it is the
+      // parent's only child. The frontier is ascending, so the lowest such
+      // node wins. A stored peak never exceeds step_limit_, so Apply's
+      // early return never hides an eager node.
+      std::size_t begin = 0;
+      std::size_t end = frontier.size();
+      steps.clear();
+      for (std::size_t fi = 0; fi < frontier.size(); ++fi) {
+        steps.push_back(tables_.Apply(sig, frontier[fi], footprint,
+                                      step_limit_));
+        if (steps[fi].step_peak <= peak && steps[fi].footprint <= footprint) {
+          begin = fi;
+          end = fi + 1;
+          break;
+        }
+      }
+      for (std::size_t fi = begin; fi < end; ++fi) {
+        const std::int32_t u = frontier[fi];
+        const ExpansionTables::Transition& t = steps[fi];
         ++transitions_;
         // Re-check the limits every ~4096 transitions so a single
         // pathological state expansion cannot overshoot them unboundedly.
@@ -270,8 +293,6 @@ class DpRunner {
             !CheckLimits(current, next, level_clock)) {
           return false;
         }
-        const ExpansionTables::Transition t =
-            tables_.Apply(sig, u, footprint, step_limit_);
         if (t.step_peak > options_.budget_bytes) continue;  // prune (§3.2)
         if (t.step_peak > incumbent_) {
           ++pruned_.incumbent;

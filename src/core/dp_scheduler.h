@@ -14,15 +14,22 @@
 //
 // State machinery (DESIGN.md "Flat-arena DP state store"): each level's
 // signatures live in one contiguous uint64_t arena with SoA side arrays
-// (footprint / peak / cached Zobrist hash), deduplicated through an
-// open-addressing table — no per-state heap allocation. Expansion is
-// frontier-driven: the zero-indegree candidate set is recomputed per state
-// into a scratch buffer (it is a function of the signature), and the
-// deallocate-after-last-use test is a word-wise `touchers ⊆ scheduled ∪ {u}`
-// subset check. A finished level immediately drops everything except its
-// back-pointer records, so resident memory per completed level is 8
-// bytes/state. Levels expand sequentially, one parent state after another,
-// so the full result is deterministic.
+// (footprint / peak / cached Zobrist hash / frontier mask), deduplicated
+// through an open-addressing table — no per-state heap allocation.
+// Expansion is frontier-driven: each state stores its zero-indegree set as
+// a mask, which a child derives from its parent's with one successor scan,
+// and the deallocate-after-last-use test is a word-wise
+// `touchers ⊆ scheduled ∪ {u}` subset check. A finished level immediately
+// drops everything except its back-pointer records, so resident memory per
+// completed level is 8 bytes/state. Levels expand sequentially, one parent
+// state after another, so the full result is deterministic.
+//
+// Eager steps (DESIGN.md "Eager non-increasing steps"): if a ready node's
+// step stays within the state's peak and does not grow its footprint, some
+// optimal completion schedules it first, so the lowest such node is the
+// state's only child. The reduction is exact and always on, at every
+// width; the peak is unchanged, though the schedule may be a different
+// optimum than the unreduced walk's.
 //
 // Soft budgets (paper §3.2): passing `budget_bytes` prunes any transition
 // whose transient footprint exceeds the budget. With τ ≥ µ* the optimal
@@ -137,7 +144,7 @@ struct DpResult {
   std::int64_t peak_bytes = -1;     // µpeak of `schedule`
   std::uint64_t states_expanded = 0;   // memoized signatures created
   // Candidate node expansions: every (parent state, frontier node) pair
-  // walked, cut or not.
+  // walked, cut or not. A parent with an eager node walks only that node.
   std::uint64_t transitions = 0;
   // Search-space cut by the incumbent bound: transitions whose step peak
   // or child floor exceeded the incumbent. Deterministic. Always equals

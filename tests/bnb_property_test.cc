@@ -7,9 +7,15 @@
 //    more states than the unpruned search. Strict-inequality pruning plus
 //    the intrinsic relax tie-break make this exact (DESIGN.md
 //    "Branch-and-bound over levels").
-//  - Beam vs reference: the beam's incremental frontier masks and
-//    partial_sort cut keep exactly the same `width` states with the same
-//    tie-breaks as the fully sorted, from-scratch reference
+//  - Eager rule exactness: the walk schedules a memory-non-increasing ready
+//    node as a state's only child (DESIGN.md "Eager non-increasing steps").
+//    On random DAGs and on random cells, raw and rewritten, the reduced
+//    DP's peak equals the unreduced exhaustive walk's (the reference with
+//    `eager` off), with and without a greedy incumbent, and it never walks
+//    more transitions.
+//  - Beam vs reference: the beam's incremental frontier masks, eager
+//    steps and partial_sort cut keep exactly the same `width` states with
+//    the same tie-breaks as the fully sorted, from-scratch reference
 //    (testing::ReferenceScheduleBeam), so schedules, peaks and expansion
 //    counts coincide at every width, the default 64 included.
 //  - Beam bound cut (BeamOptions::prune_above_bytes): at or above the
@@ -23,12 +29,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 
 #include "core/dp_scheduler.h"
 #include "core/pipeline.h"
 #include "core/soft_budget.h"
+#include "models/random_cell.h"
 #include "models/zoo.h"
+#include "rewrite/rewriter.h"
 #include "sched/baselines.h"
 #include "sched/beam.h"
 #include "sched/schedule.h"
@@ -149,6 +158,67 @@ TEST(BnbProperty, BeamMatchesReference) {
     EXPECT_EQ(beam.peak_bytes, reference.peak_bytes) << ctx;
     EXPECT_EQ(beam.schedule, reference.schedule) << ctx;
     EXPECT_EQ(beam.states_expanded, reference.states_expanded) << ctx;
+    if (::testing::Test::HasFailure()) return;  // one counterexample
+  }
+}
+
+// The eager rule against the unreduced exhaustive walk
+// (ReferenceScheduleBeam with `eager` off at a width no level reaches).
+// The references count walked (state, node) pairs as
+// DpResult::transitions does.
+void ExpectEagerRuleExact(const graph::Graph& g, const std::string& ctx) {
+  sched::BeamOptions exhaustive;
+  exhaustive.width = std::numeric_limits<int>::max();
+  const sched::BeamResult unreduced =
+      testing::ReferenceScheduleBeam(g, exhaustive, /*eager=*/false);
+  const sched::BeamResult reduced =
+      testing::ReferenceScheduleBeam(g, exhaustive);
+  const DpResult dp = ScheduleDp(g);
+  ASSERT_EQ(dp.status, DpStatus::kSolution) << ctx;
+  EXPECT_EQ(dp.peak_bytes, unreduced.peak_bytes) << ctx;
+  EXPECT_EQ(sched::PeakFootprint(g, dp.schedule), dp.peak_bytes) << ctx;
+  EXPECT_LE(dp.transitions, unreduced.states_expanded) << ctx;
+  EXPECT_LE(dp.states_expanded, unreduced.states_expanded) << ctx;
+  // The production walk is the plainly written reduced one.
+  EXPECT_EQ(dp.schedule, reduced.schedule) << ctx;
+  EXPECT_EQ(dp.transitions, reduced.states_expanded) << ctx;
+
+  // With a greedy incumbent the floor cut runs beside the rule.
+  DpOptions seeded;
+  seeded.incumbent_bytes =
+      sched::PeakFootprint(g, sched::GreedyMemorySchedule(g));
+  const DpResult pruned = ScheduleDp(g, seeded);
+  ASSERT_EQ(pruned.status, DpStatus::kSolution) << ctx;
+  EXPECT_EQ(pruned.peak_bytes, unreduced.peak_bytes) << ctx;
+  EXPECT_EQ(pruned.schedule, dp.schedule) << ctx;
+}
+
+TEST(BnbProperty, EagerRuleKeepsTheOptimalPeak) {
+  util::Rng rng(20261018);
+  for (int i = 0; i < 400; ++i) {
+    testing::RandomDagOptions opts;
+    opts.num_ops = 4 + i % 21;
+    opts.max_channels = 1 + i % 5;
+    opts.extra_edge_p = (i % 4) * 0.25;
+    opts.join_sinks = i % 3 != 0;
+    ExpectEagerRuleExact(
+        testing::RandomDag(rng, opts, "eager" + std::to_string(i)),
+        "graph " + std::to_string(i));
+    if (::testing::Test::HasFailure()) return;  // one counterexample
+  }
+  // Random cells, raw and rewritten: the rewrite's partial convs share one
+  // accumulator buffer, so a step may allocate nothing.
+  for (int seed = 0; seed < 40; ++seed) {
+    models::RandomCellParams params;
+    params.seed = static_cast<std::uint64_t>(seed) * 2654435761u + 5;
+    params.num_intermediates = 4 + seed % 5;
+    params.concat_branches = seed % 3 == 0 ? 0 : 2 + seed % 3;
+    params.depthwise_block = seed % 2 == 0;
+    params.spatial = 4;
+    const graph::Graph raw = models::MakeRandomCellNetwork(params);
+    const std::string ctx = "cell " + std::to_string(seed);
+    ExpectEagerRuleExact(raw, ctx + " raw");
+    ExpectEagerRuleExact(rewrite::RewriteGraph(raw).graph, ctx + " rewritten");
     if (::testing::Test::HasFailure()) return;  // one counterexample
   }
 }

@@ -13,7 +13,8 @@
 // its EXACTNESS against per-child recomputation — exactness is what keeps
 // duplicate candidates agreeing, hence determinism. (The step-peak cut is
 // admissible by definition: a completion through that step peaks at least
-// that high.)
+// that high.) It also pins the lemma behind the DP's eager rule: a step
+// that does not grow the footprint never raises the best completion.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -120,17 +121,22 @@ Lattice EnumerateLattice(const ExpansionTables& tables,
   return lat;
 }
 
+// The i-th of the suite's 1000 small random DAGs, drawn from `rng`.
+graph::Graph AuditGraph(util::Rng& rng, int i) {
+  testing::RandomDagOptions opts;
+  opts.num_ops = 4 + i % 7;
+  opts.max_channels = 1 + i % 5;
+  opts.extra_edge_p = (i % 4) * 0.25;
+  opts.join_sinks = i % 3 != 0;
+  return testing::RandomDag(rng, opts, "adm" + std::to_string(i));
+}
+
+constexpr int kGraphs = 1000;
+
 TEST(BoundAdmissibility, FrontierFloorIsExactAndRespectsTheSuffixOracle) {
   util::Rng rng(20260808);
-  constexpr int kGraphs = 1000;
   for (int i = 0; i < kGraphs; ++i) {
-    testing::RandomDagOptions opts;
-    opts.num_ops = 4 + i % 7;
-    opts.max_channels = 1 + i % 5;
-    opts.extra_edge_p = (i % 4) * 0.25;
-    opts.join_sinks = i % 3 != 0;
-    const graph::Graph g =
-        testing::RandomDag(rng, opts, "adm" + std::to_string(i));
+    const graph::Graph g = AuditGraph(rng, i);
     const std::string ctx = "graph " + std::to_string(i);
     const ExpansionTables tables = ExpansionTables::Build(g);
     const SignatureHasher hasher(tables.num_nodes());
@@ -195,6 +201,34 @@ TEST(BoundAdmissibility, FrontierFloorIsExactAndRespectsTheSuffixOracle) {
       if (::testing::Test::HasFailure()) return;  // one counterexample
     }
   }
+}
+
+// The eager rule's lemma (DESIGN.md "Eager non-increasing steps"): for a
+// ready u with δ_S(u) = F(S ∪ {u}) − F(S) <= 0, taking u first costs
+// nothing, max(step_S(u), suffix(S ∪ {u})) <= max(step_S(u), suffix(S)).
+// With step_S(u) <= the state's peak, as the rule requires, the best
+// schedule through S keeps its peak.
+TEST(BoundAdmissibility, NonIncreasingStepNeverRaisesTheSuffix) {
+  util::Rng rng(20260808);
+  std::uint64_t checked = 0;
+  for (int i = 0; i < kGraphs; ++i) {
+    const graph::Graph g = AuditGraph(rng, i);
+    const std::string ctx = "graph " + std::to_string(i);
+    const ExpansionTables tables = ExpansionTables::Build(g);
+    const SignatureHasher hasher(tables.num_nodes());
+    const Lattice lat = EnumerateLattice(tables, hasher);
+    for (std::size_t s = 0; s < lat.sig.size(); ++s) {
+      for (const Lattice::Edge& e : lat.edges[s]) {
+        const std::size_t c = static_cast<std::size_t>(e.child);
+        if (lat.footprint[c] > lat.footprint[s]) continue;  // δ > 0
+        ++checked;
+        ASSERT_LE(std::max(e.step_peak, lat.suffix[c]),
+                  std::max(e.step_peak, lat.suffix[s]))
+            << ctx << " state " << s << " -> state " << c;
+      }
+    }
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 }  // namespace

@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "graph/builder.h"
 #include "models/swiftnet.h"
 #include "sched/baselines.h"
 #include "sched/brute_force.h"
 #include "sched/schedule.h"
 #include "testing/random_graphs.h"
+#include "testing/reference_impls.h"
 #include "util/rng.h"
 
 namespace serenity::core {
@@ -75,6 +80,38 @@ TEST(DpScheduler, NeverWorseThanBaselinesOnModels) {
             sched::PeakFootprint(g, sched::DfsPostorderSchedule(g)));
   EXPECT_LE(r.peak_bytes,
             sched::PeakFootprint(g, sched::GreedyMemorySchedule(g)));
+}
+
+// --- Eager non-increasing steps (DESIGN.md) ---
+
+TEST(DpScheduler, EagerRuleCollapsesSameSizeParallelChains) {
+  // k parallel chains of same-size 1x1 convs joined by a concat. A hop
+  // past a chain's first frees as much as it allocates, so once the peak
+  // so far covers its step the rule runs it at once: of the unreduced
+  // walk's 7^4 + 1 = 2,402 states, 494 remain.
+  GraphBuilder b("parallel_chains");
+  const NodeId in = b.Input(TensorShape{1, 16, 16, 2}, "in");
+  std::vector<NodeId> ends;
+  for (int chain = 0; chain < 4; ++chain) {
+    NodeId x = in;
+    for (int hop = 0; hop < 6; ++hop) {
+      x = b.Conv1x1(x, 2, "c" + std::to_string(chain) + "_" +
+                              std::to_string(hop));
+    }
+    ends.push_back(x);
+  }
+  (void)b.Concat(ends, "join");
+  const graph::Graph g = std::move(b).Build();
+
+  const DpResult r = ScheduleDp(g);
+  ASSERT_EQ(r.status, DpStatus::kSolution);
+  EXPECT_EQ(r.states_expanded, 494u);
+  sched::BeamOptions exhaustive;
+  exhaustive.width = std::numeric_limits<int>::max();
+  const sched::BeamResult unreduced =
+      testing::ReferenceScheduleBeam(g, exhaustive, /*eager=*/false);
+  EXPECT_EQ(r.peak_bytes, unreduced.peak_bytes);
+  EXPECT_EQ(sched::PeakFootprint(g, r.schedule), r.peak_bytes);
 }
 
 // --- Soft budget semantics (paper §3.2, Fig. 8a) ---

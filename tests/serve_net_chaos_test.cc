@@ -280,16 +280,19 @@ TEST_F(NetChaosTest, ThousandSeededSocketFaultsNoAbortsNoHangs) {
 // not advance them).
 TEST_F(NetChaosTest, MidPlanningDisconnectCancelsTheSearch) {
   // k parallel conv chains joined by one concat: the DP's level widths are
-  // the product of per-chain positions, so the exact search reliably
-  // outlives the disconnect below while staying well under the state cap.
+  // the product of per-chain positions (6^8 + 1 = 1,679,617 states), so
+  // the exact search reliably outlives the disconnect below while staying
+  // under the 2,000,000-state cap. Every hop's output is wider than its
+  // input, so every hop grows the footprint and the eager rule (which
+  // takes only steps that do not) never collapses a chain.
   graph::GraphBuilder b("slow_to_plan");
   const graph::NodeId in = b.Input(graph::TensorShape{1, 8, 8, 4}, "in");
   std::vector<graph::NodeId> ends;
   for (int chain = 0; chain < 8; ++chain) {
     graph::NodeId x = in;
     for (int hop = 0; hop < 5; ++hop) {
-      x = b.Conv1x1(x, 4, "c" + std::to_string(chain) + "_" +
-                           std::to_string(hop));
+      x = b.Conv1x1(x, 5 + hop, "c" + std::to_string(chain) + "_" +
+                                    std::to_string(hop));
     }
     ends.push_back(x);
   }

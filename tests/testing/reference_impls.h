@@ -42,10 +42,17 @@ namespace serenity::testing {
 // production beam's incremental ChildFrontier or its partial_sort cut;
 // `bnb_property_test` pins the two to the same survivors, tie-breaks
 // included.
+//
+// `eager` applies the production walk's eager rule: a state whose frontier
+// holds a node with step peak <= the state's peak and footprint <= the
+// state's footprint expands only the first such node in ascending order.
+// With `eager` false (and a width no level outgrows) the walk is the
+// unreduced exhaustive DP, the oracle the reduction is checked against.
 
 inline sched::BeamResult ReferenceScheduleBeam(const graph::Graph& graph,
                                                const sched::BeamOptions&
-                                                   options) {
+                                                   options,
+                                               bool eager = true) {
   SERENITY_CHECK_GT(graph.num_nodes(), 0);
   SERENITY_CHECK_GT(options.width, 0);
   const std::size_t n = static_cast<std::size_t>(graph.num_nodes());
@@ -102,6 +109,18 @@ inline sched::BeamResult ReferenceScheduleBeam(const graph::Graph& graph,
       const std::int64_t footprint = current.footprint(s);
       const std::int64_t peak = current.peak(s);
       const std::uint64_t hash = current.hash(s);
+      std::int32_t first_eager = -1;
+      if (eager) {
+        for (const std::int32_t u : frontier) {
+          const core::ExpansionTables::Transition t = tables.Apply(
+              sig, u, footprint, std::numeric_limits<std::int64_t>::max());
+          if (t.step_peak <= peak && t.footprint <= footprint) {
+            first_eager = u;
+            break;
+          }
+        }
+      }
+      if (first_eager >= 0) frontier.assign(1, first_eager);
       for (const std::int32_t u : frontier) {
         ++result.states_expanded;
         const core::ExpansionTables::Transition t = tables.Apply(
