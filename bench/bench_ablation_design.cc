@@ -1,11 +1,14 @@
-// Design-choice ablations beyond the paper's own tables (DESIGN.md §4):
+// Design-choice ablations beyond the paper's own tables:
 //
 //   (a) soft-budget sweep: explored states vs budget τ — the monotone curve
-//       behind Figure 8(b) that makes the binary search of Algorithm 2 work;
+//       behind Figure 8(b) that makes the binary search of Algorithm 2 work
+//       (DESIGN.md "§3.3 Adaptive soft budgeting");
 //   (b) baseline scheduler shootout: declaration order vs Kahn FIFO vs DFS
 //       vs memory-greedy vs DP optimum;
-//   (c) Belady vs LRU replacement in the hierarchy simulator;
-//   (d) first-fit vs best-fit arena strategies.
+//   (c) Belady vs LRU replacement in the hierarchy simulator (DESIGN.md
+//       "Heap-driven hierarchy simulator");
+//   (d) beam widths vs the exact DP (DESIGN.md "Branch-and-bound over
+//       levels": the beam is the DP walk with a level width).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -15,7 +18,6 @@
 #include "core/dp_scheduler.h"
 #include "memsim/hierarchy_sim.h"
 #include "models/swiftnet.h"
-#include "rewrite/inplace.h"
 #include "sched/beam.h"
 #include "util/stats.h"
 
@@ -86,23 +88,8 @@ void PrintReplacementAblation() {
   std::printf("\n");
 }
 
-void PrintArenaAblation() {
-  std::printf("(d) arena fit strategy (arena KB, TFLite schedule)\n");
-  std::printf("    %-32s %10s %10s\n", "cell", "first-fit", "best-fit");
-  for (const models::BenchmarkCell& cell : models::AllBenchmarkCells()) {
-    const graph::Graph g = cell.factory();
-    const sched::Schedule s = sched::TfLiteOrderSchedule(g);
-    std::printf("    %-32s %10.1f %10.1f\n", bench::CellLabel(cell).c_str(),
-                bench::Kb(alloc::PlanArena(g, s, alloc::FitStrategy::kFirstFit)
-                              .arena_bytes),
-                bench::Kb(alloc::PlanArena(g, s, alloc::FitStrategy::kBestFit)
-                              .arena_bytes));
-  }
-  std::printf("\n");
-}
-
 void PrintBeamAblation() {
-  std::printf("(e) beam-search fallback vs exact DP (peak KB)\n");
+  std::printf("(d) beam-search fallback vs exact DP (peak KB)\n");
   std::printf("    %-32s %9s %9s %9s %9s\n", "cell", "beam w=1", "beam w=8",
               "beam w=64", "DP");
   for (const models::BenchmarkCell& cell : models::AllBenchmarkCells()) {
@@ -118,24 +105,6 @@ void PrintBeamAblation() {
     std::printf("    %-32s %9.1f %9.1f %9.1f %9.1f\n",
                 bench::CellLabel(cell).c_str(), beams[0], beams[1], beams[2],
                 bench::Kb(dp.peak_bytes));
-  }
-  std::printf("\n");
-}
-
-void PrintInPlaceAblation() {
-  std::printf("(f) in-place elementwise execution (beyond-paper "
-              "optimization; peak KB under SERENITY)\n");
-  std::printf("    %-32s %12s %12s %8s\n", "cell", "out-of-place",
-              "in-place", "ops");
-  for (const models::BenchmarkCell& cell : models::AllBenchmarkCells()) {
-    const graph::Graph g = cell.factory();
-    const core::PipelineResult base = core::Pipeline().Run(g);
-    const rewrite::InPlaceResult ip = rewrite::ApplyInPlaceElementwise(g);
-    const core::PipelineResult opt = core::Pipeline().Run(ip.graph);
-    if (!base.success || !opt.success) continue;
-    std::printf("    %-32s %12.1f %12.1f %8d\n",
-                bench::CellLabel(cell).c_str(), bench::Kb(base.peak_bytes),
-                bench::Kb(opt.peak_bytes), ip.ops_made_in_place);
   }
   std::printf("\n");
 }
@@ -167,13 +136,11 @@ BENCHMARK(BM_DpBudgeted)->Arg(100)->Arg(150)->Arg(400)
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::printf("Design ablations (DESIGN.md experiment index)\n\n");
+  std::printf("Design ablations beyond the paper's tables\n\n");
   PrintBudgetSweep();
   PrintBaselineShootout();
   PrintReplacementAblation();
-  PrintArenaAblation();
   PrintBeamAblation();
-  PrintInPlaceAblation();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -30,7 +30,7 @@ struct CellMeasurement {
   models::BenchmarkCell cell;
   graph::Graph graph;
 
-  // TensorFlow Lite baseline: declaration order + greedy first-fit arena.
+  // TensorFlow Lite baseline: declaration order + greedy-by-size arena.
   sched::Schedule tflite_schedule;
   std::int64_t tflite_peak = 0;        // liveness-sum footprint
   std::int64_t tflite_arena = 0;       // with the memory allocator

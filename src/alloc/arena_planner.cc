@@ -124,7 +124,7 @@ class PlacementIndex {
 
 ArenaPlan PlanArena(const graph::Graph& graph,
                     const graph::BufferUseTable& table,
-                    const sched::Schedule& schedule, FitStrategy strategy,
+                    const sched::Schedule& schedule,
                     std::int64_t alignment) {
   SERENITY_CHECK(sched::IsTopologicalOrder(graph, schedule));
   SERENITY_CHECK_GT(alignment, 0);
@@ -132,8 +132,7 @@ ArenaPlan PlanArena(const graph::Graph& graph,
       ComputeLifetimes(graph, table, schedule);
 
   // Placement order: TFLite's greedy-by-size plans the largest tensors
-  // first (ties broken by first use); the first-use strategies replay
-  // allocation-time order instead.
+  // first (ties broken by first use).
   std::vector<graph::BufferId> order;
   for (std::size_t b = 0; b < lifetimes.size(); ++b) {
     if (lifetimes[b].used) order.push_back(static_cast<graph::BufferId>(b));
@@ -146,14 +145,8 @@ ArenaPlan PlanArena(const graph::Graph& graph,
                          table.buffers[static_cast<std::size_t>(a)].size_bytes;
                      const std::int64_t sb =
                          table.buffers[static_cast<std::size_t>(b)].size_bytes;
-                     if (strategy == FitStrategy::kGreedyBySize) {
-                       if (sa != sb) return sa > sb;
-                       return la.first_step < lb.first_step;
-                     }
-                     if (la.first_step != lb.first_step) {
-                       return la.first_step < lb.first_step;
-                     }
-                     return sa > sb;
+                     if (sa != sb) return sa > sb;
+                     return la.first_step < lb.first_step;
                    });
 
   ArenaPlan plan;
@@ -166,38 +159,22 @@ ArenaPlan PlanArena(const graph::Graph& graph,
                                    .size_bytes,
                                1);
     // Stream the already placed buffers whose lifetimes overlap this one
-    // in ascending offset order and scan the gaps.
+    // in ascending offset order and take the lowest gap that fits.
     std::int64_t best_offset = -1;
-    std::int64_t best_gap = std::numeric_limits<std::int64_t>::max();
     std::int64_t cursor = 0;
-    const auto consider = [&](std::int64_t gap_start, std::int64_t gap_end) {
-      const std::int64_t start = AlignUp(gap_start, alignment);
-      if (gap_end - start < size) return;
-      if (strategy == FitStrategy::kBestFit) {
-        if (gap_end - start < best_gap) {
-          best_gap = gap_end - start;
-          best_offset = start;
-        }
-      } else if (best_offset < 0) {
-        best_offset = start;  // lowest feasible offset
-      }
-    };
     index.Scan(life.first_step, life.last_step,
                [&](const PlacementIndex::Entry& e) {
-                 if (e.offset > cursor) consider(cursor, e.offset);
+                 if (e.offset > cursor) {
+                   const std::int64_t start = AlignUp(cursor, alignment);
+                   if (e.offset - start >= size) best_offset = start;
+                 }
                  cursor = std::max(cursor, e.end);
-                 // First-fit strategies are decided by the lowest feasible
-                 // gap; once one is found the rest of the stream cannot
-                 // change the answer.
-                 return strategy == FitStrategy::kBestFit || best_offset < 0;
+                 // The lowest feasible gap decides; once one is found the
+                 // rest of the stream cannot change the answer.
+                 return best_offset < 0;
                });
     // Open-ended gap above the last conflict.
-    const std::int64_t open_start = AlignUp(cursor, alignment);
-    if (best_offset < 0 ||
-        (strategy == FitStrategy::kBestFit &&
-         best_gap == std::numeric_limits<std::int64_t>::max())) {
-      best_offset = open_start;
-    }
+    if (best_offset < 0) best_offset = AlignUp(cursor, alignment);
     plan.placements.push_back(BufferPlacement{
         b, best_offset, size, life.first_step, life.last_step});
     index.Insert(best_offset, best_offset + size, life.first_step,
@@ -250,10 +227,10 @@ ArenaPlan PlanArena(const graph::Graph& graph,
 }
 
 ArenaPlan PlanArena(const graph::Graph& graph,
-                    const sched::Schedule& schedule, FitStrategy strategy,
+                    const sched::Schedule& schedule,
                     std::int64_t alignment) {
   return PlanArena(graph, graph::BufferUseTable::Build(graph), schedule,
-                   strategy, alignment);
+                   alignment);
 }
 
 std::int64_t EstimatePlannerBytes(const graph::BufferUseTable& table,
@@ -272,7 +249,6 @@ std::int64_t EstimatePlannerBytes(const graph::BufferUseTable& table,
 util::StatusOr<ArenaPlan> PlanArenaGoverned(const graph::Graph& graph,
                                             const sched::Schedule& schedule,
                                             util::MemoryBudget* budget,
-                                            FitStrategy strategy,
                                             std::int64_t alignment) {
   const graph::BufferUseTable table = graph::BufferUseTable::Build(graph);
   util::BudgetReservation reservation(budget);
@@ -281,7 +257,7 @@ util::StatusOr<ArenaPlan> PlanArenaGoverned(const graph::Graph& graph,
         "arena planner: memory budget exhausted");
   }
   // The reservation covers the planning run and unwinds at scope exit.
-  return PlanArena(graph, table, schedule, strategy, alignment);
+  return PlanArena(graph, table, schedule, alignment);
 }
 
 namespace {

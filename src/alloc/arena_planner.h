@@ -1,13 +1,14 @@
 // Linear memory arena planner.
 //
-// TensorFlow Lite's "simple memory arena" assigns every tensor an offset in
-// one flat arena with a greedy first-fit scan over the tensors alive at the
-// same time (the allocator the paper uses for both systems — §4.1 footnote).
-// Given a schedule, the planner derives each buffer's lifetime from the
-// liveness model, places buffers in order of first use, and reports the
-// arena high-water mark — the "with memory allocator" footprint numbers of
-// Figures 10/12(a)/15. Fragmentation makes this an upper bound on the pure
-// sum-of-live-activations footprint of Figure 12(b).
+// TensorFlow Lite's ArenaPlanner ("greedy by size") assigns every tensor an
+// offset in one flat arena (the allocator the paper uses for both systems —
+// §4.1 footnote). Given a schedule, the planner derives each buffer's
+// lifetime from the liveness model, places buffers in decreasing size order
+// (ties by first use), each at the lowest aligned offset free across its
+// lifetime, and reports the arena high-water mark — the "with memory
+// allocator" footprint numbers of Figures 10/12(a)/15. Fragmentation makes
+// this an upper bound on the pure sum-of-live-activations footprint of
+// Figure 12(b).
 //
 // Implementation: a lifetime-interval index (one persistent offset-ordered
 // placement array under blocks carrying min/max lifetime envelopes) streams
@@ -30,15 +31,6 @@
 
 namespace serenity::alloc {
 
-enum class FitStrategy {
-  // TFLite's ArenaPlanner ("greedy by size"): place tensors in decreasing
-  // size order, each at the lowest offset free across its lifetime. The
-  // default, matching the allocator the paper uses for both systems.
-  kGreedyBySize,
-  kFirstFit,  // first-use order, lowest offset that fits
-  kBestFit,   // first-use order, tightest gap that fits
-};
-
 struct BufferPlacement {
   graph::BufferId buffer = graph::kInvalidBuffer;
   std::int64_t offset = 0;
@@ -60,13 +52,11 @@ struct ArenaPlan {
 ArenaPlan PlanArena(const graph::Graph& graph,
                     const graph::BufferUseTable& table,
                     const sched::Schedule& schedule,
-                    FitStrategy strategy = FitStrategy::kGreedyBySize,
                     std::int64_t alignment = 64);
 
 // Convenience overload building the use table internally.
 ArenaPlan PlanArena(const graph::Graph& graph,
                     const sched::Schedule& schedule,
-                    FitStrategy strategy = FitStrategy::kGreedyBySize,
                     std::int64_t alignment = 64);
 
 // Upper bound on PlanArena's transient + retained bytes for this input:
@@ -83,9 +73,7 @@ std::int64_t EstimatePlannerBytes(const graph::BufferUseTable& table,
 // budget is ungoverned and never fails.
 util::StatusOr<ArenaPlan> PlanArenaGoverned(
     const graph::Graph& graph, const sched::Schedule& schedule,
-    util::MemoryBudget* budget,
-    FitStrategy strategy = FitStrategy::kGreedyBySize,
-    std::int64_t alignment = 64);
+    util::MemoryBudget* budget, std::int64_t alignment = 64);
 
 // True if no two placements with overlapping lifetimes overlap in address
 // range — the allocator's safety invariant (exercised by tests) — and, when

@@ -22,6 +22,9 @@ const char* ToString(PlanQuality quality) {
 
 namespace {
 
+// Beam width of the degradation ladder's middle rung.
+constexpr int kDegradedBeamWidth = 64;
+
 // Achievable upper bound on a segment's optimal peak: the better of the
 // greedy memory baseline and a narrow beam. Both produce complete, valid
 // schedules, so their peaks are incumbents the branch-and-bound search can
@@ -236,25 +239,23 @@ PipelineResult Pipeline::Run(const graph::Graph& graph) const {
     result.peak_bytes = greedy_peak;
     result.quality = PlanQuality::kGreedy;
     result.best_known_peak_bytes = greedy_peak;
-    if (options_.degraded_beam_width > 0) {
-      sched::BeamOptions beam_options;
-      beam_options.width = options_.degraded_beam_width;
-      beam_options.memory_budget = options_.memory_budget;
-      beam_options.cancel = options_.cancel;
-      sched::BeamResult beam =
-          sched::ScheduleBeam(result.scheduled_graph, beam_options);
-      result.states_expanded += beam.states_expanded;
-      // A beam refused by the budget (or cancelled) leaves the greedy
-      // floor standing — greedy needs no level storage, so a degraded
-      // answer always exists.
-      if (beam.status.ok()) {
-        result.best_known_peak_bytes =
-            std::min(result.best_known_peak_bytes, beam.peak_bytes);
-        if (beam.peak_bytes < greedy_peak) {
-          result.schedule = std::move(beam.schedule);
-          result.peak_bytes = beam.peak_bytes;
-          result.quality = PlanQuality::kBeam;
-        }
+    sched::BeamOptions beam_options;
+    beam_options.width = kDegradedBeamWidth;
+    beam_options.memory_budget = options_.memory_budget;
+    beam_options.cancel = options_.cancel;
+    sched::BeamResult beam =
+        sched::ScheduleBeam(result.scheduled_graph, beam_options);
+    result.states_expanded += beam.states_expanded;
+    // A beam refused by the budget (or cancelled) leaves the greedy
+    // floor standing — greedy needs no level storage, so a degraded
+    // answer always exists.
+    if (beam.status.ok()) {
+      result.best_known_peak_bytes =
+          std::min(result.best_known_peak_bytes, beam.peak_bytes);
+      if (beam.peak_bytes < greedy_peak) {
+        result.schedule = std::move(beam.schedule);
+        result.peak_bytes = beam.peak_bytes;
+        result.quality = PlanQuality::kBeam;
       }
     }
     if (result.incumbent_seed_bytes >= 0) {

@@ -70,14 +70,11 @@ struct PipelineOptions {
   // What to do when the deadline expires (or a segment search times out)
   // before the exact schedule lands. Off: Run fails with
   // deadline_exceeded set. On: Run *degrades* instead of failing — it
-  // schedules the whole rewritten graph with a narrow beam and the greedy
-  // baseline (both always feasible), returns the better one, and tags the
-  // result with its PlanQuality tier. Serving callers turn this on; batch
-  // tooling that prefers hard failure leaves it off.
+  // schedules the whole rewritten graph with a width-64 beam and the
+  // greedy baseline (both always feasible), returns the better one, and
+  // tags the result with its PlanQuality tier. Serving callers turn this
+  // on; batch tooling that prefers hard failure leaves it off.
   bool degrade_on_deadline = false;
-  // Beam width for the degraded fallback (0 = greedy only). The serving
-  // layer plans with its ServeOptions::pipeline, so this is its width too.
-  int degraded_beam_width = 64;
 
   // Byte budget for the run's search memory, forwarded into every DP
   // attempt, the soft-budget meta-search and the beam passes (seed and

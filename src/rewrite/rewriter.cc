@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "rewrite/pattern.h"
 #include "util/logging.h"
 
 namespace serenity::rewrite {
@@ -20,33 +19,37 @@ struct PlannedRewrite {
   bool depthwise = false;
 };
 
+// If `node` is a `kind` whose only operand is a concat of >= 2 branches
+// that has no other consumer, returns that concat. A concat with a second
+// consumer must stay materialized anyway, so removing it saves nothing.
+graph::NodeId ConcatOperand(const graph::Graph& graph, const graph::Node& node,
+                            graph::OpKind kind) {
+  if (node.kind != kind || node.inputs.size() != 1) return graph::kInvalidNode;
+  const graph::Node& concat = graph.node(node.inputs[0]);
+  if (concat.kind != graph::OpKind::kConcat || concat.inputs.size() < 2 ||
+      graph.consumers(concat.id).size() != 1) {
+    return graph::kInvalidNode;
+  }
+  return concat.id;
+}
+
 std::vector<PlannedRewrite> PlanRewrites(const graph::Graph& graph,
                                          const RewriteOptions& options) {
   std::vector<PlannedRewrite> plans;
-  // The concat must have a single consumer (the conv); otherwise its value
-  // is needed materialized anyway and removing it would not save memory.
-  const auto concat_pattern = []() {
-    return Pattern::Op(graph::OpKind::kConcat)
-        .Bind("concat")
-        .Where(HasSingleConsumer())
-        .Where(HasMinOperands(2));
-  };
-  if (options.channel_wise_conv) {
-    const Pattern p = Pattern::Op(graph::OpKind::kConv2d)
-                          .Bind("conv")
-                          .WithOperands({concat_pattern()});
-    for (const MatchBindings& m : p.MatchAll(graph)) {
-      plans.push_back(
-          PlannedRewrite{m.at("concat"), m.at("conv"), /*depthwise=*/false});
+  for (const graph::Node& node : graph.nodes()) {
+    if (options.channel_wise_conv) {
+      const graph::NodeId concat =
+          ConcatOperand(graph, node, graph::OpKind::kConv2d);
+      if (concat != graph::kInvalidNode) {
+        plans.push_back(PlannedRewrite{concat, node.id, /*depthwise=*/false});
+      }
     }
-  }
-  if (options.kernel_wise_depthwise) {
-    const Pattern p = Pattern::Op(graph::OpKind::kDepthwiseConv2d)
-                          .Bind("conv")
-                          .WithOperands({concat_pattern()});
-    for (const MatchBindings& m : p.MatchAll(graph)) {
-      plans.push_back(
-          PlannedRewrite{m.at("concat"), m.at("conv"), /*depthwise=*/true});
+    if (options.kernel_wise_depthwise) {
+      const graph::NodeId concat =
+          ConcatOperand(graph, node, graph::OpKind::kDepthwiseConv2d);
+      if (concat != graph::kInvalidNode) {
+        plans.push_back(PlannedRewrite{concat, node.id, /*depthwise=*/true});
+      }
     }
   }
   return plans;
@@ -212,16 +215,11 @@ class Rebuilder {
 // so it commutes with concatenation exactly; afterwards the concat directly
 // feeds whatever consumed the ReLU, exposing the partitioning patterns.
 graph::Graph PushReluThroughConcat(const graph::Graph& source, int* pushes) {
-  const Pattern pattern =
-      Pattern::Op(graph::OpKind::kRelu)
-          .Bind("relu")
-          .WithOperands({Pattern::Op(graph::OpKind::kConcat)
-                             .Bind("concat")
-                             .Where(HasSingleConsumer())
-                             .Where(HasMinOperands(2))});
   std::map<graph::NodeId, graph::NodeId> relu_of_concat;
-  for (const MatchBindings& m : pattern.MatchAll(source)) {
-    relu_of_concat.emplace(m.at("concat"), m.at("relu"));
+  for (const graph::Node& node : source.nodes()) {
+    const graph::NodeId concat =
+        ConcatOperand(source, node, graph::OpKind::kRelu);
+    if (concat != graph::kInvalidNode) relu_of_concat.emplace(concat, node.id);
   }
   if (relu_of_concat.empty()) return source;
 

@@ -3,7 +3,7 @@
 // output bit-identical in exact arithmetic (floating-point reassociation
 // aside — verified to tolerance by the reference runtime in the tests).
 //
-// Two patterns:
+// Two partitionings, plus one enabling swap (RewriteOptions):
 //
 // 1. Channel-wise partitioning (concat + conv → partial convs + in-place
 //    accumulation, Eq. 3-6). The concat disappears; each branch xi is
@@ -16,6 +16,11 @@
 //    each branch is filtered independently, writing directly into its
 //    channel slice of the shared output buffer; the concat becomes a
 //    zero-cost view. Memory cost drops from Σ|xi| + |y| to max_i(|xi| + |yi|).
+//
+// All three rewrites recognize the same shape: a node of the pattern's kind
+// (kConv2d, kDepthwiseConv2d, kRelu) whose only operand is a kConcat with
+// at least two operands and no other consumer. A concat that something else
+// also reads stays materialized, so dissolving it would save nothing.
 #ifndef SERENITY_REWRITE_REWRITER_H_
 #define SERENITY_REWRITE_REWRITER_H_
 

@@ -25,6 +25,23 @@ bool CpuHasAvx2() {
 #endif
 }
 
+// True when `backend`'s code is compiled into this binary.
+bool BackendCompiled(Backend backend) {
+  switch (backend) {
+    case Backend::kReference:
+    case Backend::kBlocked:
+    case Backend::kAuto:
+      return true;
+    case Backend::kAvx2:
+#if defined(SERENITY_HAVE_AVX2)
+      return true;
+#else
+      return false;
+#endif
+  }
+  return false;
+}
+
 constexpr KernelBackend kReferenceTable = {
     Backend::kReference,
     &Conv2dPartial,
@@ -94,22 +111,6 @@ std::optional<Backend> ParseBackend(std::string_view name) {
   if (name == "avx2") return Backend::kAvx2;
   if (name == "auto") return Backend::kAuto;
   return std::nullopt;
-}
-
-bool BackendCompiled(Backend backend) {
-  switch (backend) {
-    case Backend::kReference:
-    case Backend::kBlocked:
-    case Backend::kAuto:
-      return true;
-    case Backend::kAvx2:
-#if defined(SERENITY_HAVE_AVX2)
-      return true;
-#else
-      return false;
-#endif
-  }
-  return false;
 }
 
 bool BackendAvailable(Backend backend) {

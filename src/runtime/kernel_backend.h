@@ -60,9 +60,6 @@ const char* ToString(Backend backend);
 // Parses "reference" / "blocked" / "avx2" / "auto" (the --backend= values).
 std::optional<Backend> ParseBackend(std::string_view name);
 
-// True when `backend`'s code is compiled into this binary.
-bool BackendCompiled(Backend backend);
-
 // True when `backend` can actually execute here: compiled in, the runtime
 // ISA guard (cpuid for kAvx2) passes, and it is not disabled by env
 // (SERENITY_DISABLE_AVX2). kReference/kBlocked/kAuto are always available.

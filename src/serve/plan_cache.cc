@@ -127,11 +127,6 @@ PlanCacheStats PlanCache::stats() const {
   return s;
 }
 
-void PlanCache::ResetStats() {
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_ = PlanCacheStats{};
-}
-
 // ------------------------------------------------------------- persistence
 //
 //   serenity-plan-cache v3 <num_entries>

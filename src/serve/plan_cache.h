@@ -110,7 +110,6 @@ class PlanCache {
       util::MemoryBudget* budget);
 
   PlanCacheStats stats() const;
-  void ResetStats();
 
   // Persists all entries, most-recently-used first (so a truncated LoadFrom
   // of a smaller cache keeps the hottest plans), atomically: the file is

@@ -1,7 +1,7 @@
 // Randomized property suite pinning the interval-index arena planner to
 // the seed's quadratic algorithm (`testing::ReferencePlanArena`): every
 // placement field, the arena size and the per-step highwater trace must be
-// bit-identical across strategies, alignments and schedules. Also pins the
+// bit-identical across alignments and schedules. Also pins the
 // sweep-line ValidatePlacements to the quadratic pairwise check, including
 // on corrupted plans.
 #include "alloc/arena_planner.h"
@@ -38,9 +38,6 @@ void ExpectPlansIdentical(const ArenaPlan& got, const ArenaPlan& want,
 TEST(ArenaPlannerProperty, BitIdenticalToReferenceOnRandomGraphs) {
   util::Rng rng(2024);
   constexpr int kGraphs = 1000;
-  const FitStrategy kStrategies[] = {FitStrategy::kGreedyBySize,
-                                     FitStrategy::kFirstFit,
-                                     FitStrategy::kBestFit};
   for (int i = 0; i < kGraphs; ++i) {
     testing::RandomDagOptions opts;
     opts.num_ops = 4 + i % 13;
@@ -54,17 +51,12 @@ TEST(ArenaPlannerProperty, BitIdenticalToReferenceOnRandomGraphs) {
                                   : sched::RandomTopologicalSchedule(g, rng);
     const graph::BufferUseTable table = graph::BufferUseTable::Build(g);
     const std::int64_t alignment = (i % 3 == 0) ? 1 : 64;
-    for (const FitStrategy strategy : kStrategies) {
-      const ArenaPlan plan = PlanArena(g, table, s, strategy, alignment);
-      const ArenaPlan ref =
-          testing::ReferencePlanArena(g, table, s, strategy, alignment);
-      ExpectPlansIdentical(
-          plan, ref,
-          "graph " + std::to_string(i) + " strategy " +
-              std::to_string(static_cast<int>(strategy)));
-      EXPECT_TRUE(ValidatePlacements(plan));
-      if (::testing::Test::HasFailure()) return;  // one counterexample
-    }
+    const ArenaPlan plan = PlanArena(g, table, s, alignment);
+    const ArenaPlan ref =
+        testing::ReferencePlanArena(g, table, s, alignment);
+    ExpectPlansIdentical(plan, ref, "graph " + std::to_string(i));
+    EXPECT_TRUE(ValidatePlacements(plan));
+    if (::testing::Test::HasFailure()) return;  // one counterexample
   }
 }
 

@@ -71,8 +71,7 @@ TEST(ArenaPlanner, AlignmentRoundsOffsets) {
   (void)b.Add({in, c1}, "out");
   const graph::Graph g = std::move(b).Build();
   const ArenaPlan plan =
-      PlanArena(g, sched::TfLiteOrderSchedule(g), FitStrategy::kFirstFit,
-                /*alignment=*/64);
+      PlanArena(g, sched::TfLiteOrderSchedule(g), /*alignment=*/64);
   EXPECT_TRUE(ValidatePlacements(plan));
   for (const BufferPlacement& p : plan.placements) {
     EXPECT_EQ(p.offset % 64, 0);
@@ -90,20 +89,6 @@ TEST(ArenaPlanner, HighwaterTraceIsConsistent) {
   for (const std::int64_t hw : plan.highwater_at_step) {
     EXPECT_GE(hw, 0);
     EXPECT_LE(hw, plan.arena_bytes);
-  }
-}
-
-TEST(ArenaPlanner, BestFitNeverLargerThanFirstFitHere) {
-  // Not a theorem in general, but on these workloads best-fit should not
-  // lose; this guards the strategy plumbing.
-  const graph::Graph g = models::MakeSwiftNetCellB();
-  util::Rng rng(5);
-  for (int trial = 0; trial < 5; ++trial) {
-    const sched::Schedule s = sched::RandomTopologicalSchedule(g, rng);
-    const ArenaPlan first = PlanArena(g, s, FitStrategy::kFirstFit);
-    const ArenaPlan best = PlanArena(g, s, FitStrategy::kBestFit);
-    EXPECT_TRUE(ValidatePlacements(first));
-    EXPECT_TRUE(ValidatePlacements(best));
   }
 }
 

@@ -9,7 +9,6 @@
 #include "core/pipeline.h"
 #include "core/soft_budget.h"
 #include "models/random_cell.h"
-#include "rewrite/inplace.h"
 #include "rewrite/rewriter.h"
 #include "runtime/executor.h"
 #include "runtime/tensor.h"
@@ -114,43 +113,9 @@ TEST_P(RandomNetworkProperties, AllocatorInvariants) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) + 99);
   for (int trial = 0; trial < 3; ++trial) {
     const sched::Schedule s = sched::RandomTopologicalSchedule(g, rng);
-    for (const alloc::FitStrategy strategy :
-         {alloc::FitStrategy::kGreedyBySize, alloc::FitStrategy::kFirstFit,
-          alloc::FitStrategy::kBestFit}) {
-      const alloc::ArenaPlan plan = alloc::PlanArena(g, s, strategy);
-      EXPECT_TRUE(alloc::ValidatePlacements(plan));
-      EXPECT_GE(plan.arena_bytes, sched::PeakFootprint(g, s));
-    }
-  }
-}
-
-TEST_P(RandomNetworkProperties, InPlacePassInvariants) {
-  const graph::Graph g = models::MakeRandomCellNetwork(
-      ParamsForSeed(GetParam()));
-  const rewrite::InPlaceResult ip = rewrite::ApplyInPlaceElementwise(g);
-  ASSERT_TRUE(ip.graph.Validate().empty());
-  // Never hurts the achievable optimum.
-  const core::DpResult before = core::ScheduleDp(g);
-  const core::DpResult after = core::ScheduleDp(ip.graph);
-  ASSERT_EQ(after.status, core::DpStatus::kSolution);
-  EXPECT_LE(after.peak_bytes, before.peak_bytes);
-  // Still computes the same function.
-  util::Rng rng(static_cast<std::uint64_t>(GetParam()) + 7);
-  std::vector<runtime::Tensor> inputs;
-  for (const graph::Node& n : g.nodes()) {
-    if (n.kind == graph::OpKind::kInput) {
-      inputs.push_back(runtime::Tensor::Random(n.shape, rng));
-    }
-  }
-  runtime::ReferenceExecutor original(g);
-  original.Run(inputs);
-  runtime::ReferenceExecutor inplace(ip.graph);
-  inplace.Run(inputs);
-  const auto a = original.SinkValues();
-  const auto b = inplace.SinkValues();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_LE(a[i].MaxAbsDiff(b[i]), 1e-5f);
+    const alloc::ArenaPlan plan = alloc::PlanArena(g, s);
+    EXPECT_TRUE(alloc::ValidatePlacements(plan));
+    EXPECT_GE(plan.arena_bytes, sched::PeakFootprint(g, s));
   }
 }
 

@@ -143,6 +143,53 @@ TEST(Rewriter, SkipsConcatWithMultipleConsumers) {
   EXPECT_EQ(r.graph.num_nodes(), g.num_nodes());
 }
 
+TEST(Rewriter, SkipsDepthwiseConcatWithMultipleConsumers) {
+  GraphBuilder b("dw_multi_consumer");
+  const NodeId in = b.Input(TensorShape{1, 8, 8, 4}, "in");
+  const NodeId x0 = b.Conv1x1(in, 4, "x0");
+  const NodeId x1 = b.Conv1x1(in, 4, "x1");
+  const NodeId cat = b.Concat({x0, x1}, "cat");
+  const NodeId dw = b.DepthwiseConv2d(cat, 3, 1, graph::Padding::kSame, 1,
+                                      "dw");
+  const NodeId other = b.Relu(cat, "other_user");  // second consumer
+  (void)b.Concat({dw, other}, "out");
+  const graph::Graph g = std::move(b).Build();
+  const RewriteResult r = RewriteGraph(g);
+  EXPECT_EQ(r.report.TotalPatterns(), 0);
+  EXPECT_EQ(r.graph.num_nodes(), g.num_nodes());
+}
+
+// relu(concat(x0, x1)) -> conv, optionally with a second consumer of the
+// concat. Only the single-consumer form may be pushed (and then exposes
+// the channel-wise pattern across the ReLU).
+graph::Graph ReluOverConcat(bool second_consumer) {
+  GraphBuilder b(second_consumer ? "relu_multi" : "relu_single");
+  const NodeId in = b.Input(TensorShape{1, 8, 8, 4}, "in");
+  const NodeId x0 = b.Conv1x1(in, 4, "x0");
+  const NodeId x1 = b.Conv1x1(in, 4, "x1");
+  const NodeId cat = b.Concat({x0, x1}, "cat");
+  const NodeId relu = b.Relu(cat, "relu");
+  const NodeId conv = b.Conv2d(relu, 8, 3, 1, graph::Padding::kSame, 1,
+                               "conv");
+  if (second_consumer) {
+    const NodeId other = b.Conv1x1(cat, 8, "other_user");
+    (void)b.Concat({conv, other}, "out");
+  }
+  return std::move(b).Build();
+}
+
+TEST(Rewriter, PushesReluOnlyThroughSingleConsumerConcat) {
+  const RewriteResult single = RewriteGraph(ReluOverConcat(false));
+  EXPECT_EQ(single.report.relu_pushes, 1);
+  EXPECT_EQ(single.report.conv_patterns, 1);
+
+  const graph::Graph g = ReluOverConcat(true);
+  const RewriteResult multi = RewriteGraph(g);
+  EXPECT_EQ(multi.report.relu_pushes, 0);
+  EXPECT_EQ(multi.report.TotalPatterns(), 0);
+  EXPECT_EQ(multi.graph.num_nodes(), g.num_nodes());
+}
+
 TEST(Rewriter, OptionsDisablePatterns) {
   RewriteOptions conv_only;
   conv_only.kernel_wise_depthwise = false;

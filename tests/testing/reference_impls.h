@@ -170,11 +170,8 @@ inline sched::BeamResult ReferenceScheduleBeam(const graph::Graph& graph,
 
 inline alloc::ArenaPlan ReferencePlanArena(
     const graph::Graph& graph, const graph::BufferUseTable& table,
-    const sched::Schedule& schedule,
-    alloc::FitStrategy strategy = alloc::FitStrategy::kGreedyBySize,
-    std::int64_t alignment = 64) {
+    const sched::Schedule& schedule, std::int64_t alignment = 64) {
   using alloc::BufferPlacement;
-  using alloc::FitStrategy;
   const auto align_up = [](std::int64_t value, std::int64_t alignment_) {
     return (value + alignment_ - 1) / alignment_ * alignment_;
   };
@@ -217,14 +214,8 @@ inline alloc::ArenaPlan ReferencePlanArena(
                          table.buffers[static_cast<std::size_t>(a)].size_bytes;
                      const std::int64_t sb =
                          table.buffers[static_cast<std::size_t>(b)].size_bytes;
-                     if (strategy == FitStrategy::kGreedyBySize) {
-                       if (sa != sb) return sa > sb;
-                       return la.first_step < lb.first_step;
-                     }
-                     if (la.first_step != lb.first_step) {
-                       return la.first_step < lb.first_step;
-                     }
-                     return sa > sb;
+                     if (sa != sb) return sa > sb;
+                     return la.first_step < lb.first_step;
                    });
 
   alloc::ArenaPlan plan;
@@ -246,30 +237,17 @@ inline alloc::ArenaPlan ReferencePlanArena(
                 return a->offset < b->offset;
               });
     std::int64_t best_offset = -1;
-    std::int64_t best_gap = std::numeric_limits<std::int64_t>::max();
     std::int64_t cursor = 0;
     const auto consider = [&](std::int64_t gap_start, std::int64_t gap_end) {
       const std::int64_t start = align_up(gap_start, alignment);
       if (gap_end - start < size) return;
-      if (strategy == FitStrategy::kBestFit) {
-        if (gap_end - start < best_gap) {
-          best_gap = gap_end - start;
-          best_offset = start;
-        }
-      } else if (best_offset < 0) {
-        best_offset = start;
-      }
+      if (best_offset < 0) best_offset = start;
     };
     for (const BufferPlacement* p : conflicts) {
       if (p->offset > cursor) consider(cursor, p->offset);
       cursor = std::max(cursor, p->offset + p->size);
     }
-    const std::int64_t open_start = align_up(cursor, alignment);
-    if (best_offset < 0 ||
-        (strategy == FitStrategy::kBestFit &&
-         best_gap == std::numeric_limits<std::int64_t>::max())) {
-      best_offset = open_start;
-    }
+    if (best_offset < 0) best_offset = align_up(cursor, alignment);
     plan.placements.push_back(BufferPlacement{
         b, best_offset, size, life.first_step, life.last_step});
     plan.arena_bytes = std::max(plan.arena_bytes, best_offset + size);
@@ -287,10 +265,9 @@ inline alloc::ArenaPlan ReferencePlanArena(
 
 inline alloc::ArenaPlan ReferencePlanArena(
     const graph::Graph& graph, const sched::Schedule& schedule,
-    alloc::FitStrategy strategy = alloc::FitStrategy::kGreedyBySize,
     std::int64_t alignment = 64) {
   return ReferencePlanArena(graph, graph::BufferUseTable::Build(graph),
-                            schedule, strategy, alignment);
+                            schedule, alignment);
 }
 
 // The seed's O(n^2) pairwise placement validator.
