@@ -33,23 +33,16 @@ graph::NodeId ConcatOperand(const graph::Graph& graph, const graph::Node& node,
   return concat.id;
 }
 
-std::vector<PlannedRewrite> PlanRewrites(const graph::Graph& graph,
-                                         const RewriteOptions& options) {
+std::vector<PlannedRewrite> PlanRewrites(const graph::Graph& graph) {
   std::vector<PlannedRewrite> plans;
   for (const graph::Node& node : graph.nodes()) {
-    if (options.channel_wise_conv) {
-      const graph::NodeId concat =
-          ConcatOperand(graph, node, graph::OpKind::kConv2d);
-      if (concat != graph::kInvalidNode) {
-        plans.push_back(PlannedRewrite{concat, node.id, /*depthwise=*/false});
-      }
+    graph::NodeId concat = ConcatOperand(graph, node, graph::OpKind::kConv2d);
+    if (concat != graph::kInvalidNode) {
+      plans.push_back(PlannedRewrite{concat, node.id, /*depthwise=*/false});
     }
-    if (options.kernel_wise_depthwise) {
-      const graph::NodeId concat =
-          ConcatOperand(graph, node, graph::OpKind::kDepthwiseConv2d);
-      if (concat != graph::kInvalidNode) {
-        plans.push_back(PlannedRewrite{concat, node.id, /*depthwise=*/true});
-      }
+    concat = ConcatOperand(graph, node, graph::OpKind::kDepthwiseConv2d);
+    if (concat != graph::kInvalidNode) {
+      plans.push_back(PlannedRewrite{concat, node.id, /*depthwise=*/true});
     }
   }
   return plans;
@@ -57,9 +50,8 @@ std::vector<PlannedRewrite> PlanRewrites(const graph::Graph& graph,
 
 class Rebuilder {
  public:
-  Rebuilder(const graph::Graph& source, const RewriteOptions& options)
-      : source_(source) {
-    for (const PlannedRewrite& plan : PlanRewrites(source, options)) {
+  explicit Rebuilder(const graph::Graph& source) : source_(source) {
+    for (const PlannedRewrite& plan : PlanRewrites(source)) {
       by_conv_.emplace(plan.conv, plan);
       skipped_concats_.emplace(plan.concat, plan.conv);
     }
@@ -284,16 +276,13 @@ graph::Graph PushReluThroughConcat(const graph::Graph& source, int* pushes) {
 }  // namespace
 
 RewriteResult RewriteGraph(const graph::Graph& graph,
-                           const RewriteOptions& options) {
+                           const RewriteOptions& /*options*/) {
   int pushes = 0;
-  if (options.push_relu_through_concat) {
-    const graph::Graph pushed = PushReluThroughConcat(graph, &pushes);
-    RewriteResult result = Rebuilder(pushed, options).Run();
-    result.report.relu_pushes = pushes;
-    result.report.nodes_before = graph.num_nodes();
-    return result;
-  }
-  return Rebuilder(graph, options).Run();
+  const graph::Graph pushed = PushReluThroughConcat(graph, &pushes);
+  RewriteResult result = Rebuilder(pushed).Run();
+  result.report.relu_pushes = pushes;
+  result.report.nodes_before = graph.num_nodes();
+  return result;
 }
 
 }  // namespace serenity::rewrite

@@ -3,7 +3,8 @@
 // output bit-identical in exact arithmetic (floating-point reassociation
 // aside — verified to tolerance by the reference runtime in the tests).
 //
-// Two partitionings, plus one enabling swap (RewriteOptions):
+// Two partitionings, plus one enabling swap; RewriteGraph always applies
+// all three:
 //
 // 1. Channel-wise partitioning (concat + conv → partial convs + in-place
 //    accumulation, Eq. 3-6). The concat disappears; each branch xi is
@@ -16,6 +17,11 @@
 //    each branch is filtered independently, writing directly into its
 //    channel slice of the shared output buffer; the concat becomes a
 //    zero-cost view. Memory cost drops from Σ|xi| + |y| to max_i(|xi| + |yi|).
+//
+// 3. The enabling swap relu(concat(x...)) == concat(relu(x)...), applied
+//    first, when a ReLU separates a concat from its conv (e.g. DARTS cells,
+//    whose outputs feed the next cell's ReLU-Conv-BN preprocessing). It is
+//    an exact identity that exposes patterns 1/2 across the ReLU.
 //
 // All three rewrites recognize the same shape: a node of the pattern's kind
 // (kConv2d, kDepthwiseConv2d, kRelu) whose only operand is a kConcat with
@@ -30,15 +36,9 @@
 
 namespace serenity::rewrite {
 
-struct RewriteOptions {
-  bool channel_wise_conv = true;       // pattern 1
-  bool kernel_wise_depthwise = true;   // pattern 2
-  // Enabling pattern: relu(concat(x...)) == concat(relu(x)...), applied
-  // when a ReLU separates a concat from its conv (e.g. DARTS cells, whose
-  // outputs feed the next cell's ReLU-Conv-BN preprocessing). The swap is
-  // an exact identity that exposes patterns 1/2 across the ReLU.
-  bool push_relu_through_concat = true;
-};
+// No settings left; remove with the next benchmark PR (perfbench passes
+// PipelineOptions::rewrite through to RewriteGraph).
+struct RewriteOptions {};
 
 struct RewriteReport {
   int conv_patterns = 0;       // channel-wise partitionings applied

@@ -201,17 +201,6 @@ void ArenaExecutor::Run(const std::vector<Tensor>& inputs) {
   }
 }
 
-void ArenaExecutor::ResetArena() {
-  std::fill(arena_.begin(), arena_.end(), 0.0f);
-  for (Tensor& scratch : fused_sum_scratch_) {
-    if (scratch.size() > 0) std::fill_n(scratch.data(), scratch.size(), 0.0f);
-  }
-  for (Tensor& scratch : fused_dw_scratch_) {
-    if (scratch.size() > 0) std::fill_n(scratch.data(), scratch.size(), 0.0f);
-  }
-  touched_peak_bytes_ = -1;
-}
-
 void ArenaExecutor::Execute(const graph::Node& node) {
   const std::size_t id = static_cast<std::size_t>(node.id);
   Tensor& out = value_views_[id];

@@ -68,7 +68,9 @@ class ArenaExecutor {
   ArenaExecutor& operator=(const ArenaExecutor&) = delete;
 
   // Executes the plan's schedule. `inputs` correspond to the graph's kInput
-  // nodes in ascending node-id order. Performs no heap allocation.
+  // nodes in ascending node-id order. Performs no heap allocation. Every
+  // value is written before it is read within the Run, so whatever an
+  // earlier Run left in the arena cannot reach this Run's sinks.
   void Run(const std::vector<Tensor>& inputs);
 
   // Zero-allocation access to the sink values, in ascending node-id order:
@@ -78,12 +80,6 @@ class ArenaExecutor {
   // Allocating conveniences for tests and comparisons (owning copies).
   Tensor Value(graph::NodeId id) const;
   std::vector<Tensor> SinkValues() const;
-
-  // Wipes the arena (and the fused-cell scratch) to zeros in place — no
-  // deallocation, no reallocation — so a pooled executor can be handed to
-  // the next request without leaking the previous request's activations.
-  // The plan, views and weights are immutable and stay bound.
-  void ResetArena();
 
   const serialize::ExecutionPlan& plan() const { return plan_; }
   std::int64_t arena_bytes() const { return plan_.arena.arena_bytes; }

@@ -46,28 +46,8 @@ util::StatusOr<InferenceSession> InferenceSession::Create(
   }
 }
 
-util::StatusOr<InferenceSession> InferenceSession::TryOpen(
-    SchedulerService& service, const graph::Graph& graph,
-    const RequestOptions& request, InferenceSessionOptions options) {
-  ServeResult result = service.Schedule(graph, request);
-  if (result.plan == nullptr) {
-    return result.status.ok()
-               ? util::InternalError("planning returned no plan")
-               : result.status;
-  }
-  return Create(std::move(result.plan), options);
-}
-
 void InferenceSession::Run(const std::vector<runtime::Tensor>& inputs) {
   executor_->Run(inputs);
-  ++inferences_;
-}
-
-void InferenceSession::Reset() { executor_->ResetArena(); }
-
-void InferenceSession::RunBatch(
-    const std::vector<std::vector<runtime::Tensor>>& batch) {
-  for (const std::vector<runtime::Tensor>& inputs : batch) Run(inputs);
 }
 
 }  // namespace serenity::serve

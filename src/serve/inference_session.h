@@ -4,11 +4,10 @@
 // SchedulerService hands back immutable CachedPlan snapshots (schedule +
 // arena placements); this class binds one to a per-session
 // runtime::ArenaExecutor, so a caller goes graph -> plan (cold, coalesced
-// or warm from the persisted cache) -> batched inference out of one
-// preallocated arena, with zero per-inference heap allocation. This closes
-// the loop the ROADMAP's serve axis aims at: the expensive memory-aware
-// search runs once per structural graph, and every inference after that
-// executes the cached artifact directly.
+// or warm from the persisted cache) -> inference after inference out of
+// one preallocated arena, with zero per-inference heap allocation. The
+// expensive memory-aware search runs once per structural graph, and every
+// inference after that executes the cached artifact directly.
 //
 // Sessions are single-threaded by design — the arena is the session's
 // mutable state. Run sessions on separate plans (or separate sessions over
@@ -39,8 +38,8 @@ class InferenceSession {
 
   // Schedules `graph` through `service` — cache hit, coalesced, or a fresh
   // planning run — and opens a session over the result. Dies if planning
-  // failed (a serving caller that wants to degrade gracefully should use
-  // TryOpen, or call service.Schedule itself and check the ServeResult).
+  // failed (a serving caller that wants to degrade gracefully calls
+  // service.Schedule itself, checks the ServeResult, then uses Create).
   static InferenceSession Open(SchedulerService& service,
                                const graph::Graph& graph,
                                InferenceSessionOptions options = {});
@@ -54,30 +53,12 @@ class InferenceSession {
       std::shared_ptr<const CachedPlan> plan,
       InferenceSessionOptions options = {});
 
-  // Schedule-then-Create with the planning Status propagated: deadline and
-  // planner failures surface here instead of aborting.
-  static util::StatusOr<InferenceSession> TryOpen(
-      SchedulerService& service, const graph::Graph& graph,
-      const RequestOptions& request = {},
-      InferenceSessionOptions options = {});
-
   InferenceSession(InferenceSession&&) = default;
   InferenceSession& operator=(InferenceSession&&) = default;
 
   // One inference. `inputs` correspond to the scheduled graph's kInput
   // nodes in ascending node-id order. Zero heap allocations inside.
   void Run(const std::vector<runtime::Tensor>& inputs);
-
-  // Batched inputs, executed sequentially out of the same arena (the edge
-  // deployment model: one arena, many inferences).
-  void RunBatch(const std::vector<std::vector<runtime::Tensor>>& batch);
-
-  // Wipes the arena in place — no deallocation, no reallocation — so the
-  // session can be pooled and handed to the next request without leaking
-  // the previous request's activations (serve/session_pool.h returns every
-  // lease through here). The plan binding and the cumulative inference
-  // counter survive; performs no heap allocation.
-  void Reset();
 
   // The scheduled (possibly rewritten) graph inferences execute against —
   // build inputs and read sinks relative to *this* graph.
@@ -87,12 +68,10 @@ class InferenceSession {
   runtime::ArenaExecutor& executor() { return *executor_; }
 
   std::int64_t arena_bytes() const { return executor_->arena_bytes(); }
-  std::uint64_t inferences() const { return inferences_; }
 
  private:
   std::shared_ptr<const CachedPlan> plan_;
   std::unique_ptr<runtime::ArenaExecutor> executor_;
-  std::uint64_t inferences_ = 0;
 };
 
 }  // namespace serenity::serve

@@ -11,14 +11,6 @@
 
 namespace serenity::serve {
 
-namespace {
-
-std::chrono::duration<double> Seconds(double s) {
-  return std::chrono::duration<double>(s);
-}
-
-}  // namespace
-
 SchedulerService::SchedulerService(ServeOptions options)
     : options_(std::move(options)), cache_(options_.cache_capacity_bytes) {
   SERENITY_CHECK_GE(options_.num_workers, 1);
@@ -150,27 +142,8 @@ void SchedulerService::WorkerLoop() {
     Job job;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      for (;;) {
-        // Promote upgrade retries whose backoff has elapsed.
-        const Clock::time_point now = Clock::now();
-        for (auto it = delayed_.begin(); it != delayed_.end();) {
-          if (it->not_before <= now) {
-            queue_.push_back(std::move(*it));
-            it = delayed_.erase(it);
-          } else {
-            ++it;
-          }
-        }
-        if (!queue_.empty()) break;
-        if (stopping_) return;  // drained; pending retries are dropped
-        if (delayed_.empty()) {
-          work_ready_.wait(lock);
-        } else {
-          Clock::time_point next = delayed_.front().not_before;
-          for (const Job& d : delayed_) next = std::min(next, d.not_before);
-          work_ready_.wait_until(lock, next);
-        }
-      }
+      work_ready_.wait(lock, [this] { return !queue_.empty() || stopping_; });
+      if (queue_.empty()) return;  // stopping and drained
       job = std::move(queue_.front());
       queue_.pop_front();
     }
@@ -279,63 +252,45 @@ void SchedulerService::EnqueueUpgradeLocked(const graph::GraphHash& hash,
   upgrade.request = RequestOptions{};  // no deadline: the exact search
   upgrade.submitted = Clock::now();
   upgrade.is_upgrade = true;
-  upgrade.not_before = Clock::now();
   queue_.push_back(std::move(upgrade));
   work_ready_.notify_one();
 }
 
 void SchedulerService::RunUpgradeJob(Job job) {
+  // One attempt: a failure (planner, governor refusal, or exception) is
+  // counted and the degraded entry keeps serving.
   bool success = false;
   try {
     core::PipelineOptions popts = options_.pipeline;
     popts.deadline_seconds = std::numeric_limits<double>::infinity();
     popts.degrade_on_deadline = false;
-    // Upgrades run under the same governor as foreground planning: an
-    // exhausted budget fails the attempt into the retry/backoff path.
+    // Upgrades run under the same governor as foreground planning.
     popts.memory_budget = options_.planning_budget;
     core::PipelineResult planned = core::Pipeline(popts).Run(job.graph);
     if (planned.success && !planned.degraded) {
+      // Replace only while the entry is still degraded (or evicted): a
+      // concurrent exact plan must not be clobbered.
       const std::shared_ptr<const CachedPlan> current =
           cache_.Lookup(job.hash);
-      std::int64_t saved = 0;
-      if (current != nullptr) {
-        saved = current->result.peak_bytes - planned.peak_bytes;
+      if (current != nullptr &&
+          current->quality == core::PlanQuality::kExact) {
+        success = true;
+      } else {
+        success = cache_.InsertGoverned(job.hash, std::move(planned),
+                                        options_.planning_budget)
+                      .ok();
       }
-      // Replace only while the entry is still degraded (or evicted): a
-      // concurrent exact plan must not be clobbered. A governed arena-
-      // planning refusal falls into the retry path like any failure.
-      if (current == nullptr ||
-          current->quality != core::PlanQuality::kExact) {
-        util::StatusOr<std::shared_ptr<const CachedPlan>> upgraded =
-            cache_.InsertGoverned(job.hash, std::move(planned),
-                                  options_.planning_budget);
-        if (!upgraded.ok()) throw std::runtime_error("upgrade refused");
-      }
-      std::lock_guard<std::mutex> lock(mu_);
-      ++counters_.upgrades;
-      counters_.upgrade_saved_bytes += std::max<std::int64_t>(0, saved);
-      upgrading_.erase(job.hash);
-      success = true;
     }
   } catch (...) {
-    // Fall through to the retry path; the worker must survive.
+    // Counted as a failure below; the worker must survive.
   }
-  if (success) return;
-
   std::lock_guard<std::mutex> lock(mu_);
-  job.attempt += 1;
-  if (job.attempt >= options_.max_upgrade_attempts || stopping_) {
+  if (success) {
+    ++counters_.upgrades;
+  } else {
     ++counters_.upgrade_failures;
-    upgrading_.erase(job.hash);
-    return;
   }
-  // Exponential backoff: base * 2^(attempt-1).
-  const double backoff = options_.upgrade_backoff_seconds *
-                         static_cast<double>(1 << (job.attempt - 1));
-  job.not_before = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                      Seconds(backoff));
-  delayed_.push_back(std::move(job));
-  work_ready_.notify_one();
+  upgrading_.erase(job.hash);
 }
 
 ServeResult SchedulerService::Schedule(const graph::Graph& graph,

@@ -27,11 +27,11 @@
 //     it; with degradation disallowed the caller gets a clean
 //     kDeadlineExceeded Status instead. Workers never abort on a failed
 //     planning run — every outcome is a Status.
-//   * Degraded cache entries are upgraded in place: a background re-plan
-//     (no deadline) replaces the entry with the exact plan when it lands,
-//     with bounded retry-and-backoff on failure. Requests arriving
-//     meanwhile are served the degraded entry from cache — upgrades never
-//     block the hot path.
+//   * Degraded cache entries are upgraded in place: one background re-plan
+//     (no deadline) replaces the entry with the exact plan when it lands.
+//     A failed re-plan is counted and not retried; the degraded entry keeps
+//     serving. Requests arriving meanwhile are served the degraded entry
+//     from cache — upgrades never block the hot path.
 //   * A worker-thread exception (injected or real) fails that one request
 //     with kInternal and the worker survives.
 //
@@ -68,12 +68,10 @@ struct ServeOptions {
   core::PipelineOptions pipeline;    // how misses are planned
   int num_workers = 1;               // planning threads in the pool
   std::int64_t cache_capacity_bytes = 256ll << 20;
-  // Background upgrade of degraded cache entries: re-plan without a
-  // deadline and replace the entry with the exact plan. Retries with
-  // exponential backoff on failure, up to max_upgrade_attempts total.
+  // Background upgrade of degraded cache entries: one re-plan without a
+  // deadline replaces the entry with the exact plan. A failed attempt is
+  // not retried.
   bool upgrade_degraded_plans = true;
-  int max_upgrade_attempts = 3;
-  double upgrade_backoff_seconds = 0.05;  // doubles per retry
   // Byte budget governing every planning run's search memory (DP levels,
   // beam levels, arena-planner working set) across the whole worker pool;
   // typically a child of the server-wide governor. Exhaustion mid-search
@@ -144,12 +142,10 @@ struct ServiceStats {
   std::uint64_t failures = 0;
   // Requests answered with a below-exact plan (deadline degradation).
   std::uint64_t degraded_plans = 0;
-  // Background upgrades of degraded cache entries: completed, and given up
-  // after max_upgrade_attempts.
+  // Background upgrades of degraded cache entries: completed, and failed
+  // (the single attempt did not land an exact plan).
   std::uint64_t upgrades = 0;
   std::uint64_t upgrade_failures = 0;
-  // Total peak-bytes improvement realized by completed upgrades.
-  std::int64_t upgrade_saved_bytes = 0;
   // Resource-governor outcomes: requests failed kCancelled (every waiter
   // abandoned the flight), requests shed at Submit by the admission lower
   // bound, and requests answered with a degraded plan because the memory
@@ -163,8 +159,8 @@ struct ServiceStats {
 class SchedulerService {
  public:
   explicit SchedulerService(ServeOptions options = {});
-  // Drains the queue (queued requests still complete; pending upgrade
-  // retries are dropped) and joins the pool.
+  // Drains the queue (queued requests and upgrades still complete) and
+  // joins the pool.
   ~SchedulerService();
 
   SchedulerService(const SchedulerService&) = delete;
@@ -220,8 +216,6 @@ class SchedulerService {
     // upgrade has no waiters to lose).
     std::shared_ptr<FlightState> flight;
     bool is_upgrade = false;
-    int attempt = 0;                 // upgrade attempts so far
-    Clock::time_point not_before{};  // earliest start (upgrade backoff)
   };
 
   // Registers one waiter's interest in a single-flight planning run. A
@@ -248,8 +242,6 @@ class SchedulerService {
   mutable std::mutex mu_;
   std::condition_variable work_ready_;
   std::deque<Job> queue_;
-  // Upgrade retries waiting out their backoff; moved to queue_ when ripe.
-  std::vector<Job> delayed_;
   std::unordered_map<graph::GraphHash, Flight, graph::GraphHashHasher>
       in_flight_;
   // Hashes with a background upgrade pending or running. Deliberately

@@ -1,5 +1,6 @@
 #include "serve/session_pool.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <utility>
@@ -13,7 +14,8 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 // Saturated waits sleep in slices this long so a fired cancel token is
-// noticed promptly even though nothing signals the condition variable.
+// noticed promptly even though nothing signals the condition variable; a
+// wait without a token just re-checks the pool once per slice.
 constexpr std::chrono::milliseconds kCancelPollSlice{50};
 
 util::Status ShedStatus(const char* why) {
@@ -125,9 +127,8 @@ util::StatusOr<SessionPool::Lease> SessionPool::Checkout(
   }
 
   const bool fail_fast = timeout_seconds <= 0;
-  const bool wait_forever = std::isinf(timeout_seconds);
   const Clock::time_point deadline =
-      (fail_fast || wait_forever)
+      std::isinf(timeout_seconds)
           ? Clock::time_point::max()
           : Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                std::chrono::duration<double>(timeout_seconds));
@@ -194,9 +195,9 @@ util::StatusOr<SessionPool::Lease> SessionPool::Checkout(
     }
 
     // 3. Saturated: shed or wait for a return, bounded by the deadline and
-    //    abandonable via the cancel token (polled in bounded slices —
-    //    nothing signals the condition variable when a peer disconnects or
-    //    a drain begins).
+    //    abandonable via the cancel token (polled once per slice — nothing
+    //    signals the condition variable when a peer disconnects or a drain
+    //    begins).
     if (cancel != nullptr && cancel->cancelled()) {
       counters_.cancelled_waits += 1;
       return util::CancelledError("session checkout cancelled");
@@ -205,32 +206,22 @@ util::StatusOr<SessionPool::Lease> SessionPool::Checkout(
       counters_.sheds += 1;
       return ShedStatus("pool saturated and the request had no wait budget");
     }
+    const Clock::time_point now = Clock::now();
+    if (now >= deadline) {
+      counters_.sheds += 1;
+      return ShedStatus("pool saturated past the request deadline");
+    }
     if (!counted_wait) {
       counters_.waits += 1;
       counted_wait = true;
     }
-    if (cancel != nullptr) {
-      const Clock::time_point slice_end =
-          std::min(deadline, Clock::now() + kCancelPollSlice);
-      if (returned_.wait_until(lock, slice_end) == std::cv_status::timeout &&
-          !wait_forever && Clock::now() >= deadline) {
-        counters_.sheds += 1;
-        return ShedStatus("pool saturated past the request deadline");
-      }
-    } else if (wait_forever) {
-      returned_.wait(lock);
-    } else if (returned_.wait_until(lock, deadline) ==
-               std::cv_status::timeout) {
-      counters_.sheds += 1;
-      return ShedStatus("pool saturated past the request deadline");
-    }
+    returned_.wait_until(lock, std::min(deadline, now + kCancelPollSlice));
   }
 }
 
 void SessionPool::Return(std::unique_ptr<InferenceSession> session) {
-  // Wipe outside the lock — a large arena memset must not serialize other
-  // checkouts — then hand the clean session back.
-  session->Reset();
+  // No wipe: the next Run writes every value before reading it, so the
+  // previous request's activations cannot reach the next request's sinks.
   std::lock_guard<std::mutex> lock(mu_);
   auto pools_it = pools_.find(session->plan().hash);
   SERENITY_CHECK(pools_it != pools_.end())

@@ -22,7 +22,9 @@
 //     unbounded queues).
 //
 // Thread-safe throughout; leases are RAII (a dropped lease returns its
-// session, wiped via InferenceSession::Reset, even on error paths).
+// session, even on error paths). A returned session is not wiped: the next
+// Run writes every value before reading it (DESIGN.md "Overload policy";
+// pinned by tests/session_pool_test.cc).
 #ifndef SERENITY_SERVE_SESSION_POOL_H_
 #define SERENITY_SERVE_SESSION_POOL_H_
 
@@ -82,7 +84,8 @@ class SessionPool {
   SessionPool(const SessionPool&) = delete;
   SessionPool& operator=(const SessionPool&) = delete;
 
-  // RAII checkout: returns the session (Reset) to the pool on destruction.
+  // RAII checkout: returns the session, as the last Run left it, to the
+  // pool on destruction.
   class Lease {
    public:
     Lease() = default;

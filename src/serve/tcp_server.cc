@@ -27,6 +27,10 @@ namespace {
 constexpr double kPollSliceSeconds = 0.25;
 // Budget for best-effort shed replies sent outside the worker loop.
 constexpr double kShedWriteSeconds = 1.0;
+// Budget for writing one reply to a slow reader.
+constexpr double kWriteTimeoutSeconds = 5.0;
+// Checkout wait for infer requests that carry no deadline of their own.
+constexpr double kDefaultCheckoutWaitSeconds = 5.0;
 // How often a worker blocked on a planning future re-probes the connection
 // for a peer disconnect (and the server for a drain). A dead client's
 // planning run is cancelled within about one slice.
@@ -294,7 +298,7 @@ void TcpServer::ServeConnection(int fd) {
     const std::string head = wire::EncodeReplyHead(reply);
     const std::string_view parts[] = {head, reply.body};
     const util::Status wrote =
-        wire::WriteFrameParts(fd, parts, options_.write_timeout_seconds,
+        wire::WriteFrameParts(fd, parts, kWriteTimeoutSeconds,
                               options_.max_frame_bytes);
     if (request.ok()) frame = std::move(request->body);
     if (!wrote.ok()) {
@@ -469,7 +473,7 @@ wire::Reply TcpServer::HandleInfer(const wire::Request& request) {
   // within one poll slice instead of holding the worker to the timeout.
   const double wait = request.deadline_seconds > 0
                           ? request.deadline_seconds
-                          : options_.default_checkout_wait_seconds;
+                          : kDefaultCheckoutWaitSeconds;
   util::StatusOr<SessionPool::Lease> lease =
       pool_.Checkout(plan, wait, &drain_cancel_);
   if (!lease.ok()) {
@@ -540,8 +544,11 @@ wire::Reply TcpServer::HandleStats() {
      << "service.cancelled " << service.cancelled << "\n"
      << "service.admission_sheds " << service.admission_sheds << "\n"
      << "service.degraded_on_memory " << service.degraded_on_memory << "\n"
+     << "service.upgrades " << service.upgrades << "\n"
+     << "service.upgrade_failures " << service.upgrade_failures << "\n"
      << "cache.entries " << service.cache.entries << "\n"
-     << "cache.bytes_in_use " << service.cache.bytes_in_use << "\n";
+     << "cache.bytes_in_use " << service.cache.bytes_in_use << "\n"
+     << "cache.degraded_entries " << service.cache.degraded_entries << "\n";
   const auto governor_lines = [&os](const char* name,
                                     const util::MemoryBudget* budget) {
     if (budget == nullptr) return;

@@ -62,10 +62,6 @@ struct TcpServerOptions {
   double idle_timeout_seconds = 30.0;
   // A frame that started must complete within this (slow-loris guard).
   double frame_timeout_seconds = 5.0;
-  // Budget for writing one reply to a slow reader.
-  double write_timeout_seconds = 5.0;
-  // Checkout wait for infer requests that carry no deadline of their own.
-  double default_checkout_wait_seconds = 5.0;
   std::uint32_t max_frame_bytes = wire::kMaxFrameBytesDefault;
   // Server-wide resource governor (read-only here): surfaced through the
   // stats verb so operators see used/peak/denials next to the serving

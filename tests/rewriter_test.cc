@@ -190,17 +190,6 @@ TEST(Rewriter, PushesReluOnlyThroughSingleConsumerConcat) {
   EXPECT_EQ(multi.graph.num_nodes(), g.num_nodes());
 }
 
-TEST(Rewriter, OptionsDisablePatterns) {
-  RewriteOptions conv_only;
-  conv_only.kernel_wise_depthwise = false;
-  EXPECT_EQ(RewriteGraph(ConcatDepthwise(3), conv_only)
-                .report.TotalPatterns(),
-            0);
-  RewriteOptions dw_only;
-  dw_only.channel_wise_conv = false;
-  EXPECT_EQ(RewriteGraph(ConcatConv(3), dw_only).report.TotalPatterns(), 0);
-}
-
 TEST(Rewriter, IdempotentOnRewrittenGraph) {
   const RewriteResult once = RewriteGraph(models::MakeSwiftNetCellA());
   const RewriteResult twice = RewriteGraph(once.graph);

@@ -253,8 +253,6 @@ TEST(SchedulerService, ExpiredDeadlineWithoutDegradationIsACleanError) {
 TEST(SchedulerService, DegradedEntryIsUpgradedToExactInPlace) {
   ServeOptions options;
   options.upgrade_degraded_plans = true;
-  options.max_upgrade_attempts = 3;
-  options.upgrade_backoff_seconds = 0.01;
   SchedulerService service(options);
   const graph::Graph g = Cell("SwiftNet HPD", "Cell C");
   const graph::GraphHash hash = graph::CanonicalGraphHash(g);
@@ -288,6 +286,44 @@ TEST(SchedulerService, DegradedEntryIsUpgradedToExactInPlace) {
       core::Pipeline(service.options().pipeline).Run(g);
   EXPECT_EQ(warm.plan->result.schedule, fresh.schedule);
   EXPECT_EQ(warm.plan->result.peak_bytes, fresh.peak_bytes);
+}
+
+// An upgrade gets one attempt. The first scheduler-timeout traversal is the
+// rushed request's own run (degraded anyway); the second, the upgrade's, is
+// forced to time out. The failure is counted, nothing re-plans, and the
+// degraded entry keeps serving.
+TEST(SchedulerService, FailedUpgradeIsNotRetried) {
+  namespace ftest = serenity::testing;
+  ServeOptions options;
+  options.upgrade_degraded_plans = true;
+  SchedulerService service(options);
+  const graph::Graph g = Cell("SwiftNet HPD", "Cell C");
+  const graph::GraphHash hash = graph::CanonicalGraphHash(g);
+
+  ftest::FaultInjector::Global().ResetCounters();
+  ftest::ScopedFault fault(ftest::FaultPoint::kSchedulerTimeout, /*skip=*/1);
+  RequestOptions rushed;
+  rushed.deadline_seconds = 0.0;
+  const ServeResult degraded = service.Schedule(g, rushed);
+  ASSERT_NE(degraded.plan, nullptr) << degraded.status.ToString();
+  ASSERT_NE(degraded.quality, core::PlanQuality::kExact);
+
+  for (int i = 0; i < 1000; ++i) {
+    const ServiceStats s = service.stats();
+    if (s.upgrades + s.upgrade_failures > 0) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  // Long enough for a retry to have started and finished, were there one.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.upgrade_failures, 1u);
+  EXPECT_EQ(stats.upgrades, 0u);
+  const auto entry = service.cache().Lookup(hash);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_NE(entry->quality, core::PlanQuality::kExact);
+  EXPECT_EQ(ftest::FaultInjector::Global().traversals(
+                ftest::FaultPoint::kSchedulerTimeout),
+            2u);
 }
 
 TEST(SchedulerService, InjectedWorkerExceptionFailsOneRequestNotTheWorker) {

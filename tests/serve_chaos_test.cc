@@ -87,7 +87,6 @@ void RunSchedulerTimeoutChaos(int seed, const graph::Graph& g) {
   const bool watch_upgrade = allow && seed % 96 == 0;
   if (watch_upgrade) {
     options.upgrade_degraded_plans = true;
-    options.upgrade_backoff_seconds = 0.01;
   }
   SchedulerService service(options);
 

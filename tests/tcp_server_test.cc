@@ -42,6 +42,11 @@ TEST(TcpServer, HealthAndStatsRoundtrip) {
   ASSERT_TRUE(stats.ok());
   EXPECT_NE(stats->find("pool.checkouts 0"), std::string::npos);
   EXPECT_NE(stats->find("server.requests"), std::string::npos);
+  // How the single background upgrade of a degraded plan ended.
+  EXPECT_NE(stats->find("\nservice.upgrades 0\n"), std::string::npos);
+  EXPECT_NE(stats->find("\nservice.upgrade_failures 0\n"),
+            std::string::npos);
+  EXPECT_NE(stats->find("\ncache.degraded_entries 0\n"), std::string::npos);
 }
 
 TEST(TcpServer, PlanThenInferMatchesReferenceBitForBit) {
