@@ -57,13 +57,13 @@ inline CellMeasurement MeasureCell(const models::BenchmarkCell& cell) {
   core::PipelineOptions dp_only;
   dp_only.enable_rewriting = false;
   m.dp = core::Pipeline(dp_only).Run(m.graph);
-  if (m.dp.success) {
+  if (m.dp.status.ok()) {
     m.dp_arena =
         alloc::PlanArena(m.dp.scheduled_graph, m.dp.schedule).arena_bytes;
   }
 
   m.dp_rw = core::Pipeline().Run(m.graph);
-  if (m.dp_rw.success) {
+  if (m.dp_rw.status.ok()) {
     m.dp_rw_arena =
         alloc::PlanArena(m.dp_rw.scheduled_graph, m.dp_rw.schedule)
             .arena_bytes;

@@ -30,7 +30,7 @@ bool PrintFigure(const std::string& json_path) {
   bench::JsonRows rows;
   for (const models::BenchmarkCell& cell : models::AllBenchmarkCells()) {
     const bench::CellMeasurement m = bench::MeasureCell(cell);
-    if (!m.dp.success || !m.dp_rw.success) {
+    if (!m.dp.status.ok() || !m.dp_rw.status.ok()) {
       std::printf("%-32s  scheduling failed\n",
                   bench::CellLabel(cell).c_str());
       continue;

@@ -43,7 +43,7 @@ bool PrintFigure(const std::string& json_path) {
   std::vector<std::vector<double>> ratios_per_cap(Capacities().size());
   for (const models::BenchmarkCell& cell : models::AllBenchmarkCells()) {
     const bench::CellMeasurement m = bench::MeasureCell(cell);
-    if (!m.dp.success || !m.dp_rw.success) continue;
+    if (!m.dp.status.ok() || !m.dp_rw.status.ok()) continue;
     std::printf("%-32s", bench::CellLabel(cell).c_str());
     for (std::size_t i = 0; i < Capacities().size(); ++i) {
       memsim::SimOptions options;

@@ -24,7 +24,7 @@ double MedianSeconds(const graph::Graph& g, bool rewriting) {
   std::vector<double> runs;
   for (int i = 0; i < 3; ++i) {
     const core::PipelineResult r = core::Pipeline(options).Run(g);
-    if (!r.success) return -1.0;
+    if (!r.status.ok()) return -1.0;
     runs.push_back(r.total_seconds);
   }
   return util::Percentile(runs, 50);

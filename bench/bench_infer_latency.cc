@@ -27,6 +27,7 @@
 #include "bench_common.h"
 #include "runtime/executor.h"
 #include "runtime/kernel_backend.h"
+#include "serialize/plan.h"
 #include "serve/inference_session.h"
 #include "testing/alloc_counter.h"
 #include "testing/runtime_inputs.h"
@@ -71,8 +72,8 @@ CellRun MeasureCell(serve::SchedulerService& service,
   run.nodes = static_cast<std::int64_t>(certify.plan().plan.schedule.size());
   run.arena_bytes = certify.arena_bytes();
   run.touched_peak_bytes = certify.executor().touched_peak_bytes();
-  run.plan_text_bytes =
-      static_cast<std::int64_t>(certify.plan().plan_text.size());
+  run.plan_text_bytes = static_cast<std::int64_t>(
+      serialize::PlanToText(certify.plan().plan).size());
   SERENITY_CHECK_EQ(run.touched_peak_bytes, run.arena_bytes)
       << run.label << ": an inference did not touch the planned peak";
 

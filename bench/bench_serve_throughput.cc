@@ -87,7 +87,7 @@ bool RunServeBench(const std::string& json_path) {
     SERENITY_CHECK(warm.plan->result.schedule == fresh.schedule)
         << g.name() << ": cached schedule diverged from a fresh run";
     SERENITY_CHECK_EQ(warm.plan->result.peak_bytes, fresh.peak_bytes);
-    SERENITY_CHECK(warm.plan->plan_text ==
+    SERENITY_CHECK(serialize::PlanToText(warm.plan->plan) ==
                    serialize::PlanToText(serialize::MakePlan(
                        fresh.scheduled_graph, fresh.schedule)))
         << g.name() << ": cached arena plan diverged from a fresh run";
@@ -160,7 +160,8 @@ bool RunServeBench(const std::string& json_path) {
                static_cast<std::int64_t>(plan.plan.arena.placements.size()));
     rows.Field("states_expanded", plan.result.states_expanded);
     rows.Field("plan_text_bytes",
-               static_cast<std::int64_t>(plan.plan_text.size()));
+               static_cast<std::int64_t>(
+                   serialize::PlanToText(plan.plan).size()));
   }
   if (!json_path.empty()) return rows.WriteTo(json_path);
   return true;

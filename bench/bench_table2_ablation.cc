@@ -57,9 +57,9 @@ void RunConfiguration(const graph::Graph& g, bool rewriting,
     const core::PipelineResult r = core::Pipeline(options).Run(g);
     const double seconds = clock.ElapsedSeconds();
     const std::string time_text =
-        r.success ? std::to_string(seconds).substr(0, 8) + "s" : "N/A";
+        r.status.ok() ? std::to_string(seconds).substr(0, 8) + "s" : "N/A";
     const std::string states_text =
-        r.success ? std::to_string(r.states_expanded) : "-";
+        r.status.ok() ? std::to_string(r.states_expanded) : "-";
     std::printf("  %-48s %3d=%-16s %10s %12s\n", row.label,
                 r.scheduled_graph.num_nodes(),
                 PartitionString(r.segment_sizes).c_str(), time_text.c_str(),
@@ -70,8 +70,8 @@ void RunConfiguration(const graph::Graph& g, bool rewriting,
     json->Field("nodes",
                 static_cast<std::int64_t>(r.scheduled_graph.num_nodes()));
     json->Field("partitions", PartitionString(r.segment_sizes));
-    json->Field("success", static_cast<std::int64_t>(r.success));
-    if (r.success) {
+    json->Field("success", static_cast<std::int64_t>(r.status.ok()));
+    if (r.status.ok()) {
       json->Field("seconds", seconds);
       json->Field("states_expanded", r.states_expanded);
     }

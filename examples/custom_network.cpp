@@ -73,9 +73,9 @@ int main(int argc, char** argv) {
 
   // 2. Schedule it.
   const auto result = serenity::core::Pipeline().Run(net);
-  if (!result.success) {
+  if (!result.status.ok()) {
     std::fprintf(stderr, "scheduling failed: %s\n",
-                 result.failure_reason.c_str());
+                 result.status.ToString().c_str());
     return 1;
   }
   std::printf("SERENITY peak activation footprint: %.1f KB\n",

@@ -55,9 +55,9 @@ int main(int argc, char** argv) {
   serenity::core::PipelineOptions options;
   options.soft_budget.step_timeout_seconds = 1.0;
   const auto result = serenity::core::Pipeline(options).Run(network);
-  if (!result.success) {
+  if (!result.status.ok()) {
     std::fprintf(stderr, "scheduling failed: %s\n",
-                 result.failure_reason.c_str());
+                 result.status.ToString().c_str());
     return 1;
   }
   const auto plan =

@@ -60,9 +60,9 @@ int main() {
   serenity::core::PipelineOptions dp_only;
   dp_only.enable_rewriting = false;
   const auto dp_result = serenity::core::Pipeline(dp_only).Run(network);
-  if (!dp_result.success) {
+  if (!dp_result.status.ok()) {
     std::fprintf(stderr, "scheduling failed: %s\n",
-                 dp_result.failure_reason.c_str());
+                 dp_result.status.ToString().c_str());
     return 1;
   }
   std::printf("SERENITY (DP) peak footprint: %8.1f KB  (%.2fx reduction)\n",
@@ -72,9 +72,9 @@ int main() {
 
   // Full SERENITY: identity graph rewriting + DP scheduling.
   const auto full_result = serenity::core::Pipeline().Run(network);
-  if (!full_result.success) {
+  if (!full_result.status.ok()) {
     std::fprintf(stderr, "scheduling failed: %s\n",
-                 full_result.failure_reason.c_str());
+                 full_result.status.ToString().c_str());
     return 1;
   }
   std::printf("SERENITY (DP+rewriting)     : %8.1f KB  (%.2fx reduction)\n",

@@ -54,9 +54,9 @@ int main(int argc, char** argv) {
   }
 
   const auto serenity_result = serenity::core::Pipeline().Run(g);
-  if (!serenity_result.success) {
+  if (!serenity_result.status.ok()) {
     std::fprintf(stderr, "SERENITY failed: %s\n",
-                 serenity_result.failure_reason.c_str());
+                 serenity_result.status.ToString().c_str());
     return 1;
   }
   std::printf("%-28s %12.1f   (optimal, %.3fs)\n", "SERENITY",

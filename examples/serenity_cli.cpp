@@ -58,9 +58,9 @@ int CmdSchedule(const std::string& path, std::int64_t budget_kb,
               Kb(serenity::sched::PeakFootprint(g, baseline)));
 
   const auto result = serenity::core::Pipeline().Run(g);
-  if (!result.success) {
+  if (!result.status.ok()) {
     std::fprintf(stderr, "scheduling failed: %s\n",
-                 result.failure_reason.c_str());
+                 result.status.ToString().c_str());
     return 1;
   }
   std::printf("SERENITY peak          : %10.1f KB (%.3fs, %llu states)\n",

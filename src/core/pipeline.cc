@@ -57,6 +57,26 @@ std::int64_t SeedIncumbent(const graph::Graph& segment, int beam_width,
   return incumbent;
 }
 
+// The one mapping from a segment search's outcome to a failure code. A
+// timeout or exhausted byte budget is degradable (beam/greedy still satisfy
+// the caller); kCancelled fails cleanly (the caller left). kNoSolution
+// cannot happen: no τ is set outside soft budgeting, and the incumbent is
+// an achievable peak, so it never prunes the optimum away.
+util::Status SegmentStatus(const std::string& segment_name,
+                           DpStatus status) {
+  const std::string message = "segment '" + segment_name +
+                              "' did not converge: " + ToString(status);
+  switch (status) {
+    case DpStatus::kSolution: return util::OkStatus();
+    case DpStatus::kCancelled: return util::CancelledError(message);
+    case DpStatus::kResourceExhausted:
+      return util::ResourceExhaustedError(message);
+    case DpStatus::kTimeout: return util::DeadlineExceededError(message);
+    case DpStatus::kNoSolution: break;
+  }
+  return util::InternalError(message);
+}
+
 }  // namespace
 
 PipelineResult Pipeline::Run(const graph::Graph& graph) const {
@@ -109,20 +129,24 @@ PipelineResult Pipeline::Run(const graph::Graph& graph) const {
   result.partition_seconds = stage_clock.ElapsedSeconds();
 
   // Stage 3: schedule each segment (conquer), then combine. A blown
-  // deadline (real or injected) either degrades — beam/greedy over the
-  // whole rewritten graph, always feasible — or fails, per options.
+  // deadline (real or injected) or memory budget either degrades —
+  // beam/greedy over the whole rewritten graph, always feasible — or
+  // fails, per options; a cancel always fails.
   stage_clock.Restart();
-  bool deadline_blown = injected_timeout || remaining() <= 0;
-  bool memory_blown = false;   // kResourceExhausted: degradable like time
-  bool cancelled = false;      // kCancelled: clean failure, never degrade
-  bool infeasible = false;  // kNoSolution: degradation cannot help
-  std::string segment_failure;
+  const auto deadline_expired = [&] {
+    return util::DeadlineExceededError(
+        "deadline of " + std::to_string(deadline) +
+        "s expired before scheduling completed");
+  };
+  util::Status status;  // the first failure; OK while segments converge
+  if (injected_timeout || remaining() <= 0) status = deadline_expired();
+  std::int64_t best_seed_bytes = kNoBudget;  // cheapest seed, any segment
   std::vector<sched::Schedule> segment_schedules;
   segment_schedules.reserve(partition.segments.size());
   for (const Segment& segment : partition.segments) {
-    if (deadline_blown || memory_blown) break;
+    if (!status.ok()) break;
     if (options_.cancel != nullptr && options_.cancel->cancelled()) {
-      cancelled = true;
+      status = util::CancelledError("planning cancelled by the caller");
       break;
     }
     // Branch-and-bound seeding (strict pruning: same peak, same schedule,
@@ -132,12 +156,9 @@ PipelineResult Pipeline::Run(const graph::Graph& graph) const {
       incumbent =
           SeedIncumbent(segment.subgraph, options_.incumbent_beam_width,
                         options_.memory_budget, options_.cancel);
-      result.incumbent_seed_bytes =
-          result.incumbent_seed_bytes < 0
-              ? incumbent
-              : std::min(result.incumbent_seed_bytes, incumbent);
+      best_seed_bytes = std::min(best_seed_bytes, incumbent);
     }
-    DpStatus status;
+    DpStatus dp_status;
     sched::Schedule schedule;
     if (options_.enable_soft_budgeting) {
       SoftBudgetOptions sb_options = options_.soft_budget;
@@ -156,14 +177,12 @@ PipelineResult Pipeline::Run(const graph::Graph& graph) const {
       result.pruned += sb.TotalPruned();
       result.max_level_states =
           std::max(result.max_level_states, sb.max_level_states);
-      status = sb.status;
+      dp_status = sb.status;
       schedule = std::move(sb.schedule);
     } else {
-      DpOptions dp_options = options_.dp;
-      dp_options.incumbent_bytes =
-          std::min(dp_options.incumbent_bytes, incumbent);
-      dp_options.step_timeout_seconds =
-          std::min(dp_options.step_timeout_seconds, remaining());
+      DpOptions dp_options;
+      dp_options.incumbent_bytes = incumbent;
+      dp_options.step_timeout_seconds = remaining();
       dp_options.memory_budget = options_.memory_budget;
       dp_options.cancel = options_.cancel;
       DpResult dp = ScheduleDp(segment.subgraph, dp_options);
@@ -172,65 +191,36 @@ PipelineResult Pipeline::Run(const graph::Graph& graph) const {
       result.pruned += dp.pruned;
       result.max_level_states =
           std::max(result.max_level_states, dp.max_level_states);
-      status = dp.status;
+      dp_status = dp.status;
       schedule = std::move(dp.schedule);
     }
-    if (status != DpStatus::kSolution) {
-      // A timeout or exhausted byte budget is degradable (beam/greedy
-      // still satisfy the caller); kCancelled fails cleanly (the caller
-      // left); kNoSolution means the hard budget itself is infeasible —
-      // no fallback schedule could honor it either, so fail cleanly.
-      switch (status) {
-        case DpStatus::kNoSolution: infeasible = true; break;
-        case DpStatus::kCancelled: cancelled = true; break;
-        case DpStatus::kResourceExhausted: memory_blown = true; break;
-        default: deadline_blown = true; break;
-      }
-      segment_failure = "segment '" + segment.subgraph.name() +
-                        "' did not converge: " + ToString(status);
-      break;
-    }
+    status = SegmentStatus(segment.subgraph.name(), dp_status);
+    if (!status.ok()) break;
     segment_schedules.push_back(std::move(schedule));
-    if (remaining() <= 0) deadline_blown = true;
+    if (remaining() <= 0) status = deadline_expired();
   }
 
-  if (cancelled) {
-    // Clean failure: the requester is gone, so degrading would burn work
-    // nobody reads. Partial levels were unwound (and their budget charges
-    // refunded) inside the aborted search.
-    result.cancelled = true;
-    result.failure_reason = !segment_failure.empty()
-                                ? segment_failure
-                                : "planning cancelled by the caller";
-    result.schedule_seconds = stage_clock.ElapsedSeconds();
-    result.total_seconds = total_clock.ElapsedSeconds();
-    return result;
-  }
-
-  if (infeasible) {
-    result.failure_reason = segment_failure;
-    result.schedule_seconds = stage_clock.ElapsedSeconds();
-    result.total_seconds = total_clock.ElapsedSeconds();
-    return result;
-  }
-
-  if (deadline_blown || memory_blown) {
-    result.deadline_exceeded = deadline_blown;
-    result.memory_exhausted = memory_blown;
-    if (!options_.degrade_on_deadline) {
-      result.failure_reason =
-          !segment_failure.empty()
-              ? segment_failure
-              : "deadline of " + std::to_string(deadline) +
-                    "s expired before scheduling completed";
-      result.schedule_seconds = stage_clock.ElapsedSeconds();
-      result.total_seconds = total_clock.ElapsedSeconds();
-      return result;
-    }
+  const bool degradable =
+      status.code() == util::StatusCode::kDeadlineExceeded ||
+      status.code() == util::StatusCode::kResourceExhausted;
+  if (status.ok()) {
+    result.schedule = CombineSegmentSchedules(partition, segment_schedules);
+    SERENITY_CHECK(
+        sched::IsTopologicalOrder(result.scheduled_graph, result.schedule))
+        << "combined schedule is not a valid topological order";
+    result.peak_bytes =
+        sched::PeakFootprint(result.scheduled_graph, result.schedule);
+    result.best_known_peak_bytes = result.peak_bytes;
+  } else if (degradable && options_.degrade_on_deadline) {
     // Degradation ladder: beam, then the greedy floor, over the whole
     // rewritten graph (partial segment schedules are discarded — both
     // fallbacks are orders of magnitude cheaper than what just timed
     // out). The better peak wins; quality records the winning rung.
+    result.degrade_reason =
+        status.code() == util::StatusCode::kResourceExhausted
+            ? DegradeReason::kMemory
+            : DegradeReason::kDeadline;
+    status = util::OkStatus();
     const sched::Schedule greedy =
         sched::GreedyMemorySchedule(result.scheduled_graph);
     const std::int64_t greedy_peak =
@@ -238,7 +228,7 @@ PipelineResult Pipeline::Run(const graph::Graph& graph) const {
     result.schedule = greedy;
     result.peak_bytes = greedy_peak;
     result.quality = PlanQuality::kGreedy;
-    result.best_known_peak_bytes = greedy_peak;
+    result.best_known_peak_bytes = std::min(greedy_peak, best_seed_bytes);
     sched::BeamOptions beam_options;
     beam_options.width = kDegradedBeamWidth;
     beam_options.memory_budget = options_.memory_budget;
@@ -258,31 +248,16 @@ PipelineResult Pipeline::Run(const graph::Graph& graph) const {
         result.quality = PlanQuality::kBeam;
       }
     }
-    if (result.incumbent_seed_bytes >= 0) {
-      result.best_known_peak_bytes = std::min(result.best_known_peak_bytes,
-                                              result.incumbent_seed_bytes);
-    }
-    result.degraded = true;
-    result.success = true;
-    result.schedule_seconds = stage_clock.ElapsedSeconds();
-    result.total_seconds = total_clock.ElapsedSeconds();
     SERENITY_CHECK(
         sched::IsTopologicalOrder(result.scheduled_graph, result.schedule))
         << "degraded schedule is not a valid topological order";
-    return result;
   }
-
-  result.schedule = CombineSegmentSchedules(partition, segment_schedules);
+  // A cancel (the requester is gone, so degrading would burn work nobody
+  // reads) or an undegradable failure leaves the schedule empty. Partial
+  // levels were unwound, and their budget charges refunded, inside the
+  // aborted search.
+  result.status = std::move(status);
   result.schedule_seconds = stage_clock.ElapsedSeconds();
-
-  SERENITY_CHECK(
-      sched::IsTopologicalOrder(result.scheduled_graph, result.schedule))
-      << "combined schedule is not a valid topological order";
-  result.peak_bytes =
-      sched::PeakFootprint(result.scheduled_graph, result.schedule);
-  result.quality = PlanQuality::kExact;
-  result.best_known_peak_bytes = result.peak_bytes;
-  result.success = true;
   result.total_seconds = total_clock.ElapsedSeconds();
   return result;
 }

@@ -5,11 +5,15 @@
 //
 // Pipeline::Run is the one-call public entry point used by the examples and
 // benches; each stage can be toggled for the ablations in Table 2/Figure 13.
+// Its outcome is PipelineResult::status: Run is the only code that turns a
+// search's DpStatus into a failure code, and callers (the serving layer
+// included) pass that Status on instead of re-deriving it. A run that
+// degrades under deadline or memory pressure is OK, tagged with the
+// PlanQuality of its fallback and the DegradeReason that forced it.
 #ifndef SERENITY_CORE_PIPELINE_H_
 #define SERENITY_CORE_PIPELINE_H_
 
 #include <limits>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,6 +23,7 @@
 #include "graph/graph.h"
 #include "rewrite/rewriter.h"
 #include "sched/schedule.h"
+#include "util/status.h"
 
 namespace serenity::core {
 
@@ -69,7 +74,7 @@ struct PipelineOptions {
   double deadline_seconds = std::numeric_limits<double>::infinity();
   // What to do when the deadline expires (or a segment search times out)
   // before the exact schedule lands. Off: Run fails with
-  // deadline_exceeded set. On: Run *degrades* instead of failing — it
+  // kDeadlineExceeded. On: Run *degrades* instead of failing — it
   // schedules the whole rewritten graph with a width-64 beam and the
   // greedy baseline (both always feasible), returns the better one, and
   // tags the result with its PlanQuality tier. Serving callers turn this
@@ -85,39 +90,42 @@ struct PipelineOptions {
   util::MemoryBudget* memory_budget = nullptr;
   // Cooperative cancellation, polled between segments and inside every
   // search at the step-timeout cadence. A cancelled run fails cleanly with
-  // `cancelled` set — it never degrades (nobody is waiting for the plan).
+  // kCancelled — it never degrades (nobody is waiting for the plan).
   const util::CancelToken* cancel = nullptr;
 
   rewrite::RewriteOptions rewrite;
   PartitionOptions partition;
+  // With soft budgeting disabled each segment runs plain Algorithm 1 with
+  // default DpOptions (no τ, the default state cap).
   SoftBudgetOptions soft_budget;
-  // Used when soft budgeting is disabled (plain Algorithm 1 per segment).
-  DpOptions dp;
+};
+
+// Why a degraded run degraded (kNone when the exact search finished).
+enum class DegradeReason {
+  kNone = 0,
+  kDeadline,  // the wall-clock deadline or a search's step limit expired
+  kMemory,    // the memory budget denied a charge mid-search
 };
 
 struct PipelineResult {
-  bool success = false;        // false iff some segment hit kTimeout
-  std::string failure_reason;  // human-readable, set when !success
+  // OK iff `schedule` is usable. Pipeline::Run is the one place a search
+  // outcome becomes a failure code: kCancelled when the cancel token fired
+  // (never degraded), kDeadlineExceeded when the deadline or a search's
+  // step limit or state cap cut the exact search, kResourceExhausted when
+  // the memory budget did — the last two only when degrade_on_deadline is
+  // off, since otherwise the run degrades and stays OK.
+  util::Status status;
 
   graph::Graph scheduled_graph;  // the (possibly rewritten) graph s* indexes
   sched::Schedule schedule;      // s*, over scheduled_graph's node ids
   std::int64_t peak_bytes = -1;  // µpeak of s* on scheduled_graph
 
-  // Which rung of the degradation ladder produced `schedule`. kExact unless
-  // the run degraded under deadline pressure (degrade_on_deadline).
+  // Which rung of the degradation ladder produced `schedule`; anything
+  // below kExact is a degraded (valid, feasible, possibly above µ*) plan.
   PlanQuality quality = PlanQuality::kExact;
-  // True when the run degraded instead of completing the exact search; the
-  // schedule is then valid and feasible but possibly above µ*.
-  bool degraded = false;
-  // True when the wall-clock deadline expired (set for both the degraded
-  // and the failed outcome).
-  bool deadline_exceeded = false;
-  // True when the memory budget denied a charge mid-search (set for both
-  // the degraded-on-memory and the failed outcome).
-  bool memory_exhausted = false;
-  // True when the cancel token fired: the run failed cleanly without
-  // degrading, and !success.
-  bool cancelled = false;
+  // Why the run degraded; kNone for exact plans. Like the timings below it
+  // describes the planning run, not the plan, and is not persisted.
+  DegradeReason degrade_reason = DegradeReason::kNone;
   // Lowest peak among every complete schedule this run computed (exact,
   // beam, greedy, incumbent seeds). For an exact run this equals
   // peak_bytes; for a degraded run it is the best-known achievable peak the
@@ -138,9 +146,6 @@ struct PipelineResult {
   PruneBreakdown pruned;
   // Widest sealed DP level across segments/attempts.
   std::uint64_t max_level_states = 0;
-  // Peak of the cheapest incumbent seed (greedy/beam) across segments — the
-  // bound the DP had to beat; -1 when seeding is off.
-  std::int64_t incumbent_seed_bytes = -1;
   double rewrite_seconds = 0.0;
   double partition_seconds = 0.0;
   double schedule_seconds = 0.0;

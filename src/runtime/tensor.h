@@ -52,10 +52,6 @@ class Tensor {
     span_elements_ = owned_.size();
   }
 
-  static Tensor Zeros(const graph::TensorShape& shape) {
-    return Tensor(shape);
-  }
-
   // Uniform values in [-scale, scale], deterministic from `rng`'s state.
   static Tensor Random(const graph::TensorShape& shape, util::Rng& rng,
                        float scale = 1.0f) {

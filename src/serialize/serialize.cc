@@ -113,8 +113,6 @@ std::string Field(const std::vector<std::string>& tokens,
   return "";
 }
 
-}  // namespace
-
 void WriteText(const graph::Graph& graph, std::ostream& os) {
   os << "# serenity graph v1\n";
   os << "graph " << EscapeName(graph.name()) << "\n";
@@ -138,6 +136,8 @@ void WriteText(const graph::Graph& graph, std::ostream& os) {
        << " wcount=" << n.weight_count << " axis=" << n.concat_axis << "\n";
   }
 }
+
+}  // namespace
 
 std::string ToText(const graph::Graph& graph) {
   std::ostringstream os;

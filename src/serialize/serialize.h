@@ -13,7 +13,6 @@
 #ifndef SERENITY_SERIALIZE_SERIALIZE_H_
 #define SERENITY_SERIALIZE_SERIALIZE_H_
 
-#include <iosfwd>
 #include <string>
 
 #include "graph/graph.h"
@@ -23,7 +22,6 @@ namespace serenity::serialize {
 
 // Writes `graph` in the text format above.
 std::string ToText(const graph::Graph& graph);
-void WriteText(const graph::Graph& graph, std::ostream& os);
 
 // Parses a graph from the text format. Dies (SERENITY_CHECK) on malformed
 // input; validates the result. For trusted inputs (files this process

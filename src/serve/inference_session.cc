@@ -13,7 +13,7 @@ InferenceSession::InferenceSession(std::shared_ptr<const CachedPlan> plan,
     : plan_(std::move(plan)) {
   SERENITY_CHECK(plan_ != nullptr)
       << "cannot open an inference session without a plan";
-  SERENITY_CHECK(plan_->result.success);
+  SERENITY_CHECK(plan_->result.status.ok());
   executor_ = std::make_unique<runtime::ArenaExecutor>(
       plan_->result.scheduled_graph, plan_->plan, options.executor);
 }

@@ -26,7 +26,6 @@ std::int64_t CachedPlanBytes(const CachedPlan& plan) {
            static_cast<std::int64_t>(sizeof(alloc::BufferPlacement));
   bytes += static_cast<std::int64_t>(
       plan.plan.arena.highwater_at_step.size() * sizeof(std::int64_t));
-  bytes += static_cast<std::int64_t>(plan.plan_text.size());
   for (const graph::Node& node : g.nodes()) {
     bytes += static_cast<std::int64_t>(node.name.size() +
                                        node.inputs.size() *
@@ -59,7 +58,8 @@ std::shared_ptr<const CachedPlan> PlanCache::Insert(
 util::StatusOr<std::shared_ptr<const CachedPlan>> PlanCache::InsertGoverned(
     const graph::GraphHash& hash, core::PipelineResult result,
     util::MemoryBudget* budget) {
-  SERENITY_CHECK(result.success) << "only successful results are cacheable";
+  SERENITY_CHECK(result.status.ok())
+      << "only successful results are cacheable";
   auto plan = std::make_shared<CachedPlan>();
   plan->hash = hash;
   plan->result = std::move(result);
@@ -67,7 +67,6 @@ util::StatusOr<std::shared_ptr<const CachedPlan>> PlanCache::InsertGoverned(
       plan->result.scheduled_graph, plan->result.schedule, budget);
   if (!exec.ok()) return exec.status();
   plan->plan = *std::move(exec);
-  plan->plan_text = serialize::PlanToText(plan->plan);
   plan->quality = plan->result.quality;
 
   std::lock_guard<std::mutex> lock(mu_);
@@ -208,11 +207,11 @@ util::Status PlanCache::SaveToFile(const std::string& path) const {
   for (const auto& plan : snapshot) {
     const std::string graph_text =
         serialize::ToText(plan->result.scheduled_graph);
+    const std::string plan_text = serialize::PlanToText(plan->plan);
     const std::string metadata = EntryMetadataCanonical(
-        plan->hash.ToHex(), graph_text.size(), plan->plan_text.size(),
+        plan->hash.ToHex(), graph_text.size(), plan_text.size(),
         plan->result, plan->quality, plan->peak_delta_bytes);
-    const std::uint32_t crc =
-        EntryCrc(metadata, graph_text, plan->plan_text);
+    const std::uint32_t crc = EntryCrc(metadata, graph_text, plan_text);
     char crc_hex[16];
     std::snprintf(crc_hex, sizeof(crc_hex), "%08x", crc);
     // The crc field sits fourth (after the payload sizes) so a loader can
@@ -224,7 +223,7 @@ util::Status PlanCache::SaveToFile(const std::string& path) const {
     std::getline(meta_fields, tail);  // leading space included
     os << "entry " << hash_hex << " " << graph_size << " " << plan_size
        << " " << crc_hex << tail << "\n"
-       << graph_text << plan->plan_text;
+       << graph_text << plan_text;
   }
   return serialize::AtomicWriteFile(path, os.str());
 }
@@ -346,7 +345,8 @@ util::StatusOr<CacheLoadReport> PlanCache::LoadFromFile(
       continue;
     }
     const std::string graph_text = text.substr(payload_at, graph_bytes);
-    std::string plan_text = text.substr(payload_at + graph_bytes, plan_bytes);
+    const std::string plan_text =
+        text.substr(payload_at + graph_bytes, plan_bytes);
 
     // Integrity gate: recompute the CRC over the canonical metadata and the
     // payloads. Only verified bytes reach the parsers below.
@@ -377,11 +377,8 @@ util::StatusOr<CacheLoadReport> PlanCache::LoadFromFile(
     }
     plan->plan = std::move(parsed).value();
     r.schedule = plan->plan.schedule;
-    r.success = true;
-    r.degraded = r.quality != core::PlanQuality::kExact;
     plan->quality = r.quality;
     plan->peak_delta_bytes = peak_delta;
-    plan->plan_text = std::move(plan_text);
     plan->bytes = CachedPlanBytes(*plan);
     loaded.push_back(std::move(plan));
     ++report.entries_loaded;

@@ -4,12 +4,15 @@
 // the resulting schedule + arena plan is then reused across millions of
 // inferences. The cache maps CanonicalGraphHash (graph/canonical_hash.h) to
 // an immutable CachedPlan holding the full PipelineResult plus its
-// serialized execution plan (serialize/plan.h), so a hit serves in O(hash +
-// lookup) and hands the caller the exact artifact an edge runtime consumes.
+// execution plan (serialize/plan.h), so a hit serves in O(hash + lookup)
+// and hands the caller the exact artifact an edge runtime consumes. The
+// plan's text form is not kept: SaveToFile serializes it when it writes,
+// and callers that want the text call serialize::PlanToText themselves.
 //
 // Eviction is LRU bounded by a byte budget: every entry is charged its
-// retained footprint (graph nodes, schedule, placements, serialized texts)
-// and least-recently-served entries are dropped until the budget holds.
+// retained footprint (graph nodes and names, both schedules, placements,
+// the arena high-water trace) and least-recently-served entries are
+// dropped until the budget holds.
 // Lookups and inserts are thread-safe; returned plans are shared_ptr<const>
 // snapshots, so an entry evicted mid-use stays alive for its holders.
 //
@@ -22,8 +25,8 @@
 // verifies it *before* parsing, quarantines-and-skips entries that fail
 // (resynchronizing at the next "entry " record), and reports how many were
 // loaded vs quarantined — a torn write or bit flip costs one entry, not the
-// warm start. Search timings are not persisted — they describe the planning
-// run, not the plan — and load as zero.
+// warm start. Search timings and the degrade reason are not persisted —
+// they describe the planning run, not the plan — and load as zero/kNone.
 #ifndef SERENITY_SERVE_PLAN_CACHE_H_
 #define SERENITY_SERVE_PLAN_CACHE_H_
 
@@ -44,8 +47,7 @@ namespace serenity::serve {
 
 struct CachedPlan {
   graph::GraphHash hash;
-  core::PipelineResult result;  // success is always true for cached entries
-  std::string plan_text;        // serialize::PlanToText of `plan`
+  core::PipelineResult result;  // status is always OK for cached entries
   serialize::ExecutionPlan plan;  // arena plan over result.scheduled_graph
   std::int64_t bytes = 0;       // retained-footprint charge for eviction
   // Which rung of the degradation ladder produced this plan. Anything below
@@ -92,12 +94,11 @@ class PlanCache {
   // Returns the cached plan and bumps it most-recently-used, or nullptr.
   std::shared_ptr<const CachedPlan> Lookup(const graph::GraphHash& hash);
 
-  // Builds a CachedPlan from a successful pipeline run (serializes the
-  // execution plan internally), inserts it and returns it. Replaces any
-  // existing entry for `hash`; evicts LRU entries beyond the byte budget.
-  // Degradation metadata (quality, peak delta) is carried over from
-  // `result`. Dies if `result.success` is false — failures are not
-  // cacheable.
+  // Builds a CachedPlan from a successful pipeline run (plans its arena
+  // internally), inserts it and returns it. Replaces any existing entry
+  // for `hash`; evicts LRU entries beyond the byte budget. Degradation
+  // metadata (quality, peak delta) is carried over from `result`. Dies if
+  // `result.status` is not OK — failures are not cacheable.
   std::shared_ptr<const CachedPlan> Insert(const graph::GraphHash& hash,
                                            core::PipelineResult result);
 

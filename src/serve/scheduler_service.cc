@@ -92,8 +92,6 @@ Submission SchedulerService::Submit(const graph::Graph& graph,
     ServeResult ready_result;
     ready_result.hash = submission.hash;
     ready_result.cache_hit = true;
-    ready_result.quality = plan->quality;
-    ready_result.peak_delta_bytes = plan->peak_delta_bytes;
     ready_result.plan = std::move(plan);
     std::promise<ServeResult> ready;
     ready.set_value(std::move(ready_result));
@@ -164,7 +162,6 @@ void SchedulerService::RunRequestJob(Job job) {
       job.request.deadline_seconds -
       std::chrono::duration<double>(Clock::now() - job.submitted).count();
 
-  bool enqueue_upgrade = false;
   try {
     // Fault-injection point: a worker-thread exception must fail this one
     // request with a clean Status and leave the worker serving.
@@ -183,10 +180,7 @@ void SchedulerService::RunRequestJob(Job job) {
       popts.memory_budget = options_.planning_budget;
       if (job.flight != nullptr) popts.cancel = &job.flight->token;
       core::PipelineResult planned = core::Pipeline(popts).Run(job.graph);
-      if (planned.success) {
-        result.quality = planned.quality;
-        const bool degraded = planned.degraded;
-        const bool on_memory = planned.memory_exhausted;
+      if (planned.status.ok()) {
         // Arena planning for the cache entry is governed too: a budget
         // refusal here sheds the request rather than allocating past the
         // governor on the way into the cache.
@@ -195,21 +189,11 @@ void SchedulerService::RunRequestJob(Job job) {
                                   options_.planning_budget);
         if (inserted.ok()) {
           result.plan = std::move(inserted).value();
-          result.peak_delta_bytes = result.plan->peak_delta_bytes;
-          result.degraded_on_memory = degraded && on_memory;
-          enqueue_upgrade = degraded && options_.upgrade_degraded_plans;
         } else {
           result.status = inserted.status();
         }
-      } else if (planned.cancelled) {
-        result.status = util::CancelledError(planned.failure_reason);
-      } else if (planned.memory_exhausted) {
-        result.status = util::ResourceExhaustedError(planned.failure_reason);
-      } else if (planned.deadline_exceeded) {
-        result.status =
-            util::DeadlineExceededError(planned.failure_reason);
       } else {
-        result.status = util::InternalError(planned.failure_reason);
+        result.status = std::move(planned.status);
       }
     }
   } catch (const std::exception& e) {
@@ -225,18 +209,21 @@ void SchedulerService::RunRequestJob(Job job) {
     std::lock_guard<std::mutex> lock(mu_);
     if (result.plan != nullptr) {
       ++counters_.planned;
-      if (result.quality != core::PlanQuality::kExact) {
+      if (result.plan->quality != core::PlanQuality::kExact) {
         ++counters_.degraded_plans;
+        if (result.plan->result.degrade_reason ==
+            core::DegradeReason::kMemory) {
+          ++counters_.degraded_on_memory;
+        }
+        if (options_.upgrade_degraded_plans && !stopping_) {
+          EnqueueUpgradeLocked(job.hash, job.graph);
+        }
       }
-      if (result.degraded_on_memory) ++counters_.degraded_on_memory;
     } else {
       ++counters_.failures;
       if (result.status.code() == util::StatusCode::kCancelled) {
         ++counters_.cancelled;
       }
-    }
-    if (enqueue_upgrade && !stopping_) {
-      EnqueueUpgradeLocked(job.hash, job.graph);
     }
     in_flight_.erase(job.hash);
   }
@@ -267,7 +254,7 @@ void SchedulerService::RunUpgradeJob(Job job) {
     // Upgrades run under the same governor as foreground planning.
     popts.memory_budget = options_.planning_budget;
     core::PipelineResult planned = core::Pipeline(popts).Run(job.graph);
-    if (planned.success && !planned.degraded) {
+    if (planned.status.ok()) {  // no degradation: OK means exact
       // Replace only while the entry is still degraded (or evicted): a
       // concurrent exact plan must not be clobbered.
       const std::shared_ptr<const CachedPlan> current =

@@ -113,16 +113,13 @@ struct ServeResult {
   std::shared_ptr<const CachedPlan> plan;
   bool cache_hit = false;   // path 1: served from cache, no wait
   bool coalesced = false;   // path 2: waited on another request's planning
-  // OK whenever `plan` is non-null. kDeadlineExceeded when the deadline
-  // expired and degradation was disallowed (or even the fallbacks could
-  // not run); kInternal for planner failures and worker exceptions.
+  // OK whenever `plan` is non-null; otherwise the planning run's own
+  // PipelineResult::status, or the service's: kDeadlineExceeded when the
+  // deadline expired before planning started, kResourceExhausted for an
+  // admission shed or a governed cache insert the budget refused, kInternal
+  // for worker exceptions. The served plan's degradation metadata lives on
+  // the plan (plan->quality, plan->peak_delta_bytes, plan->result).
   util::Status status;
-  // Degradation metadata of the served plan (kExact / 0 when exact).
-  core::PlanQuality quality = core::PlanQuality::kExact;
-  std::int64_t peak_delta_bytes = 0;
-  // True when the served plan degraded because the memory governor (not
-  // the deadline) cut the exact search.
-  bool degraded_on_memory = false;
 };
 
 // An in-flight submission. `cache_hit`/`coalesced` describe *this*

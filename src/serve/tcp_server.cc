@@ -389,7 +389,7 @@ wire::Reply TcpServer::HandlePlan(const wire::Request& request, int fd) {
   }
   wire::AppendU64(&reply.body, result.hash.hi);
   wire::AppendU64(&reply.body, result.hash.lo);
-  wire::AppendU8(&reply.body, static_cast<std::uint8_t>(result.quality));
+  wire::AppendU8(&reply.body, static_cast<std::uint8_t>(result.plan->quality));
   wire::AppendU8(&reply.body, result.cache_hit ? 1 : 0);
   wire::AppendU64(&reply.body, static_cast<std::uint64_t>(
                                    result.plan->plan.arena.arena_bytes));

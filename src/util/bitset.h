@@ -26,10 +26,6 @@ namespace serenity::util {
 // exactly as Bitset64 guarantees for its own storage.
 // ---------------------------------------------------------------------------
 
-inline bool SpanTestBit(const std::uint64_t* words, std::size_t pos) {
-  return (words[pos >> 6] >> (pos & 63)) & 1u;
-}
-
 inline void SpanSetBit(std::uint64_t* words, std::size_t pos) {
   words[pos >> 6] |= (std::uint64_t{1} << (pos & 63));
 }

@@ -35,7 +35,7 @@ void ExpectBitIdentical(const std::vector<Tensor>& a,
 TEST(ArenaExecutor, BitIdenticalToReferenceOnPipelinePlan) {
   const graph::Graph g = models::MakeSwiftNet();
   const core::PipelineResult r = core::Pipeline().Run(g);
-  ASSERT_TRUE(r.success);
+  ASSERT_TRUE(r.status.ok());
   const serialize::ExecutionPlan plan =
       serialize::MakePlan(r.scheduled_graph, r.schedule);
 
@@ -83,7 +83,7 @@ TEST(ArenaExecutor, TouchedPeakEqualsPlannedArena) {
 TEST(ArenaExecutor, ZeroHeapAllocationsPerInference) {
   const graph::Graph g = models::MakeSwiftNetCellA();
   const core::PipelineResult r = core::Pipeline().Run(g);
-  ASSERT_TRUE(r.success);
+  ASSERT_TRUE(r.status.ok());
   const serialize::ExecutionPlan plan =
       serialize::MakePlan(r.scheduled_graph, r.schedule);
   const std::vector<Tensor> inputs =

@@ -117,7 +117,7 @@ TEST(BnbProperty, PipelineBitIdenticalWithPruningOnPaperCells) {
   for (const models::BenchmarkCell& cell : models::AllBenchmarkCells()) {
     const graph::Graph g = cell.factory();
     const PipelineResult off = off_pipeline.Run(g);
-    ASSERT_TRUE(off.success) << cell.name << ": " << off.failure_reason;
+    ASSERT_TRUE(off.status.ok()) << cell.name << ": " << off.status.ToString();
     EXPECT_EQ(off.quality, PlanQuality::kExact) << cell.name;
     EXPECT_EQ(off.states_pruned_by_bound, 0u) << cell.name;
     // The seed width only moves the incumbent, never the answer.
@@ -127,7 +127,7 @@ TEST(BnbProperty, PipelineBitIdenticalWithPruningOnPaperCells) {
       const PipelineResult on = Pipeline(on_options).Run(g);
       const std::string ctx =
           cell.group + "/" + cell.name + " width " + std::to_string(width);
-      ASSERT_TRUE(on.success) << ctx << ": " << on.failure_reason;
+      ASSERT_TRUE(on.status.ok()) << ctx << ": " << on.status.ToString();
       EXPECT_EQ(on.quality, PlanQuality::kExact) << ctx;
       EXPECT_EQ(on.peak_bytes, off.peak_bytes) << ctx;
       EXPECT_EQ(on.schedule, off.schedule) << ctx;

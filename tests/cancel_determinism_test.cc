@@ -81,8 +81,8 @@ TEST(CancelDeterminism, CancelThenRetryIsBitIdenticalAcrossThousandGraphs) {
 }
 
 // A token fired *before* the run starts must cancel on the first poll and
-// leave nothing behind; the pipeline surfaces it as a clean failure with
-// `cancelled` set and never degrades (nobody is waiting for the plan).
+// leave nothing behind; the pipeline surfaces it as a clean kCancelled
+// failure and never degrades (nobody is waiting for the plan).
 TEST(CancelDeterminism, PreCancelledPipelineFailsCleanlyAndRetryMatches) {
   util::Rng rng(99);
   const graph::Graph g =
@@ -91,19 +91,19 @@ TEST(CancelDeterminism, PreCancelledPipelineFailsCleanlyAndRetryMatches) {
   PipelineOptions options;
   options.degrade_on_deadline = true;  // must NOT be taken for a cancel
   const PipelineResult baseline = Pipeline(options).Run(g);
-  ASSERT_TRUE(baseline.success);
+  ASSERT_TRUE(baseline.status.ok());
 
   util::CancelToken token;
   token.Cancel();
   PipelineOptions cancelled_options = options;
   cancelled_options.cancel = &token;
   const PipelineResult cancelled = Pipeline(cancelled_options).Run(g);
-  EXPECT_FALSE(cancelled.success);
-  EXPECT_TRUE(cancelled.cancelled);
-  EXPECT_FALSE(cancelled.degraded);
+  EXPECT_EQ(cancelled.status.code(), util::StatusCode::kCancelled);
+  EXPECT_EQ(cancelled.degrade_reason, DegradeReason::kNone);
+  EXPECT_TRUE(cancelled.schedule.empty());
 
   const PipelineResult retry = Pipeline(options).Run(g);
-  ASSERT_TRUE(retry.success);
+  ASSERT_TRUE(retry.status.ok());
   EXPECT_EQ(retry.schedule, baseline.schedule);
   EXPECT_EQ(retry.peak_bytes, baseline.peak_bytes);
 }

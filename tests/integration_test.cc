@@ -25,13 +25,13 @@ class EveryCellTest
 TEST_P(EveryCellTest, FullPipelineProducesValidOptimalSchedules) {
   const graph::Graph g = GetParam().factory();
   const core::PipelineResult full = core::Pipeline().Run(g);
-  ASSERT_TRUE(full.success) << full.failure_reason;
+  ASSERT_TRUE(full.status.ok()) << full.status.ToString();
   EXPECT_TRUE(sched::IsTopologicalOrder(full.scheduled_graph, full.schedule));
 
   core::PipelineOptions dp_only;
   dp_only.enable_rewriting = false;
   const core::PipelineResult dp = core::Pipeline(dp_only).Run(g);
-  ASSERT_TRUE(dp.success);
+  ASSERT_TRUE(dp.status.ok());
 
   // SERENITY's central inequality chain.
   const std::int64_t tflite =
@@ -51,7 +51,7 @@ TEST_P(EveryCellTest, DpMatchesSoftBudgetedAndPartitionedVariants) {
   const auto ra = core::Pipeline(a).Run(g);
   const auto rb = core::Pipeline(b).Run(g);
   const auto rc = core::Pipeline(c).Run(g);
-  ASSERT_TRUE(ra.success && rb.success && rc.success);
+  ASSERT_TRUE(ra.status.ok() && rb.status.ok() && rc.status.ok());
   EXPECT_EQ(ra.peak_bytes, rb.peak_bytes);
   EXPECT_EQ(ra.peak_bytes, rc.peak_bytes);
 }
@@ -59,7 +59,7 @@ TEST_P(EveryCellTest, DpMatchesSoftBudgetedAndPartitionedVariants) {
 TEST_P(EveryCellTest, ArenaPlanIsSound) {
   const graph::Graph g = GetParam().factory();
   const core::PipelineResult full = core::Pipeline().Run(g);
-  ASSERT_TRUE(full.success);
+  ASSERT_TRUE(full.status.ok());
   const alloc::ArenaPlan plan =
       alloc::PlanArena(full.scheduled_graph, full.schedule);
   EXPECT_TRUE(alloc::ValidatePlacements(plan));
@@ -129,7 +129,7 @@ TEST(Integration, RewritingPlusExecutionOnEveryConcatCell) {
   for (const models::BenchmarkCell& cell : models::AllBenchmarkCells()) {
     const graph::Graph g = cell.factory();
     const core::PipelineResult full = core::Pipeline().Run(g);
-    ASSERT_TRUE(full.success);
+    ASSERT_TRUE(full.status.ok());
     if (full.rewrite_report.TotalPatterns() == 0) continue;
 
     util::Rng rng(17);

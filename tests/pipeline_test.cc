@@ -8,6 +8,8 @@
 #include "models/zoo.h"
 #include "sched/baselines.h"
 #include "sched/schedule.h"
+#include "util/cancel_token.h"
+#include "util/memory_budget.h"
 
 namespace serenity::core {
 namespace {
@@ -15,7 +17,7 @@ namespace {
 TEST(Pipeline, FullSerenityOnSwiftNet) {
   const graph::Graph g = models::MakeSwiftNet();
   const PipelineResult r = Pipeline().Run(g);
-  ASSERT_TRUE(r.success) << r.failure_reason;
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
   EXPECT_TRUE(sched::IsTopologicalOrder(r.scheduled_graph, r.schedule));
   EXPECT_EQ(r.scheduled_graph.num_nodes(), 90);
   EXPECT_EQ(r.rewrite_report.TotalPatterns(), 6);
@@ -29,7 +31,7 @@ TEST(Pipeline, DpOnlyConfigurationKeepsGraph) {
   PipelineOptions options;
   options.enable_rewriting = false;
   const PipelineResult r = Pipeline(options).Run(g);
-  ASSERT_TRUE(r.success) << r.failure_reason;
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
   EXPECT_EQ(r.scheduled_graph.num_nodes(), g.num_nodes());
   EXPECT_EQ(r.rewrite_report.TotalPatterns(), 0);
 }
@@ -43,7 +45,7 @@ TEST(Pipeline, RewritingNeverHurtsThePeak) {
     dp_only.enable_rewriting = false;
     const PipelineResult without = Pipeline(dp_only).Run(g);
     const PipelineResult with = Pipeline().Run(g);
-    ASSERT_TRUE(without.success && with.success);
+    ASSERT_TRUE(without.status.ok() && with.status.ok());
     EXPECT_LE(with.peak_bytes, without.peak_bytes) << g.name();
   }
 }
@@ -55,7 +57,7 @@ TEST(Pipeline, DpBeatsOrMatchesEveryBaseline) {
     PipelineOptions options;
     options.enable_rewriting = false;  // same graph as the baselines
     const PipelineResult r = Pipeline(options).Run(g);
-    ASSERT_TRUE(r.success);
+    ASSERT_TRUE(r.status.ok());
     EXPECT_LE(r.peak_bytes,
               sched::PeakFootprint(g, sched::TfLiteOrderSchedule(g)));
     EXPECT_LE(r.peak_bytes,
@@ -75,7 +77,7 @@ TEST(Pipeline, PartitioningDoesNotChangeTheOptimum) {
   without_dc.enable_partitioning = false;
   const PipelineResult a = Pipeline(with_dc).Run(g);
   const PipelineResult b = Pipeline(without_dc).Run(g);
-  ASSERT_TRUE(a.success && b.success);
+  ASSERT_TRUE(a.status.ok() && b.status.ok());
   EXPECT_EQ(a.peak_bytes, b.peak_bytes);
   EXPECT_GT(a.segment_sizes.size(), b.segment_sizes.size());
 }
@@ -88,7 +90,7 @@ TEST(Pipeline, SoftBudgetingMatchesPlainDp) {
   without_sb.enable_soft_budgeting = false;
   const PipelineResult a = Pipeline(with_sb).Run(g);
   const PipelineResult b = Pipeline(without_sb).Run(g);
-  ASSERT_TRUE(a.success && b.success);
+  ASSERT_TRUE(a.status.ok() && b.status.ok());
   EXPECT_EQ(a.peak_bytes, b.peak_bytes);
 }
 
@@ -96,17 +98,79 @@ TEST(Pipeline, ReportsFailureWhenResourcesExhausted) {
   const graph::Graph g = models::MakeSwiftNetCellA();
   PipelineOptions options;
   options.enable_partitioning = false;
-  options.enable_soft_budgeting = false;
-  options.dp.max_states = 5;  // hopeless
+  options.soft_budget.max_states_per_attempt = 5;  // hopeless
   const PipelineResult r = Pipeline(options).Run(g);
-  EXPECT_FALSE(r.success);
-  EXPECT_NE(r.failure_reason.find("timeout"), std::string::npos);
+  EXPECT_FALSE(r.status.ok());
+  EXPECT_NE(r.status.message().find("timeout"), std::string::npos)
+      << r.status.ToString();
+  EXPECT_TRUE(r.schedule.empty());
+}
+
+// Every outcome of Run maps to exactly one Status code, decided in one
+// place; degraded runs are OK and say why they degraded.
+TEST(Pipeline, EachOutcomeMapsToOneStatusCode) {
+  util::CancelToken fired;
+  fired.Cancel();
+  util::MemoryBudget starved(1);  // refuses every search charge
+  PipelineOptions cancelled;
+  cancelled.cancel = &fired;
+  PipelineOptions memory;
+  memory.memory_budget = &starved;
+  PipelineOptions deadline;
+  deadline.deadline_seconds = 0.0;
+  PipelineOptions state_cap;
+  state_cap.soft_budget.max_states_per_attempt = 5;
+  PipelineOptions degraded_deadline = deadline;
+  degraded_deadline.degrade_on_deadline = true;
+  PipelineOptions degraded_memory = memory;
+  degraded_memory.degrade_on_deadline = true;
+
+  struct Row {
+    const char* name;
+    const PipelineOptions& options;
+    util::StatusCode code;
+    const char* message;  // substring of the status message
+    DegradeReason reason;
+  };
+  using util::StatusCode;
+  const Row rows[] = {
+      {"cancelled", cancelled, StatusCode::kCancelled, "cancelled",
+       DegradeReason::kNone},
+      {"memory", memory, StatusCode::kResourceExhausted,
+       "resource exhausted", DegradeReason::kNone},
+      {"deadline", deadline, StatusCode::kDeadlineExceeded, "expired",
+       DegradeReason::kNone},
+      {"state cap", state_cap, StatusCode::kDeadlineExceeded, "timeout",
+       DegradeReason::kNone},
+      {"degraded on deadline", degraded_deadline, StatusCode::kOk, "",
+       DegradeReason::kDeadline},
+      {"degraded on memory", degraded_memory, StatusCode::kOk, "",
+       DegradeReason::kMemory},
+  };
+  const graph::Graph g = models::MakeSwiftNetCellA();
+  for (const Row& r : rows) {
+    const PipelineResult result = Pipeline(r.options).Run(g);
+    EXPECT_EQ(result.status.code(), r.code)
+        << r.name << ": " << result.status.ToString();
+    EXPECT_NE(result.status.message().find(r.message), std::string::npos)
+        << r.name << ": " << result.status.ToString();
+    EXPECT_EQ(result.degrade_reason, r.reason) << r.name;
+    if (result.status.ok()) {
+      EXPECT_GT(result.quality, PlanQuality::kExact) << r.name;
+      EXPECT_TRUE(
+          sched::IsTopologicalOrder(result.scheduled_graph, result.schedule))
+          << r.name;
+    } else {
+      EXPECT_EQ(result.quality, PlanQuality::kExact) << r.name;
+      EXPECT_TRUE(result.schedule.empty()) << r.name;
+    }
+  }
 }
 
 TEST(Pipeline, SegmentSizesSumToGraph) {
   const graph::Graph g = models::MakeSwiftNet();
   const PipelineResult r = Pipeline().Run(g);
-  ASSERT_TRUE(r.success);
+  ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(std::accumulate(r.segment_sizes.begin(), r.segment_sizes.end(),
                             0),
             r.scheduled_graph.num_nodes());
@@ -115,7 +179,7 @@ TEST(Pipeline, SegmentSizesSumToGraph) {
 TEST(Pipeline, TimingFieldsPopulated) {
   const graph::Graph g = models::MakeSwiftNetCellB();
   const PipelineResult r = Pipeline().Run(g);
-  ASSERT_TRUE(r.success);
+  ASSERT_TRUE(r.status.ok());
   EXPECT_GE(r.rewrite_seconds, 0.0);
   EXPECT_GE(r.partition_seconds, 0.0);
   EXPECT_GT(r.schedule_seconds, 0.0);

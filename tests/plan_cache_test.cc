@@ -21,8 +21,21 @@ core::PipelineResult PlanCell(const std::string& group,
                               const std::string& name) {
   const graph::Graph g = models::FindBenchmarkCell(group, name).factory();
   core::PipelineResult result = core::Pipeline().Run(g);
-  EXPECT_TRUE(result.success);
+  EXPECT_TRUE(result.status.ok());
   return result;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::string bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return bytes;
+  char buffer[4096];
+  std::size_t got;
+  while ((got = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
+    bytes.append(buffer, got);
+  }
+  std::fclose(f);
+  return bytes;
 }
 
 graph::GraphHash CellHash(const std::string& group,
@@ -66,7 +79,7 @@ TEST(PlanCache, CachedPlanMatchesAFreshPipelineRunBitForBit) {
   EXPECT_EQ(hit->result.schedule, fresh.schedule);
   EXPECT_EQ(hit->result.peak_bytes, fresh.peak_bytes);
   EXPECT_EQ(hit->result.states_expanded, fresh.states_expanded);
-  EXPECT_EQ(hit->plan_text,
+  EXPECT_EQ(serialize::PlanToText(hit->plan),
             serialize::PlanToText(serialize::MakePlan(fresh.scheduled_graph,
                                                       fresh.schedule)));
 }
@@ -153,13 +166,22 @@ TEST(PlanCache, PersistenceRoundTripsThroughPlanText) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report.value().entries_loaded, 2);
   EXPECT_EQ(report.value().entries_quarantined, 0);
+
+  // Re-saving the loaded cache writes the file byte for byte: the plan
+  // text is serialized at save time from the parsed plan.
+  const std::string resaved = ::testing::TempDir() + "/plan_cache_resaved.v1";
+  ASSERT_TRUE(warm.SaveToFile(resaved).ok());
+  EXPECT_EQ(ReadFile(resaved), ReadFile(path));
+  std::remove(resaved.c_str());
   std::remove(path.c_str());
 
   for (const char* name : {"Cell A", "Cell C"}) {
     const auto original = cache.Lookup(CellHash("SwiftNet HPD", name));
     const auto loaded = warm.Lookup(CellHash("SwiftNet HPD", name));
     ASSERT_NE(loaded, nullptr) << name;
-    EXPECT_EQ(loaded->plan_text, original->plan_text) << name;
+    EXPECT_EQ(serialize::PlanToText(loaded->plan),
+              serialize::PlanToText(original->plan))
+        << name;
     EXPECT_EQ(loaded->result.schedule, original->result.schedule);
     EXPECT_EQ(loaded->result.peak_bytes, original->result.peak_bytes);
     EXPECT_EQ(loaded->result.states_expanded,
@@ -167,7 +189,7 @@ TEST(PlanCache, PersistenceRoundTripsThroughPlanText) {
     EXPECT_EQ(loaded->result.segment_sizes, original->result.segment_sizes);
     EXPECT_EQ(loaded->result.rewrite_report.TotalPatterns(),
               original->result.rewrite_report.TotalPatterns());
-    EXPECT_TRUE(loaded->result.success);
+    EXPECT_TRUE(loaded->result.status.ok());
     EXPECT_TRUE(alloc::ValidatePlacements(loaded->plan.arena));
     EXPECT_EQ(loaded->plan.arena.highwater_at_step,
               original->plan.arena.highwater_at_step);
@@ -177,7 +199,8 @@ TEST(PlanCache, PersistenceRoundTripsThroughPlanText) {
 
 TEST(PlanCacheDeath, RejectsFailedResults) {
   PlanCache cache;
-  core::PipelineResult failed;  // success == false
+  core::PipelineResult failed;
+  failed.status = util::DeadlineExceededError("did not converge");
   EXPECT_DEATH(cache.Insert(graph::GraphHash{1, 2}, std::move(failed)),
                "cacheable");
 }
@@ -292,8 +315,8 @@ TEST(PlanCache, DegradedEntryMetadataRoundTrips) {
   popts.deadline_seconds = 0.0;  // expire immediately
   popts.degrade_on_deadline = true;
   core::PipelineResult degraded = core::Pipeline(popts).Run(g);
-  ASSERT_TRUE(degraded.success);
-  ASSERT_TRUE(degraded.degraded);
+  ASSERT_TRUE(degraded.status.ok());
+  ASSERT_EQ(degraded.degrade_reason, core::DegradeReason::kDeadline);
   ASSERT_NE(degraded.quality, core::PlanQuality::kExact);
 
   PlanCache cache;
@@ -309,8 +332,14 @@ TEST(PlanCache, DegradedEntryMetadataRoundTrips) {
   ASSERT_NE(loaded, nullptr);
   EXPECT_EQ(loaded->quality, inserted->quality);
   EXPECT_EQ(loaded->peak_delta_bytes, inserted->peak_delta_bytes);
-  EXPECT_TRUE(loaded->result.degraded);
+  EXPECT_EQ(loaded->result.quality, inserted->quality);
+  // The degrade reason describes the planning run and is not persisted.
+  EXPECT_EQ(loaded->result.degrade_reason, core::DegradeReason::kNone);
   EXPECT_EQ(warm.stats().degraded_entries, 1u);
+  const std::string resaved = path + ".resaved";
+  ASSERT_TRUE(warm.SaveToFile(resaved).ok());
+  EXPECT_EQ(ReadFile(resaved), ReadFile(path));
+  std::remove(resaved.c_str());
   std::remove(path.c_str());
 }
 

@@ -6,7 +6,7 @@
 // plan or a clean util::Status, never an abort; whenever a plan IS
 // returned it validates and its inference sinks are bit-identical to the
 // reference executor; and a cancel-then-retry serves a plan bit-identical
-// (same plan_text bytes) to a never-cancelled baseline.
+// (same plan text bytes) to a never-cancelled baseline.
 //
 // A separate case cross-checks the advisory ledger against reality:
 // operator-new accounting (tests/testing/alloc_counter.h) bounds a
@@ -105,8 +105,9 @@ void RunBudgetDenialChaos(int seed, const graph::Graph& g) {
     const ServeResult r = service.Schedule(g, request);
     if (r.plan != nullptr) {
       ExpectPlanCorrect(r.plan, seed);
-      if (r.quality != core::PlanQuality::kExact) {
-        EXPECT_TRUE(r.degraded_on_memory) << "seed " << seed;
+      if (r.plan->quality != core::PlanQuality::kExact) {
+        EXPECT_EQ(r.plan->result.degrade_reason, core::DegradeReason::kMemory)
+            << "seed " << seed;
       }
     } else {
       EXPECT_EQ(r.status.code(), util::StatusCode::kResourceExhausted)
@@ -125,7 +126,7 @@ void RunBudgetDenialChaos(int seed, const graph::Graph& g) {
 // Fault 1: the DP's cancellation poll fires (countdown injection) on a
 // request that carries a cancel token. The request fails kCancelled (or
 // completes, when the search beat the armed poll); the retry must land
-// bit-identical — same plan_text bytes — to a never-cancelled baseline.
+// bit-identical — same plan text bytes — to a never-cancelled baseline.
 void RunCancelPollChaos(int seed, const graph::Graph& g,
                         const std::string& baseline_text) {
   SchedulerService service(GovernedOptions(nullptr));
@@ -144,8 +145,10 @@ void RunCancelPollChaos(int seed, const graph::Graph& g,
   const ServeResult retry = service.Schedule(g, request);
   ASSERT_NE(retry.plan, nullptr)
       << "seed " << seed << ": " << retry.status.ToString();
-  EXPECT_EQ(retry.quality, core::PlanQuality::kExact) << "seed " << seed;
-  EXPECT_EQ(retry.plan->plan_text, baseline_text) << "seed " << seed;
+  EXPECT_EQ(retry.plan->quality, core::PlanQuality::kExact)
+      << "seed " << seed;
+  EXPECT_EQ(serialize::PlanToText(retry.plan->plan), baseline_text)
+      << "seed " << seed;
   ExpectPlanCorrect(retry.plan, seed);
 }
 
@@ -190,8 +193,10 @@ void RunServiceCancelChaos(int seed, const graph::Graph& g,
   const ServeResult retry = service.Schedule(g);
   ASSERT_NE(retry.plan, nullptr)
       << "seed " << seed << ": " << retry.status.ToString();
-  EXPECT_EQ(retry.quality, core::PlanQuality::kExact) << "seed " << seed;
-  EXPECT_EQ(retry.plan->plan_text, baseline_text) << "seed " << seed;
+  EXPECT_EQ(retry.plan->quality, core::PlanQuality::kExact)
+      << "seed " << seed;
+  EXPECT_EQ(serialize::PlanToText(retry.plan->plan), baseline_text)
+      << "seed " << seed;
   ExpectPlanCorrect(retry.plan, seed);
 }
 
@@ -207,7 +212,7 @@ TEST(ResourceChaos, ThousandSeededGovernorFaultsNeverAbort) {
       SchedulerService baseline(GovernedOptions(nullptr));
       const ServeResult b = baseline.Schedule(g);
       ASSERT_NE(b.plan, nullptr) << b.status.ToString();
-      baseline_text = b.plan->plan_text;
+      baseline_text = serialize::PlanToText(b.plan->plan);
     }
     switch (seed % 4) {
       case 0:

@@ -4,6 +4,8 @@
 
 #include <chrono>
 #include <cstdio>
+#include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,6 +16,7 @@
 #include "sched/schedule.h"
 #include "testing/fault_injection.h"
 #include "testing/random_graphs.h"
+#include "util/cancel_token.h"
 #include "util/rng.h"
 
 namespace serenity::serve {
@@ -74,18 +77,38 @@ TEST(SchedulerService, SingleFlightCoalescesDuplicateSubmissions) {
   SchedulerService service;  // one worker: the queue serializes planning
   const graph::Graph g = Cell("DARTS ImageNet", "Normal Cell");
 
+  // A blocker job holds the single worker: its exact search takes seconds,
+  // at least 100x what the 8 Submit calls below take, so all 8 queue
+  // behind it and the last 7 coalesce onto the first. It is cancelled once
+  // they are in.
+  RequestOptions blocker_request;
+  blocker_request.cancel = std::make_shared<util::CancelToken>();
+  const Submission blocker = service.Submit(
+      serenity::testing::SlowToPlanGraph(), blocker_request);
+
   std::vector<Submission> submissions;
   for (int i = 0; i < 8; ++i) submissions.push_back(service.Submit(g));
+  EXPECT_EQ(blocker.future.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout)
+      << "the blocker must outlive the 8 submissions";
+  blocker_request.cancel->Cancel();
+  EXPECT_EQ(blocker.future.get().status.code(),
+            util::StatusCode::kCancelled);
+
+  const CachedPlan* shared = nullptr;
   for (const Submission& s : submissions) {
-    ASSERT_NE(s.future.get().plan, nullptr);
+    const ServeResult r = s.future.get();
+    ASSERT_NE(r.plan, nullptr) << r.status.ToString();
+    if (shared == nullptr) shared = r.plan.get();
+    EXPECT_EQ(r.plan.get(), shared) << "one shared plan";
   }
 
   const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.requests, 8u);
+  EXPECT_EQ(stats.requests, 9u);
   EXPECT_EQ(stats.planned, 1u) << "one Pipeline::Run per distinct graph";
   EXPECT_EQ(stats.cache_hits + stats.coalesced, 7u);
-  EXPECT_GE(stats.coalesced, 1u)
-      << "submissions behind a 1-worker queue must coalesce";
+  EXPECT_EQ(stats.coalesced, 7u)
+      << "submissions queued behind a busy worker must coalesce";
 }
 
 TEST(SchedulerService, BatchPlansDistinctGraphsAndCoalescesDuplicates) {
@@ -112,7 +135,7 @@ TEST(SchedulerService, BatchPlansDistinctGraphsAndCoalescesDuplicates) {
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const core::PipelineResult expected =
         core::Pipeline(service.options().pipeline).Run(*batch[i]);
-    ASSERT_TRUE(expected.success) << "request " << i;
+    ASSERT_TRUE(expected.status.ok()) << "request " << i;
     const core::PipelineResult& planned = results[i].plan->result;
     EXPECT_EQ(planned.schedule, expected.schedule) << "request " << i;
     EXPECT_EQ(planned.peak_bytes, expected.peak_bytes) << "request " << i;
@@ -127,22 +150,23 @@ TEST(SchedulerService, BatchPlansDistinctGraphsAndCoalescesDuplicates) {
 }
 
 TEST(SchedulerService, PlanningFailuresAreReportedAndNotCached) {
-  ServeOptions options;
-  options.pipeline.enable_soft_budgeting = false;
-  options.pipeline.dp.budget_bytes = 1;  // infeasible hard budget
-  SchedulerService service(options);
+  namespace ftest = serenity::testing;
+  SchedulerService service;
   const graph::Graph g = Cell("SwiftNet HPD", "Cell C");
+  RequestOptions strict;
+  strict.allow_degraded = false;
 
-  const ServeResult failed = service.Schedule(g);
-  EXPECT_EQ(failed.plan, nullptr);
-  EXPECT_EQ(failed.status.code(), util::StatusCode::kInternal);
-  EXPECT_NE(failed.status.message().find("no solution"), std::string::npos)
-      << failed.status.ToString();
-
-  // Failures are not cached: the next request plans (and fails) again.
-  const ServeResult again = service.Schedule(g);
-  EXPECT_EQ(again.plan, nullptr);
-  EXPECT_FALSE(again.cache_hit);
+  // Failures are not cached: the second request plans (and fails) again.
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    ftest::ScopedFault fault(ftest::FaultPoint::kSchedulerTimeout);
+    const ServeResult failed = service.Schedule(g, strict);
+    EXPECT_EQ(failed.plan, nullptr) << "attempt " << attempt;
+    EXPECT_FALSE(failed.cache_hit) << "attempt " << attempt;
+    EXPECT_EQ(failed.status.code(), util::StatusCode::kDeadlineExceeded)
+        << failed.status.ToString();
+    EXPECT_NE(failed.status.message().find("expired"), std::string::npos)
+        << failed.status.ToString();
+  }
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.failures, 2u);
   EXPECT_EQ(stats.cache.entries, 0u);
@@ -223,11 +247,11 @@ TEST(SchedulerService, ExpiredDeadlineDegradesToAFeasiblePlan) {
   const ServeResult r = service.Schedule(g, request);
   ASSERT_NE(r.plan, nullptr) << r.status.ToString();
   EXPECT_TRUE(r.status.ok());
-  EXPECT_NE(r.quality, core::PlanQuality::kExact);
-  EXPECT_TRUE(r.plan->result.degraded);
+  EXPECT_NE(r.plan->quality, core::PlanQuality::kExact);
+  EXPECT_EQ(r.plan->result.degrade_reason, core::DegradeReason::kDeadline);
   EXPECT_TRUE(sched::IsTopologicalOrder(r.plan->result.scheduled_graph,
                                         r.plan->result.schedule));
-  EXPECT_GE(r.peak_delta_bytes, 0);
+  EXPECT_GE(r.plan->peak_delta_bytes, 0);
   EXPECT_GE(service.stats().degraded_plans, 1u);
 }
 
@@ -247,7 +271,7 @@ TEST(SchedulerService, ExpiredDeadlineWithoutDegradationIsACleanError) {
   // The failure is not cached, and the service still serves afterwards.
   const ServeResult ok = service.Schedule(g);
   ASSERT_NE(ok.plan, nullptr) << ok.status.ToString();
-  EXPECT_EQ(ok.quality, core::PlanQuality::kExact);
+  EXPECT_EQ(ok.plan->quality, core::PlanQuality::kExact);
 }
 
 TEST(SchedulerService, DegradedEntryIsUpgradedToExactInPlace) {
@@ -261,7 +285,7 @@ TEST(SchedulerService, DegradedEntryIsUpgradedToExactInPlace) {
   rushed.deadline_seconds = 0.0;
   const ServeResult degraded = service.Schedule(g, rushed);
   ASSERT_NE(degraded.plan, nullptr) << degraded.status.ToString();
-  ASSERT_NE(degraded.quality, core::PlanQuality::kExact);
+  ASSERT_NE(degraded.plan->quality, core::PlanQuality::kExact);
 
   // The background upgrade replaces the cache entry with the exact plan.
   for (int i = 0; i < 1000; ++i) {
@@ -281,7 +305,7 @@ TEST(SchedulerService, DegradedEntryIsUpgradedToExactInPlace) {
   const ServeResult warm = service.Schedule(g);
   ASSERT_NE(warm.plan, nullptr);
   EXPECT_TRUE(warm.cache_hit);
-  EXPECT_EQ(warm.quality, core::PlanQuality::kExact);
+  EXPECT_EQ(warm.plan->quality, core::PlanQuality::kExact);
   const core::PipelineResult fresh =
       core::Pipeline(service.options().pipeline).Run(g);
   EXPECT_EQ(warm.plan->result.schedule, fresh.schedule);
@@ -306,7 +330,7 @@ TEST(SchedulerService, FailedUpgradeIsNotRetried) {
   rushed.deadline_seconds = 0.0;
   const ServeResult degraded = service.Schedule(g, rushed);
   ASSERT_NE(degraded.plan, nullptr) << degraded.status.ToString();
-  ASSERT_NE(degraded.quality, core::PlanQuality::kExact);
+  ASSERT_NE(degraded.plan->quality, core::PlanQuality::kExact);
 
   for (int i = 0; i < 1000; ++i) {
     const ServiceStats s = service.stats();
@@ -355,8 +379,8 @@ TEST(SchedulerService, InjectedSchedulerTimeoutDegradesDeterministically) {
   request.allow_degraded = true;  // no wall-clock deadline needed
   const ServeResult r = service.Schedule(g, request);
   ASSERT_NE(r.plan, nullptr) << r.status.ToString();
-  EXPECT_NE(r.quality, core::PlanQuality::kExact);
-  EXPECT_TRUE(r.plan->result.deadline_exceeded);
+  EXPECT_NE(r.plan->quality, core::PlanQuality::kExact);
+  EXPECT_EQ(r.plan->result.degrade_reason, core::DegradeReason::kDeadline);
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "graph/builder.h"
 #include "graph/canonical_hash.h"
 #include "models/swiftnet.h"
 #include "runtime/executor.h"
@@ -23,6 +22,7 @@
 #include "serve/tcp_client.h"
 #include "serve/tcp_server.h"
 #include "testing/fault_injection.h"
+#include "testing/random_graphs.h"
 #include "testing/runtime_inputs.h"
 #include "testing/sink_compare.h"
 #include "util/crc32.h"
@@ -151,9 +151,14 @@ TEST_F(NetChaosTest, ThousandSeededSocketFaultsNoAbortsNoHangs) {
       case 3: {
         // Slow-loris: the request trickles with an 80ms stall against a
         // 40ms frame deadline. The server must cut the connection rather
-        // than wedge a worker; the client's call fails cleanly.
+        // than wedge a worker; the client's call fails cleanly. The frame
+        // deadline starts when a worker reads the first byte, so one
+        // request completes first: a worker is then already serving this
+        // connection when the stalled frame begins, instead of picking it
+        // up from the pending queue after the stall has passed.
         util::StatusOr<TcpClient> client = ChaosClient();
         ASSERT_TRUE(client.ok());
+        ASSERT_TRUE(client->Health(2.0).ok());
         ftest::ScopedFault fault(ftest::FaultPoint::kSocketDelayedByte);
         util::StatusOr<std::string> result = client->Health(2.0);
         EXPECT_FALSE(result.ok());
@@ -279,25 +284,8 @@ TEST_F(NetChaosTest, ThousandSeededSocketFaultsNoAbortsNoHangs) {
 // really happened (a run that merely finished into a dead socket would
 // not advance them).
 TEST_F(NetChaosTest, MidPlanningDisconnectCancelsTheSearch) {
-  // k parallel conv chains joined by one concat: the DP's level widths are
-  // the product of per-chain positions (6^8 + 1 = 1,679,617 states), so
-  // the exact search reliably outlives the disconnect below while staying
-  // under the 2,000,000-state cap. Every hop's output is wider than its
-  // input, so every hop grows the footprint and the eager rule (which
-  // takes only steps that do not) never collapses a chain.
-  graph::GraphBuilder b("slow_to_plan");
-  const graph::NodeId in = b.Input(graph::TensorShape{1, 8, 8, 4}, "in");
-  std::vector<graph::NodeId> ends;
-  for (int chain = 0; chain < 8; ++chain) {
-    graph::NodeId x = in;
-    for (int hop = 0; hop < 5; ++hop) {
-      x = b.Conv1x1(x, 5 + hop, "c" + std::to_string(chain) + "_" +
-                                    std::to_string(hop));
-    }
-    ends.push_back(x);
-  }
-  (void)b.Concat(ends, "join");
-  const graph::Graph slow = std::move(b).Build();
+  // Its exact search reliably outlives the disconnect below.
+  const graph::Graph slow = ftest::SlowToPlanGraph();
 
   wire::Request request;
   request.verb = wire::Verb::kPlan;

@@ -65,6 +65,28 @@ inline graph::Graph RandomDag(util::Rng& rng, const RandomDagOptions& opts,
   return std::move(b).Build();
 }
 
+// A graph whose exact search takes seconds: 8 parallel conv chains of 5
+// hops each off one input, joined by one concat. The DP's level widths are
+// the product of per-chain positions (6^8 + 1 = 1,679,617 states), under
+// the 2,000,000-state cap. Every hop's output is wider than
+// its input, so every hop grows the footprint and the eager rule (which
+// takes only steps that do not) never collapses a chain.
+inline graph::Graph SlowToPlanGraph() {
+  graph::GraphBuilder b("slow_to_plan");
+  const graph::NodeId in = b.Input(graph::TensorShape{1, 8, 8, 4}, "in");
+  std::vector<graph::NodeId> ends;
+  for (int chain = 0; chain < 8; ++chain) {
+    graph::NodeId x = in;
+    for (int hop = 0; hop < 5; ++hop) {
+      x = b.Conv1x1(x, 5 + hop,
+                    std::to_string(chain) + "_" + std::to_string(hop));
+    }
+    ends.push_back(x);
+  }
+  (void)b.Concat(ends, "join");
+  return std::move(b).Build();
+}
+
 // A structurally identical copy of `g` with nodes inserted in a random
 // valid topological order, fresh names, and remapped node/buffer ids — the
 // builder-bookkeeping relabeling CanonicalGraphHash must be invariant
