@@ -1,6 +1,8 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 #include <utility>
 
 #include "sched/baselines.h"
@@ -133,10 +135,14 @@ PipelineResult Pipeline::Run(const graph::Graph& graph) const {
   // beam/greedy over the whole rewritten graph, always feasible — or
   // fails, per options; a cancel always fails.
   stage_clock.Restart();
+  // Only an injected timeout expires a run with no deadline.
   const auto deadline_expired = [&] {
     return util::DeadlineExceededError(
-        "deadline of " + std::to_string(deadline) +
-        "s expired before scheduling completed");
+        std::isfinite(deadline)
+            ? "deadline of " + std::to_string(deadline) +
+                  "s expired before scheduling completed"
+            : std::string("scheduler timeout expired before scheduling "
+                          "completed (no deadline was set)"));
   };
   util::Status status;  // the first failure; OK while segments converge
   if (injected_timeout || remaining() <= 0) status = deadline_expired();

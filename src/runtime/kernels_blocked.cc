@@ -18,16 +18,20 @@
 //     dimension that is contiguous in the weight layouts ([kh][kw][ic][oc],
 //     [kh][kw][c], [in][units]). Every op walks its outputs in chunks of 4
 //     vectors, then 1 vector, then the scalar tail (ForEachChunk).
+//   * Conv2d register tiles: a run of output pixels with the same valid tap
+//     columns is computed as one tile (ForEachPixelTile, ForEachTileChunk),
+//     so each weight vector loaded feeds one accumulator per pixel.
 //
 // Bit-identity with the reference backend holds because each output
 // element's summation order is untouched: taps still run (ky, kx, ic)
-// ascending, dense still runs i ascending, and only the *outputs* are
-// vectorized. No FMA: plain mul-then-add, and this file is compiled with
-// -ffp-contract=off so no target ISA can fuse them (DESIGN.md "Bit-identity
-// contract and the ULP policy").
+// ascending, dense still runs i ascending, and only *independent outputs*
+// (channels, pixels) are computed side by side. No FMA: plain mul-then-add,
+// and this file is compiled with -ffp-contract=off so no target ISA can fuse
+// them (DESIGN.md "Bit-identity contract and the ULP policy").
 //
 // Everything writes through caller-provided views (arena placements); no
 // function here allocates.
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <limits>
@@ -93,20 +97,50 @@ V Max(const V& a, const V& b) {
   return a < b ? b : a;
 }
 
-// `kCount` accumulators of type `Type`, `kStep` floats each.
-template <typename V, int N>
+// The first W floats at p, the lanes past them zero (LoadFirst), and their
+// store back (StoreFirst); with W the whole vector they are Load and Store.
+// A partial load is built lane by lane: a memcpy of fewer floats than the
+// vector holds goes through memory, and the vector reload then stalls on
+// the stores.
+template <typename V, int W>
+V LoadFirst(const float* p) {
+  if constexpr (W * sizeof(float) == sizeof(V)) {
+    return Load<V>(p);
+  } else {
+    V v{};
+    for (int i = 0; i < W; ++i) v[i] = p[i];
+    return v;
+  }
+}
+
+template <typename V, int W>
+void StoreFirst(float* p, const V& v) {
+  std::memcpy(p, &v, W * sizeof(float));
+}
+
+// `kCount` accumulators of type `Type`, `kStep` floats apart, each holding
+// `kWidth` outputs: all of its lanes, or the first kWidth < kLanes lanes of
+// a partial vector, whose other lanes are computed and never stored.
+template <typename V, int N,
+          int W = static_cast<int>(sizeof(V) / sizeof(float))>
 struct Chunk {
   using Type = V;
   static constexpr int kCount = N;
   static constexpr int kStep = static_cast<int>(sizeof(V) / sizeof(float));
+  static constexpr int kWidth = W;
 };
 
-// body(first, Chunk<float, tail>), for the one N + 1 that equals tail.
-template <typename Body, int... N>
-void ScalarTail(int first, int tail, const Body& body,
-                std::integer_sequence<int, N...>) {
-  ((tail == N + 1 ? body(first, Chunk<float, N + 1>{}) : void()), ...);
+// body(first, Tail<N + 1>), for the one N + 1 that equals tail.
+template <template <int> class Tail, typename Body, int... N>
+void ForTail(int first, int tail, const Body& body,
+             std::integer_sequence<int, N...>) {
+  ((tail == N + 1 ? body(first, Tail<N + 1>{}) : void()), ...);
 }
+
+template <int W>
+using ScalarTail = Chunk<float, W>;
+template <int W>
+using PartialTail = Chunk<Vec, 1, W>;
 
 // Calls body(first, Chunk) over [0, count): 4 vectors at a time, then 1,
 // then the scalar tail (fewer than kLanes floats) in one call. The tail's
@@ -118,8 +152,40 @@ void ForEachChunk(int count, const Body& body) {
   int i = 0;
   for (; i + 4 * kLanes <= count; i += 4 * kLanes) body(i, Chunk<Vec, 4>{});
   for (; i + kLanes <= count; i += kLanes) body(i, Chunk<Vec, 1>{});
-  ScalarTail(i, count - i, body,
-             std::make_integer_sequence<int, kLanes - 1>{});
+  ForTail<ScalarTail>(i, count - i, body,
+                      std::make_integer_sequence<int, kLanes - 1>{});
+}
+
+// A run of P neighbouring output pixels of one row.
+template <int P>
+using Pixels = std::integral_constant<int, P>;
+
+// Accumulators per register tile: with the weight vectors and a broadcast
+// they fit the 16 vector registers of SSE2 and AVX2. 4 pixels x 2 vectors
+// load each weight vector once for 4 accumulators, where one pixel with 4
+// vectors loads it for one.
+constexpr int kTileAccumulators = 8;
+
+// ForEachChunk for a tile of P output pixels. Calls body(p0, Pixels<S>,
+// first, Chunk) over the channels [0, count) of the tile's pixels
+// [p0, p0 + S): 4 vectors at a time, then 2, then 1, then the tail as one
+// partial vector (PartialTail), each in groups of S pixels that hold at
+// most kTileAccumulators accumulators. A partial vector's lanes past the
+// tail are computed and never stored; a scalar tail would need S x tail
+// accumulators and spill.
+template <int P, typename Body>
+void ForEachTileChunk(int count, const Body& body) {
+  const auto groups = [&](int first, auto chunk) {
+    constexpr int kGroup =
+        std::min(P, kTileAccumulators / decltype(chunk)::kCount);
+    for (int p = 0; p < P; p += kGroup) body(p, Pixels<kGroup>{}, first, chunk);
+  };
+  int i = 0;
+  for (; i + 4 * kLanes <= count; i += 4 * kLanes) groups(i, Chunk<Vec, 4>{});
+  for (; i + 2 * kLanes <= count; i += 2 * kLanes) groups(i, Chunk<Vec, 2>{});
+  for (; i + kLanes <= count; i += kLanes) groups(i, Chunk<Vec, 1>{});
+  ForTail<PartialTail>(i, count - i, groups,
+                       std::make_integer_sequence<int, kLanes - 1>{});
 }
 
 // The valid taps of one output pixel: kernel taps [ky0, ky0 + rows) x
@@ -169,6 +235,48 @@ struct PixelTaps {
   return t;
 }
 
+// Walks the output pixels [0, width) of one row and, for each, the output
+// channels [0, channels). Calls body(ow, taps, p, Pixels<S>, first, Chunk)
+// for the pixels [ow + p, ow + p + S) and the channels [first, first +
+// chunk), where `taps` are pixel ow's and pixel ow + p reads its taps
+// p * stride input pixels right of them. A run of P pixels is tiled when
+// its first and last pixel have the same valid tap columns, so every pixel
+// between them does (the clamped range only moves one way along a row);
+// both ends' taps are looked up, with their PixelRun bounds checks. The
+// border pixels and the row's tail go one at a time. Narrow outputs fill
+// one (partial) vector per pixel, so their runs take more pixels.
+template <typename TapsFn, typename Body>
+void ForEachPixelTile(int width, int channels, const TapsFn& taps_at,
+                      const Body& body) {
+  const auto walk = [&](auto tile) {
+    constexpr int P = decltype(tile)::value;
+    for (int ow = 0; ow < width;) {
+      const PixelTaps taps = taps_at(ow);
+      const auto run = [&](auto pixels) {
+        ForEachTileChunk<decltype(pixels)::value>(
+            channels, [&](int p, auto group, int first, auto chunk) {
+              body(ow, taps, p, group, first, chunk);
+            });
+        ow += decltype(pixels)::value;
+      };
+      const bool tiled = ow + P <= width && [&] {
+        const PixelTaps last = taps_at(ow + P - 1);
+        return last.kx0 == taps.kx0 && last.cols == taps.cols;
+      }();
+      if (tiled) {
+        run(Pixels<P>{});
+      } else {
+        run(Pixels<1>{});
+      }
+    }
+  };
+  if (channels < kLanes) {
+    walk(Pixels<8>{});
+  } else {
+    walk(Pixels<4>{});
+  }
+}
+
 void CheckSameShape(const std::vector<const Tensor*>& inputs) {
   SERENITY_CHECK_GE(inputs.size(), 2u);
   SERENITY_CHECK_LE(inputs.size(), static_cast<std::size_t>(kMaxInputs));
@@ -189,51 +297,94 @@ void Conv2dPartial(const Tensor& input, const ConvWeights& weights,
   const internal::Padding2d pad =
       internal::ComputePadding(in, attrs, out.h, out.w);
   const float* kern = weights.kernel.data();
+  const float* kern_end = kern + weights.kernel.size();
   const float* bias = weights.bias.data();
   const std::size_t kern_in_c = static_cast<std::size_t>(weights.in_c);
   const std::size_t kern_out_c = static_cast<std::size_t>(weights.out_c);
 
-  // Floats between the weights of kernel taps (ky, kx) and (ky, kx + 1).
+  // Floats between the weights of kernel taps (ky, kx) and (ky, kx + 1),
+  // and between those of taps (ky, kx) and (ky + 1, kx).
   const std::size_t tap_stride = kern_in_c * kern_out_c;
+  const std::size_t row_stride =
+      static_cast<std::size_t>(attrs.kernel_w) * tap_stride;
   const int acc_stride = acc.pixel_stride();
+  // Floats between the input pixels one tap reads for neighbouring outputs.
+  const std::ptrdiff_t x_step =
+      static_cast<std::ptrdiff_t>(attrs.stride) * input.pixel_stride();
+
   for (int n = 0; n < out.n; ++n) {
     for (int oh = 0; oh < out.h; ++oh) {
       float* acc_row = acc.PixelRun(n, oh, 0, out.w);
-      for (int ow = 0; ow < out.w; ++ow) {
-        const PixelTaps taps =
-            TapsAt(input, n, oh * attrs.stride - pad.top,
-                   ow * attrs.stride - pad.left, attrs.kernel_h,
-                   attrs.kernel_w, attrs.dilation);
-        const float* w_taps =
-            kern + (taps.Index(0, 0) * kern_in_c + ic_offset) * kern_out_c;
+      const auto taps_at = [&](int ow) {
+        return TapsAt(input, n, oh * attrs.stride - pad.top,
+                      ow * attrs.stride - pad.left, attrs.kernel_h,
+                      attrs.kernel_w, attrs.dilation);
+      };
+      ForEachPixelTile(out.w, out.c, taps_at, [&](int ow,
+                                                  const PixelTaps& taps,
+                                                  int p0, auto pixels, int oc,
+                                                  auto chunk) {
+        constexpr int P = decltype(pixels)::value;
+        using C = decltype(chunk);
+        using V = typename C::Type;
+        constexpr int K = C::kCount;
+        constexpr int W = C::kWidth;
         float* acc_px =
-            acc_row + static_cast<std::ptrdiff_t>(ow) * acc_stride;
-        ForEachChunk(out.c, [&](int oc, auto chunk) {
-          using C = decltype(chunk);
-          using V = typename C::Type;
-          V a[C::kCount];
-          for (int v = 0; v < C::kCount; ++v) {
-            a[v] = overwrite ? V{} : Load<V>(acc_px + oc + v * C::kStep);
+            acc_row + static_cast<std::ptrdiff_t>(ow + p0) * acc_stride + oc;
+        V a[P][K];
+        for (int p = 0; p < P; ++p) {
+          for (int v = 0; v < K; ++v) {
+            a[p][v] = overwrite ? V{}
+                                : LoadFirst<V, W>(acc_px + p * acc_stride +
+                                                  v * C::kStep);
           }
-          for (int r = 0; r < taps.rows; ++r) {
-            const float* x = taps.At(r, 0);
-            const float* w_row =
-                w_taps + r * attrs.kernel_w * tap_stride + oc;
-            for (int c = 0; c < taps.cols; ++c, x += taps.dx) {
-              const float* w = w_row + c * tap_stride;
-              for (int ic = 0; ic < in.c; ++ic, w += kern_out_c) {
-                for (int v = 0; v < C::kCount; ++v) {
-                  a[v] += x[ic] * Load<V>(w + v * C::kStep);
-                }
+        }
+        const float* w_taps =
+            kern + (taps.Index(0, 0) * kern_in_c + ic_offset) * kern_out_c +
+            oc;
+        for (int r = 0; r < taps.rows; ++r) {
+          for (int c = 0; c < taps.cols; ++c) {
+            const float* x = taps.At(r, c) + p0 * x_step;
+            const float* w = w_taps + r * row_stride + c * tap_stride;
+            const auto mac = [&](int ic, const V(&wv)[K]) {
+              for (int p = 0; p < P; ++p) {
+                const float xp = x[p * x_step + ic];
+                for (int v = 0; v < K; ++v) a[p][v] += xp * wv[v];
+              }
+            };
+            // A partial vector still loads whole weight rows while they lie
+            // inside the kernel; the lanes past its width read the next
+            // row's weights. Only the kernel's last rows load partially.
+            int full = in.c;
+            if constexpr (W < C::kStep) {
+              const std::ptrdiff_t room = kern_end - w - C::kStep;
+              const std::ptrdiff_t rows =
+                  room < 0 ? 0
+                           : room / static_cast<std::ptrdiff_t>(kern_out_c) +
+                                 1;
+              full = static_cast<int>(std::min<std::ptrdiff_t>(in.c, rows));
+            }
+            int ic = 0;
+            for (; ic < full; ++ic, w += kern_out_c) {
+              V wv[K];
+              for (int v = 0; v < K; ++v) wv[v] = Load<V>(w + v * C::kStep);
+              mac(ic, wv);
+            }
+            if constexpr (W < C::kStep) {
+              for (; ic < in.c; ++ic, w += kern_out_c) {
+                const V wv[K] = {LoadFirst<V, W>(w)};
+                mac(ic, wv);
               }
             }
           }
-          for (int v = 0; v < C::kCount; ++v) {
-            if (add_bias) a[v] += Load<V>(bias + oc + v * C::kStep);
-            Store(acc_px + oc + v * C::kStep, a[v]);
+        }
+        for (int p = 0; p < P; ++p) {
+          for (int v = 0; v < K; ++v) {
+            if (add_bias) a[p][v] += LoadFirst<V, W>(bias + oc + v * C::kStep);
+            StoreFirst<V, W>(acc_px + p * acc_stride + v * C::kStep, a[p][v]);
           }
-        });
-      }
+        }
+      });
     }
   }
 }

@@ -12,6 +12,9 @@
 
 namespace serenity::serve {
 
+namespace {
+
+// The retained-footprint charge of one entry.
 std::int64_t CachedPlanBytes(const CachedPlan& plan) {
   const auto& g = plan.result.scheduled_graph;
   std::int64_t bytes = static_cast<std::int64_t>(sizeof(CachedPlan));
@@ -33,6 +36,8 @@ std::int64_t CachedPlanBytes(const CachedPlan& plan) {
   }
   return bytes;
 }
+
+}  // namespace
 
 std::shared_ptr<const CachedPlan> PlanCache::Lookup(
     const graph::GraphHash& hash) {

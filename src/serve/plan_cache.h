@@ -148,9 +148,6 @@ class PlanCache {
   PlanCacheStats counters_;  // cumulative counters only
 };
 
-// The retained-footprint charge of one entry (exposed for tests).
-std::int64_t CachedPlanBytes(const CachedPlan& plan);
-
 }  // namespace serenity::serve
 
 #endif  // SERENITY_SERVE_PLAN_CACHE_H_

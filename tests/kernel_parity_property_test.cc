@@ -10,8 +10,11 @@
 // DESIGN.md "Bit-identity contract and the ULP policy"). The shapes
 // exercise channel-window views on inputs and outputs, SAME/VALID padding,
 // strides, dilations, the partial-op channel offsets the rewriter emits,
-// and channel counts wide enough to reach every vector chunk width and its
-// scalar tail.
+// channel counts wide enough to reach every vector chunk width and its
+// scalar tail, and conv rows wide enough for every register tile of output
+// pixels, its pixel tail and the tiles that padding breaks at both borders.
+// A windowed output is compared across backends over its whole backing
+// store, so a kernel that writes into the channels around its window fails.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -114,9 +117,12 @@ TEST(KernelParity, Conv2dFullAndPartial) {
   for (int iter = 0; iter < kIters; ++iter) {
     const ConvAttrs attrs = RandomConvAttrs(rng);
     const int lo = MinExtent(attrs);
+    // Rows up to 30 pixels past the minimum: full register tiles of 4 and
+    // 8 output pixels, a pixel tail, and tiles broken by padding at both
+    // borders, at stride 2 and dilation 2 too.
     const TensorShape in_shape{rng.NextInt(1, 2),
                                rng.NextInt(lo, lo + 6),
-                               rng.NextInt(lo, lo + 6),
+                               rng.NextInt(lo, lo + 30),
                                rng.NextInt(1, 12)};
     const int out_c = rng.NextInt(1, 72);
     const ConvWeights w = MakeConvWeights(1000u + iter, attrs.kernel_h,
@@ -136,6 +142,7 @@ TEST(KernelParity, Conv2dFullAndPartial) {
 
     bool have_ref = false;
     Tensor ref_out;
+    Tensor ref_backing;
     const std::string ctx = "conv iter " + std::to_string(iter);
     for (const Backend b :
          std::vector<Backend>{Backend::kReference, backends.front(),
@@ -164,9 +171,12 @@ TEST(KernelParity, Conv2dFullAndPartial) {
       }
       if (!have_ref) {
         ref_out = out;  // deep owning snapshot of the oracle's result
+        ref_backing = out_store.front();
         have_ref = true;
       } else {
         ExpectBitIdentical(out, ref_out, ctx + " backend " + ToString(b));
+        ExpectBitIdentical(out_store.front(), ref_backing,
+                           ctx + " backend " + ToString(b) + " backing");
         if (::testing::Test::HasFailure()) return;
       }
     }
@@ -197,6 +207,7 @@ TEST(KernelParity, DepthwiseFullAndPartial) {
 
     bool have_ref = false;
     Tensor ref_out;
+    Tensor ref_backing;
     const std::string ctx = "dw iter " + std::to_string(iter);
     for (const Backend b :
          std::vector<Backend>{Backend::kReference, backends.front(),
@@ -222,10 +233,81 @@ TEST(KernelParity, DepthwiseFullAndPartial) {
       }
       if (!have_ref) {
         ref_out = out;
+        ref_backing = out_store.front();
         have_ref = true;
       } else {
         ExpectBitIdentical(out, ref_out, ctx + " backend " + ToString(b));
+        ExpectBitIdentical(out_store.front(), ref_backing,
+                           ctx + " backend " + ToString(b) + " backing");
         if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+}
+
+// Every output-channel count below two vectors of the widest build (AVX2,
+// 8 lanes), so every partial-vector tail, narrow outputs included, runs on
+// every backend at every stride and dilation: once overwriting with the
+// bias added, once accumulating into a seeded accumulator without it. The
+// tail's last weight rows are the kernel's last floats, so its final rows
+// take the partial weight load. Rows of 29 input pixels hold whole tiles,
+// a pixel tail and border pixels. The outputs are channel windows,
+// compared over their whole backing store.
+TEST(KernelParity, Conv2dEveryTailWidth) {
+  const std::vector<Backend> backends = BackendsUnderTest();
+  struct Geometry {
+    int kernel;
+    int stride;
+    int dilation;
+    Padding padding;
+  };
+  const Geometry geometries[] = {{1, 1, 1, Padding::kValid},
+                                 {3, 1, 1, Padding::kSame},
+                                 {3, 2, 1, Padding::kSame},
+                                 {3, 1, 2, Padding::kSame},
+                                 {5, 2, 1, Padding::kValid}};
+  const WindowGeom out_geom{/*extra=*/3, /*offset=*/1};
+  int seed = 0;
+  for (const Geometry& geo : geometries) {
+    ConvAttrs attrs;
+    attrs.kernel_h = attrs.kernel_w = geo.kernel;
+    attrs.stride = geo.stride;
+    attrs.dilation = geo.dilation;
+    attrs.padding = geo.padding;
+    for (int out_c = 1; out_c < 16; ++out_c) {
+      for (const bool overwrite : {true, false}) {
+        ++seed;
+        const TensorShape in_shape{1, 6, 29, 1 + seed % 7};
+        const ConvWeights w = MakeConvWeights(5000u + seed, geo.kernel,
+                                              geo.kernel, in_shape.c, out_c);
+        util::Rng fill(7300u + seed);
+        std::deque<Tensor> store;
+        const Tensor in = MakeTensor(in_shape, WindowGeom{}, fill, store);
+        const TensorShape out_shape =
+            graph::InferConv2dShape(in_shape, attrs, out_c);
+        const std::string ctx = "k" + std::to_string(geo.kernel) + " s" +
+                                std::to_string(geo.stride) + " d" +
+                                std::to_string(geo.dilation) + " out_c " +
+                                std::to_string(out_c) +
+                                (overwrite ? " overwrite" : " accumulate");
+        Tensor ref_backing;
+        for (const Backend b :
+             std::vector<Backend>{Backend::kReference, backends.front(),
+                                  backends.back()}) {
+          util::Rng out_fill(9300u + seed);  // same accumulator everywhere
+          std::deque<Tensor> out_store;
+          Tensor out = MakeTensor(out_shape, out_geom, out_fill, out_store);
+          GetKernelBackend(b).Conv2dPartial(in, w, attrs, /*ic_offset=*/0,
+                                            overwrite,
+                                            /*add_bias=*/overwrite, out);
+          if (b == Backend::kReference) {
+            ref_backing = out_store.front();
+          } else {
+            ExpectBitIdentical(out_store.front(), ref_backing,
+                               ctx + " backend " + ToString(b) + " backing");
+            if (::testing::Test::HasFailure()) return;
+          }
+        }
       }
     }
   }

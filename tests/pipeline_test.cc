@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
+#include <string>
 
 #include "models/swiftnet.h"
 #include "models/zoo.h"
 #include "sched/baselines.h"
 #include "sched/schedule.h"
+#include "testing/fault_injection.h"
 #include "util/cancel_token.h"
 #include "util/memory_budget.h"
 
@@ -165,6 +168,24 @@ TEST(Pipeline, EachOutcomeMapsToOneStatusCode) {
       EXPECT_TRUE(result.schedule.empty()) << r.name;
     }
   }
+}
+
+// An injected scheduler timeout on a run without a deadline is reported as
+// a timeout, not as an expired deadline of infinite seconds.
+TEST(Pipeline, InjectedTimeoutWithoutDeadlineNamesNoInfiniteDeadline) {
+  const PipelineOptions options;
+  ASSERT_FALSE(std::isfinite(options.deadline_seconds));
+  serenity::testing::ScopedFault fault(
+      serenity::testing::FaultPoint::kSchedulerTimeout);
+  const PipelineResult result =
+      Pipeline(options).Run(models::MakeSwiftNetCellA());
+  EXPECT_EQ(result.status.code(), util::StatusCode::kDeadlineExceeded)
+      << result.status.ToString();
+  EXPECT_NE(result.status.message().find("scheduler timeout"),
+            std::string::npos)
+      << result.status.ToString();
+  EXPECT_EQ(result.status.message().find("inf"), std::string::npos)
+      << result.status.ToString();
 }
 
 TEST(Pipeline, SegmentSizesSumToGraph) {
