@@ -11,8 +11,20 @@
 //   * allocs_per_inference  — heap allocations during a timed Run; the
 //                             binary overrides operator new to count them
 //                             and CHECK-fails unless the count is ZERO
+//   * session_heap_bytes    — heap bytes requested while building a
+//                             session, beyond its planned arena: the
+//                             weights, fused-cell scratch, views and plan
+//                             copy it holds, the arena block's alignment
+//                             slack, and a few KB of construction
+//                             temporaries. Counted by the same operator new
+//                             override as requested sizes, which (unlike
+//                             the allocator's chunk sizes) repeat exactly.
 //   * nodes / plan_text_bytes — schedule length and serialized plan size
-// Timing (report-only): median seconds per inference.
+// Timing (report-only): every row's session is built first, then timed in
+// interleaved rounds (each round runs every session once to warm it and
+// times the next kTimedRunsPerRound Runs), so a slow stretch of a shared
+// host lands on every row alike. infer_seconds is the median over all
+// rounds, infer_seconds_q1/_q3 its quartiles.
 //
 // The binary also certifies, per cell, that the arena executor's sink
 // values are bit-identical to the ReferenceExecutor's under the served
@@ -20,6 +32,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -41,6 +54,9 @@ namespace {
 
 using namespace serenity;
 
+constexpr int kTimingRounds = 9;
+constexpr int kTimedRunsPerRound = 2;
+
 struct CellRun {
   std::string label;
   runtime::Backend backend = runtime::Backend::kAuto;
@@ -48,13 +64,19 @@ struct CellRun {
   std::int64_t arena_bytes = 0;
   std::int64_t touched_peak_bytes = 0;
   std::int64_t plan_text_bytes = 0;
+  std::int64_t session_heap_bytes = 0;
   std::uint64_t allocs_per_inference = 0;
-  double infer_seconds = 0;
+  // The timed session, its inputs, and one entry per timed Run.
+  std::unique_ptr<serve::InferenceSession> session;
+  std::vector<runtime::Tensor> inputs;
+  std::vector<double> seconds;
 };
 
-CellRun MeasureCell(serve::SchedulerService& service,
-                    const models::BenchmarkCell& cell,
-                    runtime::Backend backend) {
+// Plans and certifies one cell on one backend, and builds the session the
+// timing rounds run.
+CellRun SetUpCell(serve::SchedulerService& service,
+                  const models::BenchmarkCell& cell,
+                  runtime::Backend backend) {
   CellRun run;
   run.label = bench::CellLabel(cell);
   run.backend = backend;
@@ -66,9 +88,8 @@ CellRun MeasureCell(serve::SchedulerService& service,
   measured.executor.backend = backend;
   serve::InferenceSession certify =
       serve::InferenceSession::Open(service, g, measured);
-  const std::vector<runtime::Tensor> inputs =
-      testing::RandomInputsFor(certify.graph(), 0xbe9c4);
-  certify.Run(inputs);
+  run.inputs = testing::RandomInputsFor(certify.graph(), 0xbe9c4);
+  certify.Run(run.inputs);
   run.nodes = static_cast<std::int64_t>(certify.plan().plan.schedule.size());
   run.arena_bytes = certify.arena_bytes();
   run.touched_peak_bytes = certify.executor().touched_peak_bytes();
@@ -78,33 +99,43 @@ CellRun MeasureCell(serve::SchedulerService& service,
       << run.label << ": an inference did not touch the planned peak";
 
   runtime::ReferenceExecutor reference(certify.graph());
-  reference.Run(inputs, certify.plan().plan.schedule);
+  reference.Run(run.inputs, certify.plan().plan.schedule);
   const std::string divergence = testing::DescribeSinkDivergence(
       certify.executor().SinkValues(), reference.SinkValues());
   SERENITY_CHECK(divergence.empty())
       << run.label << ": arena executor diverges from reference: "
       << divergence;
 
-  // Timed session: no canary passes, allocation-counted.
+  // Timed session: no canary passes. Its construction is heap-counted; the
+  // plan is a cache hit by now, fetched before the count starts.
+  const serve::ServeResult served = service.Schedule(g);
+  SERENITY_CHECK(served.plan != nullptr) << served.status.ToString();
   serve::InferenceSessionOptions timed;
   timed.executor.backend = backend;
-  serve::InferenceSession session =
-      serve::InferenceSession::Open(service, g, timed);
-  session.Run(inputs);  // touch everything once
-  std::vector<double> seconds;
-  seconds.reserve(5);  // growth must not land inside the counted window
-  for (int rep = 0; rep < 5; ++rep) {
+  const std::int64_t requested_before = testing::ThreadRequestedBytes();
+  run.session =
+      std::make_unique<serve::InferenceSession>(served.plan, timed);
+  run.session_heap_bytes = testing::ThreadRequestedBytes() -
+                           requested_before - run.arena_bytes;
+  // Reserved here so growth never lands inside a counted Run.
+  run.seconds.reserve(kTimingRounds * kTimedRunsPerRound);
+  return run;
+}
+
+// One timing round for one row: a warming Run, then kTimedRunsPerRound
+// timed and allocation-counted Runs.
+void TimeRound(CellRun& run) {
+  run.session->Run(run.inputs);
+  for (int rep = 0; rep < kTimedRunsPerRound; ++rep) {
     const std::uint64_t before = testing::ThreadAllocationCount();
     util::Stopwatch clock;
-    session.Run(inputs);
+    run.session->Run(run.inputs);
     const std::uint64_t allocs = testing::ThreadAllocationCount() - before;
-    seconds.push_back(clock.ElapsedSeconds());
+    run.seconds.push_back(clock.ElapsedSeconds());
     SERENITY_CHECK_EQ(allocs, 0u)
-        << run.label << ": inference " << rep << " heap-allocated";
+        << run.label << ": a timed inference heap-allocated";
     run.allocs_per_inference = allocs;
   }
-  run.infer_seconds = util::Percentile(seconds, 50);
-  return run;
 }
 
 // The requested-backend row set is fixed (machine-independent) so the CI
@@ -129,36 +160,50 @@ bool PrintRows(const std::string& json_path,
                const std::string& backend_flag) {
   std::printf("Inference latency through InferenceSession (plan once, run "
               "out of the planned arena)\n\n");
-  std::printf("%-32s %-10s %-10s %6s %10s %7s %12s\n", "cell", "backend",
-              "resolved", "nodes", "arena KB", "allocs", "median s");
-  bench::PrintRule(94);
+  std::printf("%-32s %-10s %-10s %6s %10s %10s %7s %12s %12s %12s\n",
+              "cell", "backend", "resolved", "nodes", "arena KB",
+              "heap KB", "allocs", "q1 s", "median s", "q3 s");
+  bench::PrintRule(132);
   serve::ServeOptions options;
   options.num_workers = 2;
   serve::SchedulerService service(options);
-  bench::JsonRows rows;
+  std::vector<CellRun> runs;
   for (const models::BenchmarkCell& cell : models::AllBenchmarkCells()) {
     for (const runtime::Backend backend : RowBackends(backend_flag)) {
-      const CellRun run = MeasureCell(service, cell, backend);
-      std::printf("%-32s %-10s %-10s %6lld %10.1f %7llu %12.6f\n",
-                  run.label.c_str(), runtime::ToString(backend),
-                  runtime::ToString(runtime::ResolveBackend(backend)),
-                  static_cast<long long>(run.nodes),
-                  bench::Kb(run.arena_bytes),
-                  static_cast<unsigned long long>(run.allocs_per_inference),
-                  run.infer_seconds);
-      rows.Begin();
-      rows.Field("cell", run.label);
-      rows.Field("backend", std::string(runtime::ToString(backend)));
-      rows.Field("nodes", run.nodes);
-      rows.Field("arena_bytes", run.arena_bytes);
-      rows.Field("touched_peak_bytes", run.touched_peak_bytes);
-      rows.Field("plan_text_bytes", run.plan_text_bytes);
-      rows.Field("allocs_per_inference",
-                 static_cast<std::int64_t>(run.allocs_per_inference));
-      rows.Field("infer_seconds", run.infer_seconds);
+      runs.push_back(SetUpCell(service, cell, backend));
     }
   }
-  bench::PrintRule(94);
+  for (int round = 0; round < kTimingRounds; ++round) {
+    for (CellRun& run : runs) TimeRound(run);
+  }
+  bench::JsonRows rows;
+  for (const CellRun& run : runs) {
+    const double q1 = util::Percentile(run.seconds, 25);
+    const double median = util::Percentile(run.seconds, 50);
+    const double q3 = util::Percentile(run.seconds, 75);
+    std::printf("%-32s %-10s %-10s %6lld %10.1f %10.1f %7llu %12.6f %12.6f "
+                "%12.6f\n",
+                run.label.c_str(), runtime::ToString(run.backend),
+                runtime::ToString(runtime::ResolveBackend(run.backend)),
+                static_cast<long long>(run.nodes), bench::Kb(run.arena_bytes),
+                bench::Kb(run.session_heap_bytes),
+                static_cast<unsigned long long>(run.allocs_per_inference), q1,
+                median, q3);
+    rows.Begin();
+    rows.Field("cell", run.label);
+    rows.Field("backend", std::string(runtime::ToString(run.backend)));
+    rows.Field("nodes", run.nodes);
+    rows.Field("arena_bytes", run.arena_bytes);
+    rows.Field("touched_peak_bytes", run.touched_peak_bytes);
+    rows.Field("plan_text_bytes", run.plan_text_bytes);
+    rows.Field("session_heap_bytes", run.session_heap_bytes);
+    rows.Field("allocs_per_inference",
+               static_cast<std::int64_t>(run.allocs_per_inference));
+    rows.Field("infer_seconds", median);
+    rows.Field("infer_seconds_q1", q1);
+    rows.Field("infer_seconds_q3", q3);
+  }
+  bench::PrintRule(132);
   std::printf("\nall cells x backends: touched peak == planned arena, 0 "
               "allocations per inference, sinks bit-identical to the "
               "reference executor\n\n");

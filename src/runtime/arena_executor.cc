@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdint>
 #include <new>
+#include <utility>
 
 #include "alloc/arena_planner.h"
 #include "sched/schedule.h"
@@ -31,11 +32,13 @@ constexpr std::size_t kArenaBaseAlign = 64;
 
 ArenaExecutor::ArenaExecutor(const graph::Graph& graph,
                              const serialize::ExecutionPlan& plan,
-                             ArenaExecutorOptions options)
+                             ArenaExecutorOptions options,
+                             std::shared_ptr<const GraphWeights> weights)
     : graph_(graph),
       plan_(plan),
       options_(options),
-      kernels_(&GetKernelBackend(options.backend)) {
+      kernels_(&GetKernelBackend(options.backend)),
+      weights_(std::move(weights)) {
   const std::size_t num_nodes = static_cast<std::size_t>(graph.num_nodes());
   const std::size_t num_buffers =
       static_cast<std::size_t>(graph.num_buffers());
@@ -111,14 +114,17 @@ ArenaExecutor::ArenaExecutor(const graph::Graph& graph,
         static_cast<std::size_t>(widest_elems[b]), widest[b]);
   }
 
-  // --- Per-node bindings: value views, operand pointer lists, weights,
-  // fused-cell scratch, and input ordinals.
+  if (weights_ == nullptr) weights_ = MaterializeGraphWeights(graph_);
+  SERENITY_CHECK_EQ(weights_->size(), num_nodes)
+      << "weights were materialized for a different graph";
+
+  // --- Per-node bindings: value views, operand pointer lists, and input
+  // ordinals; plus the fused-cell scratch sizes.
   value_views_.resize(num_nodes);
   input_views_.resize(num_nodes);
-  weights_.resize(num_nodes);
-  fused_sum_scratch_.resize(num_nodes);
-  fused_dw_scratch_.resize(num_nodes);
   input_ordinal_.assign(num_nodes, -1);
+  std::size_t fused_sum_floats = 0;
+  std::size_t fused_dw_floats = 0;
 
   for (const graph::Node& node : graph.nodes()) {
     const std::size_t id = static_cast<std::size_t>(node.id);
@@ -144,18 +150,22 @@ ArenaExecutor::ArenaExecutor(const graph::Graph& graph,
           widest[b].c, node.buffer_channel_offset);
     }
 
-    weights_[id] = MaterializeNodeWeights(node);
     if (node.kind == graph::OpKind::kInput) {
       input_ordinal_[id] = static_cast<int>(num_graph_inputs_++);
     }
     if (node.kind == graph::OpKind::kFusedCell) {
       const graph::TensorShape in_shape =
           graph.node(node.inputs[0]).shape;
-      fused_sum_scratch_[id] = Tensor(in_shape);
-      fused_dw_scratch_[id] =
-          Tensor(graph::InferDepthwiseShape(in_shape, node.conv));
+      fused_sum_floats = std::max(
+          fused_sum_floats, static_cast<std::size_t>(in_shape.NumElements()));
+      fused_dw_floats = std::max(
+          fused_dw_floats,
+          static_cast<std::size_t>(
+              graph::InferDepthwiseShape(in_shape, node.conv).NumElements()));
     }
   }
+  fused_sum_store_.assign(fused_sum_floats, 0.0f);
+  fused_dw_store_.assign(fused_dw_floats, 0.0f);
   // Operand pointers are taken only after value_views_ stops reallocating.
   for (const graph::Node& node : graph.nodes()) {
     std::vector<const Tensor*>& operands =
@@ -205,7 +215,7 @@ void ArenaExecutor::Execute(const graph::Node& node) {
   const std::size_t id = static_cast<std::size_t>(node.id);
   Tensor& out = value_views_[id];
   const std::vector<const Tensor*>& in = input_views_[id];
-  const NodeWeights& w = weights_[id];
+  const NodeWeights& w = (*weights_)[id];
   const KernelBackend& k = *kernels_;
 
   switch (node.kind) {
@@ -269,14 +279,23 @@ void ArenaExecutor::Execute(const graph::Node& node) {
       k.DenseInto(*in[0], w.dense, out);
       break;
     case graph::OpKind::kFusedCell: {
-      Tensor& sum = fused_sum_scratch_[id];
+      // Views of exactly this node's shapes at the start of the shared
+      // stores; each is fully written below before it is read.
+      const graph::TensorShape& in_shape = in[0]->shape();
+      Tensor sum = Tensor::View(
+          fused_sum_store_.data(),
+          static_cast<std::size_t>(in_shape.NumElements()), in_shape);
       if (in.size() == 1) {
         sum.CopyFrom(*in[0]);
       } else {
         k.AddInto(in, sum);
       }
       k.ReluInto(sum, sum);  // elementwise, in place
-      Tensor& dw = fused_dw_scratch_[id];
+      const graph::TensorShape dw_shape =
+          graph::InferDepthwiseShape(in_shape, node.conv);
+      Tensor dw = Tensor::View(
+          fused_dw_store_.data(),
+          static_cast<std::size_t>(dw_shape.NumElements()), dw_shape);
       k.DepthwiseConv2dInto(sum, w.dw, node.conv, dw);
       const graph::ConvAttrs pointwise{1, 1, 1, 1, graph::Padding::kSame};
       k.Conv2dInto(dw, w.conv, pointwise, out);

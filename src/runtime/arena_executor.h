@@ -6,10 +6,20 @@
 // the same pair as the thing the device executes). This executor closes that
 // loop: it preallocates ONE arena block of plan.arena.arena_bytes, binds a
 // non-owning Tensor view per activation buffer at its planned
-// [offset, offset + size) placement, materializes all weights once at
-// construction (weights live *outside* the activation arena, like a flashed
-// model's weight segment), and then executes the plan's order with ZERO
-// per-inference heap allocation.
+// [offset, offset + size) placement, and then executes the plan's order with
+// ZERO per-inference heap allocation.
+//
+// Outside the arena an executor holds only what one inference needs:
+//   * Weights: one immutable per-graph copy (runtime/weights.h), read
+//     through a shared_ptr — like a flashed model's weight segment. By
+//     default the executor materializes its own; a caller that already built
+//     them for the same graph passes them in, which is how the pooled
+//     sessions of one plan share one copy (serve/session_pool.h).
+//   * Fused-cell scratch: ONE pre-depthwise sum store and ONE depthwise
+//     store, each sized to the largest over the graph's kFusedCell nodes.
+//     The fused nodes run one at a time, so each runs on views of exactly
+//     its shapes at the start of the stores (bounds checks stay exact), and
+//     fully writes each view before reading it.
 //
 // Certification, not trust (DESIGN.md "Plan-driven execution"):
 //   * Construction statically verifies the plan against the graph: the
@@ -32,6 +42,7 @@
 #define SERENITY_RUNTIME_ARENA_EXECUTOR_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "graph/graph.h"
@@ -59,10 +70,13 @@ struct ArenaExecutorOptions {
 class ArenaExecutor {
  public:
   // `graph` must outlive the executor; `plan` is copied. Dies if the plan
-  // does not validate against the graph (see header comment).
+  // does not validate against the graph (see header comment). `weights`, if
+  // given, must have been materialized for `graph` (MaterializeGraphWeights);
+  // null materializes a private copy.
   ArenaExecutor(const graph::Graph& graph,
                 const serialize::ExecutionPlan& plan,
-                ArenaExecutorOptions options = {});
+                ArenaExecutorOptions options = {},
+                std::shared_ptr<const GraphWeights> weights = nullptr);
 
   ArenaExecutor(const ArenaExecutor&) = delete;
   ArenaExecutor& operator=(const ArenaExecutor&) = delete;
@@ -86,6 +100,11 @@ class ArenaExecutor {
 
   // The backend options.backend resolved to at construction (never kAuto).
   Backend backend() const { return kernels_->id; }
+
+  // The weights this executor reads, possibly shared with other executors.
+  const std::shared_ptr<const GraphWeights>& weights() const {
+    return weights_;
+  }
 
   // Highest arena byte overwritten by the last Run, or -1 when the last Run
   // did not measure (options.measure_touched_peak off or no Run yet). When
@@ -113,11 +132,12 @@ class ArenaExecutor {
   // channel window into it for values living inside a shared buffer.
   std::vector<Tensor> value_views_;
   std::vector<std::vector<const Tensor*>> input_views_;  // per node
-  std::vector<NodeWeights> weights_;                     // per node
-  // kFusedCell per-node scratch (outside the arena, like weights): the
-  // pre-depthwise accumulator and the depthwise output.
-  std::vector<Tensor> fused_sum_scratch_;
-  std::vector<Tensor> fused_dw_scratch_;
+  std::shared_ptr<const GraphWeights> weights_;  // indexed by node id
+  // kFusedCell scratch shared by every fused node (outside the arena, like
+  // the weights): the pre-depthwise accumulator and the depthwise output,
+  // each as large as the largest one any fused node needs.
+  std::vector<float> fused_sum_store_;
+  std::vector<float> fused_dw_store_;
   std::vector<int> input_ordinal_;  // per node; -1 unless kInput
   std::vector<const Tensor*> sink_views_;
   std::size_t num_graph_inputs_ = 0;

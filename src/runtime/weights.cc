@@ -87,6 +87,16 @@ NodeWeights MaterializeNodeWeights(const graph::Node& node) {
   return w;
 }
 
+std::shared_ptr<const GraphWeights> MaterializeGraphWeights(
+    const graph::Graph& graph) {
+  auto weights = std::make_shared<GraphWeights>();
+  weights->reserve(static_cast<std::size_t>(graph.num_nodes()));
+  for (const graph::Node& node : graph.nodes()) {
+    weights->push_back(MaterializeNodeWeights(node));
+  }
+  return weights;
+}
+
 DenseWeights MakeDenseWeights(std::uint64_t seed, int in, int units) {
   util::Rng rng(seed);
   DenseWeights w;

@@ -10,6 +10,7 @@
 #define SERENITY_RUNTIME_WEIGHTS_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "graph/graph.h"
@@ -74,7 +75,8 @@ inline constexpr std::uint64_t kFusedBatchNormSalt = 0x5eed0003;
 // Every weight tensor one node's execution reads, materialized from the
 // node's seed. Weights live outside the activation arena: the
 // ReferenceExecutor materializes them per Execute call, the ArenaExecutor
-// once per session at construction, and both read the *same* virtual weight
+// reads one immutable per-graph copy (its own, or one shared with the other
+// sessions of a pooled plan), and both read the *same* virtual weight
 // tensors — the mechanism behind the identity-preservation and
 // arena-vs-reference bit-identity tests. Only the members the node's kind
 // uses are populated; the rest stay empty.
@@ -86,6 +88,13 @@ struct NodeWeights {
 };
 
 NodeWeights MaterializeNodeWeights(const graph::Node& node);
+
+// One graph's weights, indexed by node id. Immutable once built, so every
+// executor over the same graph can read one shared copy.
+using GraphWeights = std::vector<NodeWeights>;
+
+std::shared_ptr<const GraphWeights> MaterializeGraphWeights(
+    const graph::Graph& graph);
 
 }  // namespace serenity::runtime
 

@@ -8,14 +8,16 @@
 
 namespace serenity::serve {
 
-InferenceSession::InferenceSession(std::shared_ptr<const CachedPlan> plan,
-                                   InferenceSessionOptions options)
+InferenceSession::InferenceSession(
+    std::shared_ptr<const CachedPlan> plan, InferenceSessionOptions options,
+    std::shared_ptr<const runtime::GraphWeights> weights)
     : plan_(std::move(plan)) {
   SERENITY_CHECK(plan_ != nullptr)
       << "cannot open an inference session without a plan";
   SERENITY_CHECK(plan_->result.status.ok());
   executor_ = std::make_unique<runtime::ArenaExecutor>(
-      plan_->result.scheduled_graph, plan_->plan, options.executor);
+      plan_->result.scheduled_graph, plan_->plan, options.executor,
+      std::move(weights));
 }
 
 InferenceSession InferenceSession::Open(SchedulerService& service,
@@ -29,14 +31,14 @@ InferenceSession InferenceSession::Open(SchedulerService& service,
 }
 
 util::StatusOr<InferenceSession> InferenceSession::Create(
-    std::shared_ptr<const CachedPlan> plan,
-    InferenceSessionOptions options) {
+    std::shared_ptr<const CachedPlan> plan, InferenceSessionOptions options,
+    std::shared_ptr<const runtime::GraphWeights> weights) {
   if (plan == nullptr) {
     return util::InvalidArgumentError(
         "cannot open an inference session without a plan");
   }
   try {
-    return InferenceSession(std::move(plan), options);
+    return InferenceSession(std::move(plan), options, std::move(weights));
   } catch (const std::bad_alloc&) {
     return util::ResourceExhaustedError(
         "arena allocation failed opening the inference session");

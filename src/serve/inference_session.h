@@ -11,7 +11,8 @@
 //
 // Sessions are single-threaded by design — the arena is the session's
 // mutable state. Run sessions on separate plans (or separate sessions over
-// the same shared CachedPlan: the plan is immutable) for parallel serving.
+// the same shared CachedPlan: the plan and the weights are immutable, so
+// such sessions may share both) for parallel serving.
 #ifndef SERENITY_SERVE_INFERENCE_SESSION_H_
 #define SERENITY_SERVE_INFERENCE_SESSION_H_
 
@@ -33,8 +34,13 @@ class InferenceSession {
  public:
   // Builds a session over a served plan. Dies if `plan` is null; keeps the
   // plan (and the scheduled graph inside it) alive for the session's life.
-  explicit InferenceSession(std::shared_ptr<const CachedPlan> plan,
-                            InferenceSessionOptions options = {});
+  // `weights`, if given, must have been materialized for this plan's
+  // scheduled graph (sessions of one plan may share them); null
+  // materializes a private copy.
+  explicit InferenceSession(
+      std::shared_ptr<const CachedPlan> plan,
+      InferenceSessionOptions options = {},
+      std::shared_ptr<const runtime::GraphWeights> weights = nullptr);
 
   // Schedules `graph` through `service` — cache hit, coalesced, or a fresh
   // planning run — and opens a session over the result. Dies if planning
@@ -51,7 +57,8 @@ class InferenceSession {
   // on environment-caused failure.
   static util::StatusOr<InferenceSession> Create(
       std::shared_ptr<const CachedPlan> plan,
-      InferenceSessionOptions options = {});
+      InferenceSessionOptions options = {},
+      std::shared_ptr<const runtime::GraphWeights> weights = nullptr);
 
   InferenceSession(InferenceSession&&) = default;
   InferenceSession& operator=(InferenceSession&&) = default;

@@ -169,12 +169,15 @@ util::StatusOr<SessionPool::Lease> SessionPool::Checkout(
       } else {
         // Account first so concurrent checkouts see the bytes as taken,
         // then construct outside the lock (arena allocation + weight
-        // materialization are the expensive part).
+        // materialization are the expensive part). A live session of this
+        // very plan lends its weights; otherwise Create materializes them.
         pool.live += 1;
         arena_bytes_pooled_ += need;
+        std::shared_ptr<const runtime::GraphWeights> weights;
+        if (pool.weights_plan.lock() == plan) weights = pool.weights.lock();
         lock.unlock();
         util::StatusOr<InferenceSession> session =
-            InferenceSession::Create(plan, options_.session);
+            InferenceSession::Create(plan, options_.session, weights);
         lock.lock();
         if (!session.ok()) {
           pool.live -= 1;
@@ -185,6 +188,10 @@ util::StatusOr<SessionPool::Lease> SessionPool::Checkout(
           counters_.sheds += 1;
           returned_.notify_all();  // the undone bytes may unblock a waiter
           return session.status();
+        }
+        if (weights == nullptr) {
+          pool.weights_plan = plan;
+          pool.weights = session->executor().weights();
         }
         leased_ += 1;
         counters_.checkouts += 1;

@@ -10,6 +10,10 @@
 //     returned session is reused by the next checkout (zero-heap-alloc on
 //     the reuse path — pop, infer, push all run inside preallocated
 //     storage, proven by tests/session_pool_test.cc's operator-new count).
+//   * The sessions of one CachedPlan share one copy of its immutable
+//     weights: only the first creation materializes them, and they die
+//     with the plan's last pooled session. Each session owns only its arena
+//     and its fused-cell scratch.
 //   * The total arena bytes across every pooled session (idle and leased)
 //     never exceed max_total_arena_bytes. Creating a session for one plan
 //     may evict idle sessions of other plans to make room; bytes held by
@@ -129,6 +133,12 @@ class SessionPool {
   struct PlanPool {
     std::vector<std::unique_ptr<InferenceSession>> idle;
     int live = 0;  // idle + leased sessions built over this plan
+    // The weights the live sessions of `weights_plan` share. Matched by
+    // CachedPlan object, not by hash: an upgrade can map the hash to a new
+    // CachedPlan whose scheduled graph has other node ids. Held weakly, so
+    // the weights die with the last session that reads them.
+    std::weak_ptr<const CachedPlan> weights_plan;
+    std::weak_ptr<const runtime::GraphWeights> weights;
     // Recency hook for cross-plan eviction of idle sessions.
     std::list<graph::GraphHash>::iterator lru_pos;
     bool in_lru = false;

@@ -7,9 +7,13 @@
 #include <gtest/gtest.h>
 
 
+#include <algorithm>
+
 #include "core/pipeline.h"
 #include "graph/builder.h"
+#include "models/randwire.h"
 #include "models/swiftnet.h"
+#include "models/zoo.h"
 #include "rewrite/rewriter.h"
 #include "runtime/executor.h"
 #include "sched/baselines.h"
@@ -117,6 +121,97 @@ TEST(ArenaExecutor, SinkViewsAliasTheArena) {
   }
 }
 
+// Bytes a kFusedCell node's scratch takes: its pre-depthwise sum plus its
+// depthwise output.
+std::int64_t FusedScratchBytes(const graph::Graph& g, const graph::Node& node) {
+  const TensorShape in = g.node(node.inputs[0]).shape;
+  return (in.NumElements() +
+          graph::InferDepthwiseShape(in, node.conv).NumElements()) *
+         static_cast<std::int64_t>(sizeof(float));
+}
+
+// The fused nodes run one at a time, so an executor keeps one scratch pair
+// sized to the largest fused node instead of a pair per node. Its heap
+// beyond the arena and the (passed-in) weights is that pair plus per-node
+// bookkeeping. Two Runs on different inputs then pin that the shared
+// scratch carries nothing across nodes or across Runs.
+TEST(ArenaExecutor, FusedScratchIsSizedToTheLargestFusedNode) {
+  if (!serenity::testing::ByteTrackingAvailable()) {
+    GTEST_SKIP() << "heap byte tracking needs malloc_usable_size";
+  }
+  // Views, operand lists, placements and the plan copy: well under this
+  // many bytes per node, and far below one fused node's scratch.
+  constexpr std::int64_t kPerNodeOverheadBytes = 512;
+  std::vector<graph::Graph> graphs;
+  for (const models::BenchmarkCell& cell : models::AllBenchmarkCells()) {
+    graph::Graph g = cell.factory();
+    const bool fused = std::any_of(
+        g.nodes().begin(), g.nodes().end(), [](const graph::Node& node) {
+          return node.kind == graph::OpKind::kFusedCell;
+        });
+    if (fused) graphs.push_back(std::move(g));
+  }
+  ASSERT_EQ(graphs.size(), 5u);  // the RandWire cells
+  for (int seed = 0; seed < 4; ++seed) {
+    models::RandWireParams p;
+    p.num_nodes = 6 + 3 * seed;
+    p.seed = 211 + static_cast<std::uint64_t>(seed);
+    p.channels = 4 + 4 * seed;
+    p.spatial = 8;
+    p.input_spatial = 8 + 8 * (seed % 2);
+    p.name = "seeded_randwire";
+    graphs.push_back(models::MakeRandWireCell(p));
+  }
+
+  {
+    // The process's first executor also runs one-time static set-up; keep
+    // that out of the measured constructions.
+    const graph::Graph& g = graphs.front();
+    ArenaExecutor warm(g, serialize::MakePlan(g, sched::TfLiteOrderSchedule(g)));
+  }
+  for (const graph::Graph& g : graphs) {
+    std::int64_t largest = 0;
+    for (const graph::Node& node : g.nodes()) {
+      if (node.kind == graph::OpKind::kFusedCell) {
+        largest = std::max(largest, FusedScratchBytes(g, node));
+      }
+    }
+    ASSERT_GT(largest, 0) << g.name();
+    const sched::Schedule s = sched::GreedyMemorySchedule(g);
+    const serialize::ExecutionPlan plan = serialize::MakePlan(g, s);
+    const std::shared_ptr<const GraphWeights> weights =
+        MaterializeGraphWeights(g);
+    const std::vector<Tensor> inputs_a =
+        serenity::testing::RandomInputsFor(g, 5);
+    const std::vector<Tensor> inputs_b =
+        serenity::testing::RandomInputsFor(g, 6);
+
+    for (const Backend backend : {Backend::kBlocked, Backend::kAvx2}) {
+      const std::string label =
+          g.name() + " on " + ToString(ResolveBackend(backend));
+      ArenaExecutorOptions options;
+      options.backend = backend;
+      const std::int64_t before = serenity::testing::ThreadLiveBytes();
+      ArenaExecutor arena(g, plan, options, weights);
+      const std::int64_t held =
+          serenity::testing::ThreadLiveBytes() - before;
+      EXPECT_EQ(arena.weights().get(), weights.get()) << label;
+      // The arena block carries a cache line of alignment slack.
+      const std::int64_t beyond_arena = held - (plan.arena.arena_bytes + 64);
+      EXPECT_LE(beyond_arena,
+                2 * largest + kPerNodeOverheadBytes * g.num_nodes())
+          << label << ": " << beyond_arena << " bytes outside the arena";
+
+      for (const std::vector<Tensor>* inputs : {&inputs_a, &inputs_b}) {
+        ReferenceExecutor reference(g);
+        reference.Run(*inputs, s);
+        arena.Run(*inputs);
+        ExpectBitIdentical(arena.SinkValues(), reference.SinkValues());
+      }
+    }
+  }
+}
+
 // --- Static plan certification -------------------------------------------
 
 TEST(ArenaExecutorDeath, RejectsLifetimeLies) {
@@ -166,6 +261,16 @@ TEST(ArenaExecutorDeath, RejectsPlanForDifferentGraph) {
   (void)b.Relu(in, "out");
   const graph::Graph other = std::move(b).Build();
   EXPECT_DEATH(ArenaExecutor(other, plan), "different node count");
+}
+
+TEST(ArenaExecutorDeath, RejectsWeightsOfAnotherGraph) {
+  const graph::Graph g = models::MakeSwiftNetCellA();
+  const serialize::ExecutionPlan plan =
+      serialize::MakePlan(g, sched::TfLiteOrderSchedule(g));
+  const std::shared_ptr<const GraphWeights> other =
+      MaterializeGraphWeights(models::MakeSwiftNetCellB());
+  EXPECT_DEATH(ArenaExecutor(g, plan, {}, other),
+               "materialized for a different graph");
 }
 
 TEST(ArenaExecutorDeath, WrongInputCountRejected) {

@@ -16,16 +16,23 @@
 #include <thread>
 #include <vector>
 
+#include "core/pipeline.h"
+#include "graph/canonical_hash.h"
+#include "models/darts.h"
 #include "models/random_cell.h"
 #include "models/randwire.h"
 #include "models/swiftnet.h"
 #include "models/zoo.h"
 #include "runtime/executor.h"
+#include "runtime/weights.h"
+#include "serialize/plan.h"
 #include "serve/scheduler_service.h"
 #include "testing/alloc_counter.h"
 #include "testing/fault_injection.h"
+#include "testing/random_graphs.h"
 #include "testing/runtime_inputs.h"
 #include "testing/sink_compare.h"
+#include "util/rng.h"
 #include "util/cancel_token.h"
 
 namespace serenity::serve {
@@ -179,6 +186,162 @@ TEST(SessionPool, ReturnedSessionServesTheNextRequestUnwiped) {
           << label << ": reused session differs from the reference";
     }
   }
+}
+
+// True when a Run of `session` on `inputs` gives the ReferenceExecutor's
+// sink bytes under the session's own plan.
+bool RunsLikeTheReference(InferenceSession& session,
+                          const std::vector<runtime::Tensor>& inputs) {
+  session.Run(inputs);
+  runtime::ReferenceExecutor reference(session.graph());
+  reference.Run(inputs, session.plan().plan.schedule);
+  return SameSinkBytes(session.executor().SinkValues(),
+                       reference.SinkValues());
+}
+
+// The sessions of one CachedPlan read one copy of its weights: only the
+// first creation materializes them (heap growth per creation, measured with
+// alloc_counter.h), they die with the plan's last pooled session, and a
+// new CachedPlan under the same hash (an upgrade, whose scheduled graph may
+// number its nodes differently) never borrows them.
+TEST(SessionPool, SessionsOfOnePlanShareOneWeightCopy) {
+  if (!serenity::testing::ByteTrackingAvailable()) {
+    GTEST_SKIP() << "heap byte tracking needs malloc_usable_size";
+  }
+  using serenity::testing::ThreadAllocationCount;
+  using serenity::testing::ThreadLiveBytes;
+  SchedulerService service;
+  const auto plan = PlanFor(service, models::MakeRandWireCifar100CellC());
+  // DARTS's arena is larger than four of Cell C's: checking it out evicts
+  // every idle Cell C session.
+  const auto big = PlanFor(service, models::MakeDartsNormalCell());
+  ASSERT_TRUE(plan != nullptr && big != nullptr);
+  const graph::Graph& scheduled = plan->result.scheduled_graph;
+  ASSERT_GT(big->plan.arena.arena_bytes, 4 * plan->plan.arena.arena_bytes);
+  std::int64_t weight_bytes = 0;
+  std::uint64_t weight_allocs = 0;
+  {
+    const std::int64_t bytes_before = ThreadLiveBytes();
+    const std::uint64_t allocs_before = ThreadAllocationCount();
+    const auto weights = runtime::MaterializeGraphWeights(scheduled);
+    weight_bytes = ThreadLiveBytes() - bytes_before;
+    weight_allocs = ThreadAllocationCount() - allocs_before;
+  }
+  ASSERT_GT(weight_bytes, 1 << 20);  // about 1.35 MB
+
+  SessionPoolOptions options;
+  options.max_total_arena_bytes = big->plan.arena.arena_bytes;
+  SessionPool pool(options);
+  const std::vector<runtime::Tensor> inputs =
+      serenity::testing::RandomInputsFor(scheduled, 17);
+
+  std::weak_ptr<const runtime::GraphWeights> first_weights;
+  std::uint64_t shared_creation_allocs = 0;
+  {
+    std::vector<SessionPool::Lease> leases;
+    for (int i = 0; i < 4; ++i) {
+      const std::int64_t bytes_before = ThreadLiveBytes();
+      const std::uint64_t allocs_before = ThreadAllocationCount();
+      util::StatusOr<SessionPool::Lease> lease = pool.Checkout(plan, kInf);
+      const std::int64_t grown = ThreadLiveBytes() - bytes_before;
+      ASSERT_TRUE(lease.ok()) << lease.status().ToString();
+      if (i == 0) {
+        EXPECT_GE(grown, weight_bytes) << "creation " << i + 1;
+        first_weights = (*lease)->executor().weights();
+      } else {
+        EXPECT_LT(grown, weight_bytes) << "creation " << i + 1;
+        EXPECT_EQ((*lease)->executor().weights().get(),
+                  first_weights.lock().get());
+        shared_creation_allocs = ThreadAllocationCount() - allocs_before;
+      }
+      leases.push_back(std::move(*lease));
+    }
+    EXPECT_EQ(pool.stats().creations, 4u);
+    for (SessionPool::Lease& lease : leases) {
+      EXPECT_TRUE(RunsLikeTheReference(lease.session(), inputs));
+    }
+  }
+
+  // Evicting every Cell C session frees the weights with the last one...
+  {
+    util::StatusOr<SessionPool::Lease> lease = pool.Checkout(big, kInf);
+    ASSERT_TRUE(lease.ok()) << lease.status().ToString();
+    EXPECT_EQ(pool.stats().evictions, 4u);
+    EXPECT_TRUE(first_weights.expired());
+  }
+  // ... so the next checkout builds them again. (Its byte growth is masked
+  // by evicting DARTS to make room; the allocations are not.)
+  const std::uint64_t allocs_before = ThreadAllocationCount();
+  util::StatusOr<SessionPool::Lease> rebuilt = pool.Checkout(plan, kInf);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  EXPECT_GE(ThreadAllocationCount() - allocs_before,
+            shared_creation_allocs + weight_allocs);
+  EXPECT_EQ(pool.stats().creations, 6u);
+  EXPECT_TRUE(RunsLikeTheReference(rebuilt->session(), inputs));
+
+  // An upgrade maps the same hash to a new CachedPlan over a relabeled twin
+  // graph: node ids differ, so Cell C's live weights must not be lent.
+  util::Rng rng(29);
+  const graph::Graph twin = serenity::testing::RelabelIsomorphic(
+      models::MakeRandWireCifar100CellC(), rng, "twin");
+  ASSERT_EQ(graph::CanonicalGraphHash(twin), plan->hash);
+  auto upgraded = std::make_shared<CachedPlan>(*plan);
+  upgraded->result = core::Pipeline().Run(twin);
+  ASSERT_TRUE(upgraded->result.status.ok());
+  upgraded->plan = serialize::MakePlan(upgraded->result.scheduled_graph,
+                                       upgraded->result.schedule);
+  util::StatusOr<SessionPool::Lease> on_upgrade =
+      pool.Checkout(upgraded, kInf);
+  ASSERT_TRUE(on_upgrade.ok()) << on_upgrade.status().ToString();
+  EXPECT_EQ(pool.stats().creations, 7u);
+  EXPECT_NE((*on_upgrade)->executor().weights().get(),
+            (*rebuilt)->executor().weights().get());
+  EXPECT_TRUE(RunsLikeTheReference(on_upgrade->session(),
+                                   serenity::testing::RandomInputsFor(
+                                       upgraded->result.scheduled_graph, 17)));
+  EXPECT_TRUE(RunsLikeTheReference(rebuilt->session(), inputs));
+}
+
+// Sessions of one plan on different threads read the shared weights at the
+// same time (the race a sanitizer build watches) and each still gives the
+// reference's sink bytes.
+TEST(SessionPool, ConcurrentSessionsReadTheSharedWeights) {
+  SchedulerService service;
+  SessionPool pool;
+  const auto plan = PlanFor(service, models::MakeRandWireCifar100CellC());
+  ASSERT_NE(plan, nullptr);
+  const graph::Graph& scheduled = plan->result.scheduled_graph;
+  constexpr int kThreads = 4;
+  std::vector<std::vector<runtime::Tensor>> inputs;
+  std::vector<std::vector<runtime::Tensor>> expected;
+  for (int t = 0; t < kThreads; ++t) {
+    inputs.push_back(serenity::testing::RandomInputsFor(scheduled, 40 + t));
+    runtime::ReferenceExecutor reference(scheduled);
+    reference.Run(inputs.back(), plan->plan.schedule);
+    expected.push_back(reference.SinkValues());
+  }
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int request = 0; request < 3; ++request) {
+        util::StatusOr<SessionPool::Lease> lease = pool.Checkout(plan, kInf);
+        if (!lease.ok()) {
+          mismatches += 1;
+          return;
+        }
+        (*lease)->Run(inputs[static_cast<std::size_t>(t)]);
+        if (!SameSinkBytes((*lease)->executor().SinkValues(),
+                           expected[static_cast<std::size_t>(t)])) {
+          mismatches += 1;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(pool.stats().checkouts, static_cast<std::uint64_t>(3 * kThreads));
 }
 
 TEST(SessionPool, PerPlanCapShedsAfterBoundedWait) {

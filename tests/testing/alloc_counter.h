@@ -34,11 +34,19 @@ inline thread_local std::uint64_t g_thread_allocations = 0;
 // should be skipped.
 inline thread_local std::int64_t g_thread_live_bytes = 0;
 inline thread_local std::int64_t g_thread_peak_live_bytes = 0;
+// Bytes this thread has asked operator new for (the size arguments),
+// never decreased. Unlike the live counters it does not depend on the
+// allocator's chunk rounding or on what other threads freed, so the same
+// code path always reads the same delta.
+inline thread_local std::int64_t g_thread_requested_bytes = 0;
 
 // Allocations performed by the calling thread since process start.
 inline std::uint64_t ThreadAllocationCount() { return g_thread_allocations; }
 
 inline std::int64_t ThreadLiveBytes() { return g_thread_live_bytes; }
+inline std::int64_t ThreadRequestedBytes() {
+  return g_thread_requested_bytes;
+}
 inline std::int64_t ThreadPeakLiveBytes() {
   return g_thread_peak_live_bytes;
 }
@@ -55,8 +63,11 @@ inline bool ByteTrackingAvailable() {
 #endif
 }
 
-inline void NoteAlloc(void* p) {
+inline void NoteAlloc(void* p, std::size_t size) {
   ++g_thread_allocations;
+  if (p != nullptr) {
+    g_thread_requested_bytes += static_cast<std::int64_t>(size);
+  }
 #if defined(__GLIBC__)
   if (p != nullptr) {
     g_thread_live_bytes +=
@@ -85,26 +96,26 @@ inline void NoteFree(void* p) {
 
 void* operator new(std::size_t size) {
   if (void* p = std::malloc(size ? size : 1)) {
-    serenity::testing::NoteAlloc(p);
+    serenity::testing::NoteAlloc(p, size);
     return p;
   }
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) {
   if (void* p = std::malloc(size ? size : 1)) {
-    serenity::testing::NoteAlloc(p);
+    serenity::testing::NoteAlloc(p, size);
     return p;
   }
   throw std::bad_alloc();
 }
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   void* p = std::malloc(size ? size : 1);
-  serenity::testing::NoteAlloc(p);
+  serenity::testing::NoteAlloc(p, size);
   return p;
 }
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
   void* p = std::malloc(size ? size : 1);
-  serenity::testing::NoteAlloc(p);
+  serenity::testing::NoteAlloc(p, size);
   return p;
 }
 // C++17 over-aligned forms: counted too, so a future alignas-heavy kernel
@@ -113,7 +124,7 @@ void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
 void* operator new(std::size_t size, std::align_val_t align) {
   const std::size_t a = static_cast<std::size_t>(align);
   if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) {
-    serenity::testing::NoteAlloc(p);
+    serenity::testing::NoteAlloc(p, size);
     return p;
   }
   throw std::bad_alloc();
@@ -121,7 +132,7 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   const std::size_t a = static_cast<std::size_t>(align);
   if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) {
-    serenity::testing::NoteAlloc(p);
+    serenity::testing::NoteAlloc(p, size);
     return p;
   }
   throw std::bad_alloc();
@@ -130,14 +141,14 @@ void* operator new(std::size_t size, std::align_val_t align,
                    const std::nothrow_t&) noexcept {
   const std::size_t a = static_cast<std::size_t>(align);
   void* p = std::aligned_alloc(a, (size + a - 1) / a * a);
-  serenity::testing::NoteAlloc(p);
+  serenity::testing::NoteAlloc(p, size);
   return p;
 }
 void* operator new[](std::size_t size, std::align_val_t align,
                      const std::nothrow_t&) noexcept {
   const std::size_t a = static_cast<std::size_t>(align);
   void* p = std::aligned_alloc(a, (size + a - 1) / a * a);
-  serenity::testing::NoteAlloc(p);
+  serenity::testing::NoteAlloc(p, size);
   return p;
 }
 void operator delete(void* p) noexcept {
