@@ -269,14 +269,13 @@ util::Status SavePlanToFile(const ExecutionPlan& plan,
   return AtomicWriteFile(path, PlanToText(plan));
 }
 
-util::StatusOr<ExecutionPlan> LoadPlanFromFile(const std::string& path,
-                                               const graph::Graph& graph) {
+util::StatusOr<std::string> ReadFile(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
     return util::NotFoundError("cannot open '" + path + "' for reading");
   }
   std::string text;
-  char buffer[1 << 14];
+  char buffer[1 << 15];
   std::size_t got;
   while ((got = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
     text.append(buffer, got);
@@ -286,7 +285,14 @@ util::StatusOr<ExecutionPlan> LoadPlanFromFile(const std::string& path,
   if (read_error) {
     return util::UnavailableError("error reading '" + path + "'");
   }
-  return PlanFromText(text, graph);
+  return text;
+}
+
+util::StatusOr<ExecutionPlan> LoadPlanFromFile(const std::string& path,
+                                               const graph::Graph& graph) {
+  util::StatusOr<std::string> text = ReadFile(path);
+  if (!text.ok()) return text.status();
+  return PlanFromText(*text, graph);
 }
 
 }  // namespace serenity::serialize

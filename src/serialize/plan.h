@@ -81,11 +81,15 @@ util::Status SavePlanToFile(const ExecutionPlan& plan,
 util::StatusOr<ExecutionPlan> LoadPlanFromFile(const std::string& path,
                                                const graph::Graph& graph);
 
-// Shared by the persistence layers: writes `contents` to `path` via a
-// temporary file in the same directory plus std::rename, fsyncing before
-// the swap. On failure the temporary is removed and `path` is untouched.
+// The persistence layers' one file writer and one file reader.
+// AtomicWriteFile writes `contents` to `path` via a temporary file in the
+// same directory plus std::rename, fsyncing before the swap. On failure the
+// temporary is removed and `path` is untouched.
 util::Status AtomicWriteFile(const std::string& path,
                              const std::string& contents);
+// ReadFile returns every byte of `path`: kNotFound when it cannot be
+// opened, kUnavailable on a read error.
+util::StatusOr<std::string> ReadFile(const std::string& path);
 
 }  // namespace serenity::serialize
 

@@ -6,6 +6,7 @@
 #include <map>
 #include <sstream>
 
+#include "serialize/plan.h"
 #include "util/logging.h"
 
 namespace serenity::serialize {
@@ -334,11 +335,9 @@ void SaveToFile(const graph::Graph& graph, const std::string& path) {
 }
 
 graph::Graph LoadFromFile(const std::string& path) {
-  std::ifstream is(path);
-  SERENITY_CHECK(is.good()) << "cannot open '" << path << "' for reading";
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  return FromText(buffer.str());
+  util::StatusOr<std::string> text = ReadFile(path);
+  SERENITY_CHECK(text.ok()) << text.status().message();
+  return FromText(*text);
 }
 
 }  // namespace serenity::serialize

@@ -1,11 +1,14 @@
 #include "serve/plan_cache.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <sstream>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "sched/schedule.h"
 #include "serialize/serialize.h"
 #include "util/crc32.h"
 #include "util/logging.h"
@@ -133,63 +136,50 @@ PlanCacheStats PlanCache::stats() const {
 
 // ------------------------------------------------------------- persistence
 //
-//   serenity-plan-cache v3 <num_entries>
-//   entry <hash_hex> <graph_bytes> <plan_bytes> <crc> <peak_bytes>
-//         <states_expanded> <quality> <peak_delta> <conv_pat> <dw_pat>
-//         <relu_pushes> <nodes_before> <nodes_after> <num_segments>
-//         <seg0> <seg1> ...
+//   serenity-plan-cache v4 <num_entries>
+//   entry <crc> <hash_hex> <quality> <peak_delta> <graph_bytes> <plan_bytes>
 //   <graph_bytes raw bytes: serialize::ToText(scheduled_graph)>
 //   <plan_bytes raw bytes: PlanToText(plan)>
 //
-// <crc> is the CRC-32 (8 hex digits) of the entry's canonical form: the
-// entry line with the crc field removed, followed by both payloads. The
-// loader re-serializes the parsed metadata to recompute it, so a bit flip
-// anywhere in the entry — metadata or payload — fails verification before
-// any payload parser runs. Verified payloads are then parsed by code whose
-// CHECKs guard programming errors only (the integrity layer has already
-// vouched for the bytes).
+// <crc> is the CRC-32 (8 hex digits) of the entry's raw bytes from
+// <hash_hex> through the last byte of the plan text. The loader reads only
+// the two payload sizes (to find the entry's end), checks the CRC of that
+// span, and parses nothing else until it matches: a bit flip anywhere in
+// the entry fails before any parser runs, and the graph parser's CHECKs
+// guard programming errors only.
 
 namespace {
 
-// The checksummed canonical form of one entry's metadata line (everything
-// after "entry ", minus the crc field), shared by writer and loader.
-std::string EntryMetadataCanonical(const std::string& hash_hex,
-                                   std::size_t graph_bytes,
-                                   std::size_t plan_bytes,
-                                   const core::PipelineResult& r,
-                                   core::PlanQuality quality,
-                                   std::int64_t peak_delta_bytes) {
-  std::ostringstream os;
-  os << hash_hex << " " << graph_bytes << " " << plan_bytes << " "
-     << r.peak_bytes << " " << r.states_expanded << " "
-     << static_cast<int>(quality) << " " << peak_delta_bytes << " "
-     << r.rewrite_report.conv_patterns << " "
-     << r.rewrite_report.depthwise_patterns << " "
-     << r.rewrite_report.relu_pushes << " " << r.rewrite_report.nodes_before
-     << " " << r.rewrite_report.nodes_after << " " << r.segment_sizes.size();
-  for (const int size : r.segment_sizes) os << " " << size;
-  return os.str();
-}
-
-std::uint32_t EntryCrc(const std::string& metadata_canonical,
-                       const std::string& graph_text,
-                       const std::string& plan_text) {
-  std::string all;
-  all.reserve(metadata_canonical.size() + 1 + graph_text.size() +
-              plan_text.size());
-  all += metadata_canonical;
-  all += '\n';
-  all += graph_text;
-  all += plan_text;
-  return util::Crc32(all);
-}
-
-bool IsHashHex(const std::string& s) {
+bool IsHashHex(std::string_view s) {
   if (s.size() != 32) return false;
   for (const char c : s) {
     if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))) return false;
   }
   return true;
+}
+
+// Parses the last two space-separated decimal fields of `line` (the payload
+// sizes); false unless both are plain digits that fit a size_t.
+bool ParsePayloadSizes(std::string_view line, std::size_t* graph_bytes,
+                       std::size_t* plan_bytes) {
+  const std::size_t plan_at = line.rfind(' ');
+  if (plan_at == std::string_view::npos || plan_at == 0) return false;
+  const std::size_t graph_at = line.rfind(' ', plan_at - 1);
+  if (graph_at == std::string_view::npos) return false;
+  const auto parse = [](std::string_view field, std::size_t* out) {
+    const char* end = field.data() + field.size();
+    const auto [ptr, ec] = std::from_chars(field.data(), end, *out);
+    return !field.empty() && ec == std::errc() && ptr == end;
+  };
+  return parse(line.substr(graph_at + 1, plan_at - graph_at - 1),
+               graph_bytes) &&
+         parse(line.substr(plan_at + 1), plan_bytes);
+}
+
+std::string CrcHex(std::string_view bytes) {
+  char hex[16];
+  std::snprintf(hex, sizeof(hex), "%08x", util::Crc32(bytes));
+  return hex;
 }
 
 }  // namespace
@@ -203,59 +193,36 @@ util::Status PlanCache::SaveToFile(const std::string& path) const {
       snapshot.push_back(entries_.at(hash).plan);
     }
   }
-  std::ostringstream os;
-  // v3: per-entry CRC field; the embedded plan texts carry the
-  // "serenity-plan v3" header of serialize::kPlanFormatVersion. Bump in
-  // lockstep with that format so a loader never feeds an old-generation
-  // plan text to the new parser.
-  os << "serenity-plan-cache v3 " << snapshot.size() << "\n";
+  // v4: one raw-span CRC per entry; the embedded plan texts carry their own
+  // "serenity-plan v3" header (serialize::kPlanFormatVersion). Bump this
+  // whenever either layout changes, so a loader never feeds an
+  // old-generation entry to the new parser.
+  std::string out =
+      "serenity-plan-cache v4 " + std::to_string(snapshot.size()) + "\n";
   for (const auto& plan : snapshot) {
     const std::string graph_text =
         serialize::ToText(plan->result.scheduled_graph);
     const std::string plan_text = serialize::PlanToText(plan->plan);
-    const std::string metadata = EntryMetadataCanonical(
-        plan->hash.ToHex(), graph_text.size(), plan_text.size(),
-        plan->result, plan->quality, plan->peak_delta_bytes);
-    const std::uint32_t crc = EntryCrc(metadata, graph_text, plan_text);
-    char crc_hex[16];
-    std::snprintf(crc_hex, sizeof(crc_hex), "%08x", crc);
-    // The crc field sits fourth (after the payload sizes) so a loader can
-    // strip it without knowing the tail's segment count.
-    std::istringstream meta_fields(metadata);
-    std::string hash_hex, graph_size, plan_size;
-    meta_fields >> hash_hex >> graph_size >> plan_size;
-    std::string tail;
-    std::getline(meta_fields, tail);  // leading space included
-    os << "entry " << hash_hex << " " << graph_size << " " << plan_size
-       << " " << crc_hex << tail << "\n"
-       << graph_text << plan_text;
+    const std::string span =
+        plan->hash.ToHex() + " " +
+        std::to_string(static_cast<int>(plan->quality)) + " " +
+        std::to_string(plan->peak_delta_bytes) + " " +
+        std::to_string(graph_text.size()) + " " +
+        std::to_string(plan_text.size()) + "\n" + graph_text + plan_text;
+    out += "entry " + CrcHex(span) + " " + span;
   }
-  return serialize::AtomicWriteFile(path, os.str());
+  return serialize::AtomicWriteFile(path, out);
 }
 
 util::StatusOr<CacheLoadReport> PlanCache::LoadFromFile(
     const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
+  util::StatusOr<std::string> read = serialize::ReadFile(path);
+  if (!read.ok()) {
     std::lock_guard<std::mutex> lock(mu_);
     ++counters_.load_errors;
-    return util::NotFoundError("cannot open plan cache '" + path +
-                               "' for reading");
+    return read.status();
   }
-  std::string text;
-  char buffer[1 << 15];
-  std::size_t got;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-    text.append(buffer, got);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.load_errors;
-    return util::UnavailableError("error reading plan cache '" + path +
-                                  "'");
-  }
+  const std::string& text = *read;
 
   // Header: must parse fully before any graceful exit — a header that
   // cannot be read at all is corruption (or not our file), not staleness.
@@ -275,13 +242,13 @@ util::StatusOr<CacheLoadReport> PlanCache::LoadFromFile(
           "'" + path +
           "' is not a plan-cache file (or its header is truncated)");
     }
-    if (version != "v3") {
+    if (version != "v4") {
       // A cache persisted by a different serializer generation is stale,
       // not fatal: skip the warm start, serve cold, and let the caller
       // re-persist in the current format. Failing here would wedge a
       // service upgrade on a file that only exists as an optimization.
       std::fprintf(stderr,
-                   "plan cache '%s' has format %s (this build writes v3); "
+                   "plan cache '%s' has format %s (this build writes v4); "
                    "ignoring it and starting cold\n",
                    path.c_str(), version.c_str());
       CacheLoadReport report;
@@ -292,6 +259,7 @@ util::StatusOr<CacheLoadReport> PlanCache::LoadFromFile(
 
   CacheLoadReport report;
   std::vector<std::shared_ptr<const CachedPlan>> loaded;
+  const std::string_view view(text);
   std::size_t pos = header_end + 1;
   while (pos < text.size()) {
     // Resynchronization point on damage: skip to the next entry record.
@@ -304,90 +272,70 @@ util::StatusOr<CacheLoadReport> PlanCache::LoadFromFile(
       pos = next == std::string::npos ? text.size() : next + 1;
     };
 
-    if (text.compare(pos, 6, "entry ") != 0) {
+    // "entry <crc> " precedes the checksummed span.
+    const std::size_t span_at = pos + 15;
+    const std::size_t line_end = text.find('\n', pos);
+    std::size_t graph_bytes = 0, plan_bytes = 0;
+    if (text.compare(pos, 6, "entry ") != 0 ||
+        line_end == std::string::npos || line_end <= span_at ||
+        text[span_at - 1] != ' ' ||
+        !ParsePayloadSizes(view.substr(span_at, line_end - span_at),
+                           &graph_bytes, &plan_bytes)) {
       quarantine();
       continue;
     }
-    const std::size_t line_end = text.find('\n', pos);
-    if (line_end == std::string::npos) {
+    const std::size_t payload_at = line_end + 1;
+    if (graph_bytes > text.size() - payload_at ||
+        plan_bytes > text.size() - payload_at - graph_bytes) {
+      quarantine();
+      continue;
+    }
+    const std::size_t entry_end = payload_at + graph_bytes + plan_bytes;
+    if (text.compare(pos + 6, 8,
+                     CrcHex(view.substr(span_at, entry_end - span_at))) !=
+        0) {
       quarantine();
       continue;
     }
 
-    // Parse the metadata line.
-    std::istringstream ls(text.substr(pos + 6, line_end - pos - 6));
-    std::string hash_hex, crc_hex;
-    std::size_t graph_bytes = 0, plan_bytes = 0, num_segments = 0;
+    // CRC verified: the bytes are exactly what SaveToFile wrote. The plan
+    // parser returns Status; treat any failure defensively as quarantine
+    // (it re-validates geometry against the parsed graph).
+    std::istringstream ls(text.substr(span_at, line_end - span_at));
+    std::string hash_hex;
+    int quality_int = -1;
+    std::int64_t peak_delta = -1;
+    ls >> hash_hex >> quality_int >> peak_delta;
+    if (ls.fail() || !IsHashHex(hash_hex) || quality_int < 0 ||
+        quality_int > static_cast<int>(core::PlanQuality::kGreedy) ||
+        peak_delta < 0) {
+      quarantine();
+      continue;
+    }
     auto plan = std::make_shared<CachedPlan>();
     core::PipelineResult& r = plan->result;
-    int quality_int = 0;
-    std::int64_t peak_delta = 0;
-    ls >> hash_hex >> graph_bytes >> plan_bytes >> crc_hex >> r.peak_bytes >>
-        r.states_expanded >> quality_int >> peak_delta >>
-        r.rewrite_report.conv_patterns >>
-        r.rewrite_report.depthwise_patterns >> r.rewrite_report.relu_pushes >>
-        r.rewrite_report.nodes_before >> r.rewrite_report.nodes_after >>
-        num_segments;
-    bool entry_ok = !ls.fail() && IsHashHex(hash_hex) &&
-                    crc_hex.size() == 8 && quality_int >= 0 &&
-                    quality_int <= static_cast<int>(
-                                       core::PlanQuality::kGreedy) &&
-                    peak_delta >= 0 && r.peak_bytes >= peak_delta &&
-                    num_segments <= 1'000'000;
-    if (entry_ok) {
-      r.segment_sizes.resize(num_segments);
-      for (std::size_t s = 0; s < num_segments && entry_ok; ++s) {
-        ls >> r.segment_sizes[s];
-        entry_ok = !ls.fail();
-      }
-    }
-    // Payload bounds before touching the payloads.
-    const std::size_t payload_at = line_end + 1;
-    entry_ok = entry_ok && graph_bytes <= text.size() - payload_at &&
-               plan_bytes <= text.size() - payload_at - graph_bytes;
-    if (!entry_ok) {
-      quarantine();
-      continue;
-    }
-    const std::string graph_text = text.substr(payload_at, graph_bytes);
-    const std::string plan_text =
-        text.substr(payload_at + graph_bytes, plan_bytes);
-
-    // Integrity gate: recompute the CRC over the canonical metadata and the
-    // payloads. Only verified bytes reach the parsers below.
-    r.quality = static_cast<core::PlanQuality>(quality_int);
-    r.best_known_peak_bytes = r.peak_bytes - peak_delta;
-    const std::string metadata =
-        EntryMetadataCanonical(hash_hex, graph_bytes, plan_bytes, r,
-                               r.quality, peak_delta);
-    char expect_hex[16];
-    std::snprintf(expect_hex, sizeof(expect_hex), "%08x",
-                  EntryCrc(metadata, graph_text, plan_text));
-    if (crc_hex != expect_hex) {
-      quarantine();
-      continue;
-    }
-
-    // CRC verified: the bytes are exactly what SaveToFile wrote, so the
-    // graph parser's CHECKs are back to guarding programming errors. The
-    // plan parser returns Status; treat any failure defensively as
-    // quarantine (it re-validates geometry against the parsed graph).
-    plan->hash = graph::GraphHashFromHex(hash_hex);
-    r.scheduled_graph = serialize::FromText(graph_text);
-    util::StatusOr<serialize::ExecutionPlan> parsed =
-        serialize::PlanFromText(plan_text, r.scheduled_graph);
+    r.scheduled_graph =
+        serialize::FromText(text.substr(payload_at, graph_bytes));
+    util::StatusOr<serialize::ExecutionPlan> parsed = serialize::PlanFromText(
+        text.substr(payload_at + graph_bytes, plan_bytes), r.scheduled_graph);
     if (!parsed.ok()) {
       quarantine();
       continue;
     }
+    plan->hash = graph::GraphHashFromHex(hash_hex);
     plan->plan = std::move(parsed).value();
     r.schedule = plan->plan.schedule;
+    // Computed as Pipeline::Run computes it, so it cannot disagree with the
+    // plan.
+    r.peak_bytes = sched::PeakFootprint(r.scheduled_graph, r.schedule);
+    r.best_known_peak_bytes = r.peak_bytes - peak_delta;
+    r.quality = static_cast<core::PlanQuality>(quality_int);
     plan->quality = r.quality;
     plan->peak_delta_bytes = peak_delta;
     plan->bytes = CachedPlanBytes(*plan);
     loaded.push_back(std::move(plan));
     ++report.entries_loaded;
-    pos = payload_at + graph_bytes + plan_bytes;
+    pos = entry_end;
   }
 
   std::lock_guard<std::mutex> lock(mu_);

@@ -16,17 +16,20 @@
 // Lookups and inserts are thread-safe; returned plans are shared_ptr<const>
 // snapshots, so an entry evicted mid-use stays alive for its holders.
 //
-// Persistence ("warm restart"): SaveToFile writes every entry as
-//   entry <hash_hex> <graph_bytes> <plan_bytes> <crc> <peak> <quality> ...
-// followed by the length-prefixed serialized scheduled graph and plan
-// texts, through the atomic write-temp-then-rename path
-// (serialize::AtomicWriteFile) so a crash mid-save never tears the file.
-// Each entry carries a CRC-32 over its metadata and payloads; LoadFromFile
-// verifies it *before* parsing, quarantines-and-skips entries that fail
-// (resynchronizing at the next "entry " record), and reports how many were
-// loaded vs quarantined — a torn write or bit flip costs one entry, not the
-// warm start. Search timings and the degrade reason are not persisted —
-// they describe the planning run, not the plan — and load as zero/kNone.
+// Persistence ("warm restart") keeps the plan and nothing else. SaveToFile
+// writes every entry as
+//   entry <crc> <hash_hex> <quality> <peak_delta> <graph_bytes> <plan_bytes>
+// followed by the serialized scheduled graph and plan texts, through the
+// atomic write-temp-then-rename path (serialize::AtomicWriteFile) so a
+// crash mid-save never tears the file. <crc> is one CRC-32 over the entry's
+// raw bytes after it; LoadFromFile verifies it *before* parsing,
+// quarantines-and-skips entries that fail (resynchronizing at the next
+// "entry " record), and reports how many were loaded vs quarantined — a
+// torn write or bit flip costs one entry, not the warm start. The quality
+// and peak delta are kept so a degraded entry stays upgradeable; the peak
+// is recomputed from the schedule. What describes the planning run (state
+// counts, rewrite counts, segment sizes, timings, the degrade reason) is
+// not persisted and loads as zero/empty/kNone.
 #ifndef SERENITY_SERVE_PLAN_CACHE_H_
 #define SERENITY_SERVE_PLAN_CACHE_H_
 

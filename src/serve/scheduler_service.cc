@@ -12,7 +12,7 @@
 namespace serenity::serve {
 
 SchedulerService::SchedulerService(ServeOptions options)
-    : options_(std::move(options)), cache_(options_.cache_capacity_bytes) {
+    : options_(std::move(options)) {
   SERENITY_CHECK_GE(options_.num_workers, 1);
   workers_.reserve(static_cast<std::size_t>(options_.num_workers));
   for (int i = 0; i < options_.num_workers; ++i) {

@@ -67,7 +67,6 @@ namespace serenity::serve {
 struct ServeOptions {
   core::PipelineOptions pipeline;    // how misses are planned
   int num_workers = 1;               // planning threads in the pool
-  std::int64_t cache_capacity_bytes = 256ll << 20;
   // Background upgrade of degraded cache entries: one re-plan without a
   // deadline replaces the entry with the exact plan. A failed attempt is
   // not retried.

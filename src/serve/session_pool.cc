@@ -90,20 +90,25 @@ bool SessionPool::EvictIdleForLocked(const graph::GraphHash& keep,
     std::unique_ptr<InferenceSession> evicted =
         std::move(victim.idle.back());
     victim.idle.pop_back();
-    victim.live -= 1;
-    arena_bytes_pooled_ -= evicted->arena_bytes();
-    if (options_.arena_budget != nullptr) {
-      options_.arena_budget->Refund(evicted->arena_bytes());
-    }
-    counters_.evictions += 1;
+    DestroyLocked(victim, std::move(evicted));
     if (victim.idle.empty()) {
       // Keep the LRU node (re-insertion on the next return would allocate);
       // just advance past it. Empty entries are skipped above.
       ++it;
     }
-    // `evicted` destructs here: pure deallocation, safe under the lock.
   }
   return arena_bytes_pooled_ + needed <= options_.max_total_arena_bytes;
+}
+
+void SessionPool::DestroyLocked(PlanPool& pool,
+                                std::unique_ptr<InferenceSession> session) {
+  pool.live -= 1;
+  arena_bytes_pooled_ -= session->arena_bytes();
+  if (options_.arena_budget != nullptr) {
+    options_.arena_budget->Refund(session->arena_bytes());
+  }
+  counters_.evictions += 1;
+  // `session` destructs here: pure deallocation, safe under the lock.
 }
 
 util::StatusOr<SessionPool::Lease> SessionPool::Checkout(
@@ -144,7 +149,20 @@ util::StatusOr<SessionPool::Lease> SessionPool::Checkout(
 
   bool counted_wait = false;
   while (true) {
-    // 1. Reuse an idle session of this plan.
+    // 1. Reuse an idle session of this plan. The pool holds sessions of one
+    //    plan; when an upgrade has replaced it (or a stale caller asks for
+    //    the old one back, possibly while this checkout waited), rebind:
+    //    no idle session of another plan may serve this request.
+    if (pool.plan.lock() != plan) {
+      while (!pool.idle.empty()) {
+        std::unique_ptr<InferenceSession> stale = std::move(pool.idle.back());
+        pool.idle.pop_back();
+        DestroyLocked(pool, std::move(stale));
+      }
+      pool.plan = plan;
+      pool.weights.reset();
+      returned_.notify_all();  // the refunded bytes may unblock a waiter
+    }
     if (!pool.idle.empty()) {
       std::unique_ptr<InferenceSession> session = std::move(pool.idle.back());
       pool.idle.pop_back();
@@ -170,11 +188,11 @@ util::StatusOr<SessionPool::Lease> SessionPool::Checkout(
         // Account first so concurrent checkouts see the bytes as taken,
         // then construct outside the lock (arena allocation + weight
         // materialization are the expensive part). A live session of this
-        // very plan lends its weights; otherwise Create materializes them.
+        // plan lends its weights; otherwise Create materializes them.
         pool.live += 1;
         arena_bytes_pooled_ += need;
-        std::shared_ptr<const runtime::GraphWeights> weights;
-        if (pool.weights_plan.lock() == plan) weights = pool.weights.lock();
+        std::shared_ptr<const runtime::GraphWeights> weights =
+            pool.weights.lock();
         lock.unlock();
         util::StatusOr<InferenceSession> session =
             InferenceSession::Create(plan, options_.session, weights);
@@ -189,8 +207,8 @@ util::StatusOr<SessionPool::Lease> SessionPool::Checkout(
           returned_.notify_all();  // the undone bytes may unblock a waiter
           return session.status();
         }
-        if (weights == nullptr) {
-          pool.weights_plan = plan;
+        // A concurrent checkout may have rebound the pool meanwhile.
+        if (weights == nullptr && pool.plan.lock() == plan) {
           pool.weights = session->executor().weights();
         }
         leased_ += 1;
@@ -234,10 +252,14 @@ void SessionPool::Return(std::unique_ptr<InferenceSession> session) {
   SERENITY_CHECK(pools_it != pools_.end())
       << "returned a session the pool never issued";
   PlanPool& pool = pools_it->second;
-  SERENITY_CHECK_LT(pool.idle.size(), pool.idle.capacity())
-      << "more returns than issued leases";
-  pool.idle.push_back(std::move(session));
-  TouchLocked(pools_it->first, pool);
+  if (pool.plan.lock().get() != &session->plan()) {
+    DestroyLocked(pool, std::move(session));  // its plan was superseded
+  } else {
+    SERENITY_CHECK_LT(pool.idle.size(), pool.idle.capacity())
+        << "more returns than issued leases";
+    pool.idle.push_back(std::move(session));
+    TouchLocked(pools_it->first, pool);
+  }
   SERENITY_CHECK_GT(leased_, 0u);
   leased_ -= 1;
   counters_.returns += 1;

@@ -14,6 +14,9 @@
 //     weights: only the first creation materializes them, and they die
 //     with the plan's last pooled session. Each session owns only its arena
 //     and its fused-cell scratch.
+//   * A checkout always runs the CachedPlan it is given. Once an upgrade
+//     has replaced a hash's plan, the old plan's idle sessions are
+//     destroyed at the next checkout, and its leased ones when returned.
 //   * The total arena bytes across every pooled session (idle and leased)
 //     never exceed max_total_arena_bytes. Creating a session for one plan
 //     may evict idle sessions of other plans to make room; bytes held by
@@ -72,7 +75,9 @@ struct SessionPoolStats {
   std::uint64_t sheds = 0;       // checkouts failed with kResourceExhausted
   std::uint64_t cancelled_waits = 0;  // waits abandoned via the cancel token
   std::uint64_t budget_denials = 0;   // creations refused by arena_budget
-  std::uint64_t evictions = 0;   // idle sessions destroyed to make room
+  // Sessions destroyed to make room or because an upgrade superseded
+  // their plan.
+  std::uint64_t evictions = 0;
   std::uint64_t sessions_idle = 0;
   std::uint64_t sessions_leased = 0;
   std::int64_t arena_bytes_pooled = 0;  // idle + leased
@@ -132,12 +137,12 @@ class SessionPool {
  private:
   struct PlanPool {
     std::vector<std::unique_ptr<InferenceSession>> idle;
-    int live = 0;  // idle + leased sessions built over this plan
-    // The weights the live sessions of `weights_plan` share. Matched by
-    // CachedPlan object, not by hash: an upgrade can map the hash to a new
-    // CachedPlan whose scheduled graph has other node ids. Held weakly, so
-    // the weights die with the last session that reads them.
-    std::weak_ptr<const CachedPlan> weights_plan;
+    int live = 0;  // idle + leased sessions built under this hash
+    // The one CachedPlan the idle sessions and `weights` belong to, matched
+    // by object, not by hash (an upgrade maps the hash to a new CachedPlan,
+    // whose scheduled graph may have other node ids). Held weakly, like the
+    // weights, which die with the last session reading them.
+    std::weak_ptr<const CachedPlan> plan;
     std::weak_ptr<const runtime::GraphWeights> weights;
     // Recency hook for cross-plan eviction of idle sessions.
     std::list<graph::GraphHash>::iterator lru_pos;
@@ -145,6 +150,10 @@ class SessionPool {
   };
 
   void Return(std::unique_ptr<InferenceSession> session);
+  // Assumes mu_ held: destroys `session`, refunding its arena bytes to the
+  // cap and to arena_budget, and counts it as an eviction.
+  void DestroyLocked(PlanPool& pool,
+                     std::unique_ptr<InferenceSession> session);
   // Assumes mu_ held: destroys idle sessions of *other* plans (least
   // recently used first) until `needed` bytes fit under the cap or nothing
   // idle remains. Returns true when the bytes now fit.

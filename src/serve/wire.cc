@@ -301,10 +301,6 @@ std::string EncodeRequest(const Request& request) {
   return payload;
 }
 
-util::StatusOr<Request> DecodeRequest(const std::string& payload) {
-  return DecodeRequest(std::string(payload));
-}
-
 util::StatusOr<Request> DecodeRequest(std::string&& payload) {
   ByteReader reader(payload);
   std::uint8_t verb = 0;
@@ -339,10 +335,6 @@ std::string EncodeReply(const Reply& reply) {
   std::string payload = EncodeReplyHead(reply);
   payload.append(reply.body);
   return payload;
-}
-
-util::StatusOr<Reply> DecodeReply(const std::string& payload) {
-  return DecodeReply(std::string(payload));
 }
 
 util::StatusOr<Reply> DecodeReply(std::string&& payload) {
@@ -449,16 +441,6 @@ util::Status WriteFrameParts(int fd, std::span<const std::string_view> parts,
         "injected mid-stream close after a full frame");
   }
   return SendPartsUntil(fd, frame, 0, frame_bytes, deadline);
-}
-
-util::StatusOr<std::string> ReadFrame(int fd, std::uint32_t max_frame_bytes,
-                                      double idle_timeout_seconds,
-                                      double frame_timeout_seconds) {
-  std::string payload;
-  SERENITY_RETURN_IF_ERROR(ReadFrame(fd, &payload, max_frame_bytes,
-                                     idle_timeout_seconds,
-                                     frame_timeout_seconds));
-  return payload;
 }
 
 util::Status ReadFrame(int fd, std::string* payload,

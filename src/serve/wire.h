@@ -40,10 +40,9 @@
 //
 // The hot path copies no payload it does not have to (DESIGN.md "Wire
 // protocol"): WriteFrameParts gathers the frame header and the payload
-// pieces into one sendmsg, the rvalue Decode* overloads move the body out
-// of the received payload, ReadFrame fills a caller-owned buffer that a
-// connection reuses, and the f32 codec is one memcpy on little-endian
-// hosts.
+// pieces into one sendmsg, Decode* moves the body out of the received
+// payload, ReadFrame fills a caller-owned buffer that a connection reuses,
+// and the f32 codec is one memcpy on little-endian hosts.
 #ifndef SERENITY_SERVE_WIRE_H_
 #define SERENITY_SERVE_WIRE_H_
 
@@ -88,14 +87,12 @@ struct Reply {
 // body, for WriteFrameParts to send next to a body it never copies.
 std::string EncodeRequest(const Request& request);
 std::string EncodeRequestHead(const Request& request);
-// The rvalue overloads move the body out of `payload` instead of copying
-// it; on failure `payload` is left untouched.
-util::StatusOr<Request> DecodeRequest(const std::string& payload);
+// Decode* move the body out of `payload` instead of copying it; on
+// failure `payload` is left untouched.
 util::StatusOr<Request> DecodeRequest(std::string&& payload);
 
 std::string EncodeReply(const Reply& reply);
 std::string EncodeReplyHead(const Reply& reply);
-util::StatusOr<Reply> DecodeReply(const std::string& payload);
 util::StatusOr<Reply> DecodeReply(std::string&& payload);
 
 // ------------------------------------------------------------ body codecs
@@ -161,21 +158,17 @@ util::Status WriteFrameParts(
     int fd, std::span<const std::string_view> parts, double timeout_seconds,
     std::uint32_t max_frame_bytes = kMaxFrameBytesDefault);
 
-// Reads one frame. idle_timeout_seconds bounds the wait for the first
-// header byte (expiry = kDeadlineExceeded with "idle" in the message);
-// frame_timeout_seconds bounds the rest of the frame once it has begun
-// (expiry = the slow-loris case). A declared length of 0 or above
+// Reads one frame into `payload`. idle_timeout_seconds bounds the wait for
+// the first header byte (expiry = kDeadlineExceeded with "idle" in the
+// message); frame_timeout_seconds bounds the rest of the frame once it has
+// begun (expiry = the slow-loris case). A declared length of 0 or above
 // max_frame_bytes is kInvalidArgument; a CRC mismatch is kDataLoss; a
 // clean close before any header byte is kUnavailable("connection closed").
-util::StatusOr<std::string> ReadFrame(
-    int fd, std::uint32_t max_frame_bytes, double idle_timeout_seconds,
-    double frame_timeout_seconds);
-
-// ReadFrame into `payload`, which a connection reuses across frames: its
-// capacity is kept, and it grows only as payload bytes land (doubling,
-// capped at the declared size), so a peer that declares a large frame and
-// stalls pins about what it actually sent. On success payload->size() is
-// the declared size; on failure its contents are unspecified.
+// A connection reuses `payload` across frames: its capacity is kept, and it
+// grows only as payload bytes land (doubling, capped at the declared size),
+// so a peer that declares a large frame and stalls pins about what it
+// actually sent. On success payload->size() is the declared size; on
+// failure its contents are unspecified.
 util::Status ReadFrame(int fd, std::string* payload,
                        std::uint32_t max_frame_bytes,
                        double idle_timeout_seconds,

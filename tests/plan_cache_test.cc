@@ -26,16 +26,9 @@ core::PipelineResult PlanCell(const std::string& group,
 }
 
 std::string ReadFile(const std::string& path) {
-  std::string bytes;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return bytes;
-  char buffer[4096];
-  std::size_t got;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-    bytes.append(buffer, got);
-  }
-  std::fclose(f);
-  return bytes;
+  util::StatusOr<std::string> bytes = serialize::ReadFile(path);
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  return bytes.ok() ? *std::move(bytes) : std::string();
 }
 
 graph::GraphHash CellHash(const std::string& group,
@@ -183,12 +176,13 @@ TEST(PlanCache, PersistenceRoundTripsThroughPlanText) {
               serialize::PlanToText(original->plan))
         << name;
     EXPECT_EQ(loaded->result.schedule, original->result.schedule);
+    // Recomputed from the loaded schedule, as Pipeline::Run computes it.
     EXPECT_EQ(loaded->result.peak_bytes, original->result.peak_bytes);
-    EXPECT_EQ(loaded->result.states_expanded,
-              original->result.states_expanded);
-    EXPECT_EQ(loaded->result.segment_sizes, original->result.segment_sizes);
-    EXPECT_EQ(loaded->result.rewrite_report.TotalPatterns(),
-              original->result.rewrite_report.TotalPatterns());
+    // The planning run's stats, like its timings, are not persisted.
+    EXPECT_EQ(loaded->result.states_expanded, 0u);
+    EXPECT_TRUE(loaded->result.segment_sizes.empty());
+    EXPECT_EQ(loaded->result.rewrite_report.TotalPatterns(), 0);
+    EXPECT_EQ(loaded->result.total_seconds, 0.0);
     EXPECT_TRUE(loaded->result.status.ok());
     EXPECT_TRUE(alloc::ValidatePlacements(loaded->plan.arena));
     EXPECT_EQ(loaded->plan.arena.highwater_at_step,
@@ -233,16 +227,29 @@ TEST(PlanCache, StaleFormatVersionLoadsNothingInsteadOfAborting) {
   // A cache persisted by a previous serializer generation is an
   // optimization gone stale, not a fatal error: the service must start
   // cold, not wedge on the file.
-  const std::string path = ::testing::TempDir() + "/stale_cache.v1";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  std::fputs("serenity-plan-cache v1 1\nentry deadbeef 0 0\n", f);
-  std::fclose(f);
-  PlanCache cache;
-  const util::StatusOr<CacheLoadReport> report = cache.LoadFromFile(path);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_TRUE(report.value().stale_version);
-  EXPECT_EQ(report.value().entries_loaded, 0);
-  EXPECT_EQ(cache.stats().entries, 0u);
+  PlanCache fresh;
+  fresh.Insert(CellHash("SwiftNet HPD", "Cell C"),
+               PlanCell("SwiftNet HPD", "Cell C"));
+  const std::string path = ::testing::TempDir() + "/stale_cache";
+  ASSERT_TRUE(fresh.SaveToFile(path).ok());
+  const std::string current = ReadFile(path);
+  ASSERT_EQ(current.rfind("serenity-plan-cache v4 1\n", 0), 0u);
+  // v1, and v3 (metadata-canonical CRC, persisted run stats): the same
+  // entry under an older header still loads as stale.
+  for (const std::string& header :
+       {std::string("serenity-plan-cache v1 1\n"),
+        std::string("serenity-plan-cache v3 1\n")}) {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    std::fputs((header + current.substr(current.find('\n') + 1)).c_str(),
+               f);
+    std::fclose(f);
+    PlanCache cache;
+    const util::StatusOr<CacheLoadReport> report = cache.LoadFromFile(path);
+    ASSERT_TRUE(report.ok()) << header << report.status().ToString();
+    EXPECT_TRUE(report.value().stale_version) << header;
+    EXPECT_EQ(report.value().entries_loaded, 0) << header;
+    EXPECT_EQ(cache.stats().entries, 0u) << header;
+  }
   std::remove(path.c_str());
 }
 
@@ -278,6 +285,34 @@ TEST(PlanCache, BitFlipQuarantinesOneEntryNotTheWarmStart) {
     ++usable;
   }
   EXPECT_EQ(usable, 2);
+  std::remove(path.c_str());
+}
+
+TEST(PlanCache, MetadataBitFlipQuarantinesItsEntry) {
+  // The CRC covers the metadata line too: a flip that leaves a valid
+  // quality tier behind (0 <-> 1) is caught by the checksum, not a parser.
+  PlanCache cache;
+  for (const char* name : {"Cell A", "Cell B", "Cell C"}) {
+    cache.Insert(CellHash("SwiftNet HPD", name),
+                 PlanCell("SwiftNet HPD", name));
+  }
+  const std::string path = ::testing::TempDir() + "/meta_flipped_cache";
+  ASSERT_TRUE(cache.SaveToFile(path).ok());
+  // MRU first: the first entry is Cell C. Its <quality> field follows
+  // "entry ", the 8 crc digits and the 32 hash digits.
+  const std::string saved = ReadFile(path);
+  const std::size_t quality_at = saved.find("\nentry ") + 1 + 6 + 9 + 33;
+  ASSERT_EQ(saved[quality_at], '0');
+  ASSERT_TRUE(serenity::testing::CorruptFileBit(path, quality_at * 8));
+
+  PlanCache warm;
+  const util::StatusOr<CacheLoadReport> report = warm.LoadFromFile(path);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report.value().entries_quarantined, 1);
+  EXPECT_EQ(report.value().entries_loaded, 2);
+  EXPECT_EQ(warm.Lookup(CellHash("SwiftNet HPD", "Cell C")), nullptr);
+  EXPECT_NE(warm.Lookup(CellHash("SwiftNet HPD", "Cell A")), nullptr);
+  EXPECT_NE(warm.Lookup(CellHash("SwiftNet HPD", "Cell B")), nullptr);
   std::remove(path.c_str());
 }
 
@@ -333,6 +368,7 @@ TEST(PlanCache, DegradedEntryMetadataRoundTrips) {
   EXPECT_EQ(loaded->quality, inserted->quality);
   EXPECT_EQ(loaded->peak_delta_bytes, inserted->peak_delta_bytes);
   EXPECT_EQ(loaded->result.quality, inserted->quality);
+  EXPECT_EQ(loaded->result.peak_bytes, inserted->result.peak_bytes);
   // The degrade reason describes the planning run and is not persisted.
   EXPECT_EQ(loaded->result.degrade_reason, core::DegradeReason::kNone);
   EXPECT_EQ(warm.stats().degraded_entries, 1u);

@@ -191,10 +191,12 @@ TEST_F(NetChaosTest, ThousandSeededSocketFaultsNoAbortsNoHangs) {
         ASSERT_TRUE(
             wire::SendAll(client->fd(), header.data(), header.size(), 1.0)
                 .ok());
-        util::StatusOr<std::string> frame =
-            wire::ReadFrame(client->fd(), 1u << 20, 2.0, 2.0);
-        ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-        util::StatusOr<wire::Reply> reply = wire::DecodeReply(*frame);
+        std::string frame;
+        const util::Status read =
+            wire::ReadFrame(client->fd(), &frame, 1u << 20, 2.0, 2.0);
+        ASSERT_TRUE(read.ok()) << read.ToString();
+        util::StatusOr<wire::Reply> reply =
+            wire::DecodeReply(std::move(frame));
         ASSERT_TRUE(reply.ok());
         EXPECT_EQ(reply->code, util::StatusCode::kInvalidArgument);
         break;
@@ -215,10 +217,12 @@ TEST_F(NetChaosTest, ThousandSeededSocketFaultsNoAbortsNoHangs) {
         ASSERT_TRUE(
             wire::SendAll(client->fd(), frame.data(), frame.size(), 1.0)
                 .ok());
-        util::StatusOr<std::string> raw =
-            wire::ReadFrame(client->fd(), 1u << 20, 2.0, 2.0);
-        ASSERT_TRUE(raw.ok()) << raw.status().ToString();
-        util::StatusOr<wire::Reply> reply = wire::DecodeReply(*raw);
+        std::string raw;
+        const util::Status read =
+            wire::ReadFrame(client->fd(), &raw, 1u << 20, 2.0, 2.0);
+        ASSERT_TRUE(read.ok()) << read.ToString();
+        util::StatusOr<wire::Reply> reply =
+            wire::DecodeReply(std::move(raw));
         ASSERT_TRUE(reply.ok());
         EXPECT_EQ(reply->code, util::StatusCode::kDataLoss);
         break;
@@ -236,10 +240,12 @@ TEST_F(NetChaosTest, ThousandSeededSocketFaultsNoAbortsNoHangs) {
           ASSERT_TRUE(
               wire::SendAll(client->fd(), frame.data(), frame.size(), 1.0)
                   .ok());
-          util::StatusOr<std::string> raw =
-              wire::ReadFrame(client->fd(), 1u << 20, 2.0, 2.0);
-          ASSERT_TRUE(raw.ok()) << raw.status().ToString();
-          util::StatusOr<wire::Reply> reply = wire::DecodeReply(*raw);
+          std::string raw;
+          const util::Status read =
+              wire::ReadFrame(client->fd(), &raw, 1u << 20, 2.0, 2.0);
+          ASSERT_TRUE(read.ok()) << read.ToString();
+          util::StatusOr<wire::Reply> reply =
+              wire::DecodeReply(std::move(raw));
           ASSERT_TRUE(reply.ok());
           EXPECT_EQ(reply->code, util::StatusCode::kInvalidArgument);
         } else {

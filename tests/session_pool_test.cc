@@ -302,6 +302,64 @@ TEST(SessionPool, SessionsOfOnePlanShareOneWeightCopy) {
   EXPECT_TRUE(RunsLikeTheReference(rebuilt->session(), inputs));
 }
 
+// An upgrade maps a hash to a new CachedPlan. The next checkout must run
+// that plan, not an idle session built over the old one: the pool destroys
+// the old plan's idle sessions when it rebinds, and destroys (not pools) an
+// old-plan session that comes back from a lease afterwards.
+TEST(SessionPool, CheckoutAfterUpgradeNeverServesTheOldPlan) {
+  SchedulerService service;
+  const auto plan = PlanFor(service, models::MakeRandWireCifar100CellC());
+  ASSERT_NE(plan, nullptr);
+  // The twin renumbers the nodes and reseeds the weights, neither of which
+  // the canonical hash sees, so an old-plan session would give other sinks.
+  util::Rng rng(29);
+  graph::Graph twin = serenity::testing::RelabelIsomorphic(
+      models::MakeRandWireCifar100CellC(), rng, "twin");
+  for (graph::NodeId id = 0; id < twin.num_nodes(); ++id) {
+    twin.mutable_node(id).weight_seed ^= 0x5eed;
+  }
+  ASSERT_EQ(graph::CanonicalGraphHash(twin), plan->hash);
+  auto upgraded = std::make_shared<CachedPlan>(*plan);
+  upgraded->result = core::Pipeline().Run(twin);
+  ASSERT_TRUE(upgraded->result.status.ok());
+  upgraded->plan = serialize::MakePlan(upgraded->result.scheduled_graph,
+                                       upgraded->result.schedule);
+  const std::vector<runtime::Tensor> inputs =
+      serenity::testing::RandomInputsFor(upgraded->result.scheduled_graph, 17);
+  runtime::ReferenceExecutor reference(upgraded->result.scheduled_graph);
+  reference.Run(inputs, upgraded->plan.schedule);
+
+  SessionPool pool;
+  util::StatusOr<SessionPool::Lease> old_leased = pool.Checkout(plan, kInf);
+  ASSERT_TRUE(old_leased.ok()) << old_leased.status().ToString();
+  { ASSERT_TRUE(pool.Checkout(plan, kInf).ok()); }  // one idle old session
+  ASSERT_EQ(pool.stats().sessions_idle, 1u);
+
+  {
+    util::StatusOr<SessionPool::Lease> lease = pool.Checkout(upgraded, kInf);
+    ASSERT_TRUE(lease.ok()) << lease.status().ToString();
+    EXPECT_EQ(&(*lease)->plan(), upgraded.get());
+    (*lease)->Run(inputs);
+    EXPECT_TRUE(
+        SameSinkBytes((*lease)->executor().SinkValues(), reference.SinkValues()));
+    const SessionPoolStats stats = pool.stats();
+    EXPECT_EQ(stats.reuses, 0u);
+    EXPECT_EQ(stats.creations, 3u);
+    EXPECT_EQ(stats.evictions, 1u);
+    EXPECT_EQ(stats.sessions_idle, 0u);
+  }
+  // The old plan's leased session comes back and is destroyed.
+  *old_leased = SessionPool::Lease();
+  const SessionPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.evictions, 2u);
+  EXPECT_EQ(stats.sessions_idle, 1u);
+  EXPECT_EQ(stats.arena_bytes_pooled, upgraded->plan.arena.arena_bytes);
+  util::StatusOr<SessionPool::Lease> reused = pool.Checkout(upgraded, kInf);
+  ASSERT_TRUE(reused.ok()) << reused.status().ToString();
+  EXPECT_EQ(&(*reused)->plan(), upgraded.get());
+  EXPECT_EQ(pool.stats().reuses, 1u);
+}
+
 // Sessions of one plan on different threads read the shared weights at the
 // same time (the race a sanitizer build watches) and each still gives the
 // reference's sink bytes.
