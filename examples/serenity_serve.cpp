@@ -204,8 +204,8 @@ int RunServer(int port, const std::string& cache_path) {
   pool_options.session.executor.backend = g_backend;
   if (governed) {
     pool_options.arena_budget = &session_budget;
-    pool_options.max_total_arena_bytes =
-        std::min(pool_options.max_total_arena_bytes, g_mem_budget_bytes);
+    pool_options.max_pooled_bytes =
+        std::min(pool_options.max_pooled_bytes, g_mem_budget_bytes);
   }
   serve::SessionPool pool(pool_options);
   serve::TcpServerOptions options;
@@ -256,6 +256,11 @@ int RunServer(int port, const std::string& cache_path) {
               static_cast<unsigned long long>(stats.admission_sheds),
               static_cast<unsigned long long>(pool_stats.sheds),
               cache_path.c_str());
+  std::printf("pool: %llu activation blocks, %.1f KB (%llu sessions "
+              "built)\n",
+              static_cast<unsigned long long>(pool_stats.blocks),
+              static_cast<double>(pool_stats.block_bytes) / 1024.0,
+              static_cast<unsigned long long>(pool_stats.creations));
   if (governed) {
     std::printf("governor: root peak %.1f/%.1f MB, %llu denials "
                 "(planning peak %.1f MB, sessions peak %.1f MB)\n",

@@ -28,12 +28,56 @@ constexpr std::uint32_t kCanaryBits = 0x7fe5a5a5u;
 // alignment relative to the plan is its alignment in memory.
 constexpr std::size_t kArenaBaseAlign = 64;
 
+// The kFusedCell scratch pair, in floats: each store as large as the
+// largest one any fused node of `graph` needs.
+struct FusedScratch {
+  std::size_t sum_floats = 0;
+  std::size_t dw_floats = 0;
+};
+
+FusedScratch FusedScratchFor(const graph::Graph& graph) {
+  FusedScratch scratch;
+  for (const graph::Node& node : graph.nodes()) {
+    if (node.kind != graph::OpKind::kFusedCell) continue;
+    const graph::TensorShape in_shape = graph.node(node.inputs[0]).shape;
+    scratch.sum_floats = std::max(
+        scratch.sum_floats, static_cast<std::size_t>(in_shape.NumElements()));
+    scratch.dw_floats = std::max(
+        scratch.dw_floats,
+        static_cast<std::size_t>(
+            graph::InferDepthwiseShape(in_shape, node.conv).NumElements()));
+  }
+  return scratch;
+}
+
 }  // namespace
+
+ArenaBlock::ArenaBlock(std::size_t floats) : floats_(floats) {
+  // Fault-injection point: arena exhaustion surfaces as the same
+  // std::bad_alloc the real allocation below would throw.
+  if (testing::FaultTriggered(testing::FaultPoint::kArenaAllocation)) {
+    throw std::bad_alloc();
+  }
+  storage_.assign(floats + kArenaBaseAlign / sizeof(float), 0.0f);
+  const std::uintptr_t raw =
+      reinterpret_cast<std::uintptr_t>(storage_.data());
+  const std::uintptr_t aligned =
+      (raw + kArenaBaseAlign - 1) & ~(std::uintptr_t{kArenaBaseAlign} - 1);
+  base_ = storage_.data() + (aligned - raw) / sizeof(float);
+}
+
+std::size_t ArenaExecutor::BlockFloats(const graph::Graph& graph,
+                                       const serialize::ExecutionPlan& plan) {
+  const FusedScratch scratch = FusedScratchFor(graph);
+  return static_cast<std::size_t>(plan.arena.arena_bytes / sizeof(float)) +
+         scratch.sum_floats + scratch.dw_floats;
+}
 
 ArenaExecutor::ArenaExecutor(const graph::Graph& graph,
                              const serialize::ExecutionPlan& plan,
                              ArenaExecutorOptions options,
-                             std::shared_ptr<const GraphWeights> weights)
+                             std::shared_ptr<const GraphWeights> weights,
+                             ArenaBlock* block)
     : graph_(graph),
       plan_(plan),
       options_(options),
@@ -80,23 +124,16 @@ ArenaExecutor::ArenaExecutor(const graph::Graph& graph,
     }
   }
 
-  // Fault-injection point: arena exhaustion surfaces as the same
-  // std::bad_alloc the real allocation below would throw, so callers'
-  // kResourceExhausted mapping is exercised end to end.
-  if (testing::FaultTriggered(testing::FaultPoint::kArenaAllocation)) {
-    throw std::bad_alloc();
-  }
-  // One allocation, over-sized by a cache line of slack so the usable base
-  // can be aligned up to kArenaBaseAlign regardless of what the allocator
-  // returned — placements then hit memory at their planned alignment.
+  const FusedScratch scratch = FusedScratchFor(graph_);
   arena_floats_ =
       static_cast<std::size_t>(plan_.arena.arena_bytes / sizeof(float));
-  arena_.assign(arena_floats_ + kArenaBaseAlign / sizeof(float), 0.0f);
-  const std::uintptr_t raw =
-      reinterpret_cast<std::uintptr_t>(arena_.data());
-  const std::uintptr_t aligned =
-      (raw + kArenaBaseAlign - 1) & ~(std::uintptr_t{kArenaBaseAlign} - 1);
-  arena_base_ = arena_.data() + (aligned - raw) / sizeof(float);
+  fused_sum_floats_ = scratch.sum_floats;
+  fused_dw_floats_ = scratch.dw_floats;
+  if (block == nullptr) {
+    own_block_ = ArenaBlock(block_floats());
+    block = &own_block_;
+  }
+  BindBase(*block);
 
   // --- Bind one view per used buffer at its planned placement (validated
   // above: present, exact byte size, float-aligned, inside the arena).
@@ -110,7 +147,7 @@ ArenaExecutor::ArenaExecutor(const graph::Graph& graph,
         << "buffer " << b << " size does not match its widest value";
     const alloc::BufferPlacement* p = placement[b];
     buffer_views_[b] = Tensor::View(
-        arena_base_ + p->offset / static_cast<std::int64_t>(sizeof(float)),
+        base_ + p->offset / static_cast<std::int64_t>(sizeof(float)),
         static_cast<std::size_t>(widest_elems[b]), widest[b]);
   }
 
@@ -119,12 +156,10 @@ ArenaExecutor::ArenaExecutor(const graph::Graph& graph,
       << "weights were materialized for a different graph";
 
   // --- Per-node bindings: value views, operand pointer lists, and input
-  // ordinals; plus the fused-cell scratch sizes.
+  // ordinals.
   value_views_.resize(num_nodes);
   input_views_.resize(num_nodes);
   input_ordinal_.assign(num_nodes, -1);
-  std::size_t fused_sum_floats = 0;
-  std::size_t fused_dw_floats = 0;
 
   for (const graph::Node& node : graph.nodes()) {
     const std::size_t id = static_cast<std::size_t>(node.id);
@@ -134,7 +169,7 @@ ArenaExecutor::ArenaExecutor(const graph::Graph& graph,
     // The node's value view: the whole buffer, or a channel window of it.
     if (node.shape == widest[b]) {
       value_views_[id] = Tensor::View(
-          arena_base_ +
+          base_ +
               p->offset / static_cast<std::int64_t>(sizeof(float)),
           static_cast<std::size_t>(widest_elems[b]), node.shape);
     } else {
@@ -144,7 +179,7 @@ ArenaExecutor::ArenaExecutor(const graph::Graph& graph,
           << "value of '" << node.name
           << "' is not a channel slice of its buffer";
       value_views_[id] = Tensor::ChannelView(
-          arena_base_ +
+          base_ +
               p->offset / static_cast<std::int64_t>(sizeof(float)),
           static_cast<std::size_t>(widest_elems[b]), node.shape,
           widest[b].c, node.buffer_channel_offset);
@@ -153,19 +188,7 @@ ArenaExecutor::ArenaExecutor(const graph::Graph& graph,
     if (node.kind == graph::OpKind::kInput) {
       input_ordinal_[id] = static_cast<int>(num_graph_inputs_++);
     }
-    if (node.kind == graph::OpKind::kFusedCell) {
-      const graph::TensorShape in_shape =
-          graph.node(node.inputs[0]).shape;
-      fused_sum_floats = std::max(
-          fused_sum_floats, static_cast<std::size_t>(in_shape.NumElements()));
-      fused_dw_floats = std::max(
-          fused_dw_floats,
-          static_cast<std::size_t>(
-              graph::InferDepthwiseShape(in_shape, node.conv).NumElements()));
-    }
   }
-  fused_sum_store_.assign(fused_sum_floats, 0.0f);
-  fused_dw_store_.assign(fused_dw_floats, 0.0f);
   // Operand pointers are taken only after value_views_ stops reallocating.
   for (const graph::Node& node : graph.nodes()) {
     std::vector<const Tensor*>& operands =
@@ -180,12 +203,28 @@ ArenaExecutor::ArenaExecutor(const graph::Graph& graph,
   }
 }
 
+void ArenaExecutor::BindBase(ArenaBlock& block) {
+  SERENITY_CHECK_GE(block.floats(), block_floats())
+      << "activation block is smaller than the plan's arena and scratch";
+  base_ = block.base();
+  fused_sum_ = base_ + arena_floats_;
+  fused_dw_ = fused_sum_ + fused_sum_floats_;
+}
+
+void ArenaExecutor::Bind(ArenaBlock& block) {
+  const float* const old_base = base_;
+  BindBase(block);
+  if (base_ == old_base) return;
+  for (Tensor& view : buffer_views_) view.Rebase(old_base, base_);
+  for (Tensor& view : value_views_) view.Rebase(old_base, base_);
+}
+
 void ArenaExecutor::Run(const std::vector<Tensor>& inputs) {
   SERENITY_CHECK_EQ(inputs.size(), num_graph_inputs_)
       << "graph expects a tensor per kInput node";
   touched_peak_bytes_ = -1;
   if (options_.measure_touched_peak) {
-    std::fill_n(arena_base_, arena_floats_,
+    std::fill_n(base_, arena_floats_,
                 std::bit_cast<float>(kCanaryBits));
   }
   for (const graph::NodeId id : plan_.schedule) {
@@ -202,7 +241,7 @@ void ArenaExecutor::Run(const std::vector<Tensor>& inputs) {
   }
   if (options_.measure_touched_peak) {
     std::size_t top = arena_floats_;
-    while (top > 0 && std::bit_cast<std::uint32_t>(arena_base_[top - 1]) ==
+    while (top > 0 && std::bit_cast<std::uint32_t>(base_[top - 1]) ==
                           kCanaryBits) {
       --top;
     }
@@ -280,10 +319,11 @@ void ArenaExecutor::Execute(const graph::Node& node) {
       break;
     case graph::OpKind::kFusedCell: {
       // Views of exactly this node's shapes at the start of the shared
-      // stores; each is fully written below before it is read.
+      // stores after the arena; each is fully written below before it is
+      // read.
       const graph::TensorShape& in_shape = in[0]->shape();
       Tensor sum = Tensor::View(
-          fused_sum_store_.data(),
+          fused_sum_,
           static_cast<std::size_t>(in_shape.NumElements()), in_shape);
       if (in.size() == 1) {
         sum.CopyFrom(*in[0]);
@@ -294,7 +334,7 @@ void ArenaExecutor::Execute(const graph::Node& node) {
       const graph::TensorShape dw_shape =
           graph::InferDepthwiseShape(in_shape, node.conv);
       Tensor dw = Tensor::View(
-          fused_dw_store_.data(),
+          fused_dw_,
           static_cast<std::size_t>(dw_shape.NumElements()), dw_shape);
       k.DepthwiseConv2dInto(sum, w.dw, node.conv, dw);
       const graph::ConvAttrs pointwise{1, 1, 1, 1, graph::Padding::kSame};

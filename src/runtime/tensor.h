@@ -197,6 +197,19 @@ class Tensor {
     });
   }
 
+  // Re-points a view bound at float k of the storage at `from` to float k
+  // of the storage at `to`, keeping its shape, window and span: pointer
+  // arithmetic only, which is how an ArenaExecutor moves to another
+  // activation block. `from` may already be freed; it is not dereferenced.
+  // A default-constructed (unbound) tensor stays unbound.
+  void Rebase(const float* from, float* to) {
+    SERENITY_CHECK(owned_.empty()) << "rebasing an owning tensor";
+    if (data_ == nullptr) return;
+    const std::uintptr_t offset = reinterpret_cast<std::uintptr_t>(data_) -
+                                  reinterpret_cast<std::uintptr_t>(from);
+    data_ = to + offset / sizeof(float);
+  }
+
   // Test conveniences: flatten to / fill from logical NHWC order.
   std::vector<float> ToVector() const;
   void Assign(std::initializer_list<float> values);

@@ -109,4 +109,14 @@ DenseWeights MakeDenseWeights(std::uint64_t seed, int in, int units) {
   return w;
 }
 
+std::int64_t GraphWeightBytes(const GraphWeights& weights) {
+  std::size_t floats = 0;
+  for (const NodeWeights& w : weights) {
+    floats += w.conv.kernel.size() + w.conv.bias.size() + w.dw.kernel.size() +
+              w.dw.bias.size() + w.bn.scale.size() + w.bn.shift.size() +
+              w.dense.kernel.size() + w.dense.bias.size();
+  }
+  return static_cast<std::int64_t>(floats * sizeof(float));
+}
+
 }  // namespace serenity::runtime

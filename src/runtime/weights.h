@@ -96,6 +96,10 @@ using GraphWeights = std::vector<NodeWeights>;
 std::shared_ptr<const GraphWeights> MaterializeGraphWeights(
     const graph::Graph& graph);
 
+// Bytes of the weight tensors in `weights`: every kernel, bias, scale and
+// shift float of every node.
+std::int64_t GraphWeightBytes(const GraphWeights& weights);
+
 }  // namespace serenity::runtime
 
 #endif  // SERENITY_RUNTIME_WEIGHTS_H_

@@ -10,14 +10,15 @@ namespace serenity::serve {
 
 InferenceSession::InferenceSession(
     std::shared_ptr<const CachedPlan> plan, InferenceSessionOptions options,
-    std::shared_ptr<const runtime::GraphWeights> weights)
+    std::shared_ptr<const runtime::GraphWeights> weights,
+    runtime::ArenaBlock* block)
     : plan_(std::move(plan)) {
   SERENITY_CHECK(plan_ != nullptr)
       << "cannot open an inference session without a plan";
   SERENITY_CHECK(plan_->result.status.ok());
   executor_ = std::make_unique<runtime::ArenaExecutor>(
       plan_->result.scheduled_graph, plan_->plan, options.executor,
-      std::move(weights));
+      std::move(weights), block);
 }
 
 InferenceSession InferenceSession::Open(SchedulerService& service,

@@ -5,14 +5,18 @@
 // arena placements); this class binds one to a per-session
 // runtime::ArenaExecutor, so a caller goes graph -> plan (cold, coalesced
 // or warm from the persisted cache) -> inference after inference out of
-// one preallocated arena, with zero per-inference heap allocation. The
-// expensive memory-aware search runs once per structural graph, and every
-// inference after that executes the cached artifact directly.
+// one preallocated activation block, with zero per-inference heap
+// allocation. The expensive memory-aware search runs once per structural
+// graph, and every inference after that executes the cached artifact
+// directly.
 //
-// Sessions are single-threaded by design — the arena is the session's
-// mutable state. Run sessions on separate plans (or separate sessions over
-// the same shared CachedPlan: the plan and the weights are immutable, so
-// such sessions may share both) for parallel serving.
+// The arena belongs to whoever lends the block, not to the session. A
+// session keeps its certified plan, its views and its weights (immutable,
+// so sessions of one CachedPlan may share them); its only mutable memory is
+// the block it is bound to. A session built here owns a block of its own;
+// a SessionPool lease lends one of the pool's blocks for the lease's
+// duration. Either way one session runs on one thread at a time, and
+// sessions on different blocks run in parallel.
 #ifndef SERENITY_SERVE_INFERENCE_SESSION_H_
 #define SERENITY_SERVE_INFERENCE_SESSION_H_
 
@@ -36,11 +40,14 @@ class InferenceSession {
   // plan (and the scheduled graph inside it) alive for the session's life.
   // `weights`, if given, must have been materialized for this plan's
   // scheduled graph (sessions of one plan may share them); null
-  // materializes a private copy.
+  // materializes a private copy. `block`, if given, is owned by the caller
+  // (a SessionPool) and holds at least runtime::ArenaExecutor::BlockFloats
+  // of the plan; null builds a block of the session's own.
   explicit InferenceSession(
       std::shared_ptr<const CachedPlan> plan,
       InferenceSessionOptions options = {},
-      std::shared_ptr<const runtime::GraphWeights> weights = nullptr);
+      std::shared_ptr<const runtime::GraphWeights> weights = nullptr,
+      runtime::ArenaBlock* block = nullptr);
 
   // Schedules `graph` through `service` — cache hit, coalesced, or a fresh
   // planning run — and opens a session over the result. Dies if planning
@@ -52,7 +59,7 @@ class InferenceSession {
 
   // Status-returning construction for serving callers (DESIGN.md "Failure
   // taxonomy"): a null plan is kInvalidArgument; executor construction
-  // failure maps std::bad_alloc (arena exhaustion — real or injected) to
+  // failure maps std::bad_alloc (block exhaustion — real or injected) to
   // kResourceExhausted and any other exception to kInternal. Never aborts
   // on environment-caused failure.
   static util::StatusOr<InferenceSession> Create(

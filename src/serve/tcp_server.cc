@@ -535,6 +535,8 @@ wire::Reply TcpServer::HandleStats() {
      << "pool.sessions_idle " << pool.sessions_idle << "\n"
      << "pool.sessions_leased " << pool.sessions_leased << "\n"
      << "pool.arena_bytes_pooled " << pool.arena_bytes_pooled << "\n"
+     << "pool.blocks " << pool.blocks << "\n"
+     << "pool.block_bytes " << pool.block_bytes << "\n"
      << "service.requests " << service.requests << "\n"
      << "service.cache_hits " << service.cache_hits << "\n"
      << "service.coalesced " << service.coalesced << "\n"

@@ -32,11 +32,12 @@ enum class FaultPoint : int {
   // SchedulerService::WorkerLoop throws std::runtime_error mid-job; the
   // worker must convert it to a Status and keep serving the queue.
   kWorkerException,
-  // runtime::ArenaExecutor's arena allocation throws std::bad_alloc; the
-  // session factory must surface kResourceExhausted.
+  // Building a runtime::ArenaBlock (a standalone executor's own block, or
+  // a block serve::SessionPool builds or grows) throws std::bad_alloc; the
+  // session factory and the pool must surface kResourceExhausted.
   kArenaAllocation,
-  // serve::SessionPool::Checkout behaves as if the pooled-arena byte cap
-  // were exhausted: the checkout is shed with kResourceExhausted instead of
+  // serve::SessionPool::Checkout behaves as if the pooled byte cap were
+  // exhausted: the checkout is shed with kResourceExhausted instead of
   // creating or waiting for a session.
   kSessionCheckout,
   // Wire-level faults, hooked into serve::wire::WriteFrame (the chaos

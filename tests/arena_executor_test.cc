@@ -8,6 +8,7 @@
 
 
 #include <algorithm>
+#include <optional>
 
 #include "core/pipeline.h"
 #include "graph/builder.h"
@@ -210,6 +211,90 @@ TEST(ArenaExecutor, FusedScratchIsSizedToTheLargestFusedNode) {
       }
     }
   }
+}
+
+// Executors bound to a caller's block own no activation memory. Two plans
+// take turns in one block (the second's fused-cell scratch lands where the
+// first's arena was), and a Bind to another block moves the views with no
+// allocation: every Run still gives the reference's sink bytes and touches
+// exactly its plan's arena, and the sinks live in the block bound last.
+TEST(ArenaExecutor, ExecutorsShareACallerBlockAndRebindWithoutAllocating) {
+  const graph::Graph dense = models::MakeSwiftNetCellA();
+  models::RandWireParams p;
+  p.num_nodes = 10;
+  p.seed = 307;
+  p.channels = 8;
+  p.spatial = 8;
+  p.input_spatial = 16;
+  p.name = "block_randwire";
+  const graph::Graph fused = models::MakeRandWireCell(p);
+  const std::vector<const graph::Graph*> graphs = {&dense, &fused};
+  std::vector<serialize::ExecutionPlan> plans;
+  std::size_t floats = 0;
+  for (const graph::Graph* g : graphs) {
+    plans.push_back(serialize::MakePlan(*g, sched::GreedyMemorySchedule(*g)));
+    floats = std::max(floats, ArenaExecutor::BlockFloats(*g, plans.back()));
+  }
+  ASSERT_GT(ArenaExecutor::BlockFloats(fused, plans[1]),
+            static_cast<std::size_t>(plans[1].arena.arena_bytes) /
+                sizeof(float));  // it has scratch after its arena
+  ArenaBlock first(floats);
+  ArenaBlock second(floats);
+  ArenaExecutorOptions options;
+  options.measure_touched_peak = true;
+  std::vector<std::optional<ArenaExecutor>> executors(graphs.size());
+  std::vector<std::vector<Tensor>> inputs;
+  std::vector<std::vector<Tensor>> expected;
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    const std::shared_ptr<const GraphWeights> weights =
+        MaterializeGraphWeights(*graphs[i]);
+    // A bound executor requests exactly its block (and the block's
+    // cache line of alignment slack) less than a standalone one.
+    std::int64_t before = serenity::testing::ThreadRequestedBytes();
+    { ArenaExecutor standalone(*graphs[i], plans[i], options, weights); }
+    const std::int64_t standalone_bytes =
+        serenity::testing::ThreadRequestedBytes() - before;
+    before = serenity::testing::ThreadRequestedBytes();
+    executors[i].emplace(*graphs[i], plans[i], options, weights, &first);
+    const std::int64_t bound_bytes =
+        serenity::testing::ThreadRequestedBytes() - before;
+    EXPECT_EQ(executors[i]->block_floats(),
+              ArenaExecutor::BlockFloats(*graphs[i], plans[i]));
+    EXPECT_EQ(standalone_bytes - bound_bytes,
+              static_cast<std::int64_t>(
+                  (executors[i]->block_floats() + 16) * sizeof(float)));
+    inputs.push_back(serenity::testing::RandomInputsFor(*graphs[i], 11 + i));
+    ReferenceExecutor reference(*graphs[i]);
+    reference.Run(inputs.back(), plans[i].schedule);
+    expected.push_back(reference.SinkValues());
+  }
+  const auto in_block = [](const ArenaBlock& block, const Tensor* sink) {
+    const float* at = sink->PixelRun(0, 0, 0, 1);
+    return at >= block.base() && at < block.base() + block.floats();
+  };
+  for (int round = 0; round < 2; ++round) {
+    ArenaBlock& block = round == 0 ? first : second;
+    for (std::size_t i = 0; i < executors.size(); ++i) {
+      const std::uint64_t before = serenity::testing::ThreadAllocationCount();
+      executors[i]->Bind(block);
+      executors[i]->Run(inputs[i]);
+      EXPECT_EQ(serenity::testing::ThreadAllocationCount() - before, 0u);
+      ExpectBitIdentical(executors[i]->SinkValues(), expected[i]);
+      EXPECT_EQ(executors[i]->touched_peak_bytes(), plans[i].arena.arena_bytes);
+      EXPECT_TRUE(in_block(block, executors[i]->SinkViews()[0]));
+    }
+  }
+}
+
+TEST(ArenaExecutorDeath, RejectsABlockSmallerThanThePlan) {
+  const graph::Graph g = models::MakeSwiftNetCellA();
+  const serialize::ExecutionPlan plan =
+      serialize::MakePlan(g, sched::TfLiteOrderSchedule(g));
+  ArenaBlock small(ArenaExecutor::BlockFloats(g, plan) - 1);
+  EXPECT_DEATH(ArenaExecutor(g, plan, {}, nullptr, &small),
+               "block is smaller than");
+  ArenaExecutor arena(g, plan);
+  EXPECT_DEATH(arena.Bind(small), "block is smaller than");
 }
 
 // --- Static plan certification -------------------------------------------

@@ -42,6 +42,10 @@ TEST(TcpServer, HealthAndStatsRoundtrip) {
   ASSERT_TRUE(stats.ok());
   EXPECT_NE(stats->find("pool.checkouts 0"), std::string::npos);
   EXPECT_NE(stats->find("server.requests"), std::string::npos);
+  // The pool's activation blocks: none before the first lease.
+  EXPECT_NE(stats->find("\npool.blocks 0\n"), std::string::npos);
+  EXPECT_NE(stats->find("\npool.block_bytes 0\n"), std::string::npos);
+  EXPECT_NE(stats->find("\npool.arena_bytes_pooled 0\n"), std::string::npos);
   // How the single background upgrade of a degraded plan ended.
   EXPECT_NE(stats->find("\nservice.upgrades 0\n"), std::string::npos);
   EXPECT_NE(stats->find("\nservice.upgrade_failures 0\n"),
