@@ -9,8 +9,6 @@
 //       "Heap-driven hierarchy simulator");
 //   (d) beam widths vs the exact DP (DESIGN.md "Branch-and-bound over
 //       levels": the beam is the DP walk with a level width).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <vector>
 
@@ -109,39 +107,14 @@ void PrintBeamAblation() {
   std::printf("\n");
 }
 
-void BM_BeamSchedule(benchmark::State& state) {
-  const graph::Graph g = models::MakeSwiftNetCellA();
-  sched::BeamOptions options;
-  options.width = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sched::ScheduleBeam(g, options).peak_bytes);
-  }
-}
-BENCHMARK(BM_BeamSchedule)->Arg(1)->Arg(64)->Unit(benchmark::kMillisecond);
-
-void BM_DpBudgeted(benchmark::State& state) {
-  const graph::Graph g = models::MakeSwiftNetCellA();
-  const core::DpResult optimal = core::ScheduleDp(g);
-  core::DpOptions options;
-  options.budget_bytes =
-      optimal.peak_bytes * state.range(0) / 100;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::ScheduleDp(g, options).states_expanded);
-  }
-  state.SetLabel("budget=" + std::to_string(state.range(0)) + "% of mu*");
-}
-BENCHMARK(BM_DpBudgeted)->Arg(100)->Arg(150)->Arg(400)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  serenity::bench::ParseFlags(argc, argv, {});
   std::printf("Design ablations beyond the paper's tables\n\n");
   PrintBudgetSweep();
   PrintBaselineShootout();
   PrintReplacementAblation();
   PrintBeamAblation();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

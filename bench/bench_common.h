@@ -1,13 +1,17 @@
 // Shared helpers for the per-figure/table benchmark binaries.
 //
-// Every binary prints the paper-shaped rows first (so `./bench_x` with no
-// arguments reproduces the experiment), then runs its registered
-// google-benchmark timing loops.
+// Every binary prints its paper-shaped rows (so `./bench_x` with no
+// arguments reproduces the experiment) and, given --json=PATH, writes the
+// deterministic ones — peaks, arenas, traffic, state counts, plan bytes —
+// for tools/check_bench_regression.py to compare exactly against
+// bench/baselines/ (the `bench_baselines` ctest test). No row carries a
+// time: perfbench (BENCHMARK.json) is the timing authority.
 #ifndef SERENITY_BENCH_BENCH_COMMON_H_
 #define SERENITY_BENCH_BENCH_COMMON_H_
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,7 +29,7 @@ inline double Kb(std::int64_t bytes) {
   return static_cast<double>(bytes) / 1024.0;
 }
 
-// The three configurations of Figures 10/11/12/13/15.
+// The three configurations of Figures 10/11/12/13.
 struct CellMeasurement {
   models::BenchmarkCell cell;
   graph::Graph graph;
@@ -82,8 +86,7 @@ inline void PrintRule(int width = 110) {
 
 // ------------------------------------------------------------- JSON emitter
 //
-// Machine-readable results so CI can track the perf trajectory: a bench
-// binary invoked with --json=PATH writes its paper-shaped rows as
+// A bench binary invoked with --json=PATH writes its paper-shaped rows as
 // {"rows": [{...}, ...]} next to the human-readable table. Values are
 // either numbers or strings; rows are flat.
 
@@ -109,8 +112,8 @@ class JsonRows {
 
   // Writes {"rows": [...]} to `path`. Returns false (with a message on
   // stderr) if the file cannot be written — or if no rows were ever begun,
-  // so a silently truncated benchmark fails its CI smoke run instead of
-  // uploading an empty trajectory point.
+  // so a silently truncated bench fails its own test instead of handing
+  // the baseline compare an empty file.
   bool WriteTo(const std::string& path) const {
     if (rows_.empty()) {
       std::fprintf(stderr,
@@ -156,27 +159,33 @@ class JsonRows {
   std::vector<std::vector<std::pair<std::string, std::string>>> rows_;
 };
 
-// Extracts a --<name>=VALUE flag from argv (removing it so google-benchmark
-// does not see an unknown flag). Returns the value, or "" when absent.
-inline std::string TakePrefixFlag(const std::string& prefix, int* argc,
-                                  char** argv) {
-  std::string value;
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
+// Reads the --<name>=VALUE flags a bench accepts: returns one value per
+// entry of `prefixes` (e.g. "--json="), "" where the flag is absent. Any
+// other argument is an error: a usage line on stderr and exit status 2.
+inline std::vector<std::string> ParseFlags(
+    int argc, char** argv, const std::vector<std::string>& prefixes) {
+  std::vector<std::string> values(prefixes.size());
+  for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) {
-      value = arg.substr(prefix.size());
-    } else {
-      argv[out++] = argv[i];
+    std::size_t p = 0;
+    while (p < prefixes.size() && arg.rfind(prefixes[p], 0) != 0) ++p;
+    if (p == prefixes.size()) {
+      std::fprintf(stderr, "%s: unknown argument '%s'; accepted:", argv[0],
+                   arg.c_str());
+      for (const std::string& prefix : prefixes) {
+        std::fprintf(stderr, " %sVALUE", prefix.c_str());
+      }
+      std::fprintf(stderr, "%s\n", prefixes.empty() ? " none" : "");
+      std::exit(2);
     }
+    values[p] = arg.substr(prefixes[p].size());
   }
-  *argc = out;
-  argv[out] = nullptr;  // keep main's argv null-terminated
-  return value;
+  return values;
 }
 
-inline std::string TakeJsonFlag(int* argc, char** argv) {
-  return TakePrefixFlag("--json=", argc, argv);
+// The flags of a bench whose only option is --json=PATH.
+inline std::string JsonFlag(int argc, char** argv) {
+  return ParseFlags(argc, argv, {"--json="})[0];
 }
 
 }  // namespace serenity::bench

@@ -1,12 +1,11 @@
 // Figure 10 — reduction in peak memory footprint of SERENITY against
 // TensorFlow Lite (no memory hierarchy), with the memory allocator applied
 // to both systems, for all nine benchmark cells plus the geometric mean.
+// The KB columns are the raw footprints of Figure 15 (appendix B).
 //
 // Two SERENITY configurations, as in the paper:
 //   DP   = dynamic-programming scheduler + memory allocator
 //   DP+GR = + identity graph rewriting
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -21,11 +20,14 @@ using namespace serenity;
 // Returns false iff a requested --json write failed.
 bool PrintFigure(const std::string& json_path) {
   std::printf("Figure 10: peak-memory reduction vs TensorFlow Lite "
-              "(greedy arena allocator applied to every configuration)\n\n");
-  std::printf("%-32s %10s %10s %10s  %7s %7s   %7s %7s\n", "cell",
-              "TFLite KB", "DP KB", "DP+GR KB", "DP x", "paper", "DP+GR x",
-              "paper");
-  bench::PrintRule();
+              "(greedy arena allocator applied to every configuration)\n");
+  std::printf("Figure 15: the raw footprints, KB (ours = synthetic cells "
+              "with the published topologies; paper = the authors' "
+              "checkpoints)\n\n");
+  std::printf("%-32s %9s %7s %9s %7s %9s %7s  %7s %7s   %7s %7s\n", "cell",
+              "TFLite KB", "paper", "DP KB", "paper", "DP+GR KB", "paper",
+              "DP x", "paper", "DP+GR x", "paper");
+  bench::PrintRule(126);
   std::vector<double> dp_ratios, rw_ratios, paper_dp, paper_rw;
   bench::JsonRows rows;
   for (const models::BenchmarkCell& cell : models::AllBenchmarkCells()) {
@@ -43,9 +45,11 @@ bool PrintFigure(const std::string& json_path) {
     rw_ratios.push_back(rw_ratio);
     paper_dp.push_back(cell.paper_tflite_kb / cell.paper_dp_kb);
     paper_rw.push_back(cell.paper_tflite_kb / cell.paper_dp_rw_kb);
-    std::printf("%-32s %10.1f %10.1f %10.1f  %6.2fx %6.2fx   %6.2fx %6.2fx\n",
+    std::printf("%-32s %9.1f %7.0f %9.1f %7.0f %9.1f %7.0f  %6.2fx %6.2fx   "
+                "%6.2fx %6.2fx\n",
                 bench::CellLabel(cell).c_str(), bench::Kb(m.tflite_arena),
-                bench::Kb(m.dp_arena), bench::Kb(m.dp_rw_arena), dp_ratio,
+                cell.paper_tflite_kb, bench::Kb(m.dp_arena), cell.paper_dp_kb,
+                bench::Kb(m.dp_rw_arena), cell.paper_dp_rw_kb, dp_ratio,
                 paper_dp.back(), rw_ratio, paper_rw.back());
     rows.Begin();
     rows.Field("cell", bench::CellLabel(cell));
@@ -55,11 +59,11 @@ bool PrintFigure(const std::string& json_path) {
     rows.Field("dp_ratio", dp_ratio);
     rows.Field("dp_rw_ratio", rw_ratio);
   }
-  bench::PrintRule();
-  std::printf("%-32s %10s %10s %10s  %6.2fx %6.2fx   %6.2fx %6.2fx\n",
-              "geomean", "", "", "", util::GeometricMean(dp_ratios),
-              util::GeometricMean(paper_dp), util::GeometricMean(rw_ratios),
-              util::GeometricMean(paper_rw));
+  bench::PrintRule(126);
+  std::printf("%-32s %9s %7s %9s %7s %9s %7s  %6.2fx %6.2fx   %6.2fx %6.2fx\n",
+              "geomean", "", "", "", "", "", "",
+              util::GeometricMean(dp_ratios), util::GeometricMean(paper_dp),
+              util::GeometricMean(rw_ratios), util::GeometricMean(paper_rw));
   std::printf("\npaper geomeans: 1.68x (DP), 1.86x (DP+GR)\n\n");
   if (!json_path.empty()) {
     rows.Begin();
@@ -71,31 +75,8 @@ bool PrintFigure(const std::string& json_path) {
   return true;
 }
 
-void BM_FullPipelineSwiftNetCellA(benchmark::State& state) {
-  const graph::Graph g =
-      models::FindBenchmarkCell("SwiftNet HPD", "Cell A").factory();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::Pipeline().Run(g).peak_bytes);
-  }
-}
-BENCHMARK(BM_FullPipelineSwiftNetCellA)->Unit(benchmark::kMillisecond);
-
-void BM_ArenaPlanSwiftNetCellA(benchmark::State& state) {
-  const graph::Graph g =
-      models::FindBenchmarkCell("SwiftNet HPD", "Cell A").factory();
-  const sched::Schedule s = sched::TfLiteOrderSchedule(g);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(alloc::PlanArena(g, s).arena_bytes);
-  }
-}
-BENCHMARK(BM_ArenaPlanSwiftNetCellA);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = serenity::bench::TakeJsonFlag(&argc, argv);
-  const bool json_ok = PrintFigure(json_path);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return json_ok ? 0 : 1;
+  return PrintFigure(serenity::bench::JsonFlag(argc, argv)) ? 0 : 1;
 }

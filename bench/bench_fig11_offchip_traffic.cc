@@ -8,8 +8,6 @@
 //            off-chip communication to reduce)
 //   REMOVED — only SERENITY fits on-chip: it eliminates the traffic
 //   INF    — a single node's working set exceeds the capacity
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -120,26 +118,8 @@ bool PrintFigure(const std::string& json_path) {
   return true;
 }
 
-void BM_BeladySimulation(benchmark::State& state) {
-  const graph::Graph g =
-      models::FindBenchmarkCell("SwiftNet HPD", "Cell A").factory();
-  const sched::Schedule s = sched::TfLiteOrderSchedule(g);
-  const graph::BufferUseTable table = graph::BufferUseTable::Build(g);
-  memsim::SimOptions options;
-  options.onchip_bytes = state.range(0) * 1024;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        memsim::SimulateHierarchy(g, table, s, options).TotalTraffic());
-  }
-}
-BENCHMARK(BM_BeladySimulation)->Arg(64)->Arg(256);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = serenity::bench::TakeJsonFlag(&argc, argv);
-  const bool json_ok = PrintFigure(json_path);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return json_ok ? 0 : 1;
+  return PrintFigure(serenity::bench::JsonFlag(argc, argv)) ? 0 : 1;
 }

@@ -4,8 +4,6 @@
 //
 // The paper's headline trace numbers: TFLite 551.0KB -> DP 250.9KB ->
 // DP+GR 225.8KB with the allocator; DP 200.7KB -> DP+GR 188.2KB without.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -119,23 +117,8 @@ bool PrintFigure(const std::string& json_path) {
   return true;
 }
 
-void BM_FootprintTrace(benchmark::State& state) {
-  const graph::Graph g = models::MakeSwiftNetCellA();
-  const sched::Schedule s = sched::TfLiteOrderSchedule(g);
-  const graph::BufferUseTable table = graph::BufferUseTable::Build(g);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sched::EvaluateFootprint(g, table, s).peak_bytes);
-  }
-}
-BENCHMARK(BM_FootprintTrace);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = serenity::bench::TakeJsonFlag(&argc, argv);
-  const bool json_ok = PrintFigure(json_path);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return json_ok ? 0 : 1;
+  return PrintFigure(serenity::bench::JsonFlag(argc, argv)) ? 0 : 1;
 }

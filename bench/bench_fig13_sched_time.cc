@@ -6,8 +6,10 @@
 // point is the *relative* shape: rewriting increases scheduling time on the
 // cells where it adds nodes (SwiftNet, DARTS) and leaves RandWire
 // unchanged, and all times stay within interactive-compilation budgets.
-#include <benchmark/benchmark.h>
-
+//
+// The times are single runs, printed for reading only; --json=PATH rows
+// carry the deterministic search size (states expanded and pruned) of the
+// DP+GR pipeline. perfbench's plan_zoo workload is what times planning.
 #include <cstdio>
 #include <vector>
 
@@ -18,21 +20,9 @@ namespace {
 
 using namespace serenity;
 
-double MedianSeconds(const graph::Graph& g, bool rewriting) {
-  core::PipelineOptions options;
-  options.enable_rewriting = rewriting;
-  std::vector<double> runs;
-  for (int i = 0; i < 3; ++i) {
-    const core::PipelineResult r = core::Pipeline(options).Run(g);
-    if (!r.status.ok()) return -1.0;
-    runs.push_back(r.total_seconds);
-  }
-  return util::Percentile(runs, 50);
-}
-
 // Returns false iff a requested --json write failed.
 bool PrintFigure(const std::string& json_path) {
-  std::printf("Figure 13: SERENITY scheduling time per cell (median of 3; "
+  std::printf("Figure 13: SERENITY scheduling time per cell (one run; "
               "paper numbers from its Python implementation)\n\n");
   std::printf("%-32s %12s %12s %12s %12s %12s %12s\n", "cell", "DP (s)",
               "paper (s)", "DP+GR (s)", "paper (s)", "states DP+GR",
@@ -42,9 +32,12 @@ bool PrintFigure(const std::string& json_path) {
   bench::JsonRows rows;
   for (const models::BenchmarkCell& cell : models::AllBenchmarkCells()) {
     const graph::Graph g = cell.factory();
-    const double dp_seconds = MedianSeconds(g, /*rewriting=*/false);
-    const double rw_seconds = MedianSeconds(g, /*rewriting=*/true);
-    core::PipelineResult full = core::Pipeline().Run(g);
+    core::PipelineOptions dp_only;
+    dp_only.enable_rewriting = false;
+    const core::PipelineResult dp = core::Pipeline(dp_only).Run(g);
+    const core::PipelineResult full = core::Pipeline().Run(g);
+    const double dp_seconds = dp.total_seconds;
+    const double rw_seconds = full.total_seconds;
     dp_times.push_back(dp_seconds);
     rw_times.push_back(rw_seconds);
     std::printf("%-32s %12.4f %12.1f %12.4f %12.1f %12llu %12llu\n",
@@ -56,8 +49,6 @@ bool PrintFigure(const std::string& json_path) {
                     full.states_pruned_by_bound));
     rows.Begin();
     rows.Field("cell", bench::CellLabel(cell));
-    rows.Field("dp_seconds", dp_seconds);
-    rows.Field("dp_rw_seconds", rw_seconds);
     rows.Field("states_expanded", full.states_expanded);
     rows.Field("states_pruned_by_bound", full.states_pruned_by_bound);
     rows.Field("states_pruned_by_incumbent", full.pruned.incumbent);
@@ -68,34 +59,12 @@ bool PrintFigure(const std::string& json_path) {
               util::ArithmeticMean(dp_times), 40.6,
               util::ArithmeticMean(rw_times), 48.8);
   std::printf("\n");
-  if (!json_path.empty()) {
-    rows.Begin();
-    rows.Field("cell", std::string("mean"));
-    rows.Field("dp_seconds", util::ArithmeticMean(dp_times));
-    rows.Field("dp_rw_seconds", util::ArithmeticMean(rw_times));
-    return rows.WriteTo(json_path);
-  }
+  if (!json_path.empty()) return rows.WriteTo(json_path);
   return true;
 }
-
-void BM_ScheduleCell(benchmark::State& state) {
-  const auto& cells = models::AllBenchmarkCells();
-  const graph::Graph g =
-      cells[static_cast<std::size_t>(state.range(0))].factory();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::Pipeline().Run(g).peak_bytes);
-  }
-  state.SetLabel(cells[static_cast<std::size_t>(state.range(0))].group +
-                 "/" + cells[static_cast<std::size_t>(state.range(0))].name);
-}
-BENCHMARK(BM_ScheduleCell)->DenseRange(0, 8)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = serenity::bench::TakeJsonFlag(&argc, argv);
-  const bool json_ok = PrintFigure(json_path);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return json_ok ? 0 : 1;
+  return PrintFigure(serenity::bench::JsonFlag(argc, argv)) ? 0 : 1;
 }

@@ -5,9 +5,9 @@
 // their peak footprints, the fraction satisfying a hard edge-device
 // constraint (the paper uses the SparkFun Edge's 250KB), and the fraction
 // achieving the DP optimum (paper: 4.1% and 0.04% respectively).
-#include <benchmark/benchmark.h>
-
+#include <algorithm>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_common.h"
@@ -73,23 +73,10 @@ void PrintFigure() {
   std::printf("\n");
 }
 
-void BM_SampleAndEvaluateSchedule(benchmark::State& state) {
-  const graph::Graph g = models::MakeSwiftNetCellA();
-  const graph::BufferUseTable table = graph::BufferUseTable::Build(g);
-  util::Rng rng(7);
-  for (auto _ : state) {
-    const sched::Schedule s = sched::RandomTopologicalSchedule(g, rng);
-    benchmark::DoNotOptimize(
-        sched::EvaluateFootprint(g, table, s).peak_bytes);
-  }
-}
-BENCHMARK(BM_SampleAndEvaluateSchedule);
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  serenity::bench::ParseFlags(argc, argv, {});
   PrintFigure();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

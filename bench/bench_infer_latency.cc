@@ -1,16 +1,17 @@
-// End-to-end inference latency through the serve path: every zoo cell is
-// planned by a SchedulerService, opened as an InferenceSession, and
-// executed out of its planned arena.
+// End-to-end inference through the serve path: every zoo cell is planned by
+// a SchedulerService, opened as an InferenceSession, and executed out of
+// its planned arena, on each kernel backend.
 //
-// Deterministic metrics per cell (exact-match gated by
-// tools/check_bench_regression.py):
+// Deterministic metrics per cell (exact-match checked against
+// bench/baselines/ by tools/check_bench_regression.py):
 //   * arena_bytes           — the planned activation arena
 //   * touched_peak_bytes    — highest arena byte actually written by a
 //                             canary-measured inference; must equal
 //                             arena_bytes ("measured peak == planned peak")
-//   * allocs_per_inference  — heap allocations during a timed Run; the
-//                             binary overrides operator new to count them
-//                             and CHECK-fails unless the count is ZERO
+//   * allocs_per_inference  — heap allocations during a Run of a built
+//                             session; the binary overrides operator new
+//                             to count them and CHECK-fails unless the
+//                             count is ZERO
 //   * session_heap_bytes    — heap bytes requested while building a
 //                             session, beyond its planned arena: the
 //                             weights, fused-cell scratch, views and plan
@@ -20,17 +21,12 @@
 //                             override as requested sizes, which (unlike
 //                             the allocator's chunk sizes) repeat exactly.
 //   * nodes / plan_text_bytes — schedule length and serialized plan size
-// Timing (report-only): every row's session is built first, then timed in
-// interleaved rounds (each round runs every session once to warm it and
-// times the next kTimedRunsPerRound Runs), so a slow stretch of a shared
-// host lands on every row alike. infer_seconds is the median over all
-// rounds, infer_seconds_q1/_q3 its quartiles.
+// Nothing here is timed: perfbench's traced serve_infer run reports the
+// per-backend kernel time (runtime.run_ms.{avx2,blocked}).
 //
 // The binary also certifies, per cell, that the arena executor's sink
 // values are bit-identical to the ReferenceExecutor's under the served
 // schedule — the whole-zoo version of arena_executor_property_test.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <memory>
 #include <optional>
@@ -45,17 +41,10 @@
 #include "testing/alloc_counter.h"
 #include "testing/runtime_inputs.h"
 #include "testing/sink_compare.h"
-#include "util/rng.h"
-#include "util/stats.h"
-#include "util/stopwatch.h"
-
 
 namespace {
 
 using namespace serenity;
-
-constexpr int kTimingRounds = 9;
-constexpr int kTimedRunsPerRound = 2;
 
 struct CellRun {
   std::string label;
@@ -66,17 +55,13 @@ struct CellRun {
   std::int64_t plan_text_bytes = 0;
   std::int64_t session_heap_bytes = 0;
   std::uint64_t allocs_per_inference = 0;
-  // The timed session, its inputs, and one entry per timed Run.
-  std::unique_ptr<serve::InferenceSession> session;
-  std::vector<runtime::Tensor> inputs;
-  std::vector<double> seconds;
 };
 
-// Plans and certifies one cell on one backend, and builds the session the
-// timing rounds run.
-CellRun SetUpCell(serve::SchedulerService& service,
-                  const models::BenchmarkCell& cell,
-                  runtime::Backend backend) {
+// Plans and certifies one cell on one backend, then builds a plain session
+// (heap-counted) and runs it once (allocation-counted).
+CellRun RunCell(serve::SchedulerService& service,
+                const models::BenchmarkCell& cell,
+                runtime::Backend backend) {
   CellRun run;
   run.label = bench::CellLabel(cell);
   run.backend = backend;
@@ -88,8 +73,9 @@ CellRun SetUpCell(serve::SchedulerService& service,
   measured.executor.backend = backend;
   serve::InferenceSession certify =
       serve::InferenceSession::Open(service, g, measured);
-  run.inputs = testing::RandomInputsFor(certify.graph(), 0xbe9c4);
-  certify.Run(run.inputs);
+  const std::vector<runtime::Tensor> inputs =
+      testing::RandomInputsFor(certify.graph(), 0xbe9c4);
+  certify.Run(inputs);
   run.nodes = static_cast<std::int64_t>(certify.plan().plan.schedule.size());
   run.arena_bytes = certify.arena_bytes();
   run.touched_peak_bytes = certify.executor().touched_peak_bytes();
@@ -99,43 +85,38 @@ CellRun SetUpCell(serve::SchedulerService& service,
       << run.label << ": an inference did not touch the planned peak";
 
   runtime::ReferenceExecutor reference(certify.graph());
-  reference.Run(run.inputs, certify.plan().plan.schedule);
+  reference.Run(inputs, certify.plan().plan.schedule);
   const std::string divergence = testing::DescribeSinkDivergence(
       certify.executor().SinkValues(), reference.SinkValues());
   SERENITY_CHECK(divergence.empty())
       << run.label << ": arena executor diverges from reference: "
       << divergence;
 
-  // Timed session: no canary passes. Its construction is heap-counted; the
+  // Plain session: no canary passes. Its construction is heap-counted; the
   // plan is a cache hit by now, fetched before the count starts.
   const serve::ServeResult served = service.Schedule(g);
   SERENITY_CHECK(served.plan != nullptr) << served.status.ToString();
-  serve::InferenceSessionOptions timed;
-  timed.executor.backend = backend;
+  serve::InferenceSessionOptions plain;
+  plain.executor.backend = backend;
   const std::int64_t requested_before = testing::ThreadRequestedBytes();
-  run.session =
-      std::make_unique<serve::InferenceSession>(served.plan, timed);
+  // Heap-built, as a pooled session is: the count includes the object.
+  // GCC 12 inlines the replaced operator new (malloc, alloc_counter.h) into
+  // this new-expression and then flags the operator delete of its exception
+  // cleanup as mismatched; that delete is the matching free.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+  const auto session =
+      std::make_unique<serve::InferenceSession>(served.plan, plain);
+#pragma GCC diagnostic pop
   run.session_heap_bytes = testing::ThreadRequestedBytes() -
                            requested_before - run.arena_bytes;
-  // Reserved here so growth never lands inside a counted Run.
-  run.seconds.reserve(kTimingRounds * kTimedRunsPerRound);
-  return run;
-}
 
-// One timing round for one row: a warming Run, then kTimedRunsPerRound
-// timed and allocation-counted Runs.
-void TimeRound(CellRun& run) {
-  run.session->Run(run.inputs);
-  for (int rep = 0; rep < kTimedRunsPerRound; ++rep) {
-    const std::uint64_t before = testing::ThreadAllocationCount();
-    util::Stopwatch clock;
-    run.session->Run(run.inputs);
-    const std::uint64_t allocs = testing::ThreadAllocationCount() - before;
-    run.seconds.push_back(clock.ElapsedSeconds());
-    SERENITY_CHECK_EQ(allocs, 0u)
-        << run.label << ": a timed inference heap-allocated";
-    run.allocs_per_inference = allocs;
-  }
+  const std::uint64_t before = testing::ThreadAllocationCount();
+  session->Run(inputs);
+  run.allocs_per_inference = testing::ThreadAllocationCount() - before;
+  SERENITY_CHECK_EQ(run.allocs_per_inference, 0u)
+      << run.label << ": an inference heap-allocated";
+  return run;
 }
 
 // The requested-backend row set is fixed (machine-independent) so the CI
@@ -158,52 +139,37 @@ std::vector<runtime::Backend> RowBackends(const std::string& backend_flag) {
 // Returns false iff a requested --json write failed.
 bool PrintRows(const std::string& json_path,
                const std::string& backend_flag) {
-  std::printf("Inference latency through InferenceSession (plan once, run "
-              "out of the planned arena)\n\n");
-  std::printf("%-32s %-10s %-10s %6s %10s %10s %7s %12s %12s %12s\n",
-              "cell", "backend", "resolved", "nodes", "arena KB",
-              "heap KB", "allocs", "q1 s", "median s", "q3 s");
-  bench::PrintRule(132);
+  std::printf("Inference through InferenceSession (plan once, run out of "
+              "the planned arena)\n\n");
+  std::printf("%-32s %-10s %-10s %6s %10s %10s %7s\n", "cell", "backend",
+              "resolved", "nodes", "arena KB", "heap KB", "allocs");
+  bench::PrintRule(93);
   serve::ServeOptions options;
   options.num_workers = 2;
   serve::SchedulerService service(options);
-  std::vector<CellRun> runs;
+  bench::JsonRows rows;
   for (const models::BenchmarkCell& cell : models::AllBenchmarkCells()) {
     for (const runtime::Backend backend : RowBackends(backend_flag)) {
-      runs.push_back(SetUpCell(service, cell, backend));
+      const CellRun run = RunCell(service, cell, backend);
+      std::printf("%-32s %-10s %-10s %6lld %10.1f %10.1f %7llu\n",
+                  run.label.c_str(), runtime::ToString(run.backend),
+                  runtime::ToString(runtime::ResolveBackend(run.backend)),
+                  static_cast<long long>(run.nodes),
+                  bench::Kb(run.arena_bytes), bench::Kb(run.session_heap_bytes),
+                  static_cast<unsigned long long>(run.allocs_per_inference));
+      rows.Begin();
+      rows.Field("cell", run.label);
+      rows.Field("backend", std::string(runtime::ToString(run.backend)));
+      rows.Field("nodes", run.nodes);
+      rows.Field("arena_bytes", run.arena_bytes);
+      rows.Field("touched_peak_bytes", run.touched_peak_bytes);
+      rows.Field("plan_text_bytes", run.plan_text_bytes);
+      rows.Field("session_heap_bytes", run.session_heap_bytes);
+      rows.Field("allocs_per_inference",
+                 static_cast<std::int64_t>(run.allocs_per_inference));
     }
   }
-  for (int round = 0; round < kTimingRounds; ++round) {
-    for (CellRun& run : runs) TimeRound(run);
-  }
-  bench::JsonRows rows;
-  for (const CellRun& run : runs) {
-    const double q1 = util::Percentile(run.seconds, 25);
-    const double median = util::Percentile(run.seconds, 50);
-    const double q3 = util::Percentile(run.seconds, 75);
-    std::printf("%-32s %-10s %-10s %6lld %10.1f %10.1f %7llu %12.6f %12.6f "
-                "%12.6f\n",
-                run.label.c_str(), runtime::ToString(run.backend),
-                runtime::ToString(runtime::ResolveBackend(run.backend)),
-                static_cast<long long>(run.nodes), bench::Kb(run.arena_bytes),
-                bench::Kb(run.session_heap_bytes),
-                static_cast<unsigned long long>(run.allocs_per_inference), q1,
-                median, q3);
-    rows.Begin();
-    rows.Field("cell", run.label);
-    rows.Field("backend", std::string(runtime::ToString(run.backend)));
-    rows.Field("nodes", run.nodes);
-    rows.Field("arena_bytes", run.arena_bytes);
-    rows.Field("touched_peak_bytes", run.touched_peak_bytes);
-    rows.Field("plan_text_bytes", run.plan_text_bytes);
-    rows.Field("session_heap_bytes", run.session_heap_bytes);
-    rows.Field("allocs_per_inference",
-               static_cast<std::int64_t>(run.allocs_per_inference));
-    rows.Field("infer_seconds", median);
-    rows.Field("infer_seconds_q1", q1);
-    rows.Field("infer_seconds_q3", q3);
-  }
-  bench::PrintRule(132);
+  bench::PrintRule(93);
   std::printf("\nall cells x backends: touched peak == planned arena, 0 "
               "allocations per inference, sinks bit-identical to the "
               "reference executor\n\n");
@@ -211,30 +177,10 @@ bool PrintRows(const std::string& json_path,
   return true;
 }
 
-void BM_InferLatency(benchmark::State& state) {
-  const models::BenchmarkCell& cell = models::AllBenchmarkCells()
-      [static_cast<std::size_t>(state.range(0))];
-  serve::SchedulerService service;
-  serve::InferenceSession session =
-      serve::InferenceSession::Open(service, cell.factory());
-  const std::vector<runtime::Tensor> inputs =
-      testing::RandomInputsFor(session.graph(), 0xbe9c4);
-  for (auto _ : state) {
-    session.Run(inputs);
-    benchmark::DoNotOptimize(session.executor().SinkViews());
-  }
-  state.SetLabel(bench::CellLabel(cell));
-}
-BENCHMARK(BM_InferLatency)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = serenity::bench::TakeJsonFlag(&argc, argv);
-  const std::string backend =
-      serenity::bench::TakePrefixFlag("--backend=", &argc, argv);
-  const bool json_ok = PrintRows(json_path, backend);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return json_ok ? 0 : 1;
+  const std::vector<std::string> flags =
+      serenity::bench::ParseFlags(argc, argv, {"--json=", "--backend="});
+  return PrintRows(flags[0], flags[1]) ? 0 : 1;
 }

@@ -1,16 +1,13 @@
-// Post-scheduling hot-path micro-benchmark: the arena planner
-// (alloc/arena_planner) and the hierarchy simulator (memsim/hierarchy_sim).
-//
-// Tracks *absolute* median seconds per call; the cross-PR JSON trajectory
-// (bench/baselines/ + tools/check_bench_regression.py) is the regression
-// signal. The seed's quadratic implementations are no longer re-run here —
-// they live on in tests/testing/reference_impls.h purely as the oracle of
-// the bit-identity property suites (arena_planner_property_test,
-// hierarchy_sim_property_test). Inputs span the paper's largest cells
-// (DARTS, RandWire) and synthetic RandWire-scale DAGs several times that
-// size, where the hot paths dominate.
-#include <benchmark/benchmark.h>
-
+// The post-scheduling hot paths — the arena planner (alloc/arena_planner)
+// and the hierarchy simulator (memsim/hierarchy_sim) — on the paper's
+// largest cells (DARTS, RandWire) and on synthetic RandWire-scale DAGs
+// several times that size. --json=PATH rows carry each input's buffer and
+// step counts; the printed table adds the planned arena and the simulated
+// off-chip traffic. The seed's quadratic implementations live on in
+// tests/testing/reference_impls.h as the oracle of the bit-identity
+// property suites (arena_planner_property_test,
+// hierarchy_sim_property_test).
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -20,8 +17,6 @@
 #include "testing/random_graphs.h"
 #include "util/logging.h"
 #include "util/rng.h"
-#include "util/stats.h"
-#include "util/stopwatch.h"
 
 namespace {
 
@@ -30,53 +25,36 @@ using namespace serenity;
 struct InputCase {
   std::string label;
   graph::Graph graph;
-  int iters;  // timing-loop iterations per repetition
 };
 
 std::vector<InputCase> BuildInputs() {
   std::vector<InputCase> inputs;
   inputs.push_back({"DARTS ImageNet / Normal Cell",
                     models::FindBenchmarkCell("DARTS ImageNet", "Normal Cell")
-                        .factory(),
-                    200});
+                        .factory()});
   inputs.push_back({"RandWire CIFAR100 / Cell C",
                     models::FindBenchmarkCell("RandWire CIFAR100", "Cell C")
-                        .factory(),
-                    200});
+                        .factory()});
   util::Rng rng(20260730);
   testing::RandomDagOptions medium;
   medium.num_ops = 512;
   medium.max_channels = 6;
   medium.extra_edge_p = 0.4;
   inputs.push_back({"random DAG / 512 ops",
-                    testing::RandomDag(rng, medium, "rand512"), 10});
+                    testing::RandomDag(rng, medium, "rand512")});
   testing::RandomDagOptions large = medium;
   large.num_ops = 2048;
   inputs.push_back({"random DAG / 2048 ops",
-                    testing::RandomDag(rng, large, "rand2048"), 2});
+                    testing::RandomDag(rng, large, "rand2048")});
   return inputs;
 }
 
-// Median seconds of one call, measured over `reps` repetitions of an
-// `iters`-iteration timing loop.
-template <typename Fn>
-double MedianSecondsOf(const Fn& fn, int iters, int reps = 7) {
-  std::vector<double> runs;
-  runs.reserve(static_cast<std::size_t>(reps));
-  for (int r = 0; r < reps; ++r) {
-    util::Stopwatch clock;
-    for (int i = 0; i < iters; ++i) fn();
-    runs.push_back(clock.ElapsedSeconds() / iters);
-  }
-  return util::Percentile(runs, 50);
-}
-
 // Returns false iff a requested --json write failed.
-bool PrintMedians(const std::string& json_path) {
-  std::printf("Planner + hierarchy-sim hot paths: absolute median seconds "
-              "per call\n\n");
+bool PrintRows(const std::string& json_path) {
+  std::printf("Planner + hierarchy-sim hot paths (TFLite order, on-chip "
+              "capacity half the peak)\n\n");
   std::printf("%-28s %7s %7s  %12s %12s\n", "input", "bufs", "steps",
-              "planner", "sim");
+              "arena KB", "traffic KB");
   bench::PrintRule(72);
   bench::JsonRows rows;
   for (const InputCase& input : BuildInputs()) {
@@ -84,8 +62,8 @@ bool PrintMedians(const std::string& json_path) {
     const sched::Schedule s = sched::TfLiteOrderSchedule(g);
     const graph::BufferUseTable table = graph::BufferUseTable::Build(g);
 
-    const double plan_now =
-        MedianSecondsOf([&] { alloc::PlanArena(g, table, s); }, input.iters);
+    const std::int64_t arena_bytes =
+        alloc::PlanArena(g, table, s).arena_bytes;
 
     // A pressured budget: Belady evicts continuously, the regime where the
     // eviction path dominates.
@@ -93,18 +71,16 @@ bool PrintMedians(const std::string& json_path) {
     options.onchip_bytes =
         std::max<std::int64_t>(options.page_bytes,
                                sched::PeakFootprint(g, s) / 2);
-    const double sim_now = MedianSecondsOf(
-        [&] { memsim::SimulateHierarchy(g, table, s, options); },
-        input.iters);
+    const std::int64_t traffic_bytes =
+        memsim::SimulateHierarchy(g, table, s, options).TotalTraffic();
 
-    std::printf("%-28s %7zu %7zu  %12.3g %12.3g\n", input.label.c_str(),
-                table.buffers.size(), s.size(), plan_now, sim_now);
+    std::printf("%-28s %7zu %7zu  %12.1f %12.1f\n", input.label.c_str(),
+                table.buffers.size(), s.size(), bench::Kb(arena_bytes),
+                bench::Kb(traffic_bytes));
     rows.Begin();
     rows.Field("input", input.label);
     rows.Field("buffers", static_cast<std::int64_t>(table.buffers.size()));
     rows.Field("steps", static_cast<std::int64_t>(s.size()));
-    rows.Field("planner_seconds", plan_now);
-    rows.Field("sim_seconds", sim_now);
   }
   bench::PrintRule(72);
   std::printf("\n");
@@ -112,46 +88,8 @@ bool PrintMedians(const std::string& json_path) {
   return true;
 }
 
-void BM_PlanArena(benchmark::State& state) {
-  const auto inputs = BuildInputs();
-  const InputCase& input = inputs[static_cast<std::size_t>(state.range(0))];
-  const sched::Schedule s = sched::TfLiteOrderSchedule(input.graph);
-  const graph::BufferUseTable table =
-      graph::BufferUseTable::Build(input.graph);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        alloc::PlanArena(input.graph, table, s).arena_bytes);
-  }
-  state.SetLabel(input.label);
-}
-BENCHMARK(BM_PlanArena)->DenseRange(0, 3)->Unit(benchmark::kMicrosecond);
-
-void BM_SimulateHierarchy(benchmark::State& state) {
-  const auto inputs = BuildInputs();
-  const InputCase& input = inputs[static_cast<std::size_t>(state.range(0))];
-  const sched::Schedule s = sched::TfLiteOrderSchedule(input.graph);
-  const graph::BufferUseTable table =
-      graph::BufferUseTable::Build(input.graph);
-  memsim::SimOptions options;
-  options.onchip_bytes = std::max<std::int64_t>(
-      options.page_bytes, sched::PeakFootprint(input.graph, s) / 2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        memsim::SimulateHierarchy(input.graph, table, s, options)
-            .TotalTraffic());
-  }
-  state.SetLabel(input.label);
-}
-BENCHMARK(BM_SimulateHierarchy)
-    ->DenseRange(0, 3)
-    ->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = serenity::bench::TakeJsonFlag(&argc, argv);
-  const bool json_ok = PrintMedians(json_path);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return json_ok ? 0 : 1;
+  return PrintRows(serenity::bench::JsonFlag(argc, argv)) ? 0 : 1;
 }

@@ -2,19 +2,13 @@
 // SessionPool driven by 1/2/4/8 persistent client connections, each
 // replaying the same deterministic request sequence over three SwiftNet
 // cells. Every reply is checked bit-identical against a precomputed
-// ReferenceExecutor run of the server's own scheduled graph before any
-// throughput number is reported.
+// ReferenceExecutor run of the server's own scheduled graph.
 //
-// The --json=PATH rows separate the two signal classes the CI gate
-// (tools/check_bench_regression.py) understands:
-//   deterministic — requests issued, replies served, bit-identity checks,
-//     sheds (zero in the sweep; exactly K in the overload probe, which
-//     saturates a 1-worker/1-slot server and counts the structured
-//     rejections). These must reproduce exactly on every run.
-//   report-only  — wall seconds, requests/s, p50/p99 latency. Timings warn,
-//     never fail.
-#include <benchmark/benchmark.h>
-
+// The --json=PATH rows count requests issued, replies served, bit-identity
+// checks and sheds (zero in the sweep; exactly K in the overload probe,
+// which saturates a 1-worker/1-slot server and counts the structured
+// rejections). They must reproduce exactly on every run. Serving latency
+// and throughput are perfbench's serve_infer workload.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -29,8 +23,6 @@
 #include "testing/runtime_inputs.h"
 #include "testing/sink_compare.h"
 #include "util/logging.h"
-#include "util/stats.h"
-#include "util/stopwatch.h"
 
 namespace {
 
@@ -76,9 +68,6 @@ std::vector<PlannedCell> PlanWorkingSet(serve::SchedulerService& service,
 struct SweepResult {
   std::uint64_t replies_ok = 0;
   std::uint64_t bit_identical = 0;
-  double wall_seconds = 0;
-  double p50_millis = 0;
-  double p99_millis = 0;
 };
 
 // C connections, each replaying the same kRequestsPerConnection-long
@@ -89,9 +78,6 @@ SweepResult RunSweep(int port, const std::vector<PlannedCell>& cells,
   std::vector<std::uint64_t> ok(static_cast<std::size_t>(connections), 0);
   std::vector<std::uint64_t> identical(static_cast<std::size_t>(connections),
                                        0);
-  std::vector<std::vector<double>> latencies(
-      static_cast<std::size_t>(connections));
-  util::Stopwatch clock;
   std::vector<std::thread> threads;
   for (int c = 0; c < connections; ++c) {
     threads.emplace_back([&, c] {
@@ -101,12 +87,9 @@ SweepResult RunSweep(int port, const std::vector<PlannedCell>& cells,
       for (int r = 0; r < kRequestsPerConnection; ++r) {
         const PlannedCell& cell =
             cells[static_cast<std::size_t>(r) % cells.size()];
-        util::Stopwatch rt;
         const util::StatusOr<std::vector<runtime::Tensor>> sinks =
             client.value().Infer(cell.hash, cell.inputs,
                                  /*deadline_seconds=*/60.0);
-        latencies[static_cast<std::size_t>(c)].push_back(
-            rt.ElapsedSeconds() * 1e3);
         SERENITY_CHECK(sinks.ok()) << sinks.status().ToString();
         ok[static_cast<std::size_t>(c)] += 1;
         const std::string divergence =
@@ -118,16 +101,10 @@ SweepResult RunSweep(int port, const std::vector<PlannedCell>& cells,
     });
   }
   for (std::thread& t : threads) t.join();
-  result.wall_seconds = clock.ElapsedSeconds();
-  std::vector<double> all;
   for (int c = 0; c < connections; ++c) {
     result.replies_ok += ok[static_cast<std::size_t>(c)];
     result.bit_identical += identical[static_cast<std::size_t>(c)];
-    all.insert(all.end(), latencies[static_cast<std::size_t>(c)].begin(),
-               latencies[static_cast<std::size_t>(c)].end());
   }
-  result.p50_millis = util::Percentile(all, 50);
-  result.p99_millis = util::Percentile(all, 99);
   return result;
 }
 
@@ -150,10 +127,8 @@ bool RunConcurrentBench(const std::string& json_path) {
   std::printf("Concurrent serving over TCP, 3-cell SwiftNet working set, "
               "%d requests per connection\n\n",
               kRequestsPerConnection);
-  std::printf("%-14s %10s %10s %12s %12s %10s %10s\n", "connections",
-              "requests", "verified", "wall s", "req/s", "p50 ms",
-              "p99 ms");
-  bench::PrintRule(84);
+  std::printf("%-14s %10s %10s\n", "connections", "requests", "verified");
+  bench::PrintRule(36);
 
   bench::JsonRows rows;
   for (const int connections : {1, 2, 4, 8}) {
@@ -162,12 +137,9 @@ bool RunConcurrentBench(const std::string& json_path) {
         static_cast<std::uint64_t>(connections) * kRequestsPerConnection;
     SERENITY_CHECK_EQ(sweep.replies_ok, requests);
     SERENITY_CHECK_EQ(sweep.bit_identical, requests);
-    std::printf("%-14d %10llu %10llu %12.4f %12.1f %10.2f %10.2f\n",
-                connections, static_cast<unsigned long long>(requests),
-                static_cast<unsigned long long>(sweep.bit_identical),
-                sweep.wall_seconds,
-                static_cast<double>(requests) / sweep.wall_seconds,
-                sweep.p50_millis, sweep.p99_millis);
+    std::printf("%-14d %10llu %10llu\n", connections,
+                static_cast<unsigned long long>(requests),
+                static_cast<unsigned long long>(sweep.bit_identical));
     rows.Begin();
     rows.Field("configuration", std::string("sweep"));
     rows.Field("connections", static_cast<std::int64_t>(connections));
@@ -175,13 +147,8 @@ bool RunConcurrentBench(const std::string& json_path) {
     rows.Field("replies_ok", sweep.replies_ok);
     rows.Field("bit_identical", sweep.bit_identical);
     rows.Field("sheds", static_cast<std::int64_t>(0));
-    rows.Field("wall_seconds", sweep.wall_seconds);
-    rows.Field("requests_per_sec",
-               static_cast<double>(requests) / sweep.wall_seconds);
-    rows.Field("p50_millis", sweep.p50_millis);
-    rows.Field("p99_millis", sweep.p99_millis);
   }
-  bench::PrintRule(84);
+  bench::PrintRule(36);
   const serve::SessionPoolStats pool_stats = pool.stats();
   SERENITY_CHECK_EQ(pool_stats.sheds, 0u)
       << "the sweep is sized to never shed";
@@ -242,36 +209,8 @@ bool RunConcurrentBench(const std::string& json_path) {
   return true;
 }
 
-// Timing loop: one warm connection, one verified roundtrip per iteration.
-void BM_ServeInferRoundtrip(benchmark::State& state) {
-  serve::SchedulerService service;
-  serve::SessionPool pool;
-  serve::TcpServer server(service, pool, {});
-  SERENITY_CHECK(server.Start().ok());
-  util::StatusOr<serve::TcpClient> client =
-      serve::TcpClient::Connect(server.port());
-  SERENITY_CHECK(client.ok());
-  const std::vector<PlannedCell> cells =
-      PlanWorkingSet(service, client.value());
-  for (auto _ : state) {
-    const util::StatusOr<std::vector<runtime::Tensor>> sinks =
-        client.value().Infer(cells[0].hash, cells[0].inputs);
-    SERENITY_CHECK(sinks.ok());
-    benchmark::DoNotOptimize(sinks.value().size());
-  }
-  state.SetItemsProcessed(state.iterations());
-  client.value().Close();
-  server.RequestDrain();
-  server.Join();
-}
-BENCHMARK(BM_ServeInferRoundtrip)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = serenity::bench::TakeJsonFlag(&argc, argv);
-  const bool json_ok = RunConcurrentBench(json_path);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return json_ok ? 0 : 1;
+  return RunConcurrentBench(serenity::bench::JsonFlag(argc, argv)) ? 0 : 1;
 }

@@ -5,8 +5,6 @@
 // paper's reported values. (Top-1 accuracy is a training-time property
 // quoted from the respective papers; a scheduling framework cannot
 // re-measure it, so the paper's numbers are repeated for reference.)
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -92,28 +90,8 @@ bool PrintTable(const std::string& json_path) {
   return true;
 }
 
-// Timing companion: graph-generation and statistics throughput.
-void BM_GenerateSwiftNet(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(serenity::models::MakeSwiftNet());
-  }
-}
-BENCHMARK(BM_GenerateSwiftNet);
-
-void BM_CountMacs(benchmark::State& state) {
-  const auto g = serenity::models::MakeDartsNormalCell();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(serenity::graph::CountMacs(g));
-  }
-}
-BENCHMARK(BM_CountMacs);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = serenity::bench::TakeJsonFlag(&argc, argv);
-  const bool json_ok = PrintTable(json_path);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return json_ok ? 0 : 1;
+  return PrintTable(serenity::bench::JsonFlag(argc, argv)) ? 0 : 1;
 }

@@ -10,8 +10,9 @@
 // The ablation still reproduces the paper's two mechanisms directly:
 // divide-and-conquer shrinks per-run state counts, and adaptive soft
 // budgeting prunes states on top of it.
-#include <benchmark/benchmark.h>
-
+//
+// The times are single runs, printed for reading only; --json=PATH rows
+// carry the deterministic node counts, partitions and states expanded.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -20,7 +21,6 @@
 #include "models/swiftnet.h"
 #include "rewrite/rewriter.h"
 #include "util/stats.h"
-#include "util/stopwatch.h"
 
 namespace {
 
@@ -53,11 +53,10 @@ void RunConfiguration(const graph::Graph& g, bool rewriting,
     options.enable_rewriting = rewriting;
     options.enable_partitioning = row.partition;
     options.enable_soft_budgeting = row.soft_budget;
-    util::Stopwatch clock;
     const core::PipelineResult r = core::Pipeline(options).Run(g);
-    const double seconds = clock.ElapsedSeconds();
     const std::string time_text =
-        r.status.ok() ? std::to_string(seconds).substr(0, 8) + "s" : "N/A";
+        r.status.ok() ? std::to_string(r.total_seconds).substr(0, 8) + "s"
+                      : "N/A";
     const std::string states_text =
         r.status.ok() ? std::to_string(r.states_expanded) : "-";
     std::printf("  %-48s %3d=%-16s %10s %12s\n", row.label,
@@ -71,10 +70,7 @@ void RunConfiguration(const graph::Graph& g, bool rewriting,
                 static_cast<std::int64_t>(r.scheduled_graph.num_nodes()));
     json->Field("partitions", PartitionString(r.segment_sizes));
     json->Field("success", static_cast<std::int64_t>(r.status.ok()));
-    if (r.status.ok()) {
-      json->Field("seconds", seconds);
-      json->Field("states_expanded", r.states_expanded);
-    }
+    if (r.status.ok()) json->Field("states_expanded", r.states_expanded);
   }
 }
 
@@ -98,31 +94,8 @@ bool PrintTable(const std::string& json_path) {
   return true;
 }
 
-void BM_AblationConfig(benchmark::State& state) {
-  const graph::Graph g = models::MakeSwiftNet();
-  core::PipelineOptions options;
-  options.enable_rewriting = state.range(0) != 0;
-  options.enable_partitioning = state.range(1) != 0;
-  options.enable_soft_budgeting = state.range(2) != 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::Pipeline(options).Run(g).peak_bytes);
-  }
-}
-BENCHMARK(BM_AblationConfig)
-    ->Args({0, 0, 0})
-    ->Args({0, 1, 0})
-    ->Args({0, 1, 1})
-    ->Args({1, 0, 0})
-    ->Args({1, 1, 0})
-    ->Args({1, 1, 1})
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = serenity::bench::TakeJsonFlag(&argc, argv);
-  const bool json_ok = PrintTable(json_path);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return json_ok ? 0 : 1;
+  return PrintTable(serenity::bench::JsonFlag(argc, argv)) ? 0 : 1;
 }
