@@ -100,14 +100,8 @@ CellRun RunCell(serve::SchedulerService& service,
   plain.executor.backend = backend;
   const std::int64_t requested_before = testing::ThreadRequestedBytes();
   // Heap-built, as a pooled session is: the count includes the object.
-  // GCC 12 inlines the replaced operator new (malloc, alloc_counter.h) into
-  // this new-expression and then flags the operator delete of its exception
-  // cleanup as mismatched; that delete is the matching free.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
   const auto session =
       std::make_unique<serve::InferenceSession>(served.plan, plain);
-#pragma GCC diagnostic pop
   run.session_heap_bytes = testing::ThreadRequestedBytes() -
                            requested_before - run.arena_bytes;
 

@@ -30,6 +30,8 @@ std::int64_t CachedPlanBytes(const CachedPlan& plan) {
            static_cast<std::int64_t>(sizeof(graph::NodeId));
   bytes += static_cast<std::int64_t>(plan.plan.arena.placements.size()) *
            static_cast<std::int64_t>(sizeof(alloc::BufferPlacement));
+  bytes += static_cast<std::int64_t>(plan.inputs.size() *
+                                     sizeof(graph::NodeId));
   bytes += static_cast<std::int64_t>(
       plan.plan.arena.highwater_at_step.size() * sizeof(std::int64_t));
   for (const graph::Node& node : g.nodes()) {
@@ -38,6 +40,14 @@ std::int64_t CachedPlanBytes(const CachedPlan& plan) {
                                            sizeof(graph::NodeId));
   }
   return bytes;
+}
+
+std::vector<graph::NodeId> InputNodes(const graph::Graph& graph) {
+  std::vector<graph::NodeId> inputs;
+  for (const graph::Node& node : graph.nodes()) {
+    if (node.kind == graph::OpKind::kInput) inputs.push_back(node.id);
+  }
+  return inputs;
 }
 
 }  // namespace
@@ -76,6 +86,7 @@ util::StatusOr<std::shared_ptr<const CachedPlan>> PlanCache::InsertGoverned(
   if (!exec.ok()) return exec.status();
   plan->plan = *std::move(exec);
   plan->quality = plan->result.quality;
+  plan->inputs = InputNodes(plan->result.scheduled_graph);
 
   std::lock_guard<std::mutex> lock(mu_);
   // Price of degradation: how far this peak sits above the best complete
@@ -332,6 +343,7 @@ util::StatusOr<CacheLoadReport> PlanCache::LoadFromFile(
     r.quality = static_cast<core::PlanQuality>(quality_int);
     plan->quality = r.quality;
     plan->peak_delta_bytes = peak_delta;
+    plan->inputs = InputNodes(r.scheduled_graph);
     plan->bytes = CachedPlanBytes(*plan);
     loaded.push_back(std::move(plan));
     ++report.entries_loaded;

@@ -39,6 +39,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "core/pipeline.h"
 #include "graph/canonical_hash.h"
@@ -52,6 +53,9 @@ struct CachedPlan {
   graph::GraphHash hash;
   core::PipelineResult result;  // status is always OK for cached entries
   serialize::ExecutionPlan plan;  // arena plan over result.scheduled_graph
+  // The scheduled graph's kInput nodes in ascending id: the order an infer
+  // request carries its input tensors in.
+  std::vector<graph::NodeId> inputs;
   std::int64_t bytes = 0;       // retained-footprint charge for eviction
   // Which rung of the degradation ladder produced this plan. Anything below
   // kExact marks the entry upgradeable: SchedulerService re-plans it in the

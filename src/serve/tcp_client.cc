@@ -8,6 +8,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 #include <string_view>
 #include <utility>
@@ -27,6 +29,8 @@ TcpClient& TcpClient::operator=(TcpClient&& other) noexcept {
     retry_after_millis_ = other.retry_after_millis_;
     max_frame_bytes_ = other.max_frame_bytes_;
     frame_ = std::move(other.frame_);
+    infer_fields_ = std::move(other.infer_fields_);
+    infer_parts_ = std::move(other.infer_parts_);
     other.fd_ = -1;
   }
   return *this;
@@ -88,25 +92,34 @@ util::StatusOr<TcpClient> TcpClient::Connect(int port,
   return client;
 }
 
-util::StatusOr<std::string> TcpClient::Call(const wire::Request& request,
-                                            double timeout_seconds) {
+util::StatusOr<std::string_view> TcpClient::Roundtrip(
+    std::span<const std::string_view> parts, double timeout_seconds) {
   if (fd_ < 0) {
     return util::FailedPreconditionError("client is not connected");
   }
   retry_after_millis_ = 0;
-  const std::string head = wire::EncodeRequestHead(request);
-  const std::string_view parts[] = {head, request.body};
   SERENITY_RETURN_IF_ERROR(wire::WriteFrameParts(fd_, parts, timeout_seconds,
                                                  max_frame_bytes_));
   SERENITY_RETURN_IF_ERROR(wire::ReadFrame(fd_, &frame_, max_frame_bytes_,
                                            timeout_seconds, timeout_seconds));
-  util::StatusOr<wire::Reply> reply = wire::DecodeReply(std::move(frame_));
-  if (!reply.ok()) return reply.status();
-  retry_after_millis_ = reply->retry_after_millis;
-  if (reply->code != util::StatusCode::kOk) {
-    return util::Status(reply->code, "server: " + reply->message);
+  wire::Reply reply;
+  const util::StatusOr<std::size_t> body_at =
+      wire::DecodeReplyHead(frame_.view(), &reply);
+  if (!body_at.ok()) return body_at.status();
+  retry_after_millis_ = reply.retry_after_millis;
+  if (reply.code != util::StatusCode::kOk) {
+    return util::Status(reply.code, "server: " + reply.message);
   }
-  return std::move(reply->body);
+  return frame_.view().substr(*body_at);
+}
+
+util::StatusOr<std::string> TcpClient::Call(const wire::Request& request,
+                                            double timeout_seconds) {
+  const std::string head = wire::EncodeRequestHead(request);
+  const std::string_view parts[] = {head, request.body};
+  util::StatusOr<std::string_view> body = Roundtrip(parts, timeout_seconds);
+  if (!body.ok()) return body.status();
+  return std::string(*body);
 }
 
 util::StatusOr<RemotePlan> TcpClient::Plan(const std::string& graph_text,
@@ -117,8 +130,9 @@ util::StatusOr<RemotePlan> TcpClient::Plan(const std::string& graph_text,
   request.verb = wire::Verb::kPlan;
   request.deadline_seconds = deadline_seconds;
   request.allow_degraded = allow_degraded;
-  request.body = graph_text;
-  util::StatusOr<std::string> body = Call(request, timeout_seconds);
+  const std::string head = wire::EncodeRequestHead(request);
+  const std::string_view parts[] = {head, graph_text};
+  util::StatusOr<std::string_view> body = Roundtrip(parts, timeout_seconds);
   if (!body.ok()) return body.status();
   wire::ByteReader reader(*body);
   RemotePlan plan;
@@ -141,18 +155,42 @@ util::StatusOr<std::vector<runtime::Tensor>> TcpClient::Infer(
   wire::Request request;
   request.verb = wire::Verb::kInfer;
   request.deadline_seconds = deadline_seconds;
-  std::size_t body_bytes = 20;
-  for (const runtime::Tensor& input : inputs) {
-    body_bytes += wire::TensorWireBytes(input.shape());
+  const std::string head = wire::EncodeRequestHead(request);
+  // The request goes out as gathered parts, so its tensors are not copied:
+  // each input's floats are sent from its own storage when the host's
+  // float layout is the wire's (little-endian) and every input is
+  // contiguous. infer_fields_ holds the fields around them, complete before
+  // any part points into it. Otherwise the whole body is encoded there.
+  infer_fields_.clear();
+  wire::AppendU64(&infer_fields_, hash.hi);
+  wire::AppendU64(&infer_fields_, hash.lo);
+  wire::AppendU32(&infer_fields_, static_cast<std::uint32_t>(inputs.size()));
+  infer_parts_.assign({head});
+  if (std::endian::native == std::endian::little &&
+      std::all_of(inputs.begin(), inputs.end(),
+                  [](const runtime::Tensor& t) { return t.contiguous(); })) {
+    for (const runtime::Tensor& input : inputs) {
+      const graph::TensorShape& s = input.shape();
+      for (const int dim : {s.n, s.h, s.w, s.c}) {
+        wire::AppendU32(&infer_fields_, static_cast<std::uint32_t>(dim));
+      }
+    }
+    const std::string_view fields = infer_fields_;
+    infer_parts_.push_back(fields.substr(0, 20));
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      infer_parts_.push_back(fields.substr(20 + 16 * i, 16));
+      infer_parts_.emplace_back(
+          reinterpret_cast<const char*>(inputs[i].data()),
+          inputs[i].size() * sizeof(float));
+    }
+  } else {
+    for (const runtime::Tensor& input : inputs) {
+      wire::AppendTensor(&infer_fields_, input);
+    }
+    infer_parts_.push_back(infer_fields_);
   }
-  request.body.reserve(body_bytes);
-  wire::AppendU64(&request.body, hash.hi);
-  wire::AppendU64(&request.body, hash.lo);
-  wire::AppendU32(&request.body, static_cast<std::uint32_t>(inputs.size()));
-  for (const runtime::Tensor& input : inputs) {
-    wire::AppendTensor(&request.body, input);
-  }
-  util::StatusOr<std::string> body = Call(request, timeout_seconds);
+  util::StatusOr<std::string_view> body =
+      Roundtrip(infer_parts_, timeout_seconds);
   if (!body.ok()) return body.status();
 
   wire::ByteReader reader(*body);
@@ -185,7 +223,6 @@ util::StatusOr<std::vector<runtime::Tensor>> TcpClient::Infer(
   if (!reader.exhausted()) {
     return util::InvalidArgumentError("trailing bytes after the sinks");
   }
-  frame_ = std::move(*body);  // hand the capacity back for the next reply
   return sinks;
 }
 

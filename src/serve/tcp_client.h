@@ -10,7 +10,9 @@
 #define SERENITY_SERVE_TCP_CLIENT_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/canonical_hash.h"
@@ -71,11 +73,20 @@ class TcpClient {
   void Close();
 
  private:
+  // Sends one request payload, the concatenation of `parts`, and reads
+  // its reply into frame_; returns the OK reply's body, a view into frame_
+  // valid until the next call.
+  util::StatusOr<std::string_view> Roundtrip(
+      std::span<const std::string_view> parts, double timeout_seconds);
+
   int fd_ = -1;
   std::uint32_t retry_after_millis_ = 0;
   std::uint32_t max_frame_bytes_ = wire::kMaxFrameBytesDefault;
-  // Receive buffer reused across replies (Infer hands each body back).
-  std::string frame_;
+  // Reused across calls: the receive buffer replies land in, and the
+  // fields and parts Infer sends a request as.
+  wire::FrameBuffer frame_;
+  std::string infer_fields_;
+  std::vector<std::string_view> infer_parts_;
 };
 
 }  // namespace serenity::serve

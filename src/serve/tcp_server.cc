@@ -234,9 +234,7 @@ void TcpServer::ServeConnection(int fd) {
     counters_.*field += 1;
   };
   double idle_left = options_.idle_timeout_seconds;
-  // Receive buffer reused across this connection's frames: each request's
-  // body is moved out of it for decoding and moved back after the reply.
-  std::string frame;
+  Connection conn;
   while (true) {
     if (draining_.load(std::memory_order_acquire)) break;
     const double slice = std::min(kPollSliceSeconds, idle_left);
@@ -256,7 +254,7 @@ void TcpServer::ServeConnection(int fd) {
     // Data is ready: the frame has effectively begun, so both phases of
     // ReadFrame run under the frame budget.
     const util::Status read =
-        wire::ReadFrame(fd, &frame, options_.max_frame_bytes,
+        wire::ReadFrame(fd, &conn.frame, options_.max_frame_bytes,
                         options_.frame_timeout_seconds,
                         options_.frame_timeout_seconds);
     if (!read.ok()) {
@@ -281,49 +279,48 @@ void TcpServer::ServeConnection(int fd) {
       break;
     }
     idle_left = options_.idle_timeout_seconds;
-    util::StatusOr<wire::Request> request =
-        wire::DecodeRequest(std::move(frame));
+    wire::Request request;
+    const util::Status decoded =
+        wire::DecodeRequestHead(conn.frame.view(), &request);
     wire::Reply reply;
-    if (!request.ok()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      counters_.bad_frames += 1;
-    }
-    if (request.ok()) {
+    if (decoded.ok()) {
       bump(&TcpServerStats::requests);
-      reply = Handle(*request, fd);
+      reply = Handle(request, conn, fd);
     } else {
-      reply.code = ClampCode(request.status().code());
-      reply.message = request.status().message();
+      bump(&TcpServerStats::bad_frames);
+      reply.code = ClampCode(decoded.code());
+      reply.message = decoded.message();
     }
+    const bool ok = reply.code == util::StatusCode::kOk;
     const std::string head = wire::EncodeReplyHead(reply);
-    const std::string_view parts[] = {head, reply.body};
+    const std::string_view parts[] = {
+        head, ok ? conn.frame.view() : std::string_view()};
     const util::Status wrote =
         wire::WriteFrameParts(fd, parts, kWriteTimeoutSeconds,
                               options_.max_frame_bytes);
-    if (request.ok()) frame = std::move(request->body);
     if (!wrote.ok()) {
       bump(&TcpServerStats::timeout_closes);
       break;
     }
-    bump(reply.code == util::StatusCode::kOk ? &TcpServerStats::replies_ok
-                                             : &TcpServerStats::replies_error);
-    if (!request.ok()) break;  // undecodable stream: close after the reply
+    bump(ok ? &TcpServerStats::replies_ok : &TcpServerStats::replies_error);
+    if (!decoded.ok()) break;  // undecodable stream: close after the reply
   }
   ::close(fd);
 }
 
-wire::Reply TcpServer::Handle(const wire::Request& request, int fd) {
+wire::Reply TcpServer::Handle(const wire::Request& request, Connection& conn,
+                              int fd) {
   wire::Reply reply;
   switch (request.verb) {
     case wire::Verb::kHealth:
-      reply.body = draining() ? "draining" : "ok";
+      conn.frame.Assign(draining() ? "draining" : "ok");
       return reply;
     case wire::Verb::kDrain:
       RequestDrain();
-      reply.body = "draining";
+      conn.frame.Assign("draining");
       return reply;
     case wire::Verb::kStats:
-      return HandleStats();
+      return HandleStats(conn);
     case wire::Verb::kPlan:
     case wire::Verb::kInfer:
       if (draining()) {
@@ -332,18 +329,20 @@ wire::Reply TcpServer::Handle(const wire::Request& request, int fd) {
         reply.message = "server draining";
         return reply;
       }
-      return request.verb == wire::Verb::kPlan ? HandlePlan(request, fd)
-                                               : HandleInfer(request);
+      return request.verb == wire::Verb::kPlan
+                 ? HandlePlan(request, conn, fd)
+                 : HandleInfer(request, conn);
   }
   reply.code = util::StatusCode::kInvalidArgument;
   reply.message = "unknown verb";
   return reply;
 }
 
-wire::Reply TcpServer::HandlePlan(const wire::Request& request, int fd) {
+wire::Reply TcpServer::HandlePlan(const wire::Request& request,
+                                  Connection& conn, int fd) {
   wire::Reply reply;
-  util::StatusOr<graph::Graph> graph =
-      serialize::GraphFromTextOr(request.body);
+  util::StatusOr<graph::Graph> graph = serialize::GraphFromTextOr(
+      std::string(conn.frame.view().substr(wire::kRequestHeadBytes)));
   if (!graph.ok()) {
     reply.code = ClampCode(graph.status().code());
     reply.message = graph.status().message();
@@ -387,16 +386,19 @@ wire::Reply TcpServer::HandlePlan(const wire::Request& request, int fd) {
     }
     return reply;
   }
-  wire::AppendU64(&reply.body, result.hash.hi);
-  wire::AppendU64(&reply.body, result.hash.lo);
-  wire::AppendU8(&reply.body, static_cast<std::uint8_t>(result.plan->quality));
-  wire::AppendU8(&reply.body, result.cache_hit ? 1 : 0);
-  wire::AppendU64(&reply.body, static_cast<std::uint64_t>(
-                                   result.plan->plan.arena.arena_bytes));
+  std::string body;
+  wire::AppendU64(&body, result.hash.hi);
+  wire::AppendU64(&body, result.hash.lo);
+  wire::AppendU8(&body, static_cast<std::uint8_t>(result.plan->quality));
+  wire::AppendU8(&body, result.cache_hit ? 1 : 0);
+  wire::AppendU64(&body, static_cast<std::uint64_t>(
+                             result.plan->plan.arena.arena_bytes));
+  conn.frame.Assign(body);
   return reply;
 }
 
-wire::Reply TcpServer::HandleInfer(const wire::Request& request) {
+wire::Reply TcpServer::HandleInfer(const wire::Request& request,
+                                   Connection& conn) {
   wire::Reply reply;
   const auto fail = [&reply](util::StatusCode code, std::string message) {
     reply.code = code;
@@ -404,7 +406,10 @@ wire::Reply TcpServer::HandleInfer(const wire::Request& request) {
     return reply;
   };
 
-  wire::ByteReader reader(request.body);
+  // The body is read in place: the input views below alias its floats.
+  char* const body = conn.frame.data() + wire::kRequestHeadBytes;
+  wire::ByteReader reader(
+      std::string_view(body, conn.frame.size() - wire::kRequestHeadBytes));
   graph::GraphHash hash;
   std::uint32_t num_inputs = 0;
   util::Status parsed = reader.ReadU64(&hash.hi);
@@ -425,19 +430,15 @@ wire::Reply TcpServer::HandleInfer(const wire::Request& request) {
   // *before* touching the pool: shape mismatches must never reach
   // ArenaExecutor::Run, whose contract is a CHECK.
   const graph::Graph& graph = plan->result.scheduled_graph;
-  std::vector<const graph::Node*> input_nodes;
-  for (const graph::Node& node : graph.nodes()) {
-    if (node.kind == graph::OpKind::kInput) input_nodes.push_back(&node);
-  }
-  if (num_inputs != input_nodes.size()) {
+  if (num_inputs != plan->inputs.size()) {
     return fail(util::StatusCode::kInvalidArgument,
-                "graph wants " + std::to_string(input_nodes.size()) +
+                "graph wants " + std::to_string(plan->inputs.size()) +
                     " input tensors, request carries " +
                     std::to_string(num_inputs));
   }
-  std::vector<runtime::Tensor> inputs;
-  inputs.reserve(input_nodes.size());
-  for (const graph::Node* node : input_nodes) {
+  conn.inputs.clear();
+  for (const graph::NodeId id : plan->inputs) {
+    const graph::Node& node = graph.node(id);
     std::uint32_t dims[4];
     for (std::uint32_t& d : dims) {
       parsed = reader.ReadU32(&d);
@@ -445,22 +446,26 @@ wire::Reply TcpServer::HandleInfer(const wire::Request& request) {
         return fail(util::StatusCode::kInvalidArgument, parsed.message());
       }
     }
-    const graph::TensorShape& want = node->shape;
+    const graph::TensorShape& want = node.shape;
     if (dims[0] != static_cast<std::uint32_t>(want.n) ||
         dims[1] != static_cast<std::uint32_t>(want.h) ||
         dims[2] != static_cast<std::uint32_t>(want.w) ||
         dims[3] != static_cast<std::uint32_t>(want.c)) {
       return fail(util::StatusCode::kInvalidArgument,
-                  "input tensor shape mismatch for node '" + node->name +
+                  "input tensor shape mismatch for node '" + node.name +
                       "'");
     }
-    runtime::Tensor tensor(want);
-    parsed = reader.ReadF32Array(tensor.data(),
-                                 static_cast<std::uint32_t>(tensor.size()));
+    // Every field before the floats is a multiple of 4 bytes and the body
+    // starts 16-byte aligned (Connection::frame), so the floats are
+    // aligned where they lie.
+    const std::size_t count = static_cast<std::size_t>(want.NumElements());
+    std::size_t at = 0;
+    parsed = reader.Skip(count * sizeof(float), &at);
     if (!parsed.ok()) {
       return fail(util::StatusCode::kInvalidArgument, parsed.message());
     }
-    inputs.push_back(std::move(tensor));
+    conn.inputs.push_back(runtime::Tensor::View(
+        wire::BindF32Array(body + at, count), count, want));
   }
   if (!reader.exhausted()) {
     return fail(util::StatusCode::kInvalidArgument,
@@ -484,23 +489,27 @@ wire::Reply TcpServer::HandleInfer(const wire::Request& request) {
     }
     return reply;
   }
-  (*lease)->Run(inputs);
-  // Encode the sinks straight out of the arena while the lease holds it.
+  (*lease)->Run(conn.inputs);
+  // Run has copied the inputs into the arena, so the frame buffer is free:
+  // encode the sinks into it straight out of the arena while the lease
+  // holds it.
+  conn.inputs.clear();
   const std::vector<const runtime::Tensor*>& sinks =
       (*lease)->executor().SinkViews();
   std::size_t body_bytes = 4;
   for (const runtime::Tensor* sink : sinks) {
     body_bytes += wire::TensorWireBytes(sink->shape());
   }
-  reply.body.reserve(body_bytes);
-  wire::AppendU32(&reply.body, static_cast<std::uint32_t>(sinks.size()));
+  conn.frame.Resize(body_bytes);
+  char* out = wire::PutU32(conn.frame.data(),
+                           static_cast<std::uint32_t>(sinks.size()));
   for (const runtime::Tensor* sink : sinks) {
-    wire::AppendTensor(&reply.body, *sink);
+    out = wire::PutTensor(out, *sink);
   }
   return reply;
 }
 
-wire::Reply TcpServer::HandleStats() {
+wire::Reply TcpServer::HandleStats(Connection& conn) {
   wire::Reply reply;
   const ServiceStats service = service_.stats();
   const SessionPoolStats pool = pool_.stats();
@@ -565,7 +574,7 @@ wire::Reply TcpServer::HandleStats() {
   governor_lines("root", options_.governor);
   governor_lines("planning", service_.options().planning_budget);
   governor_lines("sessions", pool_.options().arena_budget);
-  reply.body = os.str();
+  conn.frame.Assign(os.str());
   return reply;
 }
 

@@ -40,6 +40,7 @@
 #include <thread>
 #include <vector>
 
+#include "runtime/tensor.h"
 #include "serve/scheduler_service.h"
 #include "serve/session_pool.h"
 #include "serve/wire.h"
@@ -124,16 +125,29 @@ class TcpServer {
   TcpServerStats stats() const;
 
  private:
+  // What a connection reuses across its requests, so that a steady stream
+  // of infer requests allocates nothing: the frame buffer, which holds a
+  // request's payload and then its OK reply's body, and an infer request's
+  // input views into that payload.
+  struct Connection {
+    wire::FrameBuffer frame{wire::kRequestHeadBytes};
+    std::vector<runtime::Tensor> inputs;
+  };
+
   void AcceptLoop();
   void WorkerLoop();
   void ServeConnection(int fd);
-  // Decodes and executes one request; never throws, never aborts — every
-  // failure is a structured Reply. `fd` lets the plan path probe the
-  // connection for a peer disconnect while the planning future is pending.
-  wire::Reply Handle(const wire::Request& request, int fd);
-  wire::Reply HandlePlan(const wire::Request& request, int fd);
-  wire::Reply HandleInfer(const wire::Request& request);
-  wire::Reply HandleStats();
+  // Executes one request whose head is decoded into `request` and whose
+  // body is conn.frame past the head; never throws, never aborts — every
+  // failure is a structured Reply. An OK reply's body is left in
+  // conn.frame (the Reply's own body stays empty). `fd` lets the plan path
+  // probe the connection for a peer disconnect while the planning future
+  // is pending.
+  wire::Reply Handle(const wire::Request& request, Connection& conn, int fd);
+  wire::Reply HandlePlan(const wire::Request& request, Connection& conn,
+                         int fd);
+  wire::Reply HandleInfer(const wire::Request& request, Connection& conn);
+  wire::Reply HandleStats(Connection& conn);
   // Best-effort shed reply (used at admission and drain time, where no
   // worker owns the connection).
   void SendShedAndClose(int fd, const char* why,

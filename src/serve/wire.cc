@@ -51,83 +51,92 @@ util::Status ErrnoError(const char* what) {
                                 std::strerror(errno));
 }
 
+// Waits until `fd` is ready for `events` (POLLIN or POLLOUT); an expired
+// deadline is kDeadlineExceeded with `timeout_message`.
+util::Status PollUntil(int fd, short events, Clock::time_point deadline,
+                       const char* timeout_message) {
+  while (true) {
+    struct pollfd pfd = {fd, events, 0};
+    const int ready = ::poll(&pfd, 1, PollMillis(deadline));
+    if (ready > 0) return util::OkStatus();
+    if (ready < 0 && errno != EINTR) {
+      return ErrnoError(events == POLLIN ? "poll(POLLIN)" : "poll(POLLOUT)");
+    }
+    // A timeout, a signal, or the end of one 60 s slice of a longer wait.
+    if (deadline <= Clock::now()) {
+      return util::DeadlineExceededError(timeout_message);
+    }
+  }
+}
+
 // Sends bytes [from, to) of the concatenation of `parts` with gathered
-// writes (sendmsg), resuming after partial writes.
-util::Status SendPartsUntil(int fd, std::span<const std::string_view> parts,
+// writes (sendmsg), resuming after partial writes. Each write is tried
+// first; only a full socket buffer waits, under the deadline.
+util::Status SendPartsUntil(int fd, std::string_view head,
+                            std::span<const std::string_view> parts,
                             std::size_t from, std::size_t to,
                             Clock::time_point deadline) {
-  std::array<iovec, kMaxFrameParts + 1> iov;
+  // One sendmsg takes up to this many pieces; a frame of more parts goes
+  // out over several, like any partial write.
+  constexpr std::size_t kMaxIov = 16;
+  std::array<iovec, kMaxIov> iov;
   while (from < to) {
     std::size_t count = 0;
-    std::size_t start = 0;  // offset of the current part in the frame
-    for (const std::string_view part : parts) {
-      const std::size_t end = start + part.size();
-      if (end > from && start < to) {
+    std::size_t start = 0;  // offset of the current piece in the frame
+    const auto add = [&](std::string_view piece) {
+      const std::size_t end = start + piece.size();
+      if (end > from && start < to && count < kMaxIov) {
         const std::size_t lo = std::max(from, start) - start;
         const std::size_t hi = std::min(to, end) - start;
-        iov[count++] = {const_cast<char*>(part.data()) + lo, hi - lo};
+        iov[count++] = {const_cast<char*>(piece.data()) + lo, hi - lo};
       }
       start = end;
-    }
-    const int wait = PollMillis(deadline);
-    if (wait == 0 && deadline <= Clock::now()) {
-      return util::DeadlineExceededError("socket write timed out");
-    }
-    struct pollfd pfd = {fd, POLLOUT, 0};
-    const int ready = ::poll(&pfd, 1, wait);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return ErrnoError("poll(POLLOUT)");
-    }
-    if (ready == 0) {
-      return util::DeadlineExceededError("socket write timed out");
-    }
+    };
+    add(head);
+    for (const std::string_view part : parts) add(part);
     msghdr msg{};
     msg.msg_iov = iov.data();
     msg.msg_iovlen = count;
-    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      if (errno == EPIPE || errno == ECONNRESET) {
-        return util::UnavailableError("connection closed by peer");
-      }
-      return ErrnoError("sendmsg");
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n >= 0) {
+      from += static_cast<std::size_t>(n);
+      continue;
     }
-    from += static_cast<std::size_t>(n);
+    if (errno == EINTR) continue;
+    if (errno == EPIPE || errno == ECONNRESET) {
+      return util::UnavailableError("connection closed by peer");
+    }
+    if (errno != EAGAIN && errno != EWOULDBLOCK) return ErrnoError("sendmsg");
+    // The socket buffer is full: wait for room under the deadline.
+    SERENITY_RETURN_IF_ERROR(
+        PollUntil(fd, POLLOUT, deadline, "socket write timed out"));
   }
   return util::OkStatus();
 }
 
+// Reads exactly `len` bytes. Bytes already buffered are taken without a
+// poll; only an empty socket waits, under the deadline.
 util::Status RecvAllUntil(int fd, char* data, std::size_t len,
                           Clock::time_point deadline, bool* got_any) {
   std::size_t received = 0;
   while (received < len) {
-    const int wait = PollMillis(deadline);
-    if (wait == 0 && deadline <= Clock::now()) {
-      return util::DeadlineExceededError("socket read timed out");
-    }
-    struct pollfd pfd = {fd, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, wait);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return ErrnoError("poll(POLLIN)");
-    }
-    if (ready == 0) {
-      return util::DeadlineExceededError("socket read timed out");
-    }
-    const ssize_t n = ::recv(fd, data + received, len - received, 0);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      if (errno == ECONNRESET) {
-        return util::UnavailableError("connection reset by peer");
-      }
-      return ErrnoError("recv");
+    const ssize_t n =
+        ::recv(fd, data + received, len - received, MSG_DONTWAIT);
+    if (n > 0) {
+      received += static_cast<std::size_t>(n);
+      if (got_any != nullptr) *got_any = true;
+      continue;
     }
     if (n == 0) {
       return util::UnavailableError("connection closed by peer");
     }
-    received += static_cast<std::size_t>(n);
-    if (got_any != nullptr) *got_any = true;
+    if (errno == EINTR) continue;
+    if (errno == ECONNRESET) {
+      return util::UnavailableError("connection reset by peer");
+    }
+    if (errno != EAGAIN && errno != EWOULDBLOCK) return ErrnoError("recv");
+    SERENITY_RETURN_IF_ERROR(
+        PollUntil(fd, POLLIN, deadline, "socket read timed out"));
   }
   return util::OkStatus();
 }
@@ -184,14 +193,41 @@ std::size_t TensorWireBytes(const graph::TensorShape& shape) {
 }
 
 void AppendTensor(std::string* out, const runtime::Tensor& tensor) {
+  const std::size_t at = out->size();
+  out->resize(at + TensorWireBytes(tensor.shape()));
+  PutTensor(out->data() + at, tensor);
+}
+
+char* PutU32(char* out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    *out++ = static_cast<char>((v >> (8 * i)) & 0xFF);
+  }
+  return out;
+}
+
+namespace {
+
+char* PutF32Array(char* out, const float* values, std::size_t count) {
+  if constexpr (std::endian::native == std::endian::little) {
+    if (count > 0) std::memcpy(out, values, count * sizeof(float));
+    return out + count * sizeof(float);
+  } else {
+    for (std::size_t i = 0; i < count; ++i) {
+      out = PutU32(out, std::bit_cast<std::uint32_t>(values[i]));
+    }
+    return out;
+  }
+}
+
+}  // namespace
+
+char* PutTensor(char* out, const runtime::Tensor& tensor) {
   const graph::TensorShape& s = tensor.shape();
   for (const int dim : {s.n, s.h, s.w, s.c}) {
-    AppendU32(out, static_cast<std::uint32_t>(dim));
+    out = PutU32(out, static_cast<std::uint32_t>(dim));
   }
   if (tensor.contiguous()) {
-    AppendF32Array(out, tensor.data(),
-                   static_cast<std::uint32_t>(tensor.size()));
-    return;
+    return PutF32Array(out, tensor.data(), tensor.size());
   }
   // A channel window: each pixel's channels are contiguous in its backing
   // row, pixel_stride() floats apart.
@@ -200,12 +236,31 @@ void AppendTensor(std::string* out, const runtime::Tensor& tensor) {
       if (s.w == 0) continue;
       const float* row = tensor.PixelRun(n, h, 0, s.w);
       for (int w = 0; w < s.w; ++w) {
-        AppendF32Array(out, row + static_cast<std::size_t>(w) *
-                                      tensor.pixel_stride(),
-                       static_cast<std::uint32_t>(s.c));
+        out = PutF32Array(
+            out, row + static_cast<std::size_t>(w) * tensor.pixel_stride(),
+            static_cast<std::size_t>(s.c));
       }
     }
   }
+  return out;
+}
+
+float* BindF32Array(char* bytes, std::size_t count) {
+  SERENITY_CHECK_EQ(reinterpret_cast<std::uintptr_t>(bytes) % alignof(float),
+                    0u)
+      << "wire floats bound in place must be 4-byte aligned";
+  if constexpr (std::endian::native != std::endian::little) {
+    for (std::size_t i = 0; i < count; ++i) {
+      char* at = bytes + i * sizeof(float);
+      std::uint32_t bits = 0;
+      for (int k = 0; k < 4; ++k) {
+        bits |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(at[k]))
+                << (8 * k);
+      }
+      std::memcpy(at, &bits, sizeof(bits));
+    }
+  }
+  return reinterpret_cast<float*>(bytes);
 }
 
 util::Status ByteReader::ReadU8(std::uint8_t* v) {
@@ -254,8 +309,20 @@ util::Status ByteReader::ReadBytes(std::string* bytes) {
         "truncated payload: declared " + std::to_string(len) +
         " bytes, only " + std::to_string(remaining()) + " present");
   }
-  bytes->assign(data_, pos_, len);
+  bytes->assign(data_.substr(pos_, len));
   pos_ += len;
+  return util::OkStatus();
+}
+
+util::Status ByteReader::Skip(std::size_t bytes, std::size_t* offset) {
+  if (remaining() < bytes) {
+    return util::InvalidArgumentError("truncated payload: declared " +
+                                      std::to_string(bytes) + " bytes, only " +
+                                      std::to_string(remaining()) +
+                                      " present");
+  }
+  *offset = pos_;
+  pos_ += bytes;
   return util::OkStatus();
 }
 
@@ -301,7 +368,7 @@ std::string EncodeRequest(const Request& request) {
   return payload;
 }
 
-util::StatusOr<Request> DecodeRequest(std::string&& payload) {
+util::Status DecodeRequestHead(std::string_view payload, Request* out) {
   ByteReader reader(payload);
   std::uint8_t verb = 0;
   std::uint32_t deadline_millis = 0;
@@ -313,12 +380,17 @@ util::StatusOr<Request> DecodeRequest(std::string&& payload) {
       verb > static_cast<std::uint8_t>(Verb::kDrain)) {
     return util::InvalidArgumentError("unknown verb " + std::to_string(verb));
   }
-  Request request;
-  request.verb = static_cast<Verb>(verb);
-  request.deadline_seconds =
+  out->verb = static_cast<Verb>(verb);
+  out->deadline_seconds =
       deadline_millis == 0 ? 0 : static_cast<double>(deadline_millis) / 1e3;
-  request.allow_degraded = (flags & 1) != 0;
-  payload.erase(0, payload.size() - reader.remaining());
+  out->allow_degraded = (flags & 1) != 0;
+  return util::OkStatus();
+}
+
+util::StatusOr<Request> DecodeRequest(std::string&& payload) {
+  Request request;
+  SERENITY_RETURN_IF_ERROR(DecodeRequestHead(payload, &request));
+  payload.erase(0, kRequestHeadBytes);
   request.body = std::move(payload);
   return request;
 }
@@ -337,28 +409,57 @@ std::string EncodeReply(const Reply& reply) {
   return payload;
 }
 
-util::StatusOr<Reply> DecodeReply(std::string&& payload) {
+util::StatusOr<std::size_t> DecodeReplyHead(std::string_view payload,
+                                            Reply* out) {
   ByteReader reader(payload);
   std::uint8_t code = 0;
-  Reply reply;
   SERENITY_RETURN_IF_ERROR(reader.ReadU8(&code));
   if (code > static_cast<std::uint8_t>(util::StatusCode::kCancelled)) {
     return util::InvalidArgumentError("unknown status code " +
                                       std::to_string(code));
   }
-  reply.code = static_cast<util::StatusCode>(code);
-  SERENITY_RETURN_IF_ERROR(reader.ReadU32(&reply.retry_after_millis));
-  SERENITY_RETURN_IF_ERROR(reader.ReadBytes(&reply.message));
-  payload.erase(0, payload.size() - reader.remaining());
+  out->code = static_cast<util::StatusCode>(code);
+  SERENITY_RETURN_IF_ERROR(reader.ReadU32(&out->retry_after_millis));
+  SERENITY_RETURN_IF_ERROR(reader.ReadBytes(&out->message));
+  return payload.size() - reader.remaining();
+}
+
+util::StatusOr<Reply> DecodeReply(std::string&& payload) {
+  Reply reply;
+  const util::StatusOr<std::size_t> head = DecodeReplyHead(payload, &reply);
+  if (!head.ok()) return head.status();
+  payload.erase(0, *head);
   reply.body = std::move(payload);
   return reply;
+}
+
+void FrameBuffer::Resize(std::size_t n) {
+  if (n > capacity_) {
+    // Slack so that data_ + aligned_offset_ can sit on a 16-byte boundary
+    // whatever operator new[] returned. new char[] leaves the bytes
+    // uninitialized.
+    constexpr std::size_t kAlign = 16;
+    std::unique_ptr<char[]> storage(new char[n + kAlign - 1]);
+    const std::uintptr_t at =
+        reinterpret_cast<std::uintptr_t>(storage.get()) + aligned_offset_;
+    char* data = storage.get() + ((kAlign - at % kAlign) % kAlign);
+    if (size_ > 0) std::memcpy(data, data_, size_);
+    storage_ = std::move(storage);
+    data_ = data;
+    capacity_ = n;
+  }
+  size_ = n;
+}
+
+void FrameBuffer::Assign(std::string_view bytes) {
+  Resize(bytes.size());
+  if (!bytes.empty()) std::memcpy(data_, bytes.data(), bytes.size());
 }
 
 util::Status SendAll(int fd, const void* data, std::size_t len,
                      double timeout_seconds) {
   const std::string_view part(static_cast<const char*>(data), len);
-  return SendPartsUntil(fd, {&part, 1}, 0, len,
-                        DeadlineFrom(timeout_seconds));
+  return SendPartsUntil(fd, part, {}, 0, len, DeadlineFrom(timeout_seconds));
 }
 
 util::Status RecvAll(int fd, void* data, std::size_t len,
@@ -392,7 +493,6 @@ util::Status WriteFrame(int fd, const std::string& payload,
 util::Status WriteFrameParts(int fd, std::span<const std::string_view> parts,
                              double timeout_seconds,
                              std::uint32_t max_frame_bytes) {
-  SERENITY_CHECK_LE(parts.size(), kMaxFrameParts);
   std::size_t payload_bytes = 0;
   for (const std::string_view part : parts) payload_bytes += part.size();
   if (payload_bytes == 0) {
@@ -406,20 +506,18 @@ util::Status WriteFrameParts(int fd, std::span<const std::string_view> parts,
   }
   std::uint32_t crc = 0;
   for (const std::string_view part : parts) crc = util::Crc32Extend(crc, part);
-  std::string header;  // 8 bytes: fits the small-string buffer
-  AppendU32(&header, static_cast<std::uint32_t>(payload_bytes));
-  AppendU32(&header, crc);
-  std::array<std::string_view, kMaxFrameParts + 1> pieces;
-  pieces[0] = header;
-  std::copy(parts.begin(), parts.end(), pieces.begin() + 1);
-  const std::span<const std::string_view> frame(pieces.data(),
-                                                parts.size() + 1);
-  const std::size_t frame_bytes = header.size() + payload_bytes;
+  char header[8];
+  PutU32(PutU32(header, static_cast<std::uint32_t>(payload_bytes)), crc);
+  const std::string_view frame_head(header, sizeof(header));
+  const std::size_t frame_bytes = sizeof(header) + payload_bytes;
   const Clock::time_point deadline = DeadlineFrom(timeout_seconds);
+  const auto send = [&](std::size_t from, std::size_t to) {
+    return SendPartsUntil(fd, frame_head, parts, from, to, deadline);
+  };
 
   if (testing::FaultTriggered(testing::FaultPoint::kSocketTornFrame)) {
     const std::size_t half = frame_bytes / 2;
-    SERENITY_RETURN_IF_ERROR(SendPartsUntil(fd, frame, 0, half, deadline));
+    SERENITY_RETURN_IF_ERROR(send(0, half));
     return util::DataLossError("injected torn frame: wrote " +
                                std::to_string(half) + " of " +
                                std::to_string(frame_bytes) + " bytes");
@@ -428,22 +526,21 @@ util::Status WriteFrameParts(int fd, std::span<const std::string_view> parts,
     // Slow-loris: start the frame, stall, then finish. A receiver with a
     // frame deadline must cut us off during the stall.
     const std::size_t head = 2;
-    SERENITY_RETURN_IF_ERROR(SendPartsUntil(fd, frame, 0, head, deadline));
+    SERENITY_RETURN_IF_ERROR(send(0, head));
     std::this_thread::sleep_for(
         std::chrono::milliseconds(testing::SocketDelayMillis()));
-    return SendPartsUntil(fd, frame, head, frame_bytes, deadline);
+    return send(head, frame_bytes);
   }
   if (testing::FaultTriggered(testing::FaultPoint::kSocketMidStreamClose)) {
-    SERENITY_RETURN_IF_ERROR(
-        SendPartsUntil(fd, frame, 0, frame_bytes, deadline));
+    SERENITY_RETURN_IF_ERROR(send(0, frame_bytes));
     ::shutdown(fd, SHUT_RDWR);
     return util::DataLossError(
         "injected mid-stream close after a full frame");
   }
-  return SendPartsUntil(fd, frame, 0, frame_bytes, deadline);
+  return send(0, frame_bytes);
 }
 
-util::Status ReadFrame(int fd, std::string* payload,
+util::Status ReadFrame(int fd, FrameBuffer* payload,
                        std::uint32_t max_frame_bytes,
                        double idle_timeout_seconds,
                        double frame_timeout_seconds) {
@@ -491,17 +588,21 @@ util::Status ReadFrame(int fd, std::string* payload,
   }
   // The declared size is the peer's claim, not its bytes: the buffer grows
   // in doubling chunks as they land, so a stalled giant frame pins little.
+  // Within the buffer's capacity nothing is allocated or zero-filled, and
+  // a growth copies only the bytes of this frame that have landed.
+  payload->Resize(0);
   std::size_t have = 0;
   while (have < declared) {
     const std::size_t want = std::min<std::size_t>(
-        declared, std::max(kFirstReadChunkBytes, 2 * have));
-    if (payload->size() < want) payload->resize(want);
+        declared, std::max({kFirstReadChunkBytes, 2 * have,
+                            std::min<std::size_t>(payload->capacity(),
+                                                  declared)}));
+    payload->Resize(want);
     SERENITY_RETURN_IF_ERROR(RecvAllUntil(fd, payload->data() + have,
                                           want - have, deadline, nullptr));
     have = want;
   }
-  payload->resize(declared);
-  if (util::Crc32(*payload) != crc) {
+  if (util::Crc32(payload->view()) != crc) {
     return util::DataLossError("frame checksum mismatch");
   }
   return util::OkStatus();

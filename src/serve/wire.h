@@ -40,16 +40,19 @@
 //
 // The hot path copies no payload it does not have to (DESIGN.md "Wire
 // protocol"): WriteFrameParts gathers the frame header and the payload
-// pieces into one sendmsg, Decode* moves the body out of the received
-// payload, ReadFrame fills a caller-owned buffer that a connection reuses,
-// and the f32 codec is one memcpy on little-endian hosts.
+// pieces into one sendmsg, ReadFrame fills a FrameBuffer that a connection
+// reuses without zero-filling it, Decode*Head read the fields before the
+// body in place, and the f32 codec is one memcpy on little-endian hosts.
 #ifndef SERENITY_SERVE_WIRE_H_
 #define SERENITY_SERVE_WIRE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "runtime/tensor.h"
 #include "util/status.h"
@@ -91,6 +94,15 @@ std::string EncodeRequestHead(const Request& request);
 // failure `payload` is left untouched.
 util::StatusOr<Request> DecodeRequest(std::string&& payload);
 
+// Decode*Head read the fields before the body and leave `out->body` alone,
+// so a receiver can use the body where it lies in the payload. A request
+// head is always kRequestHeadBytes; DecodeReplyHead returns the reply
+// head's size, which is where the body starts.
+inline constexpr std::size_t kRequestHeadBytes = 6;
+util::Status DecodeRequestHead(std::string_view payload, Request* out);
+util::StatusOr<std::size_t> DecodeReplyHead(std::string_view payload,
+                                            Reply* out);
+
 std::string EncodeReply(const Reply& reply);
 std::string EncodeReplyHead(const Reply& reply);
 util::StatusOr<Reply> DecodeReply(std::string&& payload);
@@ -115,9 +127,18 @@ void AppendF32Array(std::string* out, const float* values, std::uint32_t count);
 std::size_t TensorWireBytes(const graph::TensorShape& shape);
 void AppendTensor(std::string* out, const runtime::Tensor& tensor);
 
+// Put* write the same encodings into memory the caller has sized, and
+// return the end of what they wrote.
+char* PutU32(char* out, std::uint32_t v);
+char* PutTensor(char* out, const runtime::Tensor& tensor);  // TensorWireBytes
+
+// The `count` wire floats at `bytes` (4-byte aligned), as floats, in place:
+// a cast on little-endian hosts, a byte swap of each value elsewhere.
+float* BindF32Array(char* bytes, std::size_t count);
+
 class ByteReader {
  public:
-  explicit ByteReader(const std::string& data) : data_(data) {}
+  explicit ByteReader(std::string_view data) : data_(data) {}
 
   util::Status ReadU8(std::uint8_t* v);
   util::Status ReadU32(std::uint32_t* v);
@@ -126,13 +147,59 @@ class ByteReader {
   // Reads `count` floats (bit-exact: u32 patterns reinterpreted). An
   // under-run reads nothing and leaves the reader where it was.
   util::Status ReadF32Array(float* out, std::uint32_t count);
+  // Steps over the next `bytes` bytes, setting *offset to where they start
+  // in the data, for a caller that uses them in place. An under-run reads
+  // nothing.
+  util::Status Skip(std::size_t bytes, std::size_t* offset);
 
   std::size_t remaining() const { return data_.size() - pos_; }
   bool exhausted() const { return pos_ == data_.size(); }
 
  private:
-  const std::string& data_;
+  std::string_view data_;
   std::size_t pos_ = 0;
+};
+
+// A byte buffer that a connection reuses across frames. Unlike
+// std::string, growing it leaves the new bytes uninitialized (ReadFrame is
+// about to overwrite them), so a frame larger than the last one costs no
+// zero-fill, and a frame within the capacity costs no allocation.
+class FrameBuffer {
+ public:
+  // data() + aligned_offset is 16-byte aligned at every capacity: the
+  // server passes kRequestHeadBytes so that infer input floats, at offsets
+  // that are multiples of 4 within the request body, can be read in place.
+  explicit FrameBuffer(std::size_t aligned_offset = 0)
+      : aligned_offset_(aligned_offset) {}
+  FrameBuffer(FrameBuffer&& other) noexcept { *this = std::move(other); }
+  FrameBuffer& operator=(FrameBuffer&& other) noexcept {
+    storage_ = std::move(other.storage_);
+    data_ = std::exchange(other.data_, nullptr);
+    size_ = std::exchange(other.size_, 0);
+    capacity_ = std::exchange(other.capacity_, 0);
+    aligned_offset_ = other.aligned_offset_;
+    return *this;
+  }
+
+  char* data() { return data_; }
+  const char* data() const { return data_; }
+  std::size_t size() const { return size_; }
+  std::size_t capacity() const { return capacity_; }
+  std::string_view view() const { return {data_, size_}; }
+
+  // Sets the size to `n`. The first min(n, size()) bytes are kept and the
+  // rest are unspecified. Allocates only when n exceeds capacity(), and
+  // then exactly n bytes (plus alignment slack).
+  void Resize(std::size_t n);
+  // Makes the buffer a copy of `bytes`.
+  void Assign(std::string_view bytes);
+
+ private:
+  std::unique_ptr<char[]> storage_;
+  char* data_ = nullptr;
+  std::size_t size_ = 0;
+  std::size_t capacity_ = 0;
+  std::size_t aligned_offset_ = 0;
 };
 
 // --------------------------------------------------------------- socket I/O
@@ -149,11 +216,10 @@ util::Status WriteFrame(int fd, const std::string& payload,
                         double timeout_seconds,
                         std::uint32_t max_frame_bytes = kMaxFrameBytesDefault);
 
-// WriteFrame for a payload that is the concatenation of `parts` (at most
-// kMaxFrameParts of them): the header and the parts go out in gathered
-// writes, so the payload is never assembled in one buffer. The bytes on
-// the wire, the limits and the fault hooks are WriteFrame's.
-inline constexpr std::size_t kMaxFrameParts = 2;
+// WriteFrame for a payload that is the concatenation of `parts`: the
+// header and the parts go out in gathered writes, so the payload is never
+// assembled in one buffer, and the CRC is carried across the parts. The
+// bytes on the wire, the limits and the fault hooks are WriteFrame's.
 util::Status WriteFrameParts(
     int fd, std::span<const std::string_view> parts, double timeout_seconds,
     std::uint32_t max_frame_bytes = kMaxFrameBytesDefault);
@@ -169,7 +235,7 @@ util::Status WriteFrameParts(
 // so a peer that declares a large frame and stalls pins about what it
 // actually sent. On success payload->size() is the declared size; on
 // failure its contents are unspecified.
-util::Status ReadFrame(int fd, std::string* payload,
+util::Status ReadFrame(int fd, FrameBuffer* payload,
                        std::uint32_t max_frame_bytes,
                        double idle_timeout_seconds,
                        double frame_timeout_seconds);

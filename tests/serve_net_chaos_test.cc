@@ -191,12 +191,12 @@ TEST_F(NetChaosTest, ThousandSeededSocketFaultsNoAbortsNoHangs) {
         ASSERT_TRUE(
             wire::SendAll(client->fd(), header.data(), header.size(), 1.0)
                 .ok());
-        std::string frame;
+        wire::FrameBuffer frame;
         const util::Status read =
             wire::ReadFrame(client->fd(), &frame, 1u << 20, 2.0, 2.0);
         ASSERT_TRUE(read.ok()) << read.ToString();
         util::StatusOr<wire::Reply> reply =
-            wire::DecodeReply(std::move(frame));
+            wire::DecodeReply(std::string(frame.view()));
         ASSERT_TRUE(reply.ok());
         EXPECT_EQ(reply->code, util::StatusCode::kInvalidArgument);
         break;
@@ -217,12 +217,12 @@ TEST_F(NetChaosTest, ThousandSeededSocketFaultsNoAbortsNoHangs) {
         ASSERT_TRUE(
             wire::SendAll(client->fd(), frame.data(), frame.size(), 1.0)
                 .ok());
-        std::string raw;
+        wire::FrameBuffer raw;
         const util::Status read =
             wire::ReadFrame(client->fd(), &raw, 1u << 20, 2.0, 2.0);
         ASSERT_TRUE(read.ok()) << read.ToString();
         util::StatusOr<wire::Reply> reply =
-            wire::DecodeReply(std::move(raw));
+            wire::DecodeReply(std::string(raw.view()));
         ASSERT_TRUE(reply.ok());
         EXPECT_EQ(reply->code, util::StatusCode::kDataLoss);
         break;
@@ -240,12 +240,12 @@ TEST_F(NetChaosTest, ThousandSeededSocketFaultsNoAbortsNoHangs) {
           ASSERT_TRUE(
               wire::SendAll(client->fd(), frame.data(), frame.size(), 1.0)
                   .ok());
-          std::string raw;
+          wire::FrameBuffer raw;
           const util::Status read =
               wire::ReadFrame(client->fd(), &raw, 1u << 20, 2.0, 2.0);
           ASSERT_TRUE(read.ok()) << read.ToString();
           util::StatusOr<wire::Reply> reply =
-              wire::DecodeReply(std::move(raw));
+              wire::DecodeReply(std::string(raw.view()));
           ASSERT_TRUE(reply.ok());
           EXPECT_EQ(reply->code, util::StatusCode::kInvalidArgument);
         } else {

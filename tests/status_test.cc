@@ -86,12 +86,28 @@ TEST(StatusMacros, PropagateErrors) {
             StatusCode::kDataLoss);
 }
 
+// Random bytes for the CRC oracles below.
+std::string RandomBytes(Rng& rng, std::size_t length) {
+  std::string bytes(length, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.NextBounded(256));
+  return bytes;
+}
+
 TEST(Crc32, MatchesKnownVectors) {
-  // Standard zlib/IEEE CRC-32 check values.
-  EXPECT_EQ(Crc32(""), 0x00000000u);
-  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
-  EXPECT_EQ(Crc32("The quick brown fox jumps over the lazy dog"),
-            0x414FA339u);
+  // Standard zlib/IEEE CRC-32 check values, through the dispatching entry
+  // point (the folding path on PCLMUL hosts, for inputs of 64+ bytes) and
+  // the portable slicing-by-8 path alike.
+  const std::string a64(64, 'a');
+  const std::pair<std::string_view, std::uint32_t> vectors[] = {
+      {"", 0x00000000u},
+      {"123456789", 0xCBF43926u},
+      {"The quick brown fox jumps over the lazy dog", 0x414FA339u},
+      {a64, testing::ReferenceCrc32(a64)},
+  };
+  for (const auto& [data, crc] : vectors) {
+    EXPECT_EQ(Crc32(data), crc) << data;
+    EXPECT_EQ(internal::Crc32ExtendPortable(0, data), crc) << data;
+  }
 }
 
 TEST(Crc32, SingleBitFlipAlwaysChangesTheChecksum) {
@@ -105,30 +121,63 @@ TEST(Crc32, SingleBitFlipAlwaysChangesTheChecksum) {
   }
 }
 
-TEST(Crc32, MatchesByteAtATimeReferenceOnRandomBuffers) {
-  // Lengths 0..4099 cover every tail length of the 8-byte blocks; start
-  // offsets 0..7 into a larger buffer cover every load alignment.
+TEST(Crc32, EveryLengthAndAlignmentMatchesTheReference) {
+  // Lengths 0..1100 cover every tail of the 16- and 64-byte folding blocks
+  // and of the 8-byte slicing steps, on both sides of the folding path's
+  // 64-byte minimum; start offsets 0..15 cover every unaligned load.
   Rng rng(0xC3C32u);
-  std::string buffer(4099 + 8, '\0');
-  for (int i = 0; i < 2000; ++i) {
-    const std::size_t offset = rng.NextBounded(8);
-    const std::size_t length = rng.NextBounded(4100);
-    for (std::size_t k = 0; k < length; ++k) {
-      buffer[offset + k] = static_cast<char>(rng.NextBounded(256));
+  const std::string buffer = RandomBytes(rng, 1100 + 15);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t length = 0; length <= 1100; ++length) {
+      const std::string_view data(buffer.data() + offset, length);
+      const std::uint32_t want = testing::ReferenceCrc32(data);
+      ASSERT_EQ(Crc32(data), want)
+          << "length " << length << " offset " << offset;
+      ASSERT_EQ(internal::Crc32ExtendPortable(0, data), want)
+          << "length " << length << " offset " << offset;
     }
-    const std::string_view data(buffer.data() + offset, length);
-    ASSERT_EQ(Crc32(data), testing::ReferenceCrc32(data))
-        << "length " << length << " offset " << offset;
   }
 }
 
-TEST(Crc32, ExtendMatchesOneShotOverAnySplit) {
-  const std::string data = "slicing-by-8 over split frame parts, 0123456789";
-  for (std::size_t cut = 0; cut <= data.size(); ++cut) {
-    const std::string_view whole = data;
+TEST(Crc32, LargeRandomBuffersMatchTheReference) {
+  Rng rng(0x1A46Eu);
+  for (int i = 0; i < 12; ++i) {
+    const std::size_t length = rng.NextBounded((1u << 20) + 1);
+    const std::string data = RandomBytes(rng, length);
+    const std::uint32_t want = testing::ReferenceCrc32(data);
+    ASSERT_EQ(Crc32(data), want) << "length " << length;
+    ASSERT_EQ(internal::Crc32ExtendPortable(0, data), want)
+        << "length " << length;
+  }
+}
+
+TEST(Crc32, ExtendMatchesOneShotOverAnySplitAndSeed) {
+  const std::string text = "slicing-by-8 over split frame parts, 0123456789";
+  for (std::size_t cut = 0; cut <= text.size(); ++cut) {
+    const std::string_view whole = text;
     EXPECT_EQ(Crc32Extend(Crc32(whole.substr(0, cut)), whole.substr(cut)),
-              Crc32(data))
+              Crc32(text))
         << "cut " << cut;
+  }
+  // Random buffers, seeds (an earlier CRC) and split points: both paths
+  // continue a CRC exactly as the reference does.
+  Rng rng(0x5EEDu);
+  for (int i = 0; i < 2000; ++i) {
+    const std::size_t length = rng.NextBounded(i % 50 == 0 ? 100'000 : 3000);
+    const std::string data = RandomBytes(rng, length);
+    const std::uint32_t seed = static_cast<std::uint32_t>(rng.NextU64());
+    const std::size_t cut = rng.NextBounded(length + 1);
+    const std::string_view whole = data;
+    const std::uint32_t want = testing::ReferenceCrc32(data, seed);
+    ASSERT_EQ(Crc32Extend(Crc32Extend(seed, whole.substr(0, cut)),
+                          whole.substr(cut)),
+              want)
+        << "length " << length << " cut " << cut;
+    ASSERT_EQ(internal::Crc32ExtendPortable(
+                  internal::Crc32ExtendPortable(seed, whole.substr(0, cut)),
+                  whole.substr(cut)),
+              want)
+        << "length " << length << " cut " << cut;
   }
 }
 

@@ -1,18 +1,22 @@
 // TcpServer + TcpClient: the serve wire protocol end to end over real
 // loopback sockets — roundtrips, structured errors, overload shedding,
-// deadline propagation and graceful drain.
+// deadline propagation, graceful drain, and a steady infer request that
+// allocates nothing on the server.
 #include "serve/tcp_server.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "models/swiftnet.h"
+#include "models/zoo.h"
 #include "runtime/executor.h"
 #include "serialize/serialize.h"
 #include "serve/tcp_client.h"
+#include "testing/alloc_counter.h"
 #include "testing/runtime_inputs.h"
 #include "testing/sink_compare.h"
 
@@ -29,6 +33,21 @@ struct Harness {
     const util::Status started = server.Start();
     EXPECT_TRUE(started.ok()) << started.ToString();
   }
+};
+
+// Heap allocations made by every thread except the calling one since
+// construction: with the client on the calling thread, what the server
+// allocated.
+class OtherThreadAllocations {
+ public:
+  std::uint64_t count() const {
+    return (serenity::testing::ProcessAllocationCount() - process_) -
+           (serenity::testing::ThreadAllocationCount() - thread_);
+  }
+
+ private:
+  std::uint64_t process_ = serenity::testing::ProcessAllocationCount();
+  std::uint64_t thread_ = serenity::testing::ThreadAllocationCount();
 };
 
 TEST(TcpServer, HealthAndStatsRoundtrip) {
@@ -79,6 +98,27 @@ TEST(TcpServer, PlanThenInferMatchesReferenceBitForBit) {
   reference.Run(inputs, cached->plan.schedule);
   EXPECT_EQ(serenity::testing::DescribeSinkDivergence(*sinks,
                                                       reference.SinkValues()),
+            "");
+
+  // The same values held in channel windows, which the client cannot send
+  // from their storage as they lie, give the same reply.
+  std::vector<runtime::Tensor> backings;
+  std::vector<runtime::Tensor> windows;
+  backings.reserve(inputs.size());
+  for (const runtime::Tensor& input : inputs) {
+    graph::TensorShape wide = input.shape();
+    wide.c += 3;
+    runtime::Tensor& backing = backings.emplace_back(wide);
+    runtime::Tensor window = runtime::Tensor::ChannelView(
+        backing.data(), backing.size(), input.shape(), wide.c,
+        /*channel_offset=*/2);
+    window.CopyFrom(input);
+    windows.push_back(std::move(window));
+  }
+  util::StatusOr<std::vector<runtime::Tensor>> from_windows =
+      client->Infer(plan->hash, windows);
+  ASSERT_TRUE(from_windows.ok()) << from_windows.status().ToString();
+  EXPECT_EQ(serenity::testing::DescribeSinkDivergence(*from_windows, *sinks),
             "");
 
   // Re-planning the same structural graph is a cache hit.
@@ -272,6 +312,105 @@ TEST(TcpServer, ConcurrentClientsAllBitIdentical) {
   EXPECT_EQ(pool.checkouts, static_cast<std::uint64_t>(kClients * kRequests));
   EXPECT_EQ(pool.returns, pool.checkouts);
   EXPECT_EQ(pool.sessions_leased, 0u);
+}
+
+TEST(TcpServer, SteadyInferRequestsAllocateNothingOnTheServer) {
+  Harness h;
+  const graph::Graph g = models::MakeSwiftNetCellA();
+  util::StatusOr<TcpClient> client = TcpClient::Connect(h.server.port());
+  ASSERT_TRUE(client.ok());
+  util::StatusOr<RemotePlan> plan = client->Plan(serialize::ToText(g));
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const std::shared_ptr<const CachedPlan> cached =
+      h.service.cache().Lookup(plan->hash);
+  ASSERT_NE(cached, nullptr);
+  const std::vector<runtime::Tensor> inputs =
+      serenity::testing::RandomInputsFor(cached->result.scheduled_graph, 11);
+
+  // Warm-up builds the pooled session, its activation block and the
+  // connection's buffers.
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(client->Infer(plan->hash, inputs).ok());
+  }
+  // From frame read to frame write, a request then allocates nothing:
+  // inputs are read in place, the reply is encoded into the receive
+  // buffer, and the lease reuses the session and its block.
+  constexpr int kRequests = 16;
+  const OtherThreadAllocations server;
+  for (int i = 0; i < kRequests; ++i) {
+    ASSERT_TRUE(client->Infer(plan->hash, inputs).ok());
+  }
+  EXPECT_EQ(server.count(), 0u)
+      << "server-side heap allocations over " << kRequests
+      << " warm infer requests";
+}
+
+TEST(TcpServer, ZooRoundRobinOnOneConnectionIsBitIdentical) {
+  // All nine cells on one connection, smallest and largest requests
+  // alternating, so the reused receive and reply buffers grow and shrink
+  // between requests. Every reply is the reference executor's, bit for
+  // bit, and once every buffer has reached its size a round allocates
+  // nothing on the server.
+  Harness h;
+  util::StatusOr<TcpClient> client = TcpClient::Connect(h.server.port());
+  ASSERT_TRUE(client.ok());
+  struct Served {
+    std::string name;
+    graph::GraphHash hash;
+    std::vector<runtime::Tensor> inputs;
+    std::vector<runtime::Tensor> expect;
+    std::size_t request_bytes = 0;
+  };
+  std::vector<Served> cells;
+  std::uint64_t seed = 100;
+  for (const models::BenchmarkCell& cell : models::AllBenchmarkCells()) {
+    util::StatusOr<RemotePlan> plan =
+        client->Plan(serialize::ToText(cell.factory()));
+    ASSERT_TRUE(plan.ok()) << cell.group << " / " << cell.name << ": "
+                           << plan.status().ToString();
+    const std::shared_ptr<const CachedPlan> cached =
+        h.service.cache().Lookup(plan->hash);
+    ASSERT_NE(cached, nullptr);
+    Served served;
+    served.name = cell.group + " / " + cell.name;
+    served.hash = plan->hash;
+    served.inputs = serenity::testing::RandomInputsFor(
+        cached->result.scheduled_graph, ++seed);
+    runtime::ReferenceExecutor reference(cached->result.scheduled_graph);
+    reference.Run(served.inputs, cached->plan.schedule);
+    served.expect = reference.SinkValues();
+    for (const runtime::Tensor& input : served.inputs) {
+      served.request_bytes += wire::TensorWireBytes(input.shape());
+    }
+    cells.push_back(std::move(served));
+  }
+  ASSERT_EQ(cells.size(), 9u);
+  std::sort(cells.begin(), cells.end(), [](const Served& a, const Served& b) {
+    return a.request_bytes < b.request_bytes;
+  });
+  std::vector<const Served*> order;
+  for (std::size_t lo = 0, hi = cells.size(); lo < hi;) {
+    order.push_back(&cells[lo++]);
+    if (lo < hi) order.push_back(&cells[--hi]);
+  }
+
+  for (int round = 0; round < 3; ++round) {
+    const OtherThreadAllocations server;
+    for (const Served* cell : order) {
+      util::StatusOr<std::vector<runtime::Tensor>> sinks =
+          client->Infer(cell->hash, cell->inputs);
+      ASSERT_TRUE(sinks.ok()) << cell->name << ": "
+                              << sinks.status().ToString();
+      EXPECT_EQ(serenity::testing::DescribeSinkDivergence(*sinks,
+                                                          cell->expect),
+                "")
+          << cell->name << " in round " << round;
+    }
+    if (round > 0) {
+      EXPECT_EQ(server.count(), 0u)
+          << "server-side heap allocations in round " << round;
+    }
+  }
 }
 
 }  // namespace

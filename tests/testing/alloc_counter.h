@@ -9,10 +9,13 @@
 // nothrow and sized forms route through malloc/free consistently (mixing
 // replaced and default forms trips ASan's alloc-dealloc-mismatch check);
 // the count is thread-local so worker threads (e.g. SchedulerService
-// planners) cannot pollute a measurement on the driving thread.
+// planners) cannot pollute a measurement on the driving thread. One
+// process-wide count sits next to it, for the opposite measurement: what
+// every other thread (a server's connection workers, say) allocated.
 #ifndef SERENITY_TESTS_TESTING_ALLOC_COUNTER_H_
 #define SERENITY_TESTS_TESTING_ALLOC_COUNTER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -24,6 +27,8 @@
 namespace serenity::testing {
 
 inline thread_local std::uint64_t g_thread_allocations = 0;
+// Allocations by all threads: one relaxed increment per allocation.
+inline std::atomic<std::uint64_t> g_process_allocations{0};
 // Live and peak-live heap bytes as seen by this thread: every replaced
 // operator new adds the block's usable size, every delete subtracts it.
 // Frees of blocks another thread allocated make `live` a per-thread *flow*
@@ -42,6 +47,11 @@ inline thread_local std::int64_t g_thread_requested_bytes = 0;
 
 // Allocations performed by the calling thread since process start.
 inline std::uint64_t ThreadAllocationCount() { return g_thread_allocations; }
+// Allocations performed by all threads since process start. Read it around
+// work on other threads and subtract the calling thread's own delta.
+inline std::uint64_t ProcessAllocationCount() {
+  return g_process_allocations.load(std::memory_order_relaxed);
+}
 
 inline std::int64_t ThreadLiveBytes() { return g_thread_live_bytes; }
 inline std::int64_t ThreadRequestedBytes() {
@@ -65,6 +75,7 @@ inline bool ByteTrackingAvailable() {
 
 inline void NoteAlloc(void* p, std::size_t size) {
   ++g_thread_allocations;
+  g_process_allocations.fetch_add(1, std::memory_order_relaxed);
   if (p != nullptr) {
     g_thread_requested_bytes += static_cast<std::int64_t>(size);
   }
@@ -94,26 +105,29 @@ inline void NoteFree(void* p) {
 
 }  // namespace serenity::testing
 
-void* operator new(std::size_t size) {
+// The replacements are kept out of line: inlined into a file that includes
+// this header, GCC 12 pairs their malloc/free with the other side's
+// new/delete expression and warns -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   if (void* p = std::malloc(size ? size : 1)) {
     serenity::testing::NoteAlloc(p, size);
     return p;
   }
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t size) {
+[[gnu::noinline]] void* operator new[](std::size_t size) {
   if (void* p = std::malloc(size ? size : 1)) {
     serenity::testing::NoteAlloc(p, size);
     return p;
   }
   throw std::bad_alloc();
 }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   void* p = std::malloc(size ? size : 1);
   serenity::testing::NoteAlloc(p, size);
   return p;
 }
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
   void* p = std::malloc(size ? size : 1);
   serenity::testing::NoteAlloc(p, size);
   return p;
@@ -121,7 +135,7 @@ void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
 // C++17 over-aligned forms: counted too, so a future alignas-heavy kernel
 // buffer cannot slip past the zero-allocation gate unmeasured.
 // std::aligned_alloc requires the size to be a multiple of the alignment.
-void* operator new(std::size_t size, std::align_val_t align) {
+[[gnu::noinline]] void* operator new(std::size_t size, std::align_val_t align) {
   const std::size_t a = static_cast<std::size_t>(align);
   if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) {
     serenity::testing::NoteAlloc(p, size);
@@ -129,7 +143,7 @@ void* operator new(std::size_t size, std::align_val_t align) {
   }
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t size, std::align_val_t align) {
+[[gnu::noinline]] void* operator new[](std::size_t size, std::align_val_t align) {
   const std::size_t a = static_cast<std::size_t>(align);
   if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) {
     serenity::testing::NoteAlloc(p, size);
@@ -137,66 +151,66 @@ void* operator new[](std::size_t size, std::align_val_t align) {
   }
   throw std::bad_alloc();
 }
-void* operator new(std::size_t size, std::align_val_t align,
+[[gnu::noinline]] void* operator new(std::size_t size, std::align_val_t align,
                    const std::nothrow_t&) noexcept {
   const std::size_t a = static_cast<std::size_t>(align);
   void* p = std::aligned_alloc(a, (size + a - 1) / a * a);
   serenity::testing::NoteAlloc(p, size);
   return p;
 }
-void* operator new[](std::size_t size, std::align_val_t align,
+[[gnu::noinline]] void* operator new[](std::size_t size, std::align_val_t align,
                      const std::nothrow_t&) noexcept {
   const std::size_t a = static_cast<std::size_t>(align);
   void* p = std::aligned_alloc(a, (size + a - 1) / a * a);
   serenity::testing::NoteAlloc(p, size);
   return p;
 }
-void operator delete(void* p) noexcept {
+[[gnu::noinline]] void operator delete(void* p) noexcept {
   serenity::testing::NoteFree(p);
   std::free(p);
 }
-void operator delete[](void* p) noexcept {
+[[gnu::noinline]] void operator delete[](void* p) noexcept {
   serenity::testing::NoteFree(p);
   std::free(p);
 }
-void operator delete(void* p, std::size_t) noexcept {
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
   serenity::testing::NoteFree(p);
   std::free(p);
 }
-void operator delete[](void* p, std::size_t) noexcept {
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
   serenity::testing::NoteFree(p);
   std::free(p);
 }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept {
   serenity::testing::NoteFree(p);
   std::free(p);
 }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void operator delete[](void* p, const std::nothrow_t&) noexcept {
   serenity::testing::NoteFree(p);
   std::free(p);
 }
-void operator delete(void* p, std::align_val_t) noexcept {
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
   serenity::testing::NoteFree(p);
   std::free(p);
 }
-void operator delete[](void* p, std::align_val_t) noexcept {
+[[gnu::noinline]] void operator delete[](void* p, std::align_val_t) noexcept {
   serenity::testing::NoteFree(p);
   std::free(p);
 }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+[[gnu::noinline]] void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   serenity::testing::NoteFree(p);
   std::free(p);
 }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+[[gnu::noinline]] void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
   serenity::testing::NoteFree(p);
   std::free(p);
 }
-void operator delete(void* p, std::align_val_t,
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t,
                      const std::nothrow_t&) noexcept {
   serenity::testing::NoteFree(p);
   std::free(p);
 }
-void operator delete[](void* p, std::align_val_t,
+[[gnu::noinline]] void operator delete[](void* p, std::align_val_t,
                        const std::nothrow_t&) noexcept {
   serenity::testing::NoteFree(p);
   std::free(p);

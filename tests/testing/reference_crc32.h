@@ -1,6 +1,7 @@
-// The byte-at-a-time CRC-32 (IEEE, zlib-compatible) that util::Crc32's
-// slicing-by-8 replaced, kept as an independent oracle: status_test checks
-// the fast CRC against it, and wire_test builds its golden frames with it.
+// The byte-at-a-time CRC-32 (IEEE, zlib-compatible), kept as an
+// independent oracle: status_test checks util::Crc32's folding and
+// slicing-by-8 paths against it, and wire_test builds its golden frames
+// with it.
 #ifndef SERENITY_TESTS_TESTING_REFERENCE_CRC32_H_
 #define SERENITY_TESTS_TESTING_REFERENCE_CRC32_H_
 
@@ -10,7 +11,9 @@
 
 namespace serenity::testing {
 
-inline std::uint32_t ReferenceCrc32(std::string_view data) {
+// `seed` continues an earlier CRC, as util::Crc32Extend does.
+inline std::uint32_t ReferenceCrc32(std::string_view data,
+                                    std::uint32_t seed = 0) {
   static const std::array<std::uint32_t, 256> table = [] {
     std::array<std::uint32_t, 256> t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
@@ -22,7 +25,7 @@ inline std::uint32_t ReferenceCrc32(std::string_view data) {
     }
     return t;
   }();
-  std::uint32_t crc = 0xFFFFFFFFu;
+  std::uint32_t crc = ~seed;
   for (const char c : data) {
     crc = (crc >> 8) ^ table[(crc ^ static_cast<unsigned char>(c)) & 0xFFu];
   }

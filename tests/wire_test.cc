@@ -1,14 +1,16 @@
 // The serve wire codec and framing (DESIGN.md "Wire protocol"): the bulk
 // f32 codec is bit-exact for every float class at any byte offset, an
 // under-run is rejected without moving the reader, the bytes of an infer
-// request and reply frame match golden bytes built the per-byte way, and
-// ReadFrame buffers what a peer sends rather than what it declares.
+// request and reply frame match golden bytes built the per-byte way (the
+// server's in-place codec included), and ReadFrame buffers what a peer
+// sends rather than what it declares.
 #include "serve/wire.h"
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <limits>
@@ -245,6 +247,50 @@ TEST(WireGolden, InferReplyFrameBytesAreUnchanged) {
   EXPECT_EQ(moved->body, reply.body);
 }
 
+TEST(WireGolden, InPlaceCodecMatchesTheAppendCodec) {
+  // The server writes a reply body with Put* into its frame buffer and
+  // reads a request in place: head decoded where it lies, input floats
+  // bound where they lie. Both agree with the std::string codec.
+  InferFixture f;
+  std::string appended;
+  AppendU32(&appended, 2);
+  AppendTensor(&appended, f.a);
+  AppendTensor(&appended, f.window);
+  FrameBuffer put;
+  put.Resize(4 + TensorWireBytes(f.a.shape()) +
+             TensorWireBytes(f.window.shape()));
+  const char* end = PutTensor(PutTensor(PutU32(put.data(), 2), f.a), f.window);
+  EXPECT_EQ(end, put.data() + put.size());
+  EXPECT_EQ(put.view(), appended);
+
+  Reply reply;
+  reply.body = appended;
+  const std::string reply_payload = EncodeReply(reply);
+  Reply reply_head;
+  const util::StatusOr<std::size_t> body_at =
+      DecodeReplyHead(reply_payload, &reply_head);
+  ASSERT_TRUE(body_at.ok());
+  EXPECT_EQ(*body_at, 9u);
+  EXPECT_EQ(reply_head.code, util::StatusCode::kOk);
+  EXPECT_EQ(std::string_view(reply_payload).substr(*body_at), appended);
+
+  Request request;
+  request.verb = Verb::kInfer;
+  AppendTensor(&request.body, f.a);
+  FrameBuffer frame(kRequestHeadBytes);
+  frame.Assign(EncodeRequest(request));
+  Request request_head;
+  ASSERT_TRUE(DecodeRequestHead(frame.view(), &request_head).ok());
+  EXPECT_EQ(request_head.verb, Verb::kInfer);
+  const float* bound =
+      BindF32Array(frame.data() + kRequestHeadBytes + 16, f.a.size());
+  for (std::size_t i = 0; i < f.a.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(bound[i]),
+              std::bit_cast<std::uint32_t>(f.a.data()[i]))
+        << "float " << i;
+  }
+}
+
 TEST(WireGolden, ErrorReplyCarriesMessageAndRetryHint) {
   Reply reply;
   reply.code = util::StatusCode::kResourceExhausted;
@@ -291,12 +337,54 @@ TEST(WireFrame, GatheredWriteRejectsEmptyAndOversizePayloads) {
   EXPECT_FALSE(*readable);
 }
 
+TEST(WireFrame, ManyPartsGoOutAsOneFrame) {
+  // More parts than one sendmsg takes, some empty: the frame on the wire
+  // is the legacy frame of their concatenation.
+  std::vector<std::string> pieces;
+  std::string whole;
+  for (int i = 0; i < 40; ++i) {
+    pieces.emplace_back(static_cast<std::size_t>(i * 37 % 11),
+                        static_cast<char>('a' + i % 26));
+    whole += pieces.back();
+  }
+  const std::vector<std::string_view> parts(pieces.begin(), pieces.end());
+  SocketPair pair;
+  ASSERT_TRUE(WriteFrameParts(pair.writer(), parts, 2.0).ok());
+  const std::string frame = LegacyFrame(whole);
+  EXPECT_EQ(Drain(pair.reader(), frame.size()), frame);
+}
+
+TEST(WireFrameBuffer, GrowthKeepsThePrefixAndTheAlignment) {
+  for (const std::size_t aligned_offset : {0u, 6u, 9u}) {
+    FrameBuffer buffer(aligned_offset);
+    const std::string prefix = "prefix";
+    buffer.Assign(prefix);
+    std::size_t kept = prefix.size();
+    for (const std::size_t size : {10u, 1000u, 100'000u, 5u, 300'000u}) {
+      buffer.Resize(size);
+      kept = std::min(kept, size);
+      EXPECT_EQ(buffer.size(), size);
+      EXPECT_EQ(buffer.view().substr(0, kept), prefix.substr(0, kept));
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(buffer.data() +
+                                                 aligned_offset) %
+                    16,
+                0u)
+          << "offset " << aligned_offset << " size " << size;
+    }
+    // Within the capacity, resizing allocates nothing.
+    const std::uint64_t before = testing::ThreadAllocationCount();
+    buffer.Resize(7);
+    buffer.Resize(buffer.capacity());
+    EXPECT_EQ(testing::ThreadAllocationCount(), before);
+  }
+}
+
 TEST(WireFrame, ReusedBufferReadsFramesOfAnySize) {
   SocketPair pair;
   const std::vector<std::string> payloads = {
       std::string(200'000, 'a'), "b", std::string(70'000, 'c'),
       std::string(64u << 10, 'd')};
-  std::string buffer;
+  FrameBuffer buffer;
   for (std::size_t i = 0; i < payloads.size(); ++i) {
     std::string payload = payloads[i];
     payload[payload.size() / 2] = static_cast<char>('0' + i);
@@ -309,7 +397,7 @@ TEST(WireFrame, ReusedBufferReadsFramesOfAnySize) {
         ReadFrame(pair.reader(), &buffer, kMaxFrameBytesDefault, 5.0, 5.0);
     writer.join();
     ASSERT_TRUE(read.ok()) << read.ToString();
-    EXPECT_EQ(buffer, payload) << "frame " << i;
+    EXPECT_EQ(buffer.view(), payload) << "frame " << i;
   }
 }
 
@@ -325,7 +413,7 @@ TEST(WireFrame, StalledGiantFrameOnlyBuffersWhatArrived) {
   ASSERT_TRUE(SendAll(pair.writer(), frame.data(), frame.size(), 1.0).ok());
   pair.CloseWriter();
 
-  std::string buffer;
+  FrameBuffer buffer;
   testing::ResetThreadPeakLiveBytes();
   const std::int64_t before = testing::ThreadPeakLiveBytes();
   const util::Status read =
