@@ -6,7 +6,7 @@
 //   (b) baseline scheduler shootout: declaration order vs Kahn FIFO vs DFS
 //       vs memory-greedy vs DP optimum;
 //   (c) Belady vs LRU replacement in the hierarchy simulator (DESIGN.md
-//       "Heap-driven hierarchy simulator");
+//       "Arena planner and hierarchy simulator: plain scans");
 //   (d) beam widths vs the exact DP (DESIGN.md "Branch-and-bound over
 //       levels": the beam is the DP walk with a level width).
 #include <cstdio>

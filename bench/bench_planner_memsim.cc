@@ -1,12 +1,13 @@
-// The post-scheduling hot paths — the arena planner (alloc/arena_planner)
+// The post-scheduling passes — the arena planner (alloc/arena_planner)
 // and the hierarchy simulator (memsim/hierarchy_sim) — on the paper's
 // largest cells (DARTS, RandWire) and on synthetic RandWire-scale DAGs
-// several times that size. --json=PATH rows carry each input's buffer and
-// step counts; the printed table adds the planned arena and the simulated
-// off-chip traffic. The seed's quadratic implementations live on in
-// tests/testing/reference_impls.h as the oracle of the bit-identity
-// property suites (arena_planner_property_test,
-// hierarchy_sim_property_test).
+// several times that size. --json=PATH rows pin each input's buffer and
+// step counts, its planned arena and its simulated off-chip traffic and
+// evictions, so the exact baseline compare catches any change in what the
+// planner or the simulator computes on inputs far larger than the zoo's.
+// The property suites (arena_planner_property_test,
+// hierarchy_sim_property_test) pin both passes to the oracles in
+// tests/testing/reference_impls.h.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -71,8 +72,9 @@ bool PrintRows(const std::string& json_path) {
     options.onchip_bytes =
         std::max<std::int64_t>(options.page_bytes,
                                sched::PeakFootprint(g, s) / 2);
-    const std::int64_t traffic_bytes =
-        memsim::SimulateHierarchy(g, table, s, options).TotalTraffic();
+    const memsim::SimResult sim =
+        memsim::SimulateHierarchy(g, table, s, options);
+    const std::int64_t traffic_bytes = sim.TotalTraffic();
 
     std::printf("%-28s %7zu %7zu  %12.1f %12.1f\n", input.label.c_str(),
                 table.buffers.size(), s.size(), bench::Kb(arena_bytes),
@@ -81,6 +83,9 @@ bool PrintRows(const std::string& json_path) {
     rows.Field("input", input.label);
     rows.Field("buffers", static_cast<std::int64_t>(table.buffers.size()));
     rows.Field("steps", static_cast<std::int64_t>(s.size()));
+    rows.Field("arena_bytes", arena_bytes);
+    rows.Field("traffic_bytes", traffic_bytes);
+    rows.Field("evictions", sim.evictions);
   }
   bench::PrintRule(72);
   std::printf("\n");

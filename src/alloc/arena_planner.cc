@@ -1,8 +1,6 @@
 #include "alloc/arena_planner.h"
 
 #include <algorithm>
-#include <limits>
-#include <set>
 #include <vector>
 
 #include "util/logging.h"
@@ -47,79 +45,6 @@ std::vector<Lifetime> ComputeLifetimes(const graph::Graph& graph,
   return lifetimes;
 }
 
-// Lifetime-interval index for the gap scan (DESIGN.md "Interval-indexed
-// arena planner"). All placements live in one persistent array kept sorted
-// by arena offset (insertion is a binary search plus a contiguous shift of
-// 24-byte PODs), so the per-buffer scan consumes conflicts in offset order
-// directly — the seed rebuilt and re-sorted a `conflicts` vector for every
-// buffer. On top of the array sit fixed-width blocks carrying the min
-// first_step / max last_step of their entries: a block whose lifetime
-// envelope misses the query is skipped whole, so a buffer touches only
-// (blocks of) true lifetime overlaps.
-class PlacementIndex {
- public:
-  struct Entry {
-    std::int64_t offset = 0;  // sort key
-    std::int64_t end = 0;     // offset + size
-    std::int32_t first_step = 0;
-    std::int32_t last_step = 0;
-  };
-
-  static constexpr std::size_t kBlock = 64;
-
-  void Insert(std::int64_t offset, std::int64_t end, int first_step,
-              int last_step) {
-    const Entry entry{offset, end, first_step, last_step};
-    const auto pos = std::upper_bound(
-        entries_.begin(), entries_.end(), entry,
-        [](const Entry& a, const Entry& b) { return a.offset < b.offset; });
-    const std::size_t at = static_cast<std::size_t>(pos - entries_.begin());
-    entries_.insert(pos, entry);
-    // Blocks from the insertion point on shifted by one entry; their
-    // envelopes are rebuilt in the same pass the insertion's memmove
-    // already paid for.
-    const std::size_t num_blocks = (entries_.size() + kBlock - 1) / kBlock;
-    block_min_first_.resize(num_blocks);
-    block_max_last_.resize(num_blocks);
-    for (std::size_t blk = at / kBlock; blk < num_blocks; ++blk) {
-      std::int32_t min_first = std::numeric_limits<std::int32_t>::max();
-      std::int32_t max_last = -1;
-      const std::size_t hi = std::min(entries_.size(), (blk + 1) * kBlock);
-      for (std::size_t i = blk * kBlock; i < hi; ++i) {
-        min_first = std::min(min_first, entries_[i].first_step);
-        max_last = std::max(max_last, entries_[i].last_step);
-      }
-      block_min_first_[blk] = min_first;
-      block_max_last_[blk] = max_last;
-    }
-  }
-
-  // Calls visit(entry) for every placement whose lifetime overlaps
-  // [first_step, last_step], in ascending offset order. Stops early when
-  // visit returns false.
-  template <typename Visit>
-  void Scan(int first_step, int last_step, const Visit& visit) const {
-    const std::size_t num_blocks = block_min_first_.size();
-    for (std::size_t blk = 0; blk < num_blocks; ++blk) {
-      if (block_min_first_[blk] > last_step ||
-          block_max_last_[blk] < first_step) {
-        continue;  // no entry in this block overlaps the lifetime
-      }
-      const std::size_t hi = std::min(entries_.size(), (blk + 1) * kBlock);
-      for (std::size_t i = blk * kBlock; i < hi; ++i) {
-        const Entry& e = entries_[i];
-        if (e.first_step > last_step || e.last_step < first_step) continue;
-        if (!visit(e)) return;
-      }
-    }
-  }
-
- private:
-  std::vector<Entry> entries_;  // always sorted by offset
-  std::vector<std::int32_t> block_min_first_;
-  std::vector<std::int32_t> block_max_last_;
-};
-
 }  // namespace
 
 ArenaPlan PlanArena(const graph::Graph& graph,
@@ -151,79 +76,60 @@ ArenaPlan PlanArena(const graph::Graph& graph,
 
   ArenaPlan plan;
   plan.placements.reserve(order.size());
-  PlacementIndex index;
+  std::vector<BufferPlacement> by_offset;  // plan.placements, by offset
+  by_offset.reserve(order.size());
   for (const graph::BufferId b : order) {
     const Lifetime& life = lifetimes[static_cast<std::size_t>(b)];
     const std::int64_t size =
         std::max<std::int64_t>(table.buffers[static_cast<std::size_t>(b)]
                                    .size_bytes,
                                1);
-    // Stream the already placed buffers whose lifetimes overlap this one
-    // in ascending offset order and take the lowest gap that fits.
+    // Walk the already placed buffers whose lifetimes overlap this one in
+    // ascending offset order and take the lowest gap that fits.
     std::int64_t best_offset = -1;
     std::int64_t cursor = 0;
-    index.Scan(life.first_step, life.last_step,
-               [&](const PlacementIndex::Entry& e) {
-                 if (e.offset > cursor) {
-                   const std::int64_t start = AlignUp(cursor, alignment);
-                   if (e.offset - start >= size) best_offset = start;
-                 }
-                 cursor = std::max(cursor, e.end);
-                 // The lowest feasible gap decides; once one is found the
-                 // rest of the stream cannot change the answer.
-                 return best_offset < 0;
-               });
+    for (const BufferPlacement& e : by_offset) {
+      if (e.first_step > life.last_step || e.last_step < life.first_step) {
+        continue;
+      }
+      if (e.offset > cursor) {
+        const std::int64_t start = AlignUp(cursor, alignment);
+        if (e.offset - start >= size) {
+          // The lowest feasible gap decides; the rest of the walk cannot
+          // change the answer.
+          best_offset = start;
+          break;
+        }
+      }
+      cursor = std::max(cursor, e.offset + e.size);
+    }
     // Open-ended gap above the last conflict.
     if (best_offset < 0) best_offset = AlignUp(cursor, alignment);
-    plan.placements.push_back(BufferPlacement{
-        b, best_offset, size, life.first_step, life.last_step});
-    index.Insert(best_offset, best_offset + size, life.first_step,
-                 life.last_step);
+    const BufferPlacement placement{b, best_offset, size, life.first_step,
+                                    life.last_step};
+    plan.placements.push_back(placement);
+    const auto pos = std::upper_bound(
+        by_offset.begin(), by_offset.end(), placement,
+        [](const BufferPlacement& x, const BufferPlacement& y) {
+          return x.offset < y.offset;
+        });
+    by_offset.insert(pos, placement);
     plan.arena_bytes = std::max(plan.arena_bytes, best_offset + size);
   }
-
-  // Allocator-view footprint trace via a start/end event sweep: placements
-  // enter a lazy max-heap of (top-of-arena, expiry) at first_step and are
-  // popped once the step passes their last_step; the per-step highwater is
-  // the surviving heap top. O(n log n + S), no per-element allocation —
-  // the seed refilled every step of every placement's lifetime.
-  plan.highwater_at_step.assign(schedule.size(), 0);
-  struct HwEvent {
-    std::int64_t top = 0;      // offset + size
-    std::int32_t first_step = 0;
-    std::int32_t last_step = 0;
-  };
-  std::vector<HwEvent> events;
-  events.reserve(plan.placements.size());
-  for (const BufferPlacement& p : plan.placements) {
-    events.push_back(HwEvent{p.offset + p.size,
-                             static_cast<std::int32_t>(p.first_step),
-                             static_cast<std::int32_t>(p.last_step)});
-  }
-  std::sort(events.begin(), events.end(),
-            [](const HwEvent& a, const HwEvent& b) {
-              return a.first_step < b.first_step;
-            });
-  const auto by_top = [](const HwEvent& a, const HwEvent& b) {
-    return a.top < b.top;  // max-heap on top-of-arena
-  };
-  std::vector<HwEvent> active;  // heap; expired entries removed lazily
-  active.reserve(events.size());
-  std::size_t next_event = 0;
-  for (std::size_t step = 0; step < schedule.size(); ++step) {
-    const std::int32_t now = static_cast<std::int32_t>(step);
-    while (next_event < events.size() &&
-           events[next_event].first_step == now) {
-      active.push_back(events[next_event++]);
-      std::push_heap(active.begin(), active.end(), by_top);
-    }
-    while (!active.empty() && active.front().last_step < now) {
-      std::pop_heap(active.begin(), active.end(), by_top);
-      active.pop_back();
-    }
-    if (!active.empty()) plan.highwater_at_step[step] = active.front().top;
-  }
+  plan.highwater_at_step = HighwaterAtStep(plan.placements, schedule.size());
   return plan;
+}
+
+std::vector<std::int64_t> HighwaterAtStep(
+    const std::vector<BufferPlacement>& placements, std::size_t num_steps) {
+  std::vector<std::int64_t> highwater(num_steps, 0);
+  for (const BufferPlacement& p : placements) {
+    for (int step = p.first_step; step <= p.last_step; ++step) {
+      auto& hw = highwater[static_cast<std::size_t>(step)];
+      hw = std::max(hw, p.offset + p.size);
+    }
+  }
+  return highwater;
 }
 
 ArenaPlan PlanArena(const graph::Graph& graph,
@@ -238,10 +144,11 @@ std::int64_t EstimatePlannerBytes(const graph::BufferUseTable& table,
   const std::int64_t buffers =
       static_cast<std::int64_t>(table.buffers.size());
   const std::int64_t steps = static_cast<std::int64_t>(schedule.size());
-  // Per buffer: a Lifetime, a BufferPlacement in the plan, an index entry
-  // plus its block envelope, and an event in the highwater sweep (each
-  // well under 64 bytes). Per step: one highwater entry plus the active
-  // heap slot (<= 32 bytes). Headroom over the true footprint is fine —
+  // Per buffer: a 12-byte Lifetime. Per used buffer: a 4-byte order slot
+  // and two 32-byte BufferPlacements (the plan's and the offset-sorted
+  // copy). Per step: one 8-byte highwater entry. Every step writes one
+  // buffer, so used buffers never outnumber steps, and
+  // 12 B + 68 min(B, S) + 8 S stays under the charge below. Headroom over the true footprint is fine —
   // this is an admission estimate, not an accounting ledger.
   return buffers * 64 + steps * 32;
 }
@@ -260,13 +167,14 @@ util::StatusOr<ArenaPlan> PlanArenaGoverned(const graph::Graph& graph,
   return PlanArena(graph, table, schedule, alignment);
 }
 
-namespace {
-
-// Exact pairwise check, kept for degenerate plans the sweep cannot model
-// (a placement with first_step > last_step "overlaps" exactly the
-// placements spanning both of its reversed endpoints under the symmetric
-// interval test; no real plan contains one).
-bool ValidatePlacementsPairwise(const ArenaPlan& plan) {
+bool ValidatePlacements(const ArenaPlan& plan, std::int64_t alignment) {
+  SERENITY_CHECK_GT(alignment, 0);
+  for (const BufferPlacement& p : plan.placements) {
+    if (p.offset < 0 || p.size <= 0) return false;
+    if (p.offset % alignment != 0) return false;
+    if (p.offset + p.size > plan.arena_bytes) return false;
+  }
+  // Placements alive at a common step must not share a byte.
   for (std::size_t i = 0; i < plan.placements.size(); ++i) {
     const BufferPlacement& a = plan.placements[i];
     for (std::size_t j = i + 1; j < plan.placements.size(); ++j) {
@@ -277,63 +185,6 @@ bool ValidatePlacementsPairwise(const ArenaPlan& plan) {
           a.offset < b.offset + b.size && b.offset < a.offset + a.size;
       if (time_overlap && space_overlap) return false;
     }
-  }
-  return true;
-}
-
-}  // namespace
-
-bool ValidatePlacements(const ArenaPlan& plan, std::int64_t alignment) {
-  SERENITY_CHECK_GT(alignment, 0);
-  // Start/end sweep over steps: placements active at the same time must be
-  // pairwise disjoint in address range, so keeping the active set ordered
-  // by offset reduces the check to each insertion's two neighbours —
-  // O(n log n) against the seed's pairwise O(n^2).
-  struct Event {
-    int step = 0;
-    bool is_start = false;  // ends (at last_step + 1) sort before starts
-    std::int32_t index = 0;
-  };
-  std::vector<Event> events;
-  events.reserve(2 * plan.placements.size());
-  bool inverted_lifetime = false;
-  for (std::size_t i = 0; i < plan.placements.size(); ++i) {
-    const BufferPlacement& p = plan.placements[i];
-    if (p.offset < 0 || p.size <= 0) return false;
-    if (p.offset % alignment != 0) return false;
-    if (p.offset + p.size > plan.arena_bytes) return false;
-    inverted_lifetime |= p.first_step > p.last_step;
-    events.push_back(Event{p.first_step, true, static_cast<std::int32_t>(i)});
-    events.push_back(
-        Event{p.last_step + 1, false, static_cast<std::int32_t>(i)});
-  }
-  if (inverted_lifetime) return ValidatePlacementsPairwise(plan);
-  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
-    if (a.step != b.step) return a.step < b.step;
-    return a.is_start < b.is_start;  // process removals first
-  });
-
-  std::set<std::pair<std::int64_t, std::int32_t>> active;  // (offset, index)
-  for (const Event& e : events) {
-    const BufferPlacement& p =
-        plan.placements[static_cast<std::size_t>(e.index)];
-    const auto key = std::make_pair(p.offset, e.index);
-    if (!e.is_start) {
-      active.erase(key);
-      continue;
-    }
-    const auto next = active.lower_bound(key);
-    if (next != active.end()) {
-      const BufferPlacement& n =
-          plan.placements[static_cast<std::size_t>(next->second)];
-      if (p.offset + p.size > n.offset) return false;
-    }
-    if (next != active.begin()) {
-      const BufferPlacement& prev =
-          plan.placements[static_cast<std::size_t>(std::prev(next)->second)];
-      if (prev.offset + prev.size > p.offset) return false;
-    }
-    active.insert(key);
   }
   return true;
 }

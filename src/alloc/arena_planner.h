@@ -10,12 +10,13 @@
 // this an upper bound on the pure sum-of-live-activations footprint of
 // Figure 12(b).
 //
-// Implementation: a lifetime-interval index (one persistent offset-ordered
-// placement array under blocks carrying min/max lifetime envelopes) streams
-// each buffer's true lifetime conflicts in offset order with early exit,
-// and the per-step highwater trace is a start/end event sweep — see
-// DESIGN.md "Interval-indexed arena planner". The placements are
-// bit-identical to the original quadratic scan, which survives as
+// Implementation: each buffer walks one offset-sorted vector of the
+// placements made so far, skipping those whose lifetimes miss its own, and
+// stops at the first gap that fits; the per-step highwater trace is filled
+// directly from each placement's lifetime. At the sizes planned here (at
+// most 64 placements per zoo cell) these plain scans beat any index — see
+// DESIGN.md "Arena planner and hierarchy simulator: plain scans". The
+// placements are bit-identical to the seed's scan, which survives as
 // `testing::ReferencePlanArena` for the property suites.
 #ifndef SERENITY_ALLOC_ARENA_PLANNER_H_
 #define SERENITY_ALLOC_ARENA_PLANNER_H_
@@ -59,9 +60,17 @@ ArenaPlan PlanArena(const graph::Graph& graph,
                     const sched::Schedule& schedule,
                     std::int64_t alignment = 64);
 
+// The allocator-view footprint trace of `placements` over `num_steps`
+// steps: at each step, the max offset+size over the placements live there
+// (ArenaPlan::highwater_at_step). Every lifetime must satisfy
+// 0 <= first_step <= last_step < num_steps.
+std::vector<std::int64_t> HighwaterAtStep(
+    const std::vector<BufferPlacement>& placements, std::size_t num_steps);
+
 // Upper bound on PlanArena's transient + retained bytes for this input:
-// the placement/index/event working set plus the returned plan's vectors,
-// all linear in buffers and steps. What the governed entry charges.
+// the lifetime, order and scan working set plus the returned plan's
+// vectors, all linear in buffers and steps. What the governed entry
+// charges.
 std::int64_t EstimatePlannerBytes(const graph::BufferUseTable& table,
                                   const sched::Schedule& schedule);
 
@@ -79,9 +88,7 @@ util::StatusOr<ArenaPlan> PlanArenaGoverned(
 // range — the allocator's safety invariant (exercised by tests) — and, when
 // `alignment` is given, every offset is a multiple of it (the contract a
 // SIMD kernel backend relies on for its vector loads; see
-// runtime::PlacementAlignment). Runs a start/end sweep over steps with an
-// offset-ordered active set, so large randomized plans validate in
-// O(n log n).
+// runtime::PlacementAlignment). A pairwise check, O(n^2) in placements.
 bool ValidatePlacements(const ArenaPlan& plan,
                         std::int64_t alignment = sizeof(float));
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 #include <vector>
 
 #include "util/logging.h"
@@ -42,21 +41,6 @@ struct PageState {
   std::int32_t slot = -1;            // index into `resident`, -1 if absent
   std::int64_t last_touch = -1;      // LRU recency
   std::int64_t next_use = kNoNextUse;  // Belady distance (set per touch)
-};
-
-// Lazy eviction heap entry: max-metric first, ties to the lowest page id.
-// An entry is stale once its page was re-touched (the metric moved) or
-// dropped; stale entries are discarded on pop.
-struct HeapEntry {
-  std::int64_t metric = 0;
-  std::int32_t page = 0;
-};
-
-struct HeapEntryLess {
-  bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-    if (a.metric != b.metric) return a.metric < b.metric;
-    return a.page > b.page;  // equal metrics: lowest page id wins
-  }
 };
 
 }  // namespace
@@ -164,17 +148,7 @@ SimResult SimulateHierarchy(const graph::Graph& graph,
   std::vector<PageState> state(num_pages);
   std::vector<std::int32_t> resident;
   std::int64_t resident_bytes = 0;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapEntryLess> heap;
 
-  // The eviction metric of a resident page as of its latest touch; a heap
-  // entry is current iff it still matches (Belady distances strictly grow
-  // and LRU recency strictly shrinks across touches of one page, so only
-  // the entry pushed at the latest touch can match).
-  const auto metric_of = [&](std::int32_t page) {
-    const PageState& ps = state[static_cast<std::size_t>(page)];
-    return options.policy == ReplacementPolicy::kBelady ? ps.next_use
-                                                        : -ps.last_touch;
-  };
   const auto drop = [&](std::int32_t page) {
     PageState& ps = state[static_cast<std::size_t>(page)];
     const std::int32_t back = resident.back();
@@ -184,24 +158,31 @@ SimResult SimulateHierarchy(const graph::Graph& graph,
     ps.slot = -1;
     resident_bytes -= page_bytes_of[static_cast<std::size_t>(page)];
   };
+  // One pass over the resident set: the victim has the largest metric —
+  // next use for Belady, negated recency for LRU — ties to the lowest page
+  // id.
+  const bool belady = options.policy == ReplacementPolicy::kBelady;
   const auto evict_one = [&] {
-    while (!heap.empty()) {
-      const HeapEntry top = heap.top();
-      heap.pop();
-      PageState& vs = state[static_cast<std::size_t>(top.page)];
-      if (vs.slot < 0 || top.metric != metric_of(top.page)) {
-        continue;  // stale: page dropped or re-touched since the push
+    SERENITY_CHECK(!resident.empty()) << "cache too small for a single page";
+    std::int32_t victim = -1;
+    std::int64_t victim_metric = 0;
+    for (const std::int32_t page : resident) {
+      const PageState& ps = state[static_cast<std::size_t>(page)];
+      const std::int64_t metric = belady ? ps.next_use : -ps.last_touch;
+      if (victim < 0 || metric > victim_metric ||
+          (metric == victim_metric && page < victim)) {
+        victim = page;
+        victim_metric = metric;
       }
-      if (vs.dirty) {
-        result.write_bytes += page_bytes_of[static_cast<std::size_t>(top.page)];
-        vs.dirty = false;
-        vs.has_offchip_copy = true;
-      }
-      drop(top.page);
-      ++result.evictions;
-      return;
     }
-    SERENITY_CHECK(false) << "cache too small for a single page";
+    PageState& vs = state[static_cast<std::size_t>(victim)];
+    if (vs.dirty) {
+      result.write_bytes += page_bytes_of[static_cast<std::size_t>(victim)];
+      vs.dirty = false;
+      vs.has_offchip_copy = true;
+    }
+    drop(victim);
+    ++result.evictions;
   };
 
   // The replay expands each run back into its page-granular touches, so
@@ -234,7 +215,6 @@ SimResult SimulateHierarchy(const graph::Graph& graph,
         ps.dirty = true;
         ps.has_offchip_copy = false;
       }
-      heap.push(HeapEntry{metric_of(page), page});
       result.peak_resident_bytes =
           std::max(result.peak_resident_bytes, resident_bytes);
       if (run.last_use) {

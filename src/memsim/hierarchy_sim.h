@@ -15,10 +15,12 @@
 // paper's "SERENITY removes off-chip communication" cases.
 //
 // Implementation: trace construction threads every touch to the same
-// page's next touch (classic Belady OPT linkage), and eviction pops a lazy
-// max-heap keyed by next use (Belady) or recency (LRU) — see DESIGN.md
-// "Heap-driven hierarchy simulator". Eviction ties are deterministic: among
-// equally evictable pages the lowest page id is evicted.
+// page's next touch (classic Belady OPT linkage), and eviction scans the
+// resident set once for the farthest next use (Belady) or the oldest touch
+// (LRU) — at the paper's 32-256 KB with 4 KB pages that set holds at most
+// 64 pages; see DESIGN.md "Arena planner and hierarchy simulator: plain
+// scans". Eviction ties are deterministic: among equally evictable pages
+// the lowest page id is evicted.
 #ifndef SERENITY_MEMSIM_HIERARCHY_SIM_H_
 #define SERENITY_MEMSIM_HIERARCHY_SIM_H_
 

@@ -202,8 +202,6 @@ util::StatusOr<ExecutionPlan> PlanFromText(const std::string& text,
                        std::to_string(plan.arena.arena_bytes) +
                        " derived)");
   }
-  // Rebuild the derived high-water trace so loaded plans are fully usable.
-  plan.arena.highwater_at_step.assign(plan.schedule.size(), 0);
   for (const alloc::BufferPlacement& p : plan.arena.placements) {
     if (p.first_step > p.last_step) {
       return CorruptPlan("inverted lifetime for buffer " +
@@ -214,12 +212,10 @@ util::StatusOr<ExecutionPlan> PlanFromText(const std::string& text,
       return CorruptPlan("lifetime of buffer " + std::to_string(p.buffer) +
                          " is outside the schedule");
     }
-    for (int step = p.first_step; step <= p.last_step; ++step) {
-      auto& hw =
-          plan.arena.highwater_at_step[static_cast<std::size_t>(step)];
-      hw = std::max(hw, p.offset + p.size);
-    }
   }
+  // Rebuild the derived high-water trace so loaded plans are fully usable.
+  plan.arena.highwater_at_step =
+      alloc::HighwaterAtStep(plan.arena.placements, plan.schedule.size());
   // Everything an executor binds against must hold before the plan is
   // handed back — placement completeness and exact sizes, lifetimes
   // covering every producer/consumer step, pairwise non-overlap. A corrupt

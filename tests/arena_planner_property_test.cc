@@ -1,13 +1,15 @@
-// Randomized property suite pinning the interval-index arena planner to
-// the seed's quadratic algorithm (`testing::ReferencePlanArena`): every
-// placement field, the arena size and the per-step highwater trace must be
-// bit-identical across alignments and schedules. Also pins the
-// sweep-line ValidatePlacements to the quadratic pairwise check, including
-// on corrupted plans.
+// Randomized property suite pinning the arena planner to the seed's
+// quadratic algorithm (`testing::ReferencePlanArena`): every placement
+// field, the arena size and the per-step highwater trace must be
+// bit-identical across alignments and schedules, on 1000 small random
+// DAGs and on the nine zoo cells (TFLite and Pipeline order) plus three
+// 100-400-op random DAGs. Also pins ValidatePlacements to the reference
+// pairwise check, including on corrupted plans.
 #include "alloc/arena_planner.h"
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "sched/baselines.h"
@@ -58,9 +60,25 @@ TEST(ArenaPlannerProperty, BitIdenticalToReferenceOnRandomGraphs) {
     EXPECT_TRUE(ValidatePlacements(plan));
     if (::testing::Test::HasFailure()) return;  // one counterexample
   }
+  for (const testing::ScheduledGraph& input :
+       testing::ZooAndLargeDagInputs()) {
+    const graph::BufferUseTable table =
+        graph::BufferUseTable::Build(input.graph);
+    for (const std::int64_t alignment : {4, 64, 256}) {
+      const ArenaPlan plan =
+          PlanArena(input.graph, table, input.schedule, alignment);
+      const ArenaPlan ref = testing::ReferencePlanArena(
+          input.graph, table, input.schedule, alignment);
+      ExpectPlansIdentical(plan, ref,
+                           input.label + " alignment " +
+                               std::to_string(alignment));
+      EXPECT_TRUE(ValidatePlacements(plan));
+      if (::testing::Test::HasFailure()) return;  // one counterexample
+    }
+  }
 }
 
-TEST(ArenaPlannerProperty, SweepValidatorMatchesQuadratic) {
+TEST(ArenaPlannerProperty, ValidatorMatchesReference) {
   util::Rng rng(777);
   for (int i = 0; i < 300; ++i) {
     testing::RandomDagOptions opts;
@@ -105,7 +123,7 @@ TEST(ArenaPlannerProperty, SweepValidatorMatchesQuadratic) {
   }
 }
 
-TEST(ArenaPlannerProperty, SweepValidatorCatchesCrossPlacementOverlap) {
+TEST(ArenaPlannerProperty, ValidatorCatchesCrossPlacementOverlap) {
   // Force a same-time overlap that is not adjacent in placement order.
   ArenaPlan plan;
   plan.arena_bytes = 300;

@@ -1,4 +1,4 @@
-// Random-graph helpers shared by the property-based tests.
+// Random-graph helpers and input sets shared by the property-based tests.
 #ifndef SERENITY_TESTS_TESTING_RANDOM_GRAPHS_H_
 #define SERENITY_TESTS_TESTING_RANDOM_GRAPHS_H_
 
@@ -7,8 +7,13 @@
 #include <string>
 #include <vector>
 
+#include "core/pipeline.h"
 #include "graph/builder.h"
 #include "graph/graph.h"
+#include "models/zoo.h"
+#include "sched/baselines.h"
+#include "sched/schedule.h"
+#include "util/logging.h"
 #include "util/rng.h"
 
 namespace serenity::testing {
@@ -151,6 +156,46 @@ inline graph::Graph RelabelIsomorphic(const graph::Graph& g, util::Rng& rng,
   }
   out.ValidateOrDie();
   return out;
+}
+
+// A graph with a schedule to replay over it.
+struct ScheduledGraph {
+  std::string label;
+  graph::Graph graph;
+  sched::Schedule schedule;
+};
+
+// The inputs the arena planner and the hierarchy simulator meet in use and
+// some past them: the nine zoo cells in TFLite order and in Pipeline order
+// (over the graph Pipeline scheduled, rewrites included), and three seeded
+// 100-400-op random DAGs in TFLite and in a random topological order.
+inline std::vector<ScheduledGraph> ZooAndLargeDagInputs() {
+  std::vector<ScheduledGraph> inputs;
+  for (const models::BenchmarkCell& cell : models::AllBenchmarkCells()) {
+    const std::string label = cell.group + " / " + cell.name;
+    graph::Graph g = cell.factory();
+    sched::Schedule tflite = sched::TfLiteOrderSchedule(g);
+    inputs.push_back({label + " (TFLite)", g, std::move(tflite)});
+    core::PipelineResult planned = core::Pipeline().Run(g);
+    SERENITY_CHECK(planned.status.ok()) << planned.status.ToString();
+    inputs.push_back({label + " (Pipeline)",
+                      std::move(planned.scheduled_graph),
+                      std::move(planned.schedule)});
+  }
+  util::Rng rng(20261019);
+  for (const int num_ops : {100, 250, 400}) {
+    RandomDagOptions opts;
+    opts.num_ops = num_ops;
+    opts.max_channels = 6;
+    opts.extra_edge_p = 0.4;
+    const std::string label = "random DAG / " + std::to_string(num_ops);
+    graph::Graph g = RandomDag(rng, opts, "large" + std::to_string(num_ops));
+    sched::Schedule tflite = sched::TfLiteOrderSchedule(g);
+    sched::Schedule random = sched::RandomTopologicalSchedule(g, rng);
+    inputs.push_back({label + " (TFLite)", g, std::move(tflite)});
+    inputs.push_back({label + " (random)", std::move(g), std::move(random)});
+  }
+  return inputs;
 }
 
 }  // namespace serenity::testing

@@ -1,7 +1,7 @@
-// Reference (pre-optimization) implementations of the beam scheduler, the
-// arena planner and the hierarchy simulator, kept as the oracle for the
-// property suites and the before/after micro-benchmark
-// (`bench_planner_memsim`).
+// Reference implementations of the beam scheduler, the arena planner and
+// the hierarchy simulator, kept as the oracles of the property suites
+// (bnb_property_test, arena_planner_property_test,
+// hierarchy_sim_property_test).
 //
 // The planner and simulator are the seed algorithms verbatim — quadratic
 // conflict scans, the O(placements x steps) highwater fill, the
