@@ -79,7 +79,6 @@ class DpRunner {
         floor_pruning_(options.incumbent_bytes != kNoBudget &&
                        width == kUnlimitedWidth),
         incumbent_(options.incumbent_bytes),
-        step_limit_(std::min(options.budget_bytes, options.incumbent_bytes)),
         cancel_(options.cancel),
         reservation_(options.memory_budget) {}
 
@@ -106,8 +105,9 @@ class DpRunner {
     const std::vector<std::uint64_t> empty(words_, 0);
     std::vector<std::uint64_t> root_frontier(words_);
     tables_.FrontierMask(empty.data(), root_frontier.data());
-    current.InsertOrRelax(empty.data(), root_frontier.data(),
-                          SignatureHasher::kEmptyHash, 0, 0, 0, -1, -1);
+    current.Insert(current.Find(empty.data(), SignatureHasher::kEmptyHash),
+                   empty.data(), root_frontier.data(),
+                   SignatureHasher::kEmptyHash, 0, 0, 0, -1, -1);
     current.Seal();
 
     for (std::size_t i = 0; i < num_nodes_; ++i) {
@@ -238,14 +238,18 @@ class DpRunner {
   // the floor runs only at unlimited width, see ScheduleDpBeam).
   // A parent's frontier is read off its stored mask. If some frontier node
   // is eager, the parent's only child is the one scheduling the lowest
-  // such node. A child that survives the step cut gets its mask from one
-  // successor scan, whose newly ready nodes also feed the floor. Returns
+  // such node. Each candidate child then goes through cuts, lookup, and
+  // relax or derive (DESIGN.md "Lookup before derivation"): the step cuts
+  // need only the step peak; a child the next level already holds is only
+  // relaxed; a new child gets its mask from one successor scan (whose newly
+  // ready nodes also feed the floor), then its footprint from the free
+  // scan, then the floor, and fills the slot its lookup found. Returns
   // false on step timeout, state-cap overrun, cancellation or a denied
   // budget true-up.
   bool ExpandLevel(const StateLevel& current, StateLevel& next,
                    const util::Stopwatch& level_clock) {
     std::vector<std::int32_t> frontier;
-    std::vector<ExpansionTables::Transition> steps;
+    std::vector<std::int64_t> step_peaks;
     std::vector<std::int32_t> newly_ready;
     std::vector<std::uint64_t> child(words_);
     std::vector<std::uint64_t> child_mask(words_);
@@ -269,15 +273,16 @@ class DpRunner {
       // step stays within the parent's peak and whose footprint does not
       // grow can go first in some optimal completion, so it is the
       // parent's only child. The frontier is ascending, so the lowest such
-      // node wins. A stored peak never exceeds step_limit_, so Apply's
-      // early return never hides an eager node.
+      // node wins. Only a step within the peak needs the free scan.
       std::size_t begin = 0;
       std::size_t end = frontier.size();
-      steps.clear();
+      step_peaks.clear();
       for (std::size_t fi = 0; fi < frontier.size(); ++fi) {
-        steps.push_back(tables_.Apply(sig, frontier[fi], footprint,
-                                      step_limit_));
-        if (steps[fi].step_peak <= peak && steps[fi].footprint <= footprint) {
+        const std::int64_t step_peak =
+            tables_.StepPeak(sig, frontier[fi], footprint);
+        step_peaks.push_back(step_peak);
+        if (step_peak <= peak &&
+            step_peak - tables_.FreedBytes(sig, frontier[fi]) <= footprint) {
           begin = fi;
           end = fi + 1;
           break;
@@ -285,7 +290,8 @@ class DpRunner {
       }
       for (std::size_t fi = begin; fi < end; ++fi) {
         const std::int32_t u = frontier[fi];
-        const ExpansionTables::Transition& t = steps[fi];
+        const std::size_t ui = static_cast<std::size_t>(u);
+        const std::int64_t step_peak = step_peaks[fi];
         ++transitions_;
         // Re-check the limits every ~4096 transitions so a single
         // pathological state expansion cannot overshoot them unboundedly.
@@ -293,39 +299,48 @@ class DpRunner {
             !CheckLimits(current, next, level_clock)) {
           return false;
         }
-        if (t.step_peak > options_.budget_bytes) continue;  // prune (§3.2)
-        if (t.step_peak > incumbent_) {
+        if (step_peak > options_.budget_bytes) continue;  // prune (§3.2)
+        if (step_peak > incumbent_) {
           ++pruned_.incumbent;
           continue;
         }
         std::copy(sig, sig + words_, child.data());
-        util::SpanSetBit(child.data(), static_cast<std::size_t>(u));
+        util::SpanSetBit(child.data(), ui);
+        const std::uint64_t child_hash = hash ^ hasher_.key(ui);
+        const std::int64_t child_peak = std::max(peak, step_peak);
+        const std::uint64_t tie = hasher_.candidate_tie(hash, ui);
+        const std::int32_t parent = static_cast<std::int32_t>(s);
+        // A child the next level already holds passed the floor, and its
+        // footprint and mask are functions of its signature: relax it and
+        // skip the derivation.
+        const StateLevel::Probe probe = next.Find(child.data(), child_hash);
+        if (probe.state >= 0) {
+          next.Relax(probe.state, child_peak, tie, parent, u);
+          continue;
+        }
         tables_.ChildFrontier(mask, child.data(), u, child_mask.data(),
                               &newly_ready);
+        const std::int64_t child_footprint =
+            step_peak - tables_.FreedBytes(sig, u);
         // One-step frontier floor (DESIGN.md "Branch-and-bound over
         // levels"): whatever the child schedules next allocates at least
         // the floor, so footprint + floor STRICTLY above the incumbent
         // proves every completion is worse than a schedule already in
-        // hand. A pure function of the child signature, so every duplicate
-        // candidate agrees and relax winners (hence the reconstructed
-        // schedule) are the unpruned search's.
+        // hand. A pure function of the child signature, so the duplicates
+        // relaxed above would all agree with it, and relax winners (hence
+        // the reconstructed schedule) are the unpruned search's.
         if (floor_pruning_) {
           const std::int64_t floor = tables_.ChildNextAllocFloor(
               child.data(), u, allocs, newly_ready);
           if (floor != ExpansionTables::kNoAlloc &&
-              t.footprint + floor > incumbent_) {
+              child_footprint + floor > incumbent_) {
             ++pruned_.frontier_floor;
             continue;
           }
         }
-        if (next.InsertOrRelax(child.data(), child_mask.data(),
-                               hash ^ hasher_.key(static_cast<std::size_t>(u)),
-                               t.footprint, std::max(peak, t.step_peak),
-                               hasher_.candidate_tie(
-                                   hash, static_cast<std::size_t>(u)),
-                               static_cast<std::int32_t>(s), u)) {
-          ++states_expanded_;
-        }
+        next.Insert(probe, child.data(), child_mask.data(), child_hash,
+                    child_footprint, child_peak, tie, parent, u);
+        ++states_expanded_;
       }
       if (states_expanded_ > options_.max_states) {
         abort_ = Abort::kTimeout;
@@ -376,9 +391,6 @@ class DpRunner {
   const std::size_t width_;
   const bool floor_pruning_;
   const std::int64_t incumbent_;
-  // Transitions peaking above min(τ, incumbent) are dead either way, so
-  // Apply may skip their free scan.
-  const std::int64_t step_limit_;
   const util::CancelToken* const cancel_;
   // High-water byte reservation against options_.memory_budget; refunded
   // in full when the runner is destroyed.

@@ -19,10 +19,15 @@
 // Expansion is frontier-driven: each state stores its zero-indegree set as
 // a mask, which a child derives from its parent's with one successor scan,
 // and the deallocate-after-last-use test is a word-wise
-// `touchers ⊆ scheduled ∪ {u}` subset check. A finished level immediately
-// drops everything except its back-pointer records, so resident memory per
-// completed level is 8 bytes/state. Levels expand sequentially, one parent
-// state after another, so the full result is deterministic.
+// `touchers ⊆ scheduled ∪ {u}` subset check. Each candidate child is
+// looked up before it is derived (DESIGN.md "Lookup before derivation"):
+// the step cuts read only its step peak, one probe of the next level finds
+// a held child, which is only relaxed, and only a new child pays for its
+// mask, free scan and floor before it fills the probed slot. A finished
+// level immediately drops everything except its back-pointer records, so
+// resident memory per completed level is 8 bytes/state. Levels expand
+// sequentially, one parent state after another, so the full result is
+// deterministic.
 //
 // Eager steps (DESIGN.md "Eager non-increasing steps"): if a ready node's
 // step stays within the state's peak and does not grow its footprint, some

@@ -59,49 +59,56 @@ void StateLevel::Init(std::size_t words_per_state,
   cols_.slots.assign(TableSlotsFor(reserve), -1);
 }
 
-bool StateLevel::InsertOrRelax(const std::uint64_t* sig,
-                               const std::uint64_t* frontier,
-                               std::uint64_t hash, std::int64_t footprint,
-                               std::int64_t peak, std::uint64_t tie_key,
-                               std::int32_t prev_index,
-                               std::int32_t last_node) {
+StateLevel::Probe StateLevel::Find(const std::uint64_t* sig,
+                                   std::uint64_t hash) {
   SERENITY_CHECK(!sealed_);
   if ((cols_.count + 1) * 3 > cols_.slots.size() * 2) GrowTable();
   const std::size_t mask = cols_.slots.size() - 1;
   std::size_t slot = static_cast<std::size_t>(hash) & mask;
   for (;;) {
     const std::int32_t s = cols_.slots[slot];
-    if (s < 0) {
-      cols_.slots[slot] = static_cast<std::int32_t>(cols_.count);
-      cols_.sig_arena.insert(cols_.sig_arena.end(), sig, sig + words_);
-      cols_.frontier_arena.insert(cols_.frontier_arena.end(), frontier,
-                                  frontier + words_);
-      cols_.hashes.push_back(hash);
-      cols_.footprint.push_back(footprint);
-      cols_.peak.push_back(peak);
-      cols_.tie.push_back(tie_key);
-      cols_.recon.push_back(ReconRecord{prev_index, last_node});
-      ++cols_.count;
-      return true;
-    }
+    if (s < 0) return Probe{-1, slot};
     const std::size_t si = static_cast<std::size_t>(s);
     if (cols_.hashes[si] == hash &&
         util::SpanEqual(cols_.sig_arena.data() + si * words_, sig, words_)) {
-      // Same signature ⇒ same µ (mechanically re-checked here); the lower
-      // peak wins, equal peaks resolve to the lower intrinsic tie key so
-      // the surviving back-pointer is independent of candidate arrival
-      // order (and therefore of pruning).
-      SERENITY_CHECK_EQ(cols_.footprint[si], footprint);
-      if (peak < cols_.peak[si] ||
-          (peak == cols_.peak[si] && tie_key < cols_.tie[si])) {
-        cols_.peak[si] = peak;
-        cols_.tie[si] = tie_key;
-        cols_.recon[si] = ReconRecord{prev_index, last_node};
-      }
-      return false;
+      return Probe{s, slot};
     }
     slot = (slot + 1) & mask;
   }
+}
+
+void StateLevel::Relax(std::int32_t state, std::int64_t peak,
+                       std::uint64_t tie_key, std::int32_t prev_index,
+                       std::int32_t last_node) {
+  const std::size_t si = static_cast<std::size_t>(state);
+  // The lower peak wins; equal peaks resolve to the lower intrinsic tie key
+  // so the surviving back-pointer is independent of candidate arrival
+  // order (and therefore of pruning).
+  if (peak < cols_.peak[si] ||
+      (peak == cols_.peak[si] && tie_key < cols_.tie[si])) {
+    cols_.peak[si] = peak;
+    cols_.tie[si] = tie_key;
+    cols_.recon[si] = ReconRecord{prev_index, last_node};
+  }
+}
+
+void StateLevel::Insert(const Probe& probe, const std::uint64_t* sig,
+                        const std::uint64_t* frontier, std::uint64_t hash,
+                        std::int64_t footprint, std::int64_t peak,
+                        std::uint64_t tie_key, std::int32_t prev_index,
+                        std::int32_t last_node) {
+  SERENITY_CHECK(!sealed_);
+  SERENITY_CHECK_LT(probe.state, 0);
+  cols_.slots[probe.slot] = static_cast<std::int32_t>(cols_.count);
+  cols_.sig_arena.insert(cols_.sig_arena.end(), sig, sig + words_);
+  cols_.frontier_arena.insert(cols_.frontier_arena.end(), frontier,
+                              frontier + words_);
+  cols_.hashes.push_back(hash);
+  cols_.footprint.push_back(footprint);
+  cols_.peak.push_back(peak);
+  cols_.tie.push_back(tie_key);
+  cols_.recon.push_back(ReconRecord{prev_index, last_node});
+  ++cols_.count;
 }
 
 void StateLevel::GrowTable() {
@@ -371,44 +378,46 @@ std::int64_t ExpansionTables::ResidentBytes() const {
       succ_begin_.capacity() * 4);
 }
 
-ExpansionTables::Transition ExpansionTables::Apply(
-    const std::uint64_t* sig, std::int32_t node, std::int64_t footprint,
-    std::int64_t budget) const {
+std::int64_t ExpansionTables::StepPeak(const std::uint64_t* sig,
+                                       std::int32_t node,
+                                       std::int64_t footprint) const {
   const std::size_t u = static_cast<std::size_t>(node);
   // Allocate the output on first write (Algorithm 1 line 13). A sole-writer
   // node always allocates: u itself is unscheduled in sig, so nothing can
   // have written its buffer yet.
-  bool allocate = true;
   if (has_cowriter_[u] != 0) {
     const std::uint64_t* writers =
         buffer_writers_.data() +
         static_cast<std::size_t>(own_buffer_[u]) * words_;
-    allocate = !util::SpanIntersects(writers, sig, words_);
+    if (util::SpanIntersects(writers, sig, words_)) return footprint;
   }
-  if (allocate) footprint += own_size_[u];
-  const std::int64_t step_peak = footprint;
-  if (step_peak > budget) return Transition{footprint, step_peak};
+  return footprint + own_size_[u];
+}
 
+std::int64_t ExpansionTables::FreedBytes(const std::uint64_t* sig,
+                                         std::int32_t node) const {
   // Deallocate buffers whose last use is this node (lines 15-19): freed iff
   // touchers ⊆ scheduled ∪ {u}, tested word-wise.
+  const std::size_t u = static_cast<std::size_t>(node);
   const std::size_t u_word = u >> 6;
   const std::uint64_t u_bit = std::uint64_t{1} << (u & 63);
+  std::int64_t freed = 0;
   for (std::uint32_t f = freeable_begin_[u]; f < freeable_begin_[u + 1];
        ++f) {
     const std::uint64_t* touchers =
         touchers_arena_.data() + freeables_[f].touchers_offset;
-    bool freed = true;
+    bool last_use = true;
     for (std::size_t w = 0; w < words_; ++w) {
       std::uint64_t scheduled = sig[w];
       if (w == u_word) scheduled |= u_bit;
       if ((touchers[w] & ~scheduled) != 0) {
-        freed = false;
+        last_use = false;
         break;
       }
     }
-    if (freed) footprint -= freeables_[f].size_bytes;
+    if (last_use) freed += freeables_[f].size_bytes;
   }
-  return Transition{footprint, step_peak};
+  return freed;
 }
 
 }  // namespace serenity::core

@@ -16,7 +16,11 @@
 //    needed for schedule reconstruction is an 8-byte ReconRecord.
 //    Deduplication runs through an open-addressing (linear-probe) table of
 //    int32 state indices keyed by the cached hashes — no per-state
-//    allocation anywhere.
+//    allocation anywhere. A candidate child is looked up before it is
+//    derived: Find probes once, a state the level already holds is only
+//    relaxed (peak, tie key, back-pointer), and only a new signature pays
+//    for its frontier mask, free scan and floor before Insert fills the
+//    slot Find returned.
 //
 //  - SignatureHasher: Zobrist hashing. Every node gets a fixed SplitMix64
 //    key; hash(S) = XOR of the keys of S's members, so a child state's hash
@@ -31,11 +35,11 @@
 //    (deallocate-after-last-use as a word-wise `touchers ⊆ scheduled ∪ {u}`
 //    subset check).
 //
-// Lifecycle of a level: Init → InsertOrRelax (during expansion of the
-// previous level) → Seal → read-only expansion → TakeReconAndRelease,
-// which frees everything but the 8-byte records. A finished level
-// therefore costs 8 bytes/state instead of the seed's ~(8*W + 40 +
-// unordered_map node) bytes/state.
+// Lifecycle of a level: Init → Find, then Relax or Insert (during
+// expansion of the previous level) → Seal → read-only expansion →
+// TakeReconAndRelease, which frees everything but the 8-byte records. A
+// finished level therefore costs 8 bytes/state instead of the seed's
+// ~(8*W + 40 + unordered_map node) bytes/state.
 //
 // Beam search is the same walk and the same lifecycle, with one step
 // added after Seal: a level holding more than `width` states is replaced
@@ -133,21 +137,39 @@ class StateLevel {
 
   std::size_t words_per_state() const { return words_; }
 
-  // Inserts the state or relaxes the existing one (same signature ⇒ same
-  // footprint; the lower peak and its back-pointer win, equal peaks resolve
-  // to the lower `tie_key` — an intrinsic candidate id, see
-  // SignatureHasher::tie_key, so the winner is independent of arrival
-  // order). `frontier` is the W-word zero-indegree mask of `sig`; it is
-  // copied only when a new state is created (a relaxed state keeps its own,
-  // which is the same set). Returns true iff a new state was created. Only
-  // valid before Seal().
-  bool InsertOrRelax(const std::uint64_t* sig, const std::uint64_t* frontier,
-                     std::uint64_t hash, std::int64_t footprint,
-                     std::int64_t peak, std::uint64_t tie_key,
-                     std::int32_t prev_index, std::int32_t last_node);
+  // Where a signature sits in the table: `state` is its index, or -1 when
+  // the level does not hold it yet, and then `slot` is the empty table
+  // slot that Insert fills.
+  struct Probe {
+    std::int32_t state = -1;
+    std::size_t slot = 0;
+  };
 
-  // Drops the hash table; states keep their insertion order. Accessors
-  // below are only valid after Seal().
+  // Looks up `sig` (whose Zobrist hash is `hash`): one probe, which the
+  // caller follows with Relax for a found state or Insert for a new one.
+  // Grows the table first when one more state would pass its load factor,
+  // so the returned slot stays valid until the next Find or Insert. Only
+  // valid before Seal().
+  Probe Find(const std::uint64_t* sig, std::uint64_t hash);
+
+  // Offers found state `state` a new back-pointer: the lower peak wins,
+  // and equal peaks resolve to the lower `tie_key` (an intrinsic candidate
+  // id, see SignatureHasher::tie_key), so the winner is independent of
+  // arrival order. The footprint and frontier mask are not offered: both
+  // are functions of the signature alone, so the stored ones already hold.
+  void Relax(std::int32_t state, std::int64_t peak, std::uint64_t tie_key,
+             std::int32_t prev_index, std::int32_t last_node);
+
+  // Creates `sig` in the empty slot that Find just returned for it, with
+  // its W-word zero-indegree mask `frontier`.
+  void Insert(const Probe& probe, const std::uint64_t* sig,
+              const std::uint64_t* frontier, std::uint64_t hash,
+              std::int64_t footprint, std::int64_t peak,
+              std::uint64_t tie_key, std::int32_t prev_index,
+              std::int32_t last_node);
+
+  // Drops the hash table; states keep their insertion order. The accessors
+  // below read any inserted state, before or after Seal().
   void Seal();
 
   std::size_t size() const { return cols_.count; }
@@ -277,26 +299,29 @@ class ExpansionTables {
   // bytes its next step must allocate. The child's frontier is
   // (parent frontier \ {u}) ∪ `newly_ready` (ChildFrontier's output), and
   // the returned value is a pure function of the child signature — every
-  // duplicate candidate computes the same floor, which keeps relax winners
-  // (and the reconstructed schedule) bit-identical under pruning. Returns
-  // kNoAlloc when the child is the full state.
+  // duplicate candidate would compute the same floor, so the DP computes it
+  // only for a new child, and relax winners (and the reconstructed
+  // schedule) stay bit-identical under pruning. Returns kNoAlloc when the
+  // child is the full state.
   std::int64_t ChildNextAllocFloor(
       const std::uint64_t* child_sig, std::int32_t u,
       const FrontierAllocs& fa,
       const std::vector<std::int32_t>& newly_ready) const;
 
-  struct Transition {
-    std::int64_t footprint;  // µ after scheduling `node` and freeing
-    std::int64_t step_peak;  // transient µ (output live, dead inputs not yet
-                             // freed) — what the soft budget prunes on
-  };
-
-  // Schedules `node` on top of state `sig` (which must not contain it and
-  // must contain its predecessors). If step_peak exceeds `budget` the free
-  // scan is skipped and `footprint` is unspecified — callers prune on
-  // step_peak first.
-  Transition Apply(const std::uint64_t* sig, std::int32_t node,
-                   std::int64_t footprint, std::int64_t budget) const;
+  // The two halves of scheduling `node` on top of state `sig` (which must
+  // not contain it and must contain its predecessors), split so the walk
+  // can cut a step on its peak, and look its child up, before it pays for
+  // the free scan.
+  //
+  // StepPeak: the transient footprint once `node`'s output is allocated on
+  // first write and before anything is freed — what the soft budget and
+  // the incumbent step cut prune on. `footprint` is sig's footprint.
+  std::int64_t StepPeak(const std::uint64_t* sig, std::int32_t node,
+                        std::int64_t footprint) const;
+  // FreedBytes: the bytes of every non-sink buffer whose last use is
+  // `node` (touchers ⊆ sig ∪ {node}). The child's footprint is
+  // StepPeak − FreedBytes.
+  std::int64_t FreedBytes(const std::uint64_t* sig, std::int32_t node) const;
 
   // Bytes of the flattened graph-side constants (by vector capacity) — the
   // fixed part of a run's memory-budget reservation.

@@ -85,7 +85,9 @@ Lattice EnumerateLattice(const ExpansionTables& tables,
       tables.FrontierMask(sig.data(), mask.data());
       util::SpanAppendSetBits(mask.data(), words, &frontier);
       for (const std::int32_t u : frontier) {
-        const auto t = tables.Apply(sig.data(), u, foot, kInf);
+        const std::int64_t step_peak = tables.StepPeak(sig.data(), u, foot);
+        const std::int64_t child_foot =
+            step_peak - tables.FreedBytes(sig.data(), u);
         std::vector<std::uint64_t> child = sig;
         util::SpanSetBit(child.data(), static_cast<std::size_t>(u));
         const std::uint64_t ch =
@@ -95,13 +97,17 @@ Lattice EnumerateLattice(const ExpansionTables& tables,
           ci = static_cast<std::int32_t>(lat.sig.size());
           lat.by_hash[ch].push_back(ci);
           lat.sig.push_back(std::move(child));
-          lat.footprint.push_back(t.footprint);
+          lat.footprint.push_back(child_foot);
           lat.hash.push_back(ch);
           lat.edges.emplace_back();
           lat.level_states[lvl + 1].push_back(ci);
+        } else {
+          // Every path into a signature reaches the same footprint: the DP
+          // relaxes a found child without deriving it again.
+          EXPECT_EQ(lat.footprint[static_cast<std::size_t>(ci)], child_foot);
         }
         lat.edges[static_cast<std::size_t>(s)].push_back(
-            Lattice::Edge{ci, t.step_peak});
+            Lattice::Edge{ci, step_peak});
       }
     }
   }
@@ -164,10 +170,11 @@ TEST(BoundAdmissibility, FrontierFloorIsExactAndRespectsTheSuffixOracle) {
       ASSERT_EQ(fa.alloc.size(), frontier.size()) << ctx;
       std::int64_t min_next_step = kInf;
       for (std::size_t fi = 0; fi < frontier.size(); ++fi) {
-        const auto t = tables.Apply(sig, frontier[fi], foot, kInf);
-        ASSERT_EQ(fa.alloc[fi], t.step_peak - foot)
+        const std::int64_t step_peak =
+            tables.StepPeak(sig, frontier[fi], foot);
+        ASSERT_EQ(fa.alloc[fi], step_peak - foot)
             << ctx << " state " << s << " cand " << frontier[fi];
-        min_next_step = std::min(min_next_step, t.step_peak);
+        min_next_step = std::min(min_next_step, step_peak);
       }
       ASSERT_EQ(foot + fa.min1, min_next_step) << ctx << " state " << s;
       ASSERT_LE(foot + fa.min1, lat.suffix[s]) << ctx << " state " << s;
@@ -190,9 +197,9 @@ TEST(BoundAdmissibility, FrontierFloorIsExactAndRespectsTheSuffixOracle) {
                                 &child_frontier);
         std::int64_t direct = kInf;
         for (const std::int32_t v : child_frontier) {
-          const auto tv =
-              tables.Apply(lat.sig[c].data(), v, lat.footprint[c], kInf);
-          direct = std::min(direct, tv.step_peak - lat.footprint[c]);
+          direct = std::min(direct, tables.StepPeak(lat.sig[c].data(), v,
+                                                    lat.footprint[c]) -
+                                        lat.footprint[c]);
         }
         ASSERT_EQ(floor, direct) << ctx << " state " << s << " -> " << u;
         ASSERT_LE(lat.footprint[c] + floor, lat.suffix[c])

@@ -1,4 +1,4 @@
-#include "sched/brute_force.h"
+#include "testing/brute_force.h"
 
 #include <gtest/gtest.h>
 
@@ -7,12 +7,18 @@
 #include "sched/schedule.h"
 #include "util/rng.h"
 
-namespace serenity::sched {
+namespace serenity::testing {
 namespace {
 
 using graph::GraphBuilder;
 using graph::NodeId;
 using graph::TensorShape;
+using sched::DfsPostorderSchedule;
+using sched::GreedyMemorySchedule;
+using sched::IsTopologicalOrder;
+using sched::KahnFifoSchedule;
+using sched::PeakFootprint;
+using sched::TfLiteOrderSchedule;
 
 TensorShape Units(int c) { return TensorShape{1, 16, 16, c}; }
 
@@ -104,4 +110,4 @@ TEST(BruteForceDeath, RefusesOversizedSearch) {
 }
 
 }  // namespace
-}  // namespace serenity::sched
+}  // namespace serenity::testing

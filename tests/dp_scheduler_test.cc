@@ -2,15 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "graph/builder.h"
+#include "models/randwire.h"
 #include "models/swiftnet.h"
+#include "rewrite/rewriter.h"
 #include "sched/baselines.h"
-#include "sched/brute_force.h"
+#include "sched/beam.h"
 #include "sched/schedule.h"
+#include "testing/brute_force.h"
 #include "testing/random_graphs.h"
 #include "testing/reference_impls.h"
 #include "util/rng.h"
@@ -56,8 +60,8 @@ TEST_P(DpOptimalityTest, MatchesBruteForceOracle) {
   opts.num_ops = 8;  // ~9-10 nodes: oracle-tractable
   const graph::Graph g =
       testing::RandomDag(rng, opts, "opt" + std::to_string(GetParam()));
-  const sched::BruteForceResult oracle =
-      sched::BruteForceOptimalSchedule(g);
+  const testing::BruteForceResult oracle =
+      testing::BruteForceOptimalSchedule(g);
   const DpResult dp = ScheduleDp(g);
   ASSERT_EQ(dp.status, DpStatus::kSolution);
   EXPECT_EQ(dp.peak_bytes, oracle.peak_bytes)
@@ -251,8 +255,8 @@ TEST(DpScheduler, OptimalWithSharedAccumulatorBuffers) {
 
   const DpResult dp = ScheduleDp(g);
   ASSERT_EQ(dp.status, DpStatus::kSolution);
-  const sched::BruteForceResult oracle =
-      sched::BruteForceOptimalSchedule(g);
+  const testing::BruteForceResult oracle =
+      testing::BruteForceOptimalSchedule(g);
   EXPECT_EQ(dp.peak_bytes, oracle.peak_bytes);
   // Interleaving x_i with its partial keeps only one branch input alive:
   // peak = acc(4) + x(2) + x(2)... optimal: x0, p0 (x0 dies), x1, p1, ...
@@ -288,6 +292,66 @@ TEST(DpSchedulerBound, FrontierFloorPrunesSinkDominatedGraphExactly) {
   EXPECT_EQ(r.peak_bytes, off.peak_bytes);
   EXPECT_EQ(r.schedule, off.schedule);
   EXPECT_GT(r.pruned.frontier_floor, 0u);
+}
+
+// Search counts beyond the zoo: two rewritten single-segment RandWire cells
+// whose exact searches are 13x and 44x the largest zoo segment's. Each runs
+// a direct DP whose incumbent is the best of greedy, Kahn and a width-8
+// beam. A change to the order in which the walk cuts, looks up and derives
+// children must leave every count, the peak and the schedule as recorded.
+struct RecordedSearch {
+  int num_nodes;
+  std::uint64_t seed;
+  std::int64_t incumbent;
+  std::int64_t peak;
+  std::uint64_t states;
+  std::uint64_t transitions;
+  std::uint64_t pruned_incumbent;
+  std::uint64_t pruned_floor;
+  std::uint64_t max_level_states;
+  sched::Schedule schedule;
+};
+
+TEST(DpSchedulerBound, RandWireSearchCountsAreAsRecorded) {
+  const RecordedSearch cases[] = {
+      {40, 1, 622592, 622592, 74591, 456903, 0, 39365, 8337,
+       {0,  1,  2,  3,  9,  10, 11, 22, 4,  5,  37, 6,  8,  7,  12,
+        16, 20, 27, 21, 23, 30, 32, 25, 34, 13, 36, 38, 40, 17, 24,
+        28, 35, 19, 29, 33, 31, 26, 14, 15, 18, 39, 41, 42}},
+      {48, 2, 688128, 589824, 259297, 1548505, 0, 124119, 22073,
+       {0,  1,  2,  3,  4,  7,  9,  6,  8,  10, 12, 13, 14, 15, 17, 23, 24,
+        25, 26, 36, 27, 37, 5,  42, 11, 16, 18, 19, 35, 41, 46, 21, 22, 29,
+        28, 32, 34, 39, 43, 44, 30, 20, 31, 38, 40, 33, 45, 47, 48, 49, 50}},
+  };
+  for (const RecordedSearch& want : cases) {
+    models::RandWireParams params;
+    params.num_nodes = want.num_nodes;
+    params.seed = want.seed;
+    const graph::Graph g =
+        rewrite::RewriteGraph(models::MakeRandWireCell(params)).graph;
+    const std::string ctx = "N=" + std::to_string(want.num_nodes) +
+                            " seed " + std::to_string(want.seed);
+    sched::BeamOptions beam_options;
+    beam_options.width = 8;
+    const sched::BeamResult beam = sched::ScheduleBeam(g, beam_options);
+    ASSERT_TRUE(beam.status.ok()) << ctx;
+    DpOptions options;
+    options.incumbent_bytes = std::min(
+        {sched::PeakFootprint(g, sched::GreedyMemorySchedule(g)),
+         sched::PeakFootprint(g, sched::KahnFifoSchedule(g)),
+         beam.peak_bytes});
+    ASSERT_EQ(options.incumbent_bytes, want.incumbent) << ctx;
+
+    const DpResult r = ScheduleDp(g, options);
+    ASSERT_EQ(r.status, DpStatus::kSolution) << ctx;
+    EXPECT_EQ(r.peak_bytes, want.peak) << ctx;
+    EXPECT_EQ(r.states_expanded, want.states) << ctx;
+    EXPECT_EQ(r.transitions, want.transitions) << ctx;
+    EXPECT_EQ(r.pruned.incumbent, want.pruned_incumbent) << ctx;
+    EXPECT_EQ(r.pruned.frontier_floor, want.pruned_floor) << ctx;
+    EXPECT_EQ(r.max_level_states, want.max_level_states) << ctx;
+    EXPECT_EQ(r.schedule, want.schedule) << ctx;
+  }
 }
 
 }  // namespace

@@ -9,15 +9,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "core/dp_scheduler.h"
 #include "graph/analysis.h"
 #include "graph/builder.h"
+#include "rewrite/rewriter.h"
+#include "sched/baselines.h"
 #include "sched/beam.h"
-#include "sched/brute_force.h"
 #include "sched/schedule.h"
+#include "testing/brute_force.h"
 #include "testing/random_graphs.h"
 #include "util/bitset.h"
 #include "util/cancel_token.h"
@@ -29,6 +32,23 @@ namespace serenity::core {
 namespace {
 
 // ---------------------------------------------------------------- StateLevel
+
+// Find, then Relax or Insert, as the walk does; true iff a state was
+// created.
+bool InsertOrRelax(StateLevel& level, const std::uint64_t* sig,
+                   const std::uint64_t* frontier, std::uint64_t hash,
+                   std::int64_t footprint, std::int64_t peak,
+                   std::uint64_t tie_key, std::int32_t prev_index,
+                   std::int32_t last_node) {
+  const StateLevel::Probe probe = level.Find(sig, hash);
+  if (probe.state >= 0) {
+    level.Relax(probe.state, peak, tie_key, prev_index, last_node);
+    return false;
+  }
+  level.Insert(probe, sig, frontier, hash, footprint, peak, tie_key,
+               prev_index, last_node);
+  return true;
+}
 
 TEST(SignatureHasher, IsDeterministicAndIncremental) {
   const SignatureHasher a(64);
@@ -51,17 +71,20 @@ TEST(StateLevel, InsertDedupAndRelax) {
   const std::uint64_t mask_a[2] = {0b1010, 1};
   const std::uint64_t mask_b[2] = {0b0100, 2};
   const std::uint64_t other[2] = {~std::uint64_t{0}, ~std::uint64_t{0}};
-  EXPECT_TRUE(level.InsertOrRelax(sig_a, mask_a, 111, 10, 50, 9, 0, 2));
-  EXPECT_TRUE(level.InsertOrRelax(sig_b, mask_b, 222, 20, 40, 9, 1, 1));
+  EXPECT_TRUE(InsertOrRelax(level, sig_a, mask_a, 111, 10, 50, 9, 0, 2));
+  EXPECT_TRUE(InsertOrRelax(level, sig_b, mask_b, 222, 20, 40, 9, 1, 1));
   // Duplicate signature with a worse peak: ignored.
-  EXPECT_FALSE(level.InsertOrRelax(sig_a, other, 111, 10, 60, 9, 3, 0));
+  EXPECT_FALSE(InsertOrRelax(level, sig_a, other, 111, 10, 60, 9, 3, 0));
   // Duplicate with a better peak: relaxes peak and back-pointer, but the
   // frontier mask is written on creation only.
-  EXPECT_FALSE(level.InsertOrRelax(sig_a, other, 111, 10, 30, 9, 4, 0));
+  EXPECT_FALSE(InsertOrRelax(level, sig_a, other, 111, 10, 30, 9, 4, 0));
   // Equal peak: the lower intrinsic tie key takes the back-pointer, a
   // higher one is ignored.
-  EXPECT_FALSE(level.InsertOrRelax(sig_a, other, 111, 10, 30, 3, 5, 0));
-  EXPECT_FALSE(level.InsertOrRelax(sig_a, other, 111, 10, 30, 7, 6, 0));
+  EXPECT_FALSE(InsertOrRelax(level, sig_a, other, 111, 10, 30, 3, 5, 0));
+  EXPECT_FALSE(InsertOrRelax(level, sig_a, other, 111, 10, 30, 7, 6, 0));
+  // A lookup names the held state; an absent signature gets an empty slot.
+  EXPECT_EQ(level.Find(sig_b, 222).state, 1);
+  EXPECT_EQ(level.Find(other, 333).state, -1);
   level.Seal();
   ASSERT_EQ(level.size(), 2u);
   EXPECT_EQ(level.footprint(0), 10);
@@ -85,9 +108,9 @@ TEST(StateLevel, GrowsPastInitialCapacityWithoutLosingStates) {
   const SignatureHasher hasher(64);
   for (std::size_t u = 0; u < 64; ++u) {
     const std::uint64_t sig[1] = {std::uint64_t{1} << u};
-    EXPECT_TRUE(level.InsertOrRelax(sig, sig, hasher.key(u),
-                                    static_cast<std::int64_t>(u), 0, 0, -1,
-                                    static_cast<std::int32_t>(u)));
+    EXPECT_TRUE(InsertOrRelax(level, sig, sig, hasher.key(u),
+                              static_cast<std::int64_t>(u), 0, 0, -1,
+                              static_cast<std::int32_t>(u)));
   }
   level.Seal();
   ASSERT_EQ(level.size(), 64u);
@@ -109,9 +132,10 @@ TEST(StateLevel, SelectCompactsInGivenOrder) {
   const SignatureHasher hasher(8);
   for (std::size_t u = 0; u < 4; ++u) {
     const std::uint64_t sig[1] = {std::uint64_t{1} << u};
-    level.InsertOrRelax(sig, sig, hasher.key(u), static_cast<std::int64_t>(u),
-                        static_cast<std::int64_t>(10 + u), 0, -1,
-                        static_cast<std::int32_t>(u));
+    InsertOrRelax(level, sig, sig, hasher.key(u),
+                  static_cast<std::int64_t>(u),
+                  static_cast<std::int64_t>(10 + u), 0, -1,
+                  static_cast<std::int32_t>(u));
   }
   level.Seal();
   const StateLevel pruned = level.Select({3, 1});
@@ -145,8 +169,8 @@ TEST(StateLevel, TakeReconAndReleaseReturnsAllRecords) {
   level.Init(1, 4);
   const std::uint64_t s0[1] = {1};
   const std::uint64_t s1[1] = {2};
-  level.InsertOrRelax(s0, s1, 11, 0, 0, 0, 7, 0);
-  level.InsertOrRelax(s1, s0, 22, 0, 0, 0, 8, 1);
+  InsertOrRelax(level, s0, s1, 11, 0, 0, 0, 7, 0);
+  InsertOrRelax(level, s1, s0, 22, 0, 0, 0, 8, 1);
   level.Seal();
   const std::vector<ReconRecord> recon = level.TakeReconAndRelease();
   ASSERT_EQ(recon.size(), 2u);
@@ -270,32 +294,76 @@ TEST(ExpansionTables, FrontierMatchesDirectComputation) {
   }
 }
 
-TEST(ExpansionTables, ApplyMatchesScheduleEvaluator) {
-  // Walking any topological order through Apply() must reproduce the
-  // step-by-step footprints of the reference evaluator.
-  util::Rng rng(57);
-  testing::RandomDagOptions opts;
-  opts.num_ops = 14;
-  const graph::Graph g = testing::RandomDag(rng, opts, "apply");
-  const graph::BufferUseTable table = graph::BufferUseTable::Build(g);
-  const ExpansionTables tables(g, table, graph::BuildAdjacency(g));
-  const std::size_t n = static_cast<std::size_t>(g.num_nodes());
-
-  const core::DpResult dp = ScheduleDp(g);
-  ASSERT_EQ(dp.status, DpStatus::kSolution);
-  const sched::FootprintResult eval = sched::EvaluateFootprint(g, dp.schedule);
-
-  util::Bitset64 scheduled(n);
+// Walks `schedule` through StepPeak and FreedBytes and checks every step
+// against the reference evaluator. Also checks that every walk reaching a
+// signature reaches it with the same footprint, across all the walks that
+// share `footprint_of`: the DP relaxes a child it already holds without
+// deriving it again, which is exact only because of this.
+void ExpectStepsMatchEvaluator(
+    const graph::Graph& g, const graph::BufferUseTable& table,
+    const ExpansionTables& tables, const sched::Schedule& schedule,
+    std::map<std::vector<std::uint64_t>, std::int64_t>* footprint_of,
+    const std::string& ctx) {
+  const sched::FootprintResult eval =
+      sched::EvaluateFootprint(g, table, schedule);
+  util::Bitset64 scheduled(static_cast<std::size_t>(g.num_nodes()));
   std::int64_t footprint = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::int32_t u = static_cast<std::int32_t>(dp.schedule[i]);
-    const ExpansionTables::Transition t = tables.Apply(
-        scheduled.words(), u, footprint, core::kNoBudget);
-    EXPECT_EQ(t.step_peak, eval.peak_at_step[i]) << "step " << i;
-    EXPECT_EQ(t.footprint, eval.footprint_after_step[i]) << "step " << i;
-    footprint = t.footprint;
+  for (std::size_t i = 0; i < schedule.size(); ++i) {
+    const std::int32_t u = static_cast<std::int32_t>(schedule[i]);
+    const std::int64_t step_peak =
+        tables.StepPeak(scheduled.words(), u, footprint);
+    ASSERT_EQ(step_peak, eval.peak_at_step[i]) << ctx << " step " << i;
+    footprint = step_peak - tables.FreedBytes(scheduled.words(), u);
+    ASSERT_EQ(footprint, eval.footprint_after_step[i]) << ctx << " step " << i;
     scheduled.Set(static_cast<std::size_t>(u));
+    const auto [it, inserted] = footprint_of->emplace(
+        std::vector<std::uint64_t>(scheduled.words(),
+                                   scheduled.words() + scheduled.num_words()),
+        footprint);
+    ASSERT_EQ(it->second, footprint) << ctx << " step " << i;
   }
+}
+
+TEST(ExpansionTables, StepPeakAndFreedBytesMatchScheduleEvaluator) {
+  // 200 random DAGs, each raw and rewritten: the rewrite's partial convs
+  // share one accumulator buffer, so a step may allocate nothing. Each is
+  // walked along the DP's schedule and three random topological orders.
+  util::Rng rng(57);
+  int shared_accumulator_graphs = 0;
+  for (int i = 0; i < 200; ++i) {
+    testing::RandomDagOptions opts;
+    opts.num_ops = 6 + i % 19;
+    opts.max_channels = 1 + i % 5;
+    opts.extra_edge_p = 0.25 + (i % 4) * 0.25;
+    opts.join_sinks = i % 3 != 0;
+    const graph::Graph raw =
+        testing::RandomDag(rng, opts, "steps" + std::to_string(i));
+    const graph::Graph rewritten = rewrite::RewriteGraph(raw).graph;
+    for (const graph::Graph* g : {&raw, &rewritten}) {
+      const std::string ctx = "graph " + std::to_string(i) +
+                              (g == &raw ? " raw" : " rewritten");
+      const graph::BufferUseTable table = graph::BufferUseTable::Build(*g);
+      const ExpansionTables tables(*g, table, graph::BuildAdjacency(*g));
+      if (std::any_of(table.buffers.begin(), table.buffers.end(),
+                      [](const graph::BufferUse& use) {
+                        return use.writers.size() >= 2;
+                      })) {
+        ++shared_accumulator_graphs;
+      }
+      std::map<std::vector<std::uint64_t>, std::int64_t> footprint_of;
+      const DpResult dp = ScheduleDp(*g);
+      ASSERT_EQ(dp.status, DpStatus::kSolution) << ctx;
+      ExpectStepsMatchEvaluator(*g, table, tables, dp.schedule, &footprint_of,
+                                ctx + " dp order");
+      for (int order = 0; order < 3; ++order) {
+        ExpectStepsMatchEvaluator(
+            *g, table, tables, sched::RandomTopologicalSchedule(*g, rng),
+            &footprint_of, ctx + " random order " + std::to_string(order));
+      }
+      if (::testing::Test::HasFailure()) return;  // one counterexample
+    }
+  }
+  EXPECT_GT(shared_accumulator_graphs, 20);
 }
 
 // ------------------------------------- randomized end-to-end property suite
@@ -309,7 +377,8 @@ TEST_P(StateStoreProperty, DpMatchesOracle) {
   opts.num_ops = 8 + seed % 6;  // up to 14 ops: oracle-tractable
   const graph::Graph g =
       testing::RandomDag(rng, opts, "prop" + std::to_string(seed));
-  const sched::BruteForceResult oracle = sched::BruteForceOptimalSchedule(g);
+  const testing::BruteForceResult oracle =
+      testing::BruteForceOptimalSchedule(g);
 
   const DpOptions options;
   const DpResult dp = ScheduleDp(g, options);

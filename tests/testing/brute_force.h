@@ -1,13 +1,31 @@
-#include "sched/brute_force.h"
+// Exhaustive minimum-peak-footprint scheduler, the test oracle of the
+// dynamic-programming scheduler.
+//
+// Enumerates every topological order (the paper's S_T space, §2.3) and keeps
+// the one with the smallest peak footprint. Complexity O(|V|!): usable only
+// as a test oracle for the dynamic-programming scheduler's optimality proof
+// obligations (paper Appendix C) on graphs of ~10 nodes and below.
+#ifndef SERENITY_TESTS_TESTING_BRUTE_FORCE_H_
+#define SERENITY_TESTS_TESTING_BRUTE_FORCE_H_
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "graph/analysis.h"
+#include "graph/graph.h"
+#include "sched/schedule.h"
 #include "util/logging.h"
 
-namespace serenity::sched {
+namespace serenity::testing {
 
-namespace {
+struct BruteForceResult {
+  sched::Schedule schedule;
+  std::int64_t peak_bytes = 0;
+  std::uint64_t orders_enumerated = 0;
+};
+
+namespace brute_force_internal {
 
 // Depth-first enumeration carrying the incremental footprint state, so each
 // complete order costs O(|V|) rather than a fresh O(|V|+|E|) evaluation.
@@ -118,15 +136,20 @@ class Enumerator {
   std::vector<graph::NodeId> ready_;
   std::vector<int> remaining_uses_;
   std::vector<bool> allocated_;
-  Schedule current_;
+  sched::Schedule current_;
   BruteForceResult result_;
 };
 
-}  // namespace
+}  // namespace brute_force_internal
 
-BruteForceResult BruteForceOptimalSchedule(const graph::Graph& graph,
-                                           std::uint64_t max_orders) {
-  return Enumerator(graph, max_orders).Run();
+// `max_orders` aborts the run (via SERENITY_CHECK) if the space is larger
+// than expected — a guard against accidentally calling the oracle on a big
+// graph rather than a soft limit.
+inline BruteForceResult BruteForceOptimalSchedule(
+    const graph::Graph& graph, std::uint64_t max_orders = 50'000'000) {
+  return brute_force_internal::Enumerator(graph, max_orders).Run();
 }
 
-}  // namespace serenity::sched
+}  // namespace serenity::testing
+
+#endif  // SERENITY_TESTS_TESTING_BRUTE_FORCE_H_

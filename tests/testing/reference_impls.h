@@ -35,13 +35,15 @@ namespace serenity::testing {
 // ------------------------------------------------------- beam (seal & copy)
 //
 // The beam written as plainly as possible: every level materializes ALL
-// deduplicated children (InsertOrRelax), seals, and is then fully sorted
-// by the intrinsic total order (peak, footprint, hash, signature words)
-// and cut to the `width` best via Select. Every frontier mask is computed
-// from scratch (FrontierMask), so the reference does not share the
-// production beam's incremental ChildFrontier or its partial_sort cut;
-// `bnb_property_test` pins the two to the same survivors, tie-breaks
-// included.
+// deduplicated children (Find, then Relax or Insert), seals, and is then
+// fully sorted by the intrinsic total order (peak, footprint, hash,
+// signature words) and cut to the `width` best via Select. Every child is
+// derived in full, duplicates included, and a duplicate's footprint must
+// equal the stored one (the production walk relaxes a found child without
+// deriving it). Every frontier mask is computed from scratch
+// (FrontierMask), so the reference does not share the production beam's
+// incremental ChildFrontier or its partial_sort cut; `bnb_property_test`
+// pins the two to the same survivors, tie-breaks included.
 //
 // `eager` applies the production walk's eager rule: a state whose frontier
 // holds a node with step peak <= the state's peak and footprint <= the
@@ -69,8 +71,9 @@ inline sched::BeamResult ReferenceScheduleBeam(const graph::Graph& graph,
   const std::vector<std::uint64_t> empty(words, 0);
   std::vector<std::uint64_t> child_mask(words);
   tables.FrontierMask(empty.data(), child_mask.data());
-  current.InsertOrRelax(empty.data(), child_mask.data(),
-                        core::SignatureHasher::kEmptyHash, 0, 0, 0, -1, -1);
+  current.Insert(current.Find(empty.data(), core::SignatureHasher::kEmptyHash),
+                 empty.data(), child_mask.data(),
+                 core::SignatureHasher::kEmptyHash, 0, 0, 0, -1, -1);
   current.Seal();
 
   // The intrinsic total order, on a sealed level.
@@ -112,9 +115,9 @@ inline sched::BeamResult ReferenceScheduleBeam(const graph::Graph& graph,
       std::int32_t first_eager = -1;
       if (eager) {
         for (const std::int32_t u : frontier) {
-          const core::ExpansionTables::Transition t = tables.Apply(
-              sig, u, footprint, std::numeric_limits<std::int64_t>::max());
-          if (t.step_peak <= peak && t.footprint <= footprint) {
+          const std::int64_t step_peak = tables.StepPeak(sig, u, footprint);
+          if (step_peak <= peak &&
+              step_peak - tables.FreedBytes(sig, u) <= footprint) {
             first_eager = u;
             break;
           }
@@ -123,17 +126,29 @@ inline sched::BeamResult ReferenceScheduleBeam(const graph::Graph& graph,
       if (first_eager >= 0) frontier.assign(1, first_eager);
       for (const std::int32_t u : frontier) {
         ++result.states_expanded;
-        const core::ExpansionTables::Transition t = tables.Apply(
-            sig, u, footprint, std::numeric_limits<std::int64_t>::max());
+        const std::int64_t step_peak = tables.StepPeak(sig, u, footprint);
+        const std::int64_t child_footprint =
+            step_peak - tables.FreedBytes(sig, u);
         std::copy(sig, sig + words, child.data());
         util::SpanSetBit(child.data(), static_cast<std::size_t>(u));
         tables.FrontierMask(child.data(), child_mask.data());
-        next.InsertOrRelax(
-            child.data(), child_mask.data(),
-            hash ^ hasher.key(static_cast<std::size_t>(u)),
-            t.footprint, std::max(peak, t.step_peak),
-            hasher.candidate_tie(hash, static_cast<std::size_t>(u)),
-            static_cast<std::int32_t>(s), u);
+        const std::uint64_t child_hash =
+            hash ^ hasher.key(static_cast<std::size_t>(u));
+        const std::uint64_t tie =
+            hasher.candidate_tie(hash, static_cast<std::size_t>(u));
+        const core::StateLevel::Probe probe =
+            next.Find(child.data(), child_hash);
+        if (probe.state >= 0) {
+          SERENITY_CHECK_EQ(
+              next.footprint(static_cast<std::size_t>(probe.state)),
+              child_footprint);
+          next.Relax(probe.state, std::max(peak, step_peak), tie,
+                     static_cast<std::int32_t>(s), u);
+        } else {
+          next.Insert(probe, child.data(), child_mask.data(), child_hash,
+                      child_footprint, std::max(peak, step_peak), tie,
+                      static_cast<std::int32_t>(s), u);
+        }
       }
     }
     next.Seal();
