@@ -68,12 +68,12 @@ StateLevel KeepBest(const StateLevel& level, std::size_t width) {
 
 class DpRunner {
  public:
-  DpRunner(const graph::Graph& graph, const DpOptions& options,
+  DpRunner(const ExpansionTables& tables, const DpOptions& options,
            std::size_t width)
       : options_(options),
-        tables_(ExpansionTables::Build(graph)),
-        hasher_(static_cast<std::size_t>(graph.num_nodes())),
-        num_nodes_(static_cast<std::size_t>(graph.num_nodes())),
+        tables_(tables),
+        hasher_(tables.num_nodes()),
+        num_nodes_(tables.num_nodes()),
         words_(tables_.words_per_state()),
         width_(width),
         floor_pruning_(options.incumbent_bytes != kNoBudget &&
@@ -117,12 +117,10 @@ class DpRunner {
         // (Bound pruning alone cannot empty a level — states on an optimal
         // path never exceed a valid incumbent.)
         result.status = DpStatus::kNoSolution;
-        result.levels_completed = static_cast<int>(i);
         return Finish(result, total_clock);
       }
       if (CancelRequested()) {
         result.status = DpStatus::kCancelled;
-        result.levels_completed = static_cast<int>(i);
         return Finish(result, total_clock);
       }
       const std::size_t hint =
@@ -133,7 +131,6 @@ class DpRunner {
       if (!EnsureResident(current.ResidentBytes() +
                           StateLevel::EstimateBytes(words_, hint))) {
         result.status = DpStatus::kResourceExhausted;
-        result.levels_completed = static_cast<int>(i);
         return Finish(result, total_clock);
       }
       StateLevel next;
@@ -142,7 +139,6 @@ class DpRunner {
       if (!completed ||
           level_clock.ElapsedSeconds() > options_.step_timeout_seconds) {
         result.status = completed ? DpStatus::kTimeout : AbortStatus();
-        result.levels_completed = static_cast<int>(i);
         return Finish(result, total_clock);
       }
       next.Seal();
@@ -156,7 +152,6 @@ class DpRunner {
         if (!EnsureResident(current.ResidentBytes() + next.ResidentBytes() +
                             cut.ResidentBytes())) {
           result.status = DpStatus::kResourceExhausted;
-          result.levels_completed = static_cast<int>(i);
           return Finish(result, total_clock);
         }
         next = std::move(cut);
@@ -167,7 +162,6 @@ class DpRunner {
       recon_bytes_ += static_cast<std::int64_t>(recon_[i].capacity() *
                                                 sizeof(ReconRecord));
       current = std::move(next);
-      result.levels_completed = static_cast<int>(i) + 1;
     }
 
     if (current.size() == 0) {
@@ -383,7 +377,7 @@ class DpRunner {
   }
 
   const DpOptions options_;
-  const ExpansionTables tables_;
+  const ExpansionTables& tables_;  // the caller's; outlives the run
   const SignatureHasher hasher_;
   const std::size_t num_nodes_;
   const std::size_t words_;
@@ -409,15 +403,22 @@ class DpRunner {
 
 }  // namespace
 
-DpResult ScheduleDp(const graph::Graph& graph, const DpOptions& options) {
-  return ScheduleDpBeam(graph, options, kUnlimitedWidth);
+DpResult ScheduleDp(const ExpansionTables& tables, const DpOptions& options) {
+  return ScheduleDpBeam(tables, options, kUnlimitedWidth);
 }
 
-DpResult ScheduleDpBeam(const graph::Graph& graph, const DpOptions& options,
-                        std::size_t width) {
-  SERENITY_CHECK_GT(graph.num_nodes(), 0) << "cannot schedule an empty graph";
+DpResult ScheduleDp(const graph::Graph& graph, const DpOptions& options) {
+  return ScheduleDp(ExpansionTables(graph, graph::BufferUseTable::Build(graph),
+                                    graph::BuildAdjacency(graph)),
+                    options);
+}
+
+DpResult ScheduleDpBeam(const ExpansionTables& tables,
+                        const DpOptions& options, std::size_t width) {
+  SERENITY_CHECK_GT(tables.num_nodes(), 0u)
+      << "cannot schedule an empty graph";
   SERENITY_CHECK_GT(width, 0u);
-  return DpRunner(graph, options, width).Run();
+  return DpRunner(tables, options, width).Run();
 }
 
 }  // namespace serenity::core

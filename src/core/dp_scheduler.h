@@ -45,6 +45,9 @@
 //
 // Beam search (ScheduleDpBeam, wrapped by sched::ScheduleBeam) is the same
 // walk with a post-seal cut of each level to its `width` best states.
+// Both read the graph only through a caller-built, read-only
+// ExpansionTables, which Pipeline shares across a segment's runs (DESIGN.md
+// "One analysis per plan").
 #ifndef SERENITY_CORE_DP_SCHEDULER_H_
 #define SERENITY_CORE_DP_SCHEDULER_H_
 
@@ -61,6 +64,8 @@ namespace serenity::core {
 
 inline constexpr std::int64_t kNoBudget =
     std::numeric_limits<std::int64_t>::max();
+
+class ExpansionTables;  // core/state_store.h
 
 struct DpOptions {
   // Soft budget τ in bytes; transitions whose transient footprint exceeds it
@@ -160,10 +165,12 @@ struct DpResult {
   // State count of the widest sealed level of the run (before any beam
   // cut).
   std::uint64_t max_level_states = 0;
-  int levels_completed = 0;
   double seconds = 0.0;
 };
 
+// The graph form builds the tables first.
+DpResult ScheduleDp(const ExpansionTables& tables,
+                    const DpOptions& options = {});
 DpResult ScheduleDp(const graph::Graph& graph, const DpOptions& options = {});
 
 // The same walk keeping only the `width` best states of each sealed level
@@ -175,8 +182,8 @@ DpResult ScheduleDp(const graph::Graph& graph, const DpOptions& options = {});
 // `incumbent_bytes` runs, and since a state it drops ranks below every
 // state within the incumbent, it changes no survivor within it; a level it
 // empties ends the run with kNoSolution. ScheduleDp is the unlimited width.
-DpResult ScheduleDpBeam(const graph::Graph& graph, const DpOptions& options,
-                        std::size_t width);
+DpResult ScheduleDpBeam(const ExpansionTables& tables,
+                        const DpOptions& options, std::size_t width);
 
 }  // namespace serenity::core
 

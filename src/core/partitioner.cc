@@ -35,12 +35,11 @@ std::vector<graph::NodeId> FindCutNodes(const graph::Graph& graph) {
 
 namespace {
 
-// Builds the standalone graph for original nodes `members` (sorted
-// ascending). `boundary` is the previous cut node feeding this segment, or
-// kInvalidNode for the first segment.
-Segment ExtractSegment(const graph::Graph& graph,
-                       const std::vector<graph::NodeId>& members,
-                       graph::NodeId boundary, int index) {
+// Builds the standalone graph for the original nodes with ids in
+// (boundary, last]. `boundary` is the previous cut node feeding this
+// segment, or kInvalidNode (-1) for the first segment.
+Segment ExtractSegment(const graph::Graph& graph, graph::NodeId boundary,
+                       graph::NodeId last, int index) {
   Segment segment;
   segment.subgraph.set_name(graph.name() + "/segment" + std::to_string(index));
   std::vector<graph::NodeId> remap(
@@ -72,7 +71,7 @@ Segment ExtractSegment(const graph::Graph& graph,
     segment.num_placeholders = 1;
   }
 
-  for (const graph::NodeId id : members) {
+  for (graph::NodeId id = boundary + 1; id <= last; ++id) {
     const graph::Node& orig = graph.node(id);
     graph::Node copy = orig;
     copy.id = graph::kInvalidNode;
@@ -105,12 +104,9 @@ std::vector<int> Partition::SegmentSizes() const {
 
 Partition PartitionAtCuts(const graph::Graph& graph,
                           const PartitionOptions& options) {
+  SERENITY_CHECK_GT(graph.num_nodes(), 0) << "cannot partition an empty graph";
   Partition partition;
-  partition.cut_nodes = FindCutNodes(graph);
-
-  const graph::ReachabilityBitsets reach = graph::BuildReachability(graph);
-
-  std::vector<graph::NodeId> candidates = partition.cut_nodes;
+  std::vector<graph::NodeId> candidates = FindCutNodes(graph);
   // The final node cannot start a new segment — it only ends the last one.
   if (!candidates.empty() && candidates.back() == graph.num_nodes() - 1) {
     candidates.pop_back();
@@ -147,38 +143,15 @@ Partition PartitionAtCuts(const graph::Graph& graph,
     boundaries.pop_back();
   }
 
+  // Segments are id ranges, as in the coalescing: a cut's ancestors are
+  // exactly the lower ids and its descendants the higher ones.
+  boundaries.push_back(graph.num_nodes() - 1);  // closes the last segment
   graph::NodeId prev_cut = graph::kInvalidNode;
-  int index = 0;
-  std::vector<graph::NodeId> members;
-  const auto flush = [&](graph::NodeId up_to_cut) {
-    members.clear();
-    for (graph::NodeId id = 0; id < graph.num_nodes(); ++id) {
-      if (id == up_to_cut) {
-        members.push_back(id);
-        continue;
-      }
-      const bool after_prev =
-          prev_cut == graph::kInvalidNode ||
-          reach.descendants[static_cast<std::size_t>(prev_cut)].Test(
-              static_cast<std::size_t>(id));
-      const bool before_cut =
-          up_to_cut == graph::kInvalidNode ||
-          reach.ancestors[static_cast<std::size_t>(up_to_cut)].Test(
-              static_cast<std::size_t>(id));
-      if (after_prev && before_cut) members.push_back(id);
-    }
-    if (!members.empty()) {
-      partition.segments.push_back(
-          ExtractSegment(graph, members, prev_cut, index++));
-    }
-  };
-
   for (const graph::NodeId cut : boundaries) {
-    flush(cut);
+    partition.segments.push_back(ExtractSegment(
+        graph, prev_cut, cut, static_cast<int>(partition.segments.size())));
     prev_cut = cut;
   }
-  flush(graph::kInvalidNode);  // trailing segment after the last cut
-  SERENITY_CHECK(!partition.segments.empty());
   return partition;
 }
 

@@ -38,7 +38,6 @@ struct Segment {
 
 struct Partition {
   std::vector<Segment> segments;
-  std::vector<graph::NodeId> cut_nodes;
 
   // Sizes of the segments in original-node counts (the paper's
   // "62 = {21, 19, 22}" notation in Table 2).

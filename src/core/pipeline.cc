@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "core/state_store.h"
 #include "sched/baselines.h"
 #include "sched/beam.h"
 #include "testing/fault_injection.h"
@@ -32,15 +33,19 @@ constexpr int kDegradedBeamWidth = 64;
 // schedules, so their peaks are incumbents the branch-and-bound search can
 // prune against; the beam usually tightens the greedy seed substantially at
 // a cost that is small next to the DP it accelerates.
-std::int64_t SeedIncumbent(const graph::Graph& segment, int beam_width,
+std::int64_t SeedIncumbent(const graph::Graph& segment,
+                           const graph::BufferUseTable& table,
+                           const ExpansionTables& tables, int beam_width,
                            util::MemoryBudget* budget,
                            const util::CancelToken* cancel) {
   // Greedy is O(|V|+|E|) with no level storage — it stays ungoverned; the
   // beam pass charges the budget and polls the token, and a refused or
   // cancelled beam simply leaves the greedy seed in place (the DP that
   // follows will surface the budget/cancel signal itself).
-  std::int64_t incumbent = sched::PeakFootprint(
-      segment, sched::GreedyMemorySchedule(segment));
+  std::int64_t incumbent =
+      sched::EvaluateFootprint(segment, table,
+                               sched::GreedyMemorySchedule(segment, table))
+          .peak_bytes;
   if (beam_width > 0) {
     sched::BeamOptions beam_options;
     beam_options.width = beam_width;
@@ -51,7 +56,8 @@ std::int64_t SeedIncumbent(const graph::Graph& segment, int beam_width,
     // bound with the same admissible floors the DP uses. A beam that comes
     // back NotFound (every path cut) just leaves the greedy seed standing.
     beam_options.prune_above_bytes = incumbent;
-    const sched::BeamResult beam = sched::ScheduleBeam(segment, beam_options);
+    const sched::BeamResult beam =
+        sched::ScheduleBeam(segment, tables, beam_options);
     if (beam.status.ok()) {
       incumbent = std::min(incumbent, beam.peak_bytes);
     }
@@ -155,13 +161,18 @@ PipelineResult Pipeline::Run(const graph::Graph& graph) const {
       status = util::CancelledError("planning cancelled by the caller");
       break;
     }
+    // One analysis per segment (DESIGN.md "One analysis per plan").
+    const graph::BufferUseTable table =
+        graph::BufferUseTable::Build(segment.subgraph);
+    const ExpansionTables tables(segment.subgraph, table,
+                                 graph::BuildAdjacency(segment.subgraph));
     // Branch-and-bound seeding (strict pruning: same peak, same schedule,
     // fewer states — DESIGN.md "Branch-and-bound over levels").
     std::int64_t incumbent = kNoBudget;
     if (options_.enable_bound_pruning) {
-      incumbent =
-          SeedIncumbent(segment.subgraph, options_.incumbent_beam_width,
-                        options_.memory_budget, options_.cancel);
+      incumbent = SeedIncumbent(segment.subgraph, table, tables,
+                                options_.incumbent_beam_width,
+                                options_.memory_budget, options_.cancel);
       best_seed_bytes = std::min(best_seed_bytes, incumbent);
     }
     DpStatus dp_status;
@@ -177,7 +188,7 @@ PipelineResult Pipeline::Run(const graph::Graph& graph) const {
       sb_options.memory_budget = options_.memory_budget;
       sb_options.cancel = options_.cancel;
       SoftBudgetResult sb =
-          ScheduleWithSoftBudget(segment.subgraph, sb_options);
+          ScheduleWithSoftBudget(segment.subgraph, table, tables, sb_options);
       result.states_expanded += sb.TotalStates();
       result.states_pruned_by_bound += sb.TotalPrunedByBound();
       result.pruned += sb.TotalPruned();
@@ -191,7 +202,7 @@ PipelineResult Pipeline::Run(const graph::Graph& graph) const {
       dp_options.step_timeout_seconds = remaining();
       dp_options.memory_budget = options_.memory_budget;
       dp_options.cancel = options_.cancel;
-      DpResult dp = ScheduleDp(segment.subgraph, dp_options);
+      DpResult dp = ScheduleDp(tables, dp_options);
       result.states_expanded += dp.states_expanded;
       result.states_pruned_by_bound += dp.states_pruned_by_bound;
       result.pruned += dp.pruned;
@@ -209,13 +220,10 @@ PipelineResult Pipeline::Run(const graph::Graph& graph) const {
   const bool degradable =
       status.code() == util::StatusCode::kDeadlineExceeded ||
       status.code() == util::StatusCode::kResourceExhausted;
+  const graph::Graph& whole = result.scheduled_graph;
   if (status.ok()) {
     result.schedule = CombineSegmentSchedules(partition, segment_schedules);
-    SERENITY_CHECK(
-        sched::IsTopologicalOrder(result.scheduled_graph, result.schedule))
-        << "combined schedule is not a valid topological order";
-    result.peak_bytes =
-        sched::PeakFootprint(result.scheduled_graph, result.schedule);
+    result.peak_bytes = sched::PeakFootprint(whole, result.schedule);
     result.best_known_peak_bytes = result.peak_bytes;
   } else if (degradable && options_.degrade_on_deadline) {
     // Degradation ladder: beam, then the greedy floor, over the whole
@@ -227,10 +235,10 @@ PipelineResult Pipeline::Run(const graph::Graph& graph) const {
             ? DegradeReason::kMemory
             : DegradeReason::kDeadline;
     status = util::OkStatus();
-    const sched::Schedule greedy =
-        sched::GreedyMemorySchedule(result.scheduled_graph);
+    const graph::BufferUseTable table = graph::BufferUseTable::Build(whole);
+    const sched::Schedule greedy = sched::GreedyMemorySchedule(whole, table);
     const std::int64_t greedy_peak =
-        sched::PeakFootprint(result.scheduled_graph, greedy);
+        sched::EvaluateFootprint(whole, table, greedy).peak_bytes;
     result.schedule = greedy;
     result.peak_bytes = greedy_peak;
     result.quality = PlanQuality::kGreedy;
@@ -239,8 +247,9 @@ PipelineResult Pipeline::Run(const graph::Graph& graph) const {
     beam_options.width = kDegradedBeamWidth;
     beam_options.memory_budget = options_.memory_budget;
     beam_options.cancel = options_.cancel;
-    sched::BeamResult beam =
-        sched::ScheduleBeam(result.scheduled_graph, beam_options);
+    sched::BeamResult beam = sched::ScheduleBeam(
+        whole, ExpansionTables(whole, table, graph::BuildAdjacency(whole)),
+        beam_options);
     result.states_expanded += beam.states_expanded;
     // A beam refused by the budget (or cancelled) leaves the greedy
     // floor standing — greedy needs no level storage, so a degraded
@@ -254,8 +263,7 @@ PipelineResult Pipeline::Run(const graph::Graph& graph) const {
         result.quality = PlanQuality::kBeam;
       }
     }
-    SERENITY_CHECK(
-        sched::IsTopologicalOrder(result.scheduled_graph, result.schedule))
+    SERENITY_CHECK(sched::IsTopologicalOrder(whole, result.schedule))
         << "degraded schedule is not a valid topological order";
   }
   // A cancel (the requester is gone, so degrading would burn work nobody

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/state_store.h"
 #include "sched/baselines.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
@@ -10,13 +11,23 @@ namespace serenity::core {
 
 SoftBudgetResult ScheduleWithSoftBudget(const graph::Graph& graph,
                                         const SoftBudgetOptions& options) {
+  const graph::BufferUseTable table = graph::BufferUseTable::Build(graph);
+  return ScheduleWithSoftBudget(
+      graph, table,
+      ExpansionTables(graph, table, graph::BuildAdjacency(graph)), options);
+}
+
+SoftBudgetResult ScheduleWithSoftBudget(const graph::Graph& graph,
+                                        const graph::BufferUseTable& table,
+                                        const ExpansionTables& tables,
+                                        const SoftBudgetOptions& options) {
   util::Stopwatch clock;
   SoftBudgetResult result;
 
   // Hard budget τmax: the peak of Kahn's schedule (Algorithm 2 line 3).
   // Any τ ≥ τmax admits at least that schedule, so τmax is always feasible.
   const sched::Schedule kahn = sched::KahnFifoSchedule(graph);
-  result.tau_max = sched::PeakFootprint(graph, kahn);
+  result.tau_max = sched::EvaluateFootprint(graph, table, kahn).peak_bytes;
 
   // Binary-search window: µ* lies in (lo, hi]. lo rises on 'no solution'
   // (τ < µ*), hi falls on... nothing — a timeout says nothing about µ*, only
@@ -58,7 +69,7 @@ SoftBudgetResult ScheduleWithSoftBudget(const graph::Graph& graph,
     dp_options.budget_bytes = tau;
     dp_options.step_timeout_seconds =
         std::min(options.step_timeout_seconds, remaining());
-    const DpResult attempt = ScheduleDp(graph, dp_options);
+    const DpResult attempt = ScheduleDp(tables, dp_options);
     result.max_level_states =
         std::max(result.max_level_states, attempt.max_level_states);
     result.attempts.push_back(BudgetAttempt{tau, attempt.status,
@@ -111,7 +122,7 @@ SoftBudgetResult ScheduleWithSoftBudget(const graph::Graph& graph,
   // it too — a fallback that overruns is reported as kTimeout and the
   // caller degrades rather than blocking the serving thread.
   fallback.step_timeout_seconds = remaining();
-  const DpResult final_run = ScheduleDp(graph, fallback);
+  const DpResult final_run = ScheduleDp(tables, fallback);
   result.max_level_states =
       std::max(result.max_level_states, final_run.max_level_states);
   result.attempts.push_back(BudgetAttempt{result.tau_max, final_run.status,

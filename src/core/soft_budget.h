@@ -100,6 +100,12 @@ struct SoftBudgetResult {
   }
 };
 
+// `table` (read by τmax's Kahn peak) and `tables` (read by every attempt)
+// are `graph`'s; the second form builds them.
+SoftBudgetResult ScheduleWithSoftBudget(const graph::Graph& graph,
+                                        const graph::BufferUseTable& table,
+                                        const ExpansionTables& tables,
+                                        const SoftBudgetOptions& options = {});
 SoftBudgetResult ScheduleWithSoftBudget(const graph::Graph& graph,
                                         const SoftBudgetOptions& options = {});
 

@@ -232,19 +232,12 @@ class StateLevel {
 
 // Graph-side constants of Algorithm 1, flattened for the expansion hot
 // loop. Self-contained: copies every word it needs into its own arenas.
+// Read-only once built, so one serves every run over its graph.
 class ExpansionTables {
  public:
   ExpansionTables(const graph::Graph& graph,
                   const graph::BufferUseTable& table,
                   const graph::AdjacencyBitsets& adjacency);
-
-  // Builds the use table and adjacency as temporaries: everything the hot
-  // loop needs is copied into the arenas, so callers that only schedule
-  // should not keep their own copies alive.
-  static ExpansionTables Build(const graph::Graph& graph) {
-    return ExpansionTables(graph, graph::BufferUseTable::Build(graph),
-                           graph::BuildAdjacency(graph));
-  }
 
   std::size_t num_nodes() const { return num_nodes_; }
   std::size_t words_per_state() const { return words_; }

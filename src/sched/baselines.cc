@@ -91,7 +91,11 @@ Schedule DfsPostorderSchedule(const graph::Graph& graph) {
 }
 
 Schedule GreedyMemorySchedule(const graph::Graph& graph) {
-  const graph::BufferUseTable table = graph::BufferUseTable::Build(graph);
+  return GreedyMemorySchedule(graph, graph::BufferUseTable::Build(graph));
+}
+
+Schedule GreedyMemorySchedule(const graph::Graph& graph,
+                              const graph::BufferUseTable& table) {
   const std::size_t n = static_cast<std::size_t>(graph.num_nodes());
   std::vector<int> indegree = InDegrees(graph);
   std::vector<graph::NodeId> ready;

@@ -28,6 +28,9 @@ Schedule KahnFifoSchedule(const graph::Graph& graph);
 
 Schedule DfsPostorderSchedule(const graph::Graph& graph);
 
+// `table` is `graph`'s use table; the second form builds it.
+Schedule GreedyMemorySchedule(const graph::Graph& graph,
+                              const graph::BufferUseTable& table);
 Schedule GreedyMemorySchedule(const graph::Graph& graph);
 
 // Draws one topological order uniformly at random among all ready-node

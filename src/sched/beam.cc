@@ -5,11 +5,13 @@
 #include <utility>
 
 #include "core/dp_scheduler.h"
+#include "core/state_store.h"
 #include "util/logging.h"
 
 namespace serenity::sched {
 
 BeamResult ScheduleBeam(const graph::Graph& graph,
+                        const core::ExpansionTables& tables,
                         const BeamOptions& options) {
   SERENITY_CHECK_GT(options.width, 0);
   core::DpOptions dp_options;
@@ -18,7 +20,7 @@ BeamResult ScheduleBeam(const graph::Graph& graph,
   dp_options.memory_budget = options.memory_budget;
   dp_options.cancel = options.cancel;
   core::DpResult run = core::ScheduleDpBeam(
-      graph, dp_options, static_cast<std::size_t>(options.width));
+      tables, dp_options, static_cast<std::size_t>(options.width));
 
   BeamResult result;
   result.states_expanded = run.transitions;
@@ -46,6 +48,15 @@ BeamResult ScheduleBeam(const graph::Graph& graph,
       break;
   }
   return result;
+}
+
+BeamResult ScheduleBeam(const graph::Graph& graph,
+                        const BeamOptions& options) {
+  return ScheduleBeam(graph,
+                      core::ExpansionTables(
+                          graph, graph::BufferUseTable::Build(graph),
+                          graph::BuildAdjacency(graph)),
+                      options);
 }
 
 }  // namespace serenity::sched

@@ -26,6 +26,8 @@
 #include "util/memory_budget.h"
 #include "util/status.h"
 
+namespace serenity::core { class ExpansionTables; }  // core/state_store.h
+
 namespace serenity::sched {
 
 struct BeamOptions {
@@ -65,6 +67,10 @@ struct BeamResult {
   std::uint64_t states_expanded = 0;
 };
 
+// `tables` are `graph`'s, read only; the second form builds them.
+BeamResult ScheduleBeam(const graph::Graph& graph,
+                        const core::ExpansionTables& tables,
+                        const BeamOptions& options = {});
 BeamResult ScheduleBeam(const graph::Graph& graph,
                         const BeamOptions& options = {});
 

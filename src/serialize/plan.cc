@@ -18,18 +18,12 @@ namespace serenity::serialize {
 
 ExecutionPlan MakePlan(const graph::Graph& graph,
                        const sched::Schedule& schedule) {
-  SERENITY_CHECK(sched::IsTopologicalOrder(graph, schedule));
-  ExecutionPlan plan;
-  plan.graph_name = graph.name();
-  plan.schedule = schedule;
-  plan.arena = alloc::PlanArena(graph, schedule);
-  return plan;
+  return MakePlanOr(graph, schedule, nullptr).value();
 }
 
 util::StatusOr<ExecutionPlan> MakePlanOr(const graph::Graph& graph,
                                          const sched::Schedule& schedule,
                                          util::MemoryBudget* budget) {
-  SERENITY_CHECK(sched::IsTopologicalOrder(graph, schedule));
   util::StatusOr<alloc::ArenaPlan> arena =
       alloc::PlanArenaGoverned(graph, schedule, budget);
   if (!arena.ok()) return arena.status();

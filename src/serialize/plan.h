@@ -46,19 +46,16 @@ struct ExecutionPlan {
   alloc::ArenaPlan arena;
 };
 
-// Builds a plan for `schedule` on `graph` (plans the arena internally).
+// Builds a plan for `schedule` on `graph`, with the arena-planning pass
+// charged against `budget` (alloc::PlanArenaGoverned): a denied charge is
+// a clean kResourceExhausted; a null budget never fails. The planner
 // CHECKs that `schedule` is a topological order — the caller computed it,
-// so a bad one is a programming error.
-ExecutionPlan MakePlan(const graph::Graph& graph,
-                       const sched::Schedule& schedule);
-
-// MakePlan with the arena-planning pass charged against `budget`
-// (alloc::PlanArenaGoverned): a denied charge surfaces as a clean
-// kResourceExhausted instead of an ungoverned allocation. Null budget ==
-// MakePlan.
+// so a bad one is a programming error. MakePlan is the ungoverned form.
 util::StatusOr<ExecutionPlan> MakePlanOr(const graph::Graph& graph,
                                          const sched::Schedule& schedule,
                                          util::MemoryBudget* budget);
+ExecutionPlan MakePlan(const graph::Graph& graph,
+                       const sched::Schedule& schedule);
 
 std::string PlanToText(const ExecutionPlan& plan);
 

@@ -26,6 +26,10 @@
 //  - The paper's nine cells through the full Pipeline: bound pruning off,
 //    and on with a greedy-only, width-8 and width-256 seed, all give the
 //    same exact schedule and peak.
+//  - Shared analysis: one use table and one ExpansionTables, handed to
+//    greedy, beam-8, the DP and soft budgeting in turn (as the Pipeline
+//    hands them), give every result the graph-form calls give — the
+//    tables are read, never consumed (DESIGN.md "One analysis per plan").
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,6 +39,8 @@
 #include "core/dp_scheduler.h"
 #include "core/pipeline.h"
 #include "core/soft_budget.h"
+#include "core/state_store.h"
+#include "graph/analysis.h"
 #include "models/random_cell.h"
 #include "models/zoo.h"
 #include "rewrite/rewriter.h"
@@ -219,6 +225,71 @@ TEST(BnbProperty, EagerRuleKeepsTheOptimalPeak) {
     const std::string ctx = "cell " + std::to_string(seed);
     ExpectEagerRuleExact(raw, ctx + " raw");
     ExpectEagerRuleExact(rewrite::RewriteGraph(raw).graph, ctx + " rewritten");
+    if (::testing::Test::HasFailure()) return;  // one counterexample
+  }
+}
+
+// Every stage's table form against its graph form, with one analysis
+// shared by all of them in the Pipeline's order.
+void ExpectSharedTablesMatch(const graph::Graph& g, const std::string& ctx) {
+  const graph::BufferUseTable table = graph::BufferUseTable::Build(g);
+  const ExpansionTables tables(g, table, graph::BuildAdjacency(g));
+
+  EXPECT_EQ(sched::GreedyMemorySchedule(g, table),
+            sched::GreedyMemorySchedule(g))
+      << ctx;
+
+  sched::BeamOptions beam_options;
+  beam_options.width = 8;
+  const sched::BeamResult beam = sched::ScheduleBeam(g, tables, beam_options);
+  const sched::BeamResult beam_ref = sched::ScheduleBeam(g, beam_options);
+  ASSERT_TRUE(beam.status.ok()) << ctx;
+  EXPECT_EQ(beam.schedule, beam_ref.schedule) << ctx;
+  EXPECT_EQ(beam.peak_bytes, beam_ref.peak_bytes) << ctx;
+  EXPECT_EQ(beam.states_expanded, beam_ref.states_expanded) << ctx;
+
+  DpOptions dp_options;
+  dp_options.incumbent_bytes = beam.peak_bytes;
+  const DpResult dp = ScheduleDp(tables, dp_options);
+  const DpResult dp_ref = ScheduleDp(g, dp_options);
+  ASSERT_EQ(dp.status, DpStatus::kSolution) << ctx;
+  EXPECT_EQ(dp.schedule, dp_ref.schedule) << ctx;
+  EXPECT_EQ(dp.peak_bytes, dp_ref.peak_bytes) << ctx;
+  EXPECT_EQ(dp.states_expanded, dp_ref.states_expanded) << ctx;
+  EXPECT_EQ(dp.transitions, dp_ref.transitions) << ctx;
+  EXPECT_EQ(dp.states_pruned_by_bound, dp_ref.states_pruned_by_bound) << ctx;
+  EXPECT_EQ(dp.max_level_states, dp_ref.max_level_states) << ctx;
+
+  SoftBudgetOptions sb_options;
+  sb_options.incumbent_bytes = beam.peak_bytes;
+  const SoftBudgetResult sb =
+      ScheduleWithSoftBudget(g, table, tables, sb_options);
+  const SoftBudgetResult sb_ref = ScheduleWithSoftBudget(g, sb_options);
+  ASSERT_EQ(sb.status, DpStatus::kSolution) << ctx;
+  EXPECT_EQ(sb.schedule, sb_ref.schedule) << ctx;
+  EXPECT_EQ(sb.peak_bytes, sb_ref.peak_bytes) << ctx;
+  EXPECT_EQ(sb.tau_max, sb_ref.tau_max) << ctx;
+  EXPECT_EQ(sb.attempts.size(), sb_ref.attempts.size()) << ctx;
+  EXPECT_EQ(sb.TotalStates(), sb_ref.TotalStates()) << ctx;
+  EXPECT_EQ(sb.TotalPrunedByBound(), sb_ref.TotalPrunedByBound()) << ctx;
+  // The last reader sees the same tables the first one did.
+  EXPECT_EQ(sb.peak_bytes, dp.peak_bytes) << ctx;
+}
+
+TEST(BnbProperty, SharedTablesAreReusedNotConsumed) {
+  util::Rng rng(20261021);
+  for (int i = 0; i < 300; ++i) {
+    testing::RandomDagOptions opts;
+    opts.num_ops = 4 + i % 13;
+    opts.max_channels = 1 + i % 5;
+    opts.extra_edge_p = (i % 4) * 0.25;
+    opts.join_sinks = i % 3 != 0;
+    const graph::Graph raw =
+        testing::RandomDag(rng, opts, "shared" + std::to_string(i));
+    const std::string ctx = "graph " + std::to_string(i);
+    ExpectSharedTablesMatch(raw, ctx + " raw");
+    ExpectSharedTablesMatch(rewrite::RewriteGraph(raw).graph,
+                            ctx + " rewritten");
     if (::testing::Test::HasFailure()) return;  // one counterexample
   }
 }

@@ -144,7 +144,8 @@ TEST(BoundAdmissibility, FrontierFloorIsExactAndRespectsTheSuffixOracle) {
   for (int i = 0; i < kGraphs; ++i) {
     const graph::Graph g = AuditGraph(rng, i);
     const std::string ctx = "graph " + std::to_string(i);
-    const ExpansionTables tables = ExpansionTables::Build(g);
+    const ExpansionTables tables(g, graph::BufferUseTable::Build(g),
+                                 graph::BuildAdjacency(g));
     const SignatureHasher hasher(tables.num_nodes());
     const Lattice lat = EnumerateLattice(tables, hasher);
 
@@ -221,7 +222,8 @@ TEST(BoundAdmissibility, NonIncreasingStepNeverRaisesTheSuffix) {
   for (int i = 0; i < kGraphs; ++i) {
     const graph::Graph g = AuditGraph(rng, i);
     const std::string ctx = "graph " + std::to_string(i);
-    const ExpansionTables tables = ExpansionTables::Build(g);
+    const ExpansionTables tables(g, graph::BufferUseTable::Build(g),
+                                 graph::BuildAdjacency(g));
     const SignatureHasher hasher(tables.num_nodes());
     const Lattice lat = EnumerateLattice(tables, hasher);
     for (std::size_t s = 0; s < lat.sig.size(); ++s) {

@@ -194,8 +194,10 @@ TEST(BeamBudget, ChargesLikeTheDpAndUnwinds) {
 
   // Below the fixed bytes (expansion tables + two Zobrist key streams) the
   // beam fails before building a level.
+  const ExpansionTables tables(g, graph::BufferUseTable::Build(g),
+                               graph::BuildAdjacency(g));
   const std::int64_t fixed_bytes =
-      ExpansionTables::Build(g).ResidentBytes() +
+      tables.ResidentBytes() +
       static_cast<std::int64_t>(2 * g.num_nodes() * 8);
   util::MemoryBudget starved(fixed_bytes - 1);
   options.memory_budget = &starved;

@@ -58,7 +58,9 @@ inline sched::BeamResult ReferenceScheduleBeam(const graph::Graph& graph,
   SERENITY_CHECK_GT(graph.num_nodes(), 0);
   SERENITY_CHECK_GT(options.width, 0);
   const std::size_t n = static_cast<std::size_t>(graph.num_nodes());
-  const core::ExpansionTables tables = core::ExpansionTables::Build(graph);
+  const core::ExpansionTables tables(graph,
+                                     graph::BufferUseTable::Build(graph),
+                                     graph::BuildAdjacency(graph));
   const core::SignatureHasher hasher(n);
   const std::size_t words = tables.words_per_state();
   const std::size_t width = static_cast<std::size_t>(options.width);
